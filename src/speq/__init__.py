@@ -6,7 +6,7 @@ plus the kernels, decoding controller, PE-array model, and file format
 built around it.
 """
 
-from ._accel import active_backend, set_backend
+from ._accel import active_backend
 from .bsfp import (
     BsfpWord,
     ExponentRangeError,

@@ -1,12 +1,8 @@
-"""Hot numeric kernels, compiled with numba when available.
+"""Hot numeric kernels: one numpy implementation each.
 
-Every kernel exists twice: a numba ``@njit`` version and a pure-numpy
-twin that performs the identical sequence of float32 operations, so the
-two backends produce bit-identical results. The backend is chosen at
-import time:
-
-* ``SPEQ_NUMBA=0`` (or ``false`` / ``off``) forces the numpy fallback;
-* otherwise numba is used when it imports cleanly.
+Each kernel is vectorized over output elements and loops in Python over
+the reduction index, so every output element sees one fixed sequence of
+float32 operations.
 
 All kernels accumulate in float32, sequentially over the reduction
 index (ascending k within a group, ascending group index). That order
@@ -17,42 +13,15 @@ reassociated.
 
 from __future__ import annotations
 
-import math
-import os
-
 import numpy as np
 
-_ENV_FLAG = os.environ.get("SPEQ_NUMBA", "").strip().lower()
-_NUMBA_WANTED = _ENV_FLAG not in ("0", "false", "off", "no")
 
-_HAS_NUMBA = False
-if _NUMBA_WANTED:
-    try:
-        from numba import njit
-
-        _HAS_NUMBA = True
-    except ImportError:
-        _HAS_NUMBA = False
+def active_backend() -> str:
+    """Name of the implementation dispatching the hot kernels."""
+    return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# numpy reference implementations
-#
-# Vectorized over output elements but strictly sequential over k, so each
-# out[m, n] sees the exact float32 operation order of the numba loops.
-# ---------------------------------------------------------------------------
-
-
-def _matmul_f32_numpy(a, b):
-    m, k = a.shape
-    n = b.shape[1]
-    out = np.zeros((m, n), dtype=np.float32)
-    for i in range(k):
-        out += a[:, i : i + 1] * b[i : i + 1, :]
-    return out
-
-
-def _gemm_full_f32_numpy(a, w, group_size):
+def gemm_full_f32(a, w, group_size):
     m, k = a.shape
     n = w.shape[1]
     out = np.zeros((m, n), dtype=np.float32)
@@ -65,7 +34,7 @@ def _gemm_full_f32_numpy(a, w, group_size):
     return out
 
 
-def _gemm_draft_f32_numpy(a, q, scales, group_size):
+def gemm_draft_f32(a, q, scales, group_size):
     m, k = a.shape
     n = q.shape[1]
     n_groups = scales.shape[1]
@@ -80,7 +49,7 @@ def _gemm_draft_f32_numpy(a, q, scales, group_size):
     return out
 
 
-def _pe_gemm_full_f32_numpy(sign_a, sig_a, exp_a, sign_w, sig_w, exp_w, group_size):
+def pe_gemm_full_f32(sign_a, sig_a, exp_a, sign_w, sig_w, exp_w, group_size):
     m, k = sig_a.shape
     n = sig_w.shape[1]
     out = np.zeros((m, n), dtype=np.float32)
@@ -101,39 +70,7 @@ def _pe_gemm_full_f32_numpy(sign_a, sig_a, exp_a, sign_w, sig_w, exp_w, group_si
     return out
 
 
-def _attn_scores_f32_numpy(q, k, n_heads):
-    n, d = q.shape
-    t = k.shape[0]
-    dh = d // n_heads
-    out = np.zeros((n_heads, n, t), dtype=np.float32)
-    for h in range(n_heads):
-        for dd in range(dh):
-            c = h * dh + dd
-            out[h] += q[:, c : c + 1] * k[:, c][np.newaxis, :]
-    return out
-
-
-def _rowsum_f32_numpy(x):
-    h, n, t = x.shape
-    out = np.zeros((h, n), dtype=np.float32)
-    for j in range(t):
-        out += x[:, :, j]
-    return out
-
-
-def _attn_ctx_f32_numpy(probs, v, n_heads):
-    t, d = v.shape
-    n = probs.shape[1]
-    dh = d // n_heads
-    out = np.zeros((n, d), dtype=np.float32)
-    for h in range(n_heads):
-        sl = slice(h * dh, (h + 1) * dh)
-        for j in range(t):
-            out[:, sl] += probs[h, :, j : j + 1] * v[j : j + 1, sl]
-    return out
-
-
-def _pe_gemm_draft_f32_numpy(sign_a, sig_a, exp_a, sign_w, exp4_w, scales, group_size):
+def pe_gemm_draft_f32(sign_a, sig_a, exp_a, sign_w, exp4_w, scales, group_size):
     m, k = sig_a.shape
     n = exp4_w.shape[1]
     n_groups = scales.shape[1]
@@ -152,206 +89,33 @@ def _pe_gemm_draft_f32_numpy(sign_a, sig_a, exp_a, sign_w, exp4_w, scales, group
     return out
 
 
-_NUMPY_IMPLS = {
-    "matmul_f32": _matmul_f32_numpy,
-    "gemm_full_f32": _gemm_full_f32_numpy,
-    "gemm_draft_f32": _gemm_draft_f32_numpy,
-    "pe_gemm_full_f32": _pe_gemm_full_f32_numpy,
-    "pe_gemm_draft_f32": _pe_gemm_draft_f32_numpy,
-    "attn_scores_f32": _attn_scores_f32_numpy,
-    "rowsum_f32": _rowsum_f32_numpy,
-    "attn_ctx_f32": _attn_ctx_f32_numpy,
-}
+def attn_scores_f32(q, k, n_heads):
+    n, d = q.shape
+    t = k.shape[0]
+    dh = d // n_heads
+    out = np.zeros((n_heads, n, t), dtype=np.float32)
+    for h in range(n_heads):
+        for dd in range(dh):
+            c = h * dh + dd
+            out[h] += q[:, c : c + 1] * k[:, c][np.newaxis, :]
+    return out
 
 
-# ---------------------------------------------------------------------------
-# numba implementations
-# ---------------------------------------------------------------------------
-
-if _HAS_NUMBA:
-
-    @njit(cache=True)
-    def _matmul_f32_numba(a, b):
-        m, k = a.shape
-        n = b.shape[1]
-        out = np.zeros((m, n), dtype=np.float32)
-        for r in range(m):
-            for c in range(n):
-                acc = np.float32(0.0)
-                for i in range(k):
-                    acc += a[r, i] * b[i, c]
-                out[r, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _gemm_full_f32_numba(a, w, group_size):
-        m, k = a.shape
-        n = w.shape[1]
-        n_groups = (k + group_size - 1) // group_size
-        out = np.zeros((m, n), dtype=np.float32)
-        for r in range(m):
-            for c in range(n):
-                acc = np.float32(0.0)
-                for g in range(n_groups):
-                    k0 = g * group_size
-                    k1 = min(k0 + group_size, k)
-                    gacc = np.float32(0.0)
-                    for i in range(k0, k1):
-                        gacc += a[r, i] * w[i, c]
-                    acc += gacc
-                out[r, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _gemm_draft_f32_numba(a, q, scales, group_size):
-        m, k = a.shape
-        n = q.shape[1]
-        n_groups = scales.shape[1]
-        out = np.zeros((m, n), dtype=np.float32)
-        for r in range(m):
-            for c in range(n):
-                acc = np.float32(0.0)
-                for g in range(n_groups):
-                    k0 = g * group_size
-                    k1 = min(k0 + group_size, k)
-                    gacc = np.float32(0.0)
-                    for i in range(k0, k1):
-                        gacc += a[r, i] * q[i, c]
-                    acc += gacc * scales[c, g]
-                out[r, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _attn_scores_f32_numba(q, k, n_heads):
-        n, d = q.shape
-        t = k.shape[0]
-        dh = d // n_heads
-        out = np.zeros((n_heads, n, t), dtype=np.float32)
-        for h in range(n_heads):
-            for i in range(n):
-                for j in range(t):
-                    acc = np.float32(0.0)
-                    for dd in range(dh):
-                        c = h * dh + dd
-                        acc += q[i, c] * k[j, c]
-                    out[h, i, j] = acc
-        return out
-
-    @njit(cache=True)
-    def _rowsum_f32_numba(x):
-        h, n, t = x.shape
-        out = np.zeros((h, n), dtype=np.float32)
-        for a in range(h):
-            for i in range(n):
-                acc = np.float32(0.0)
-                for j in range(t):
-                    acc += x[a, i, j]
-                out[a, i] = acc
-        return out
-
-    @njit(cache=True)
-    def _attn_ctx_f32_numba(probs, v, n_heads):
-        t, d = v.shape
-        n = probs.shape[1]
-        dh = d // n_heads
-        out = np.zeros((n, d), dtype=np.float32)
-        for h in range(n_heads):
-            for i in range(n):
-                for dd in range(dh):
-                    c = h * dh + dd
-                    acc = np.float32(0.0)
-                    for j in range(t):
-                        acc += probs[h, i, j] * v[j, c]
-                    out[i, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _pe_gemm_full_f32_numba(sign_a, sig_a, exp_a, sign_w, sig_w, exp_w, group_size):
-        m, k = sig_a.shape
-        n = sig_w.shape[1]
-        n_groups = (k + group_size - 1) // group_size
-        out = np.zeros((m, n), dtype=np.float32)
-        for r in range(m):
-            for c in range(n):
-                acc = np.float32(0.0)
-                for g in range(n_groups):
-                    k0 = g * group_size
-                    k1 = min(k0 + group_size, k)
-                    gacc = np.float32(0.0)
-                    for i in range(k0, k1):
-                        sw = sig_w[i, c]
-                        hi = sw >> 5
-                        lo = sw & 0x1F
-                        sa = sig_a[r, i]
-                        prod = sa * hi * 32 + sa * lo
-                        if sign_a[r, i] != sign_w[i, c]:
-                            prod = -prod
-                        shift = exp_a[r, i] + exp_w[i, c] - 50
-                        gacc += np.float32(math.ldexp(np.float32(prod), shift))
-                    acc += gacc
-                out[r, c] = acc
-        return out
-
-    @njit(cache=True)
-    def _pe_gemm_draft_f32_numba(sign_a, sig_a, exp_a, sign_w, exp4_w, scales, group_size):
-        m, k = sig_a.shape
-        n = exp4_w.shape[1]
-        n_groups = scales.shape[1]
-        out = np.zeros((m, n), dtype=np.float32)
-        for r in range(m):
-            for c in range(n):
-                acc = np.float32(0.0)
-                for g in range(n_groups):
-                    k0 = g * group_size
-                    k1 = min(k0 + group_size, k)
-                    gacc = np.float32(0.0)
-                    for i in range(k0, k1):
-                        mag = np.float32(sig_a[r, i])
-                        if sign_a[r, i] != sign_w[i, c]:
-                            mag = -mag
-                        shift = exp_a[r, i] + exp4_w[i, c] - 40
-                        gacc += np.float32(math.ldexp(mag, shift))
-                    acc += gacc * scales[c, g]
-                out[r, c] = acc
-        return out
-
-    _NUMBA_IMPLS = {
-        "matmul_f32": _matmul_f32_numba,
-        "gemm_full_f32": _gemm_full_f32_numba,
-        "gemm_draft_f32": _gemm_draft_f32_numba,
-        "pe_gemm_full_f32": _pe_gemm_full_f32_numba,
-        "pe_gemm_draft_f32": _pe_gemm_draft_f32_numba,
-        "attn_scores_f32": _attn_scores_f32_numba,
-        "rowsum_f32": _rowsum_f32_numba,
-        "attn_ctx_f32": _attn_ctx_f32_numba,
-    }
-else:
-    _NUMBA_IMPLS = {}
+def rowsum_f32(x):
+    h, n, t = x.shape
+    out = np.zeros((h, n), dtype=np.float32)
+    for j in range(t):
+        out += x[:, :, j]
+    return out
 
 
-BACKENDS = {"numpy": _NUMPY_IMPLS}
-if _HAS_NUMBA:
-    BACKENDS["numba"] = _NUMBA_IMPLS
-
-_active = "numba" if _HAS_NUMBA else "numpy"
-
-
-def active_backend() -> str:
-    """Name of the backend currently dispatching the hot kernels."""
-    return _active
-
-
-_KERNEL_NAMES = tuple(_NUMPY_IMPLS)
-
-
-def set_backend(name: str) -> None:
-    """Switch kernel backend ("numba" or "numpy"). Used by tests and benchmarks."""
-    global _active
-    if name not in BACKENDS:
-        raise ValueError(f"unknown backend {name!r}; available: {sorted(BACKENDS)}")
-    _active = name
-    for kernel in _KERNEL_NAMES:
-        globals()[kernel] = BACKENDS[name][kernel]
-
-
-set_backend(_active)
+def attn_ctx_f32(probs, v, n_heads):
+    t, d = v.shape
+    n = probs.shape[1]
+    dh = d // n_heads
+    out = np.zeros((n, d), dtype=np.float32)
+    for h in range(n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        for j in range(t):
+            out[:, sl] += probs[h, :, j : j + 1] * v[j : j + 1, sl]
+    return out

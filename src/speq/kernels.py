@@ -4,7 +4,7 @@
 ``gemm_draft`` touches only the 4-bit stream plus the group scales. Both
 accumulate in float32 in a fixed order (ascending k within a group, then
 ascending group), multiply by 1/tensor_scale once per output element, and
-are bit-reproducible across runs, thread counts, and backends.
+are bit-reproducible across runs and thread counts.
 
 FP16 x FP16 products are computed in float32, which is exact: two 11-bit
 significands need at most 22 bits and the exponent range fits comfortably.

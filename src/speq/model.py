@@ -14,7 +14,7 @@ Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
 to FP16 at every GEMM boundary, and the FFN nonlinearity is ReLU — the hot
 path contains no transcendentals outside the shared softmax helper, so
-logits are bit-reproducible across runs and kernel backends.
+logits are bit-reproducible across runs.
 """
 
 from __future__ import annotations

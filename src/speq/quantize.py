@@ -136,7 +136,6 @@ class PackedTensor:
     wq_touches: int = field(default=0, repr=False)
     wr_touches: int = field(default=0, repr=False)
     _qval: np.ndarray | None = field(default=None, repr=False)
-    _full16: np.ndarray | None = field(default=None, repr=False)
     _full32: np.ndarray | None = field(default=None, repr=False)
     _inv_scale: np.float32 | None = field(default=None, repr=False)
 
@@ -159,7 +158,7 @@ class PackedTensor:
         return 12 * self.rows * self.cols
 
     def draft_values(self) -> np.ndarray:
-        """Per-element 4-bit decoded values (float32). Reads only ``wq``."""
+        """Per-element 4-bit decoded values (float32, read-only). Reads only ``wq``."""
         self.wq_touches += 1
         if self._qval is None:
             if self.fmt is QuantFormat.E3M0_REMAP:
@@ -172,7 +171,9 @@ class PackedTensor:
                 grid = _E2M1_GRID if self.fmt is QuantFormat.E2M1 else _E1M2_GRID
                 mag = grid.astype(np.float32)[self.wq & 7]
                 q = np.where((self.wq >> 3).astype(bool), -mag, mag)
-            self._qval = q.astype(np.float32)
+            q = q.astype(np.float32)
+            q.setflags(write=False)
+            self._qval = q
         return self._qval
 
     def draft_codes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -183,23 +184,26 @@ class PackedTensor:
         return (self.wq >> 3).astype(np.uint8), bsfp.q_exponent_array(self.wq)
 
     def full_values(self) -> np.ndarray:
-        """Exact stored FP16 tensor. Reads both streams; E3M0_REMAP only."""
+        """Exact stored FP16 tensor, as a fresh array.
+
+        Reads both streams; E3M0_REMAP only.
+        """
+        return self.full_values_f32().astype(np.float16)
+
+    def full_values_f32(self) -> np.ndarray:
+        """Exact stored tensor widened to float32 (read-only, cached for kernels).
+
+        The one place that decodes both streams; E3M0_REMAP only.
+        """
         if self.fmt is not QuantFormat.E3M0_REMAP:
             raise FormatMismatchError(f"{self.fmt.value} is not bit-sharing")
         self.wq_touches += 1
         self.wr_touches += 1
-        if self._full16 is None:
-            bits = bsfp.decode_full_array(self.wq, self.wr)
-            self._full16 = bits.view(np.float16)
-        return self._full16
-
-    def full_values_f32(self) -> np.ndarray:
-        """``full_values`` widened to float32 (exact), cached for kernels."""
         if self._full32 is None:
-            self._full32 = self.full_values().astype(np.float32)
-        else:
-            self.wq_touches += 1
-            self.wr_touches += 1
+            bits = bsfp.decode_full_array(self.wq, self.wr)
+            full = bits.view(np.float16).astype(np.float32)
+            full.setflags(write=False)
+            self._full32 = full
         return self._full32
 
     def wq_packed(self) -> bytes:
@@ -341,7 +345,7 @@ def quantize_tensor(
 
 def dequantize_full(p: PackedTensor) -> np.ndarray:
     """Exact FP16 reconstruction of the stored (outlier-scaled) tensor."""
-    return p.full_values().copy()
+    return p.full_values()
 
 
 def draft_reconstruction(p: PackedTensor) -> np.ndarray:

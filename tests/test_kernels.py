@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from speq import _accel
 from speq.kernels import TrafficCounter, exact_fp16_product, gemm_draft, gemm_full
 from speq.quantize import (
     QuantFormat,
@@ -224,19 +223,15 @@ def test_traffic_quarter_property():
         assert td.activation_bytes == tf.activation_bytes == 2 * a.size
 
 
-def test_backends_bit_identical():
-    if "numba" not in _accel.BACKENDS:
-        pytest.skip("numba backend unavailable")
-    rng = np.random.default_rng(50)
-    a = rng.normal(0, 1, (4, 200)).astype(np.float16)
-    p = quantize_tensor(_rand16(rng, (200, 6)))
-    prev = _accel.active_backend()
-    try:
-        _accel.set_backend("numba")
-        f_nb, d_nb = gemm_full(a, p), gemm_draft(a, p)
-        _accel.set_backend("numpy")
-        f_np, d_np = gemm_full(a, p), gemm_draft(a, p)
-    finally:
-        _accel.set_backend(prev)
-    assert np.array_equal(f_nb.view(np.uint32), f_np.view(np.uint32))
-    assert np.array_equal(d_nb.view(np.uint32), d_np.view(np.uint32))
+def test_decoded_weight_caches_are_read_only():
+    rng = np.random.default_rng(51)
+    w = _rand16(rng, (128, 4))
+    a = rng.normal(0, 1, (2, 128)).astype(np.float16)
+    expect = gemm_full(a, quantize_tensor(w))
+    p = quantize_tensor(w)
+    p.full_values()[:] = 0  # before the first full GEMM builds its cache
+    assert np.array_equal(gemm_full(a, p).view(np.uint32), expect.view(np.uint32))
+    with pytest.raises(ValueError):
+        p.draft_values()[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        p.full_values_f32()[0, 0] = 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,21 @@ def test_repeated_prefill_identical(model):
     l1 = forward_full(model, prompt, model.new_cache())
     l2 = forward_full(model, prompt, model.new_cache())
     assert np.array_equal(l1.view(np.uint32), l2.view(np.uint32))
+
+
+def test_golden_logits():
+    # Pins the fixed float32 accumulation order: any kernel rewrite must
+    # reproduce these logits bit for bit, not just to within rounding.
+    def crc(x):
+        return zlib.crc32(np.ascontiguousarray(x, dtype=np.float32).tobytes())
+
+    m = init_model(ModelConfig())
+    cache = m.new_cache()
+    prompt = [1, 2, 3, 5, 8, 13, 21, 34]
+    full = forward_full(m, prompt, cache)
+    draft = forward_draft(m, prompt[-1], cache)
+    assert crc(full) == 0x7A7BD3DD
+    assert crc(draft) == 0xB0DDD3E4
 
 
 def test_windowed_equals_stepwise(model):
