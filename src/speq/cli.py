@@ -152,11 +152,11 @@ def _cmd_gemm(args) -> int:
 
 def _cmd_specdec(args) -> int:
     cfg = ModelConfig(seed=args.seed)
-    sd = specdec.SpecDecConfig(max_draft_len=args.max_draft_len, gamma=args.gamma, seed=args.seed)
+    sd = specdec.SpecDecConfig(max_draft_len=args.max_draft_len, gamma=args.gamma)
     model = init_model(cfg)
     rng = np.random.default_rng(args.seed)
     rep = _new_report(args)
-    rounds = proposed = accepted = tokens = 0
+    total = specdec.SpecDecStats(rounds=0, proposed=0, accepted=0, tokens_generated=0)
     mismatched = 0
     for i in range(args.prompts):
         if args.prompt is not None:
@@ -166,22 +166,19 @@ def _cmd_specdec(args) -> int:
         out, stats = specdec.speculative_generate(model, prompt, sd, args.gen_len)
         ref = specdec.greedy_generate(model, prompt, args.gen_len)
         mismatched += int(out != ref)
-        rounds += stats.rounds
-        proposed += stats.proposed
-        accepted += stats.accepted
-        tokens += stats.tokens_generated
+        total += stats
     rep.add(
         "specdec",
         prompts=args.prompts,
         gen_len=args.gen_len,
         gamma=args.gamma,
         max_draft_len=args.max_draft_len,
-        rounds=rounds,
-        proposed=proposed,
-        accepted=accepted,
-        accept_rate=accepted / proposed if proposed else 0.0,
-        mean_draft_len=proposed / rounds if rounds else 0.0,
-        mean_accept_len=tokens / rounds if rounds else 0.0,
+        rounds=total.rounds,
+        proposed=total.proposed,
+        accepted=total.accepted,
+        accept_rate=total.accept_rate,
+        mean_draft_len=total.mean_draft_len,
+        mean_accept_len=total.mean_accept_len,
         lossless=mismatched == 0,
         mismatched_prompts=mismatched,
     )
@@ -219,7 +216,6 @@ def _cmd_simulate(args) -> int:
     cfg = pe.PeConfig(
         tiles=args.tiles,
         pes_per_tile=args.pes_per_tile,
-        array=tuple(args.array),
         frequency_hz=args.frequency,
         fill_cycles=args.fill_cycles,
     )
@@ -312,7 +308,6 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--group-size", type=int, default=128)
     m.add_argument("--tiles", type=int, default=8)
     m.add_argument("--pes-per-tile", type=int, default=128)
-    m.add_argument("--array", type=int, nargs=2, default=[32, 32])
     m.add_argument("--frequency", type=float, default=500e6)
     m.add_argument("--fill-cycles", type=int, default=32)
     m.set_defaults(fn=_cmd_simulate)

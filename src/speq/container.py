@@ -18,6 +18,7 @@ Serialization is canonical: write(read(write(p))) is byte-identical.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 
@@ -114,6 +115,8 @@ def from_bytes(data: bytes) -> PackedTensor:
         raise TruncatedError(f"{len(payload) - cur} trailing payload bytes")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise ChecksumError("payload CRC mismatch")
+    if not 0.0 < tensor_scale < math.inf:
+        raise ContainerError(f"tensor_scale must be positive and finite, got {tensor_scale}")
 
     return PackedTensor(
         rows=rows,

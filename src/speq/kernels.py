@@ -2,9 +2,10 @@
 
 ``gemm_full`` reconstructs exact FP16 weights from both bit streams;
 ``gemm_draft`` touches only the 4-bit stream plus the group scales. Both
-accumulate in float32 in a fixed order (ascending k within a group, then
-ascending group), multiply by 1/tensor_scale once per output element, and
-are bit-reproducible across runs and thread counts.
+accumulate through ``_accel.gemm_f32``, the one place the fixed float32
+order lives (ascending k within a group, then ascending group), multiply
+by 1/tensor_scale once per output element, and are bit-reproducible
+across runs and thread counts.
 
 FP16 x FP16 products are computed in float32, which is exact: two 11-bit
 significands need at most 22 bits and the exponent range fits comfortably.
@@ -89,7 +90,7 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.nd
     """
     a = np.asarray(a, dtype=np.float16)
     w = np.asarray(w, dtype=np.float16)
-    return _accel.gemm_full_f32(a.astype(np.float32), w.astype(np.float32), group_size)
+    return _accel.gemm_f32(a.astype(np.float32), w.astype(np.float32), group_size)
 
 
 def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) -> np.ndarray:
@@ -115,7 +116,7 @@ def gemm_full(
     a = _check_activations(a, p, validate)
     if p.fmt is not QuantFormat.E3M0_REMAP:
         raise FormatMismatchError(f"{p.fmt.value} is not bit-sharing")
-    out = _accel.gemm_full_f32(a.astype(np.float32), p.full_values_f32(), p.group_size)
+    out = _accel.gemm_f32(a.astype(np.float32), p.full_values_f32(), p.group_size)
     out *= p.inv_tensor_scale
     if traffic is not None:
         traffic.add(
@@ -137,7 +138,7 @@ def gemm_draft(
     if p.fmt is not QuantFormat.E3M0_REMAP:
         raise FormatMismatchError(f"{p.fmt.value} is not bit-sharing")
     qv = p.draft_values()
-    out = _accel.gemm_draft_f32(a.astype(np.float32), qv, p.group_scales, p.group_size)
+    out = _accel.gemm_f32(a.astype(np.float32), qv, p.group_size, p.group_scales)
     out *= p.inv_tensor_scale
     if traffic is not None:
         traffic.add(

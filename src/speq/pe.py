@@ -14,6 +14,9 @@ The array runs in two modes with the same 31-bit PE input width:
   multiplier masked, giving three partial sums per cycle and 3x the MAC
   throughput at the same PE count.
 
+``simulate_gemm`` runs both datapaths, as the ``mul`` of
+``_accel.gemm_f32``, in the same fixed accumulation order as the kernels.
+
 Cycle counts are ``ceil(macs / (PEs * throughput)) + fill``; the
 pre-ceiling MAC-cycle figure is kept as an exact rational so the 3x
 throughput ratio between modes is exact for every shape.
@@ -40,6 +43,7 @@ __all__ = [
     "QUANT_WEIGHT_BITS",
     "pe_input_bits",
     "pe_full_mac",
+    "pe_quant_mac",
     "pe_quant_mac3",
     "decompose_fp16",
     "estimate",
@@ -61,13 +65,16 @@ def pe_input_bits(mode: GemmMode) -> int:
 class PeConfig:
     tiles: int = 8
     pes_per_tile: int = 128
-    array: tuple[int, int] = (32, 32)
     frequency_hz: float = 500e6
-    fill_cycles: int = 32  # pipeline fill/drain, one array edge by default
+    fill_cycles: int = 32  # pipeline fill/drain, one 32x32 array edge by default
 
     def __post_init__(self) -> None:
-        if self.tiles * self.pes_per_tile != self.array[0] * self.array[1]:
-            raise ValueError("tiles * pes_per_tile must equal the array size")
+        if self.tiles < 1 or self.pes_per_tile < 1:
+            raise ValueError("tiles and pes_per_tile must be positive")
+        if not 0 < self.frequency_hz < math.inf:
+            raise ValueError("frequency_hz must be positive and finite")
+        if self.fill_cycles < 0:
+            raise ValueError("fill_cycles must be >= 0")
 
     @property
     def total_pes(self) -> int:
@@ -124,36 +131,49 @@ def decompose_fp16(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return sign, sig, e
 
 
-def pe_full_mac(a: np.float16, w: np.float16) -> np.float32:
-    """Full-mode MAC operand product via the split-significand datapath."""
-    a = np.float16(a)
-    w = np.float16(w)
-    if not (np.isfinite(a) and np.isfinite(w)):
+def _signed_ldexp(mag, neg, shift) -> np.ndarray:
+    """(-1)^neg * mag * 2^shift in float32; exact for every PE product."""
+    mag = np.asarray(mag).astype(np.float32)
+    return np.ldexp(np.where(neg, -mag, mag), shift)
+
+
+def pe_full_mac(a, w) -> np.ndarray:
+    """Full-mode MAC operand products via the split-significand datapath.
+
+    Broadcasts over FP16 activations ``a`` and weights ``w``.
+    """
+    a = np.asarray(a, dtype=np.float16)
+    w = np.asarray(w, dtype=np.float16)
+    if not (np.isfinite(a).all() and np.isfinite(w).all()):
         raise ValueError("non-finite operand")
-    if ((w.view(np.uint16) >> 10) & 0x1F) > 15:
+    sa, sig_a, ea = decompose_fp16(a)
+    sw, sig_w, ew = decompose_fp16(w)
+    if np.any(ew > 15):
         raise bsfp.ExponentRangeError("weight exponent above 15")
-    sa, sig_a, ea = (x.item() for x in decompose_fp16(a))
-    sw, sig_w, ew = (x.item() for x in decompose_fp16(w))
-    hi, lo = sig_w >> 5, sig_w & 0x1F
-    prod = sig_a * hi * 32 + sig_a * lo  # two Wallace trees, summed
-    if sa != sw:
-        prod = -prod
-    return np.float32(math.ldexp(np.float32(prod), ea + ew - 50))
+    prod = sig_a * (sig_w >> 5) * 32 + sig_a * (sig_w & 0x1F)  # two Wallace trees, summed
+    return _signed_ldexp(prod, sa != sw, ea + ew - 50)
+
+
+def pe_quant_mac(a, sign_w, exp4_w) -> np.ndarray:
+    """Quantize-mode addends: exact activation x (+/- 2^(exp4-15)).
+
+    Broadcasts over FP16 activations ``a`` and (sign, exp4) weight fields.
+    """
+    a = np.asarray(a, dtype=np.float16)
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite activation")
+    sa, sig_a, ea = decompose_fp16(a)
+    return _signed_ldexp(sig_a, sa != (np.asarray(sign_w) & 1), ea + np.asarray(exp4_w) - 40)
 
 
 def pe_quant_mac3(ops: PeOperandsQuant) -> tuple[np.float32, np.float32, np.float32]:
     """Quantize-mode PE: three exact activation x (+/- 2^(exp4-15)) addends."""
-    a = np.float16(ops.activation)
-    if not np.isfinite(a):
-        raise ValueError("non-finite activation")
-    sa, sig_a, ea = (x.item() for x in decompose_fp16(a))
-    out = []
-    for sw, exp4 in ops.weights:
-        mag = np.float32(sig_a)
-        if sa != (sw & 1):
-            mag = -mag
-        out.append(np.float32(math.ldexp(mag, ea + exp4 - 40)))
-    return tuple(out)
+    return tuple(pe_quant_mac(ops.activation, sw, exp4) for sw, exp4 in ops.weights)
+
+
+def _pe_quant_mac_wq(a, wq) -> np.ndarray:
+    """Quantize-mode addends fed with raw ``wq`` nibbles (sign, qcode)."""
+    return pe_quant_mac(a, wq >> 3, bsfp.q_exponent_array(wq))
 
 
 def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128) -> CycleReport:
@@ -193,24 +213,16 @@ def simulate_gemm(
     """Run a GEMM through the PE datapath model.
 
     Outputs are bit-identical to ``kernels.gemm_full`` / ``gemm_draft``:
-    each PE-level product is exact, and accumulation follows the same
-    fixed order in float32.
+    each PE-level product is exact, and ``_accel.gemm_f32`` accumulates
+    them in the kernels' fixed float32 order.
     """
     a = _check_activations(a, p)
     if p.fmt is not QuantFormat.E3M0_REMAP:
         raise ValueError(f"PE model requires the bit-sharing format, got {p.fmt.value}")
-    sa, sig_a, ea = decompose_fp16(a)
-    sig_a = np.ascontiguousarray(sig_a)
     if mode is GemmMode.FULL:
-        sw, sig_w, ew = decompose_fp16(p.full_values())
-        out = _accel.pe_gemm_full_f32(
-            sa, sig_a, ea, sw, np.ascontiguousarray(sig_w), ew, p.group_size
-        )
+        out = _accel.gemm_f32(a, p.full_values(), p.group_size, mul=pe_full_mac)
     else:
-        sw, exp4 = p.draft_codes()
-        out = _accel.pe_gemm_draft_f32(
-            sa, sig_a, ea, sw, exp4, p.group_scales, p.group_size
-        )
+        out = _accel.gemm_f32(a, p.wq, p.group_size, p.group_scales, mul=_pe_quant_mac_wq)
     out *= p.inv_tensor_scale
     spec = GemmSpec(m=a.shape[0], n=p.cols, k=p.rows, mode=mode)
     return out, estimate(spec, cfg, group_size=p.group_size)

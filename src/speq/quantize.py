@@ -176,13 +176,6 @@ class PackedTensor:
             self._qval = q
         return self._qval
 
-    def draft_codes(self) -> tuple[np.ndarray, np.ndarray]:
-        """Raw draft fields (sign uint8, exp4 int32). Reads only ``wq``."""
-        if self.fmt is not QuantFormat.E3M0_REMAP:
-            raise FormatMismatchError(f"{self.fmt.value} has no decoded exponent field")
-        self.wq_touches += 1
-        return (self.wq >> 3).astype(np.uint8), bsfp.q_exponent_array(self.wq)
-
     def full_values(self) -> np.ndarray:
         """Exact stored FP16 tensor, as a fresh array.
 

@@ -18,7 +18,7 @@ Monte-Carlo cross-checks the closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -32,7 +32,6 @@ __all__ = [
     "expected_speedup",
     "expected_speedup_approx",
     "monte_carlo_accept_length",
-    "perf_from_reports",
     "greedy_generate",
     "speculative_generate",
 ]
@@ -42,7 +41,6 @@ __all__ = [
 class SpecDecConfig:
     max_draft_len: int = 16
     gamma: float = 0.6
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_draft_len < 1:
@@ -70,6 +68,9 @@ class SpecDecStats:
     def mean_accept_len(self) -> float:
         """Average tokens emitted per round (accepted drafts + 1)."""
         return self.tokens_generated / self.rounds if self.rounds else 0.0
+
+    def __add__(self, other: SpecDecStats) -> SpecDecStats:
+        return SpecDecStats(*(x + y for x, y in zip(astuple(self), astuple(other))))
 
 
 @dataclass(frozen=True)
@@ -119,15 +120,6 @@ def monte_carlo_accept_length(
     rejected = ~acc
     run = np.where(rejected.any(axis=1), rejected.argmax(axis=1), max_draft_len)
     return float(np.mean(run + 1))
-
-
-def perf_from_reports(draft_report, verify_report, ar_report) -> PerfParams:
-    """Derive (T_d, T_v, T_ar) from three PE-model cycle reports."""
-    return PerfParams(
-        t_draft=draft_report.time_s,
-        t_verify=verify_report.time_s,
-        t_ar=ar_report.time_s,
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -91,6 +94,19 @@ def test_gemm_output_file(capsys, tensor_npy, tmp_path):
     assert np.load(res).shape == (1, 8)
 
 
+def test_gemm_bad_tensor_scale_is_io_error(capsys, tensor_npy, tmp_path):
+    wout = tmp_path / "w.speq"
+    run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
+    data = bytearray(wout.read_bytes())
+    struct.pack_into("<f", data, 22, 0.0)  # tensor scale, after magic, flags and 4 u32
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
+    wout.write_bytes(bytes(data))
+    a = str(tmp_path / "a.npy")
+    np.save(a, np.ones((1, 256), dtype=np.float16))
+    code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))
+    assert code == 2
+
+
 def test_inspect(capsys, tensor_npy):
     code, rep, _ = run(capsys, "inspect", tensor_npy)
     assert code == 0
@@ -136,6 +152,16 @@ def test_simulate(capsys):
         capsys, "simulate", "--m", "1", "--n", "1024", "--k", "4096", "--mode", "draft",
     )
     assert rep["cycles.mac_cycles"] == "4096/3"
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [["--tiles", "0", "--pes-per-tile", "4"], ["--frequency", "-5"]],
+)
+def test_simulate_rejects_bad_config(capsys, bad):
+    argv = ["simulate", "--m", "1", "--n", "64", "--k", "64", "--mode", "full", *bad]
+    assert main(argv) == 2
+    assert "must be positive" in capsys.readouterr().err
 
 
 def test_deterministic_reports(capsys, tensor_npy):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
@@ -74,6 +77,22 @@ def test_checksum_detects_flip():
     data[len(data) // 2] ^= 0x40
     with pytest.raises(ChecksumError):
         from_bytes(bytes(data))
+
+
+def _with_tensor_scale(data: bytes, scale: float) -> bytes:
+    """Rewrite the header's tensor scale and recompute the CRC."""
+    out = bytearray(data)
+    struct.pack_into("<f", out, len(MAGIC) + 1 + 16, scale)
+    struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf"), -1.0])
+def test_rejects_bad_tensor_scale(scale):
+    data = to_bytes(_tensor(7, (64, 3)))
+    assert from_bytes(_with_tensor_scale(data, 4.0)).tensor_scale == 4.0
+    with pytest.raises(ContainerError, match="tensor_scale"):
+        from_bytes(_with_tensor_scale(data, scale))
 
 
 def test_truncation():

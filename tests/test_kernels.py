@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from speq import _accel
 from speq.kernels import TrafficCounter, exact_fp16_product, gemm_draft, gemm_full
 from speq.quantize import (
     QuantFormat,
@@ -235,3 +236,85 @@ def test_decoded_weight_caches_are_read_only():
         p.draft_values()[0, 0] = 0.0
     with pytest.raises(ValueError):
         p.full_values_f32()[0, 0] = 0.0
+
+
+# ── fixed-order oracle for the accumulation loop ─────────────────────────
+
+
+def _oracle_dot(xs, ys):
+    """Scalar float32 sum of products, k ascending from +0.0."""
+    acc = np.float32(0.0)
+    for x, y in zip(xs, ys):
+        acc = np.float32(acc + np.float32(x * y))
+    return acc
+
+
+def _oracle_gemm(a, w, group_size, scales=None):
+    """Group sums in ascending order, each scaled once, added in order."""
+    m, k = a.shape
+    out = np.zeros((m, w.shape[1]), dtype=np.float32)
+    for r, c in np.ndindex(out.shape):
+        acc = np.float32(0.0)
+        for g, k0 in enumerate(range(0, k, group_size)):
+            gsum = _oracle_dot(a[r, k0 : k0 + group_size], w[k0 : k0 + group_size, c])
+            if scales is not None:
+                gsum = np.float32(gsum * scales[c, g])
+            acc = np.float32(acc + gsum)
+        out[r, c] = acc
+    return out
+
+
+def _assert_same_bits(got, expect):
+    assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
+
+
+def _with_neg_zeros(rng, x):
+    x = x.copy()
+    x[rng.random(x.shape) < 0.2] = -0.0
+    return x
+
+
+# (m, k, n, group): K not a multiple of the group, group larger than K,
+# M = 1, a single element, an exact multiple.
+_ORACLE_SHAPES = [(1, 10, 3, 4), (2, 5, 4, 8), (1, 1, 1, 1), (3, 33, 5, 16), (2, 16, 3, 16)]
+
+
+@pytest.mark.parametrize("shape", _ORACLE_SHAPES)
+def test_gemm_f32_matches_scalar_oracle(shape):
+    m, k, n, group = shape
+    rng = np.random.default_rng(sum(shape))
+    n_groups = -(-k // group)
+    for _ in range(4):
+        # float32 operands that are not FP16-exact, so rounding shows the order
+        a = _with_neg_zeros(rng, rng.normal(0, 1, (m, k)).astype(np.float32))
+        w = _with_neg_zeros(rng, rng.normal(0, 1, (k, n)).astype(np.float32))
+        scales = rng.uniform(0.1, 2.0, (n, n_groups)).astype(np.float32)
+        _assert_same_bits(_accel.gemm_f32(a, w, group), _oracle_gemm(a, w, group))
+        _assert_same_bits(_accel.gemm_f32(a, w, group, scales), _oracle_gemm(a, w, group, scales))
+    a = -np.zeros((m, k), dtype=np.float32)  # every product is -0.0: the sum is +0.0
+    _assert_same_bits(_accel.gemm_f32(a, w, group), _oracle_gemm(a, w, group))
+
+
+@pytest.mark.parametrize("n_heads,n,t", [(1, 1, 1), (2, 3, 5), (4, 1, 9), (2, 2, 7)])
+def test_attention_kernels_match_scalar_oracle(n_heads, n, t):
+    d = 8
+    dh = d // n_heads
+    rng = np.random.default_rng(n_heads * 100 + n * 10 + t)
+    q = _with_neg_zeros(rng, rng.normal(0, 1, (n, d)).astype(np.float32))
+    k = _with_neg_zeros(rng, rng.normal(0, 1, (t, d)).astype(np.float32))
+    v = _with_neg_zeros(rng, rng.normal(0, 1, (t, d)).astype(np.float32))
+    probs = rng.uniform(0, 1, (n_heads, n, t)).astype(np.float32)
+    start = t - n  # causal: row r sees keys [0, start + r], the tail is exact zeros
+    probs[:, np.arange(t)[None, :] > (start + np.arange(n))[:, None]] = 0.0
+
+    scores = np.zeros((n_heads, n, t), dtype=np.float32)
+    ctx = np.zeros((n, d), dtype=np.float32)
+    for h in range(n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        for r in range(n):
+            for j in range(t):
+                scores[h, r, j] = _oracle_dot(q[r, sl], k[j, sl])
+            for c in range(sl.start, sl.stop):
+                ctx[r, c] = _oracle_dot(probs[h, r], v[:, c])
+    _assert_same_bits(_accel.attn_scores_f32(q, k, n_heads), scores)
+    _assert_same_bits(_accel.attn_ctx_f32(probs, v, n_heads), ctx)

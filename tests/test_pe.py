@@ -47,6 +47,11 @@ def test_pe_full_mac_matches_exact_product():
         a = np.uint16(ba).view(np.float16)
         w = np.uint16(bw).view(np.float16)
         assert pe_full_mac(a, w) == exact_fp16_product(a, w)
+    a = bits_a.view(np.float16)
+    w = bits_w.view(np.float16)
+    got = pe_full_mac(a[:, None], w[None, :])  # broadcast (500, 500)
+    expect = a.astype(np.float32)[:, None] * w.astype(np.float32)[None, :]
+    assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
 
 
 def test_pe_full_mac_rejects_large_weight_exponent():
@@ -165,9 +170,19 @@ def test_throughput_ratio_every_shape():
 
 
 def test_pe_config_invariant():
-    with pytest.raises(ValueError):
-        PeConfig(tiles=8, pes_per_tile=100)
+    for bad in [
+        {"tiles": 0},
+        {"pes_per_tile": -4},
+        {"frequency_hz": 0.0},
+        {"frequency_hz": -5.0},
+        {"frequency_hz": float("nan")},
+        {"frequency_hz": float("inf")},
+        {"fill_cycles": -1},
+    ]:
+        with pytest.raises(ValueError):
+            PeConfig(**bad)
     assert PeConfig().total_pes == 1024
+    assert PeConfig(tiles=8, pes_per_tile=100, fill_cycles=0).total_pes == 800
 
 
 def test_estimate_rejects_bad_dims():
