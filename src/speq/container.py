@@ -117,6 +117,9 @@ def from_bytes(data: bytes) -> PackedTensor:
         raise ChecksumError("payload CRC mismatch")
     if not 0.0 < tensor_scale < math.inf:
         raise ContainerError(f"tensor_scale must be positive and finite, got {tensor_scale}")
+    # 0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0.
+    if not np.all((scales >= 0.0) & (scales < np.inf)):
+        raise ContainerError("group scales must be finite and >= 0")
 
     return PackedTensor(
         rows=rows,

@@ -182,6 +182,8 @@ def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128)
         cfg = PeConfig()
     if min(spec.m, spec.n, spec.k) < 1:
         raise ValueError("dimensions must be positive")
+    if group_size < 1:
+        raise ValueError("group_size must be positive")
     draft = spec.mode is GemmMode.DRAFT
     throughput = 3 if draft else 1
     mac_cycles = Fraction(spec.macs, cfg.total_pes * throughput)

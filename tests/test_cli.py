@@ -107,6 +107,19 @@ def test_gemm_bad_tensor_scale_is_io_error(capsys, tensor_npy, tmp_path):
     assert code == 2
 
 
+def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path):
+    wout = tmp_path / "w.speq"
+    run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
+    data = bytearray(wout.read_bytes())
+    struct.pack_into("<f", data, 26, float("nan"))  # first group scale, after the tensor scale
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
+    wout.write_bytes(bytes(data))
+    a = str(tmp_path / "a.npy")
+    np.save(a, np.ones((1, 256), dtype=np.float16))
+    code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(wout))
+    assert code == 2
+
+
 def test_inspect(capsys, tensor_npy):
     code, rep, _ = run(capsys, "inspect", tensor_npy)
     assert code == 0
@@ -156,7 +169,7 @@ def test_simulate(capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--tiles", "0", "--pes-per-tile", "4"], ["--frequency", "-5"]],
+    [["--tiles", "0", "--pes-per-tile", "4"], ["--frequency", "-5"], ["--group-size", "0"]],
 )
 def test_simulate_rejects_bad_config(capsys, bad):
     argv = ["simulate", "--m", "1", "--n", "64", "--k", "64", "--mode", "full", *bad]

@@ -95,6 +95,30 @@ def test_rejects_bad_tensor_scale(scale):
         from_bytes(_with_tensor_scale(data, scale))
 
 
+def _with_first_group_scale(data: bytes, scale: float) -> bytes:
+    """Rewrite the first per-group scale and recompute the CRC."""
+    out = bytearray(data)
+    struct.pack_into("<f", out, len(MAGIC) + 1 + 16 + 4, scale)
+    struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
+    return bytes(out)
+
+
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+def test_rejects_bad_group_scale(scale):
+    data = to_bytes(_tensor(7, (64, 3)))
+    assert from_bytes(_with_first_group_scale(data, 0.5)).group_scales[0, 0] == 0.5
+    with pytest.raises(ContainerError, match="group scales"):
+        from_bytes(_with_first_group_scale(data, scale))
+
+
+def test_zero_group_scale_round_trips():
+    w = _tensor(9, (256, 3)).full_values()
+    w[128:, 1] = 0.0  # column 1's second group is all zeros: its fitted scale is 0.0
+    p = quantize_tensor(w)
+    assert p.group_scales[1, 1] == 0.0
+    assert from_bytes(to_bytes(p)) == p
+
+
 def test_truncation():
     data = to_bytes(_tensor(6, (64, 3)))
     with pytest.raises(TruncatedError):

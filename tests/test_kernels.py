@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from speq import _accel
+from speq import _accel, pe
 from speq.kernels import TrafficCounter, exact_fp16_product, gemm_draft, gemm_full
 from speq.quantize import (
     QuantFormat,
@@ -275,8 +275,16 @@ def _with_neg_zeros(rng, x):
 
 
 # (m, k, n, group): K not a multiple of the group, group larger than K,
-# M = 1, a single element, an exact multiple.
-_ORACLE_SHAPES = [(1, 10, 3, 4), (2, 5, 4, 8), (1, 1, 1, 1), (3, 33, 5, 16), (2, 16, 3, 16)]
+# M = 1, a single element, an exact multiple, and one output above
+# ACCUMULATE_MAX_OUTPUTS (the per-k loop path).
+_ORACLE_SHAPES = [
+    (1, 10, 3, 4),
+    (2, 5, 4, 8),
+    (1, 1, 1, 1),
+    (3, 33, 5, 16),
+    (2, 16, 3, 16),
+    (2, 9, 260, 4),
+]
 
 
 @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
@@ -318,3 +326,89 @@ def test_attention_kernels_match_scalar_oracle(n_heads, n, t):
                 ctx[r, c] = _oracle_dot(probs[h, r], v[:, c])
     _assert_same_bits(_accel.attn_scores_f32(q, k, n_heads), scores)
     _assert_same_bits(_accel.attn_ctx_f32(probs, v, n_heads), ctx)
+
+
+def test_rowsum_f32_matches_scalar_oracle():
+    rng = np.random.default_rng(52)
+    for h, n, t in [(1, 1, 1), (2, 3, 9), (4, 1, 136), (1, 130, 136)]:
+        x = _with_neg_zeros(rng, rng.uniform(0, 1, (h, n, t)).astype(np.float32))
+        start = t - n  # causal: masked tails are exact zeros
+        x[:, np.arange(t)[None, :] > (start + np.arange(n))[:, None]] = 0.0
+        x[0, -1] = -0.0  # an all-(-0.0) row sums to +0.0
+        expect = np.zeros((h, n), dtype=np.float32)
+        for hi, r in np.ndindex(h, n):
+            acc = np.float32(0.0)
+            for v in x[hi, r]:
+                acc = np.float32(acc + v)
+            expect[hi, r] = acc
+        _assert_same_bits(_accel.rowsum_f32(x), expect)
+
+
+# ── both gemm_f32 strategies against the per-k loop ──────────────────────
+
+
+def _loop_gemm(a, w, group_size, scales=None, mul=np.multiply):
+    """Per-k loop over the fixed order: test-only oracle for ``gemm_f32``."""
+    m, k = a.shape
+    out = np.zeros((m, w.shape[1]), dtype=np.float32)
+    for g, k0 in enumerate(range(0, k, group_size)):
+        gacc = np.zeros_like(out)
+        for i in range(k0, min(k0 + group_size, k)):
+            gacc += mul(a[:, i : i + 1], w[i : i + 1, :])
+        if scales is not None:
+            gacc *= scales[:, g]
+        out += gacc
+    return out
+
+
+# (m, k, n, group): outputs of 511, 512 and 513 elements (512 is
+# ACCUMULATE_MAX_OUTPUTS), N = 1 with K >= 64, M = 1 with K > group,
+# a group larger than K.
+_LOOP_EDGE_SHAPES = [
+    (7, 40, 73, 16),
+    (1, 200, 512, 128),
+    (19, 33, 27, 8),
+    (1, 64, 513, 32),
+    (5, 96, 1, 128),
+    (1, 130, 1, 64),
+    (3, 20, 9, 64),
+]
+
+
+def _loop_case(rng, shape, mul):
+    """Operands for ``mul`` with -0.0 entries and one all-(-0.0) group."""
+    m, k, n, group = shape
+    a = _with_neg_zeros(rng, rng.normal(0, 1, (m, k))).astype(np.float16)
+    if mul is pe._pe_quant_mac_wq:
+        w = rng.integers(0, 16, (k, n)).astype(np.uint8)
+    else:
+        w = _with_neg_zeros(rng, rng.uniform(-1, 1, (k, n))).astype(np.float16)
+    g0 = int(rng.integers(0, -(-k // group))) * group
+    a[:, g0 : g0 + group] = -0.0  # times +0.0 / positive nibbles: every product is -0.0
+    w[g0 : g0 + group] = 0
+    if mul is np.multiply:
+        # float32 operands that are not FP16-exact, so rounding shows the order
+        a = a.astype(np.float32) * np.float32(1.0 + 2.0**-13)
+        w = w.astype(np.float32) * np.float32(1.0 - 2.0**-13)
+    scales = rng.uniform(0.1, 2.0, (n, -(-k // group))).astype(np.float32)
+    return a, w, scales
+
+
+def test_gemm_f32_matches_loop_oracle():
+    rng = np.random.default_rng(53)
+    pe_muls = (pe.pe_full_mac, pe._pe_quant_mac_wq)
+    shapes = [(s, mul) for s in _LOOP_EDGE_SHAPES for mul in (np.multiply, *pe_muls)]
+    for i in range(300):
+        m, n = (int(x) for x in rng.integers(1, 33, 2))
+        k = int(rng.integers(1, 161))
+        group = int(rng.choice([1, 4, 16, 32, 64, 128, 256]))
+        mul = pe_muls[i % 2] if i % 5 == 0 else np.multiply  # 1 in 5 through the PE datapath
+        shapes.append(((m, k, n, group), mul))
+    sizes = [m * n for (m, _, n, _), _ in shapes]
+    assert min(sizes) <= _accel.ACCUMULATE_MAX_OUTPUTS < max(sizes)
+    for (m, k, n, group), mul in shapes:
+        a, w, scales = _loop_case(rng, (m, k, n, group), mul)
+        for s in (None, scales):
+            _assert_same_bits(
+                _accel.gemm_f32(a, w, group, s, mul=mul), _loop_gemm(a, w, group, s, mul=mul)
+            )
