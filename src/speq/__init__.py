@@ -7,19 +7,9 @@ built around it.
 """
 
 from ._accel import active_backend
-from .bsfp import (
-    BsfpWord,
-    ExponentRangeError,
-    MalformedWordError,
-    decode_full_exp,
-    decode_q_exp,
-    encode_fp16_bits,
-    full_value,
-    q_magnitude,
-    remap_encode,
-)
+from .bsfp import ExponentRangeError, MalformedWordError
 from .container import read_container, write_container
-from .kernels import GemmMode, GemmSpec, TrafficCounter, exact_fp16_product, gemm_draft, gemm_full
+from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full
 from .model import (
     ContextOverflowError,
     KvCache,
@@ -29,13 +19,12 @@ from .model import (
     forward_full,
     init_model,
 )
-from .pe import CycleReport, PeConfig, estimate, pe_full_mac, pe_quant_mac3, simulate_gemm
+from .pe import CycleReport, PeConfig, estimate, pe_full_mac, pe_quant_mac, simulate_gemm
 from .quantize import (
     ExpHistogram,
     FormatMismatchError,
     PackedTensor,
     QuantFormat,
-    dequantize_full,
     exponent_histogram,
     fit_group_scale,
     handle_outliers,
@@ -48,7 +37,6 @@ from .specdec import (
     SpecDecStats,
     expected_accept_length,
     expected_speedup,
-    expected_speedup_approx,
     greedy_generate,
     monte_carlo_accept_length,
     speculative_generate,

@@ -24,32 +24,25 @@ and marks the six exponents whose code differs from their middle bits;
 is inverted through a 4-entry lookup; an unflagged one decodes by plain
 concatenation.
 
-Scalar functions operate on Python ints; the ``*_array`` variants are
-vectorized over numpy arrays of FP16 bit patterns and are what the
-quantizer and kernels use.
+The codecs are vectorized over numpy arrays: ``encode_array`` takes FP16
+bit patterns, and the decoders take ``wq`` / ``wr`` element arrays. A word
+with the flag set on a code in 100..111 comes from no exponent;
+``check_reachable`` rejects it, both on decode and when a container loads.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 __all__ = [
-    "BsfpWord",
     "ExponentRangeError",
     "MalformedWordError",
     "REMAP_QCODE",
     "REMAP_FLAG",
     "DECODE_QEXP",
     "MUX_FLAGGED",
-    "remap_encode",
-    "decode_q_exp",
-    "decode_full_exp",
-    "encode_fp16_bits",
-    "q_magnitude",
-    "full_value",
     "encode_array",
+    "check_reachable",
     "decode_full_array",
     "q_exponent_array",
     "q_value_array",
@@ -77,87 +70,11 @@ DECODE_QEXP = (9, 2, 11, 6, 8, 10, 12, 14)
 MUX_FLAGGED = {1: 0, 3: 2, 0: 4, 2: 5}
 
 
-class BsfpWord(NamedTuple):
-    """One encoded weight; ``wq``/``wr`` are its draft and remainder views."""
-
-    sign: int
-    qcode: int
-    flag: int
-    elsb: int
-    man10: int
-
-    @property
-    def wq(self) -> int:
-        return (self.sign << 3) | self.qcode
-
-    @property
-    def wr(self) -> int:
-        return (self.flag << 11) | (self.elsb << 10) | self.man10
-
-    @property
-    def bits(self) -> int:
-        return (self.wq << 12) | self.wr
-
-    @classmethod
-    def from_bits(cls, bits: int) -> "BsfpWord":
-        return cls(
-            sign=(bits >> 15) & 1,
-            qcode=(bits >> 12) & 7,
-            flag=(bits >> 11) & 1,
-            elsb=(bits >> 10) & 1,
-            man10=bits & 0x3FF,
-        )
-
-
-def remap_encode(exp5: int) -> tuple[int, int, int]:
-    """Map a biased FP16 exponent in [0, 15] to (qcode, flag, elsb)."""
-    if not 0 <= exp5 <= 15:
-        raise ExponentRangeError(f"exponent {exp5} outside [0, 15]")
-    return REMAP_QCODE[exp5], REMAP_FLAG[exp5], exp5 & 1
-
-
-def decode_q_exp(qcode: int) -> int:
-    """Expand a 3-bit code to the 4-bit quantized exponent value."""
-    return DECODE_QEXP[qcode & 7]
-
-
-def decode_full_exp(qcode: int, flag: int, elsb: int) -> int:
-    """Restore the original 5-bit exponent from (qcode, flag, elsb)."""
-    if flag:
-        if qcode not in MUX_FLAGGED:
-            raise MalformedWordError(f"flagged qcode {qcode:03b} is unreachable")
-        return (MUX_FLAGGED[qcode] << 1) | elsb
-    return (qcode << 1) | elsb
-
-
-def encode_fp16_bits(bits: int) -> BsfpWord:
-    """Encode a 16-bit FP16 pattern; exponent must already be in [0, 15]."""
-    exp5 = (bits >> 10) & 0x1F
-    qcode, flag, elsb = remap_encode(exp5)
-    return BsfpWord(sign=(bits >> 15) & 1, qcode=qcode, flag=flag, elsb=elsb, man10=bits & 0x3FF)
-
-
-def q_magnitude(word: BsfpWord) -> float:
-    """Draft-view value: +/- 2^(exp4 - 15), mantissa dropped (E3M0)."""
-    mag = 2.0 ** (decode_q_exp(word.qcode) - 15)
-    return -mag if word.sign else mag
-
-
-def full_value(word: BsfpWord) -> int:
-    """Reconstruct the exact original FP16 bit pattern."""
-    exp5 = decode_full_exp(word.qcode, word.flag, word.elsb)
-    return (word.sign << 15) | (exp5 << 10) | word.man10
-
-
-# ---------------------------------------------------------------------------
-# vectorized codecs over uint16 FP16 bit patterns
-# ---------------------------------------------------------------------------
-
 _REMAP_QCODE_ARR = np.array(REMAP_QCODE, dtype=np.uint8)
 _REMAP_FLAG_ARR = np.array(REMAP_FLAG, dtype=np.uint16)
 _DECODE_QEXP_ARR = np.array(DECODE_QEXP, dtype=np.int32)
-# Flagged decode table padded with a sentinel on unreachable codes.
-_MUX_ARR = np.full(8, 255, dtype=np.uint16)
+# Flagged decode table; codes 1xx are rejected by check_reachable first.
+_MUX_ARR = np.zeros(8, dtype=np.uint16)
 for _code, _top in MUX_FLAGGED.items():
     _MUX_ARR[_code] = _top
 del _code, _top
@@ -179,18 +96,28 @@ def encode_array(fp16_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wq, wr.astype(np.uint16)
 
 
+def check_reachable(wq: np.ndarray, wr: np.ndarray) -> None:
+    """Raise :class:`MalformedWordError` if a word sets the flag on a qcode 1xx.
+
+    ``encode_array`` flags only codes 000..011, and the baseline formats
+    never set the flag bit, so no encoder writes such a word.
+    """
+    flagged = (np.asarray(wr) & 0x800) != 0
+    if np.any(flagged & ((np.asarray(wq) & 4) != 0)):
+        raise MalformedWordError("flagged qcode in {100,101,110,111} is unreachable")
+
+
 def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_array`: exact FP16 bit patterns (uint16)."""
     wq = np.asarray(wq, dtype=np.uint16)
     wr = np.asarray(wr, dtype=np.uint16)
+    check_reachable(wq, wr)
     sign = wq >> 3
     qcode = wq & np.uint16(7)
     flag = (wr >> 11) & np.uint16(1)
     elsb = (wr >> 10) & np.uint16(1)
     man10 = wr & np.uint16(0x3FF)
     top3 = np.where(flag.astype(bool), _MUX_ARR[qcode], qcode)
-    if np.any(top3 == 255):
-        raise MalformedWordError("flagged qcode in {100,101,110,111} is unreachable")
     exp5 = (top3 << 1) | elsb
     return ((sign << 15) | (exp5 << 10) | man10).astype(np.uint16)
 

@@ -82,7 +82,7 @@ def _cmd_quantize(args) -> int:
 def _cmd_inspect(args) -> int:
     if args.infile.endswith(".speq"):
         p = container.read_container(args.infile)
-        w = quantize.dequantize_full(p)
+        w = p.full_values()
     else:
         w = _load_tensor(args.infile, args.bf16)
     hist = quantize.exponent_histogram(w)
@@ -115,7 +115,7 @@ def _cmd_roundtrip(args) -> int:
         w = _load_tensor(args.infile, args.bf16)
         scaled, _ = quantize.handle_outliers(w)
         p = quantize.quantize_tensor(w, args.group_size, QuantFormat.E3M0_REMAP)
-        back = quantize.dequantize_full(p)
+        back = p.full_values()
         mismatches = int(np.count_nonzero(back.view(np.uint16) != scaled.view(np.uint16)))
         rep.add("roundtrip", mode="tensor", elements=scaled.size, mismatches=mismatches)
     rep.add("roundtrip", ok=mismatches == 0)
@@ -198,7 +198,9 @@ def _cmd_perf(args) -> int:
         tv_ratio=args.tv_ratio,
         accept_len=la,
         speedup=specdec.expected_speedup(args.r, args.max_draft_len, perf),
-        speedup_approx=specdec.expected_speedup_approx(args.r, args.max_draft_len, args.td_ratio),
+        speedup_approx=specdec.expected_speedup(
+            args.r, args.max_draft_len, specdec.PerfParams(args.td_ratio, 1.0, 1.0)
+        ),
     )
     if args.mc_rounds:
         mc = specdec.monte_carlo_accept_length(args.r, args.max_draft_len, args.mc_rounds, args.seed)

@@ -24,6 +24,7 @@ import zlib
 
 import numpy as np
 
+from . import bsfp
 from .quantize import (
     PackedTensor,
     QuantFormat,
@@ -120,6 +121,10 @@ def from_bytes(data: bytes) -> PackedTensor:
     # 0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0.
     if not np.all((scales >= 0.0) & (scales < np.inf)):
         raise ContainerError("group scales must be finite and >= 0")
+    try:
+        bsfp.check_reachable(wq_flat, wr_flat)
+    except bsfp.MalformedWordError as e:
+        raise ContainerError(str(e)) from e
 
     return PackedTensor(
         rows=rows,

@@ -25,7 +25,6 @@ __all__ = [
     "GemmMode",
     "GemmSpec",
     "TrafficCounter",
-    "exact_fp16_product",
     "gemm_full",
     "gemm_draft",
 ]
@@ -71,15 +70,6 @@ class TrafficCounter:
         self.weight_bits += weight_bits
         self.scale_bytes += scale_bytes
         self.activation_bytes += activation_bytes
-
-
-def exact_fp16_product(a: np.float16, w: np.float16) -> np.float32:
-    """Exact product of two finite FP16 values as a float32."""
-    a = np.float16(a)
-    w = np.float16(w)
-    if not (np.isfinite(a) and np.isfinite(w)):
-        raise ValueError("non-finite operand")
-    return np.float32(a) * np.float32(w)
 
 
 def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.ndarray:

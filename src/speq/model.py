@@ -2,7 +2,9 @@
 
 Persistence: ``save_model`` writes one ``.speq`` container per packed
 linear layer plus a JSON manifest and the FP16 embedding table;
-``load_model`` restores a bit-identical model.
+``load_model`` restores a bit-identical model and rejects, with a
+``ValueError`` naming the file, any file whose layer set, shape, group
+size, format or dtype does not match the manifest's ``ModelConfig``.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
@@ -294,11 +296,31 @@ def save_model(model: ToyModel, directory) -> None:
         np.save(d / f"{name}.npy", w)
 
 
+def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
+    arr = np.load(path)
+    if arr.dtype != np.float16 or arr.shape != shape:
+        raise ValueError(f"{path}: expected float16 {shape}, got {arr.dtype} {arr.shape}")
+    return arr
+
+
+def _load_packed(path: Path, cfg: ModelConfig, name: str) -> PackedTensor:
+    p = container.read_container(path)
+    got = ((p.rows, p.cols), p.group_size, p.fmt.value)
+    want = (_weight_shape(cfg, name), cfg.group_size, QuantFormat.E3M0_REMAP.value)
+    if got != want:
+        raise ValueError(f"{path}: (shape, group size, format) is {got}, the manifest needs {want}")
+    return p
+
+
 def load_model(directory) -> ToyModel:
+    """Restore a saved model; every file is checked against the manifest's config."""
     d = Path(directory)
     manifest = json.loads((d / "model.json").read_text())
     cfg = ModelConfig(**manifest["config"])
-    embed = np.load(d / "embed.npy")
-    weights = {name: container.read_container(d / f"{name}.speq") for name in manifest["packed"]}
-    raw = {name: np.load(d / f"{name}.npy") for name in manifest["raw"]}
+    names = _weight_names(cfg)
+    if sorted(manifest["packed"] + manifest["raw"]) != sorted(names):
+        raise ValueError(f"{d / 'model.json'}: packed and raw layers must partition {names}")
+    embed = _load_fp16(d / "embed.npy", (cfg.vocab, cfg.d_model))
+    weights = {name: _load_packed(d / f"{name}.speq", cfg, name) for name in manifest["packed"]}
+    raw = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in manifest["raw"]}
     return ToyModel(cfg, embed, weights, raw)

@@ -36,15 +36,12 @@ from .quantize import PackedTensor, QuantFormat
 
 __all__ = [
     "PeConfig",
-    "PeOperandsQuant",
     "CycleReport",
     "ACTIVATION_BITS",
     "FULL_WEIGHT_BITS",
     "QUANT_WEIGHT_BITS",
-    "pe_input_bits",
     "pe_full_mac",
     "pe_quant_mac",
-    "pe_quant_mac3",
     "decompose_fp16",
     "estimate",
     "simulate_gemm",
@@ -53,12 +50,6 @@ __all__ = [
 ACTIVATION_BITS = 16
 FULL_WEIGHT_BITS = 1 + 4 + 10  # sign, exponent (top bit dropped), mantissa
 QUANT_WEIGHT_BITS = 3 * (1 + 4)  # three (sign, exp4) draft weights
-
-
-def pe_input_bits(mode: GemmMode) -> int:
-    """Total PE operand width; both modes are 31 bits."""
-    weight = QUANT_WEIGHT_BITS if mode is GemmMode.DRAFT else FULL_WEIGHT_BITS
-    return ACTIVATION_BITS + weight
 
 
 @dataclass(frozen=True)
@@ -79,14 +70,6 @@ class PeConfig:
     @property
     def total_pes(self) -> int:
         return self.tiles * self.pes_per_tile
-
-
-@dataclass(frozen=True)
-class PeOperandsQuant:
-    """Quantize-mode PE inputs: one activation, three (sign, exp4) weights."""
-
-    activation: np.float16
-    weights: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
 
 @dataclass
@@ -164,11 +147,6 @@ def pe_quant_mac(a, sign_w, exp4_w) -> np.ndarray:
         raise ValueError("non-finite activation")
     sa, sig_a, ea = decompose_fp16(a)
     return _signed_ldexp(sig_a, sa != (np.asarray(sign_w) & 1), ea + np.asarray(exp4_w) - 40)
-
-
-def pe_quant_mac3(ops: PeOperandsQuant) -> tuple[np.float32, np.float32, np.float32]:
-    """Quantize-mode PE: three exact activation x (+/- 2^(exp4-15)) addends."""
-    return tuple(pe_quant_mac(ops.activation, sw, exp4) for sw, exp4 in ops.weights)
 
 
 def _pe_quant_mac_wq(a, wq) -> np.ndarray:

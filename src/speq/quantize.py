@@ -29,7 +29,6 @@ __all__ = [
     "handle_outliers",
     "fit_group_scale",
     "quantize_tensor",
-    "dequantize_full",
     "draft_reconstruction",
     "reconstruction_mse",
     "ingest_bf16",
@@ -334,11 +333,6 @@ def quantize_tensor(
     p.wq_touches = 0
     p.wr_touches = 0
     return p
-
-
-def dequantize_full(p: PackedTensor) -> np.ndarray:
-    """Exact FP16 reconstruction of the stored (outlier-scaled) tensor."""
-    return p.full_values()
 
 
 def draft_reconstruction(p: PackedTensor) -> np.ndarray:

@@ -30,7 +30,6 @@ __all__ = [
     "PerfParams",
     "expected_accept_length",
     "expected_speedup",
-    "expected_speedup_approx",
     "monte_carlo_accept_length",
     "greedy_generate",
     "speculative_generate",
@@ -99,14 +98,6 @@ def expected_speedup(r: float, max_draft_len: int, perf: PerfParams) -> float:
     """Speedup over plain autoregressive decoding: L_a*T_ar / (L*T_d + T_v)."""
     la = expected_accept_length(r, max_draft_len)
     return la * perf.t_ar / (max_draft_len * perf.t_draft + perf.t_verify)
-
-
-def expected_speedup_approx(r: float, max_draft_len: int, td_over_tar: float) -> float:
-    """Approximate form L_a / (L * T_d/T_ar + 1), i.e. T_v taken as T_ar."""
-    if td_over_tar <= 0:
-        raise ValueError("time ratio must be positive")
-    la = expected_accept_length(r, max_draft_len)
-    return la / (max_draft_len * td_over_tar + 1.0)
 
 
 def monte_carlo_accept_length(

@@ -30,93 +30,127 @@ REMAP_TABLE = {
 # qcode -> decoded 4-bit quantized exponent.
 QEXP_TABLE = {0b000: 9, 0b001: 2, 0b010: 11, 0b011: 6, 0b100: 8, 0b101: 10, 0b110: 12, 0b111: 14}
 
+ALL_EXPS = np.arange(16)
+
+
+def _fields(exps):
+    """(qcode, flag, elsb) per exponent field, read from ``encode_array``'s streams."""
+    wq, wr = bsfp.encode_array(np.asarray(exps, dtype=np.uint16) << 10)
+    return wq & 7, wr >> 11, (wr >> 10) & 1
+
+
+def _word(wq, flag, elsb=0):
+    """One (wq, wr) word with a zero mantissa."""
+    return np.array([wq], np.uint8), np.array([(flag << 11) | (elsb << 10)], np.uint16)
+
+
+def _restored_exp(wq, wr):
+    return (bsfp.decode_full_array(wq, wr) >> 10) & 0x1F
+
 
 def test_remap_encode_table():
-    for e, (qcode, flag) in REMAP_TABLE.items():
-        assert bsfp.remap_encode(e) == (qcode, flag, e & 1)
+    qcode, flag, elsb = _fields(ALL_EXPS)
+    for e, (q, f) in REMAP_TABLE.items():
+        assert (qcode[e], flag[e], elsb[e]) == (q, f, e & 1)
 
 
 def test_remap_encode_key_examples():
-    assert bsfp.remap_encode(9) == (0b000, 1, 1)
-    assert bsfp.remap_encode(11) == (0b010, 1, 1)
-    assert bsfp.remap_encode(0) == (0b001, 1, 0)
-    assert bsfp.remap_encode(4) == (0b011, 1, 0)
-    assert bsfp.remap_encode(8) == (0b100, 0, 0)
+    qcode, flag, elsb = _fields([9, 11, 0, 4, 8])
+    assert list(zip(qcode, flag, elsb)) == [
+        (0b000, 1, 1),
+        (0b010, 1, 1),
+        (0b001, 1, 0),
+        (0b011, 1, 0),
+        (0b100, 0, 0),
+    ]
 
 
-@pytest.mark.parametrize("bad", [-1, 16, 31, 100])
+@pytest.mark.parametrize("bad", [16, 17, 30, 31])
 def test_remap_encode_range(bad):
     with pytest.raises(bsfp.ExponentRangeError):
-        bsfp.remap_encode(bad)
+        _fields([0, bad])
+    with pytest.raises(bsfp.ExponentRangeError):
+        _fields([bad | 0x20])  # sign bit set
 
 
 def test_decode_q_exp_table():
-    for qcode, exp4 in QEXP_TABLE.items():
-        assert bsfp.decode_q_exp(qcode) == exp4
+    # The sign bit (wq bit 3) does not change the decoded exponent.
+    got = bsfp.q_exponent_array(np.arange(16, dtype=np.uint8))
+    assert got.tolist() == [QEXP_TABLE[w & 7] for w in range(16)]
 
 
 def test_decode_q_exp_structure():
     # Codes 000 and 010 are the looked-up values 9 and 11; the rest append a zero.
+    exp4 = bsfp.q_exponent_array(np.arange(8, dtype=np.uint8))
     for qcode in range(8):
         if qcode in (0b000, 0b010):
-            assert bsfp.decode_q_exp(qcode) in (9, 11)
+            assert exp4[qcode] in (9, 11)
         else:
-            assert bsfp.decode_q_exp(qcode) == qcode << 1
+            assert exp4[qcode] == qcode << 1
 
 
 def test_decoder_image_and_buckets():
-    image = {bsfp.decode_q_exp(c) for c in range(8)}
+    image = set(bsfp.q_exponent_array(np.arange(8, dtype=np.uint8)).tolist())
     assert image == {2, 6, 8, 9, 10, 11, 12, 14}
-    decoded = [bsfp.decode_q_exp(bsfp.remap_encode(e)[0]) for e in range(16)]
+    wq, _ = bsfp.encode_array(ALL_EXPS.astype(np.uint16) << 10)
+    decoded = bsfp.q_exponent_array(wq)
     for bucket in ({0, 1, 2, 3}, {4, 5, 6, 7}, {12, 13}, {14, 15}):
         assert len({decoded[e] for e in bucket}) == 1
     assert len({decoded[e] for e in (8, 9, 10, 11)}) == 4  # injective on 8..11
 
 
 def test_decode_full_exp_examples():
-    assert bsfp.decode_full_exp(0b000, 1, 1) == 9
-    assert bsfp.decode_full_exp(0b001, 0, 1) == 3
+    assert _restored_exp(*_word(0b000, 1, 1)) == 9
+    assert _restored_exp(*_word(0b001, 0, 1)) == 3
     # Brute-force inversion oracle for the flagged MUX path.
-    inverse = {bsfp.remap_encode(e): e for e in range(16)}
+    inverse = {(q, f, e & 1): e for e, (q, f) in REMAP_TABLE.items()}
     assert inverse[(0b011, 1, 0)] == 4
-    assert bsfp.decode_full_exp(0b011, 1, 0) == 4
+    assert _restored_exp(*_word(0b011, 1, 0)) == 4
 
 
 def test_decode_full_exp_roundtrip_all():
-    for e in range(16):
-        assert bsfp.decode_full_exp(*bsfp.remap_encode(e)) == e
+    wq, wr = bsfp.encode_array(ALL_EXPS.astype(np.uint16) << 10)
+    assert _restored_exp(wq, wr).tolist() == ALL_EXPS.tolist()
 
 
 @pytest.mark.parametrize("qcode", [0b100, 0b101, 0b110, 0b111])
 def test_decode_full_exp_malformed(qcode):
-    with pytest.raises(bsfp.MalformedWordError):
-        bsfp.decode_full_exp(qcode, 1, 0)
+    for wq in (qcode, qcode | 8):  # either sign
+        with pytest.raises(bsfp.MalformedWordError):
+            bsfp.decode_full_array(*_word(wq, 1))
+    assert _restored_exp(*_word(qcode, 0)) == qcode << 1  # unflagged: plain concatenation
 
 
 def test_flag_population():
-    flagged = {e for e in range(16) if bsfp.remap_encode(e)[1] == 1}
-    assert flagged == {0, 1, 4, 5, 9, 11}
+    _, flag, _ = _fields(ALL_EXPS)
+    assert set(np.flatnonzero(flag).tolist()) == {0, 1, 4, 5, 9, 11}
 
 
 def test_q_magnitude():
-    one = bsfp.encode_fp16_bits(np.float16(1.0).view(np.uint16).item())
-    assert bsfp.q_magnitude(one) == 0.5
-    neg = bsfp.encode_fp16_bits(np.float16(-1.0).view(np.uint16).item())
-    assert bsfp.q_magnitude(neg) == -0.5
-    zero = bsfp.encode_fp16_bits(0)
-    assert bsfp.q_magnitude(zero) == 2.0**-13  # zero-weight artifact
+    wq, _ = bsfp.encode_array(np.array([0x3C00, 0xBC00, 0x0000], np.uint16))  # 1.0, -1.0, 0.0
+    # 0.0 decodes to 2^-13: the zero-weight artifact.
+    assert bsfp.q_value_array(wq).tolist() == [0.5, -0.5, 2.0**-13]
 
 
 def test_full_value_examples():
-    for bits in (0x3C00, 0x0000, 0x8000, 0x0001, 0x03FF, 0x7BFF & 0x3FFF):
-        assert bsfp.full_value(bsfp.encode_fp16_bits(bits)) == bits
+    bits = np.array([0x3C00, 0x0000, 0x8000, 0x0001, 0x03FF, 0x7BFF & 0x3FFF], np.uint16)
+    assert np.array_equal(bsfp.decode_full_array(*bsfp.encode_array(bits)), bits)
 
 
 def test_word_bits_roundtrip():
-    w = bsfp.encode_fp16_bits(0x3C00)
-    assert bsfp.BsfpWord.from_bits(w.bits) == w
-    assert w.wq == (w.sign << 3) | w.qcode
-    assert w.wr == (w.flag << 11) | (w.elsb << 10) | w.man10
+    # (wq << 12) | wr is the [sign | qcode:3 | flag | elsb | man10] word of
+    # the module docstring.
+    rng = np.random.default_rng(1)
+    exp5 = np.tile(ALL_EXPS, 8).astype(np.uint16)
+    sign = rng.integers(0, 2, exp5.size).astype(np.uint16)
+    man10 = rng.integers(0, 1 << 10, exp5.size).astype(np.uint16)
+    wq, wr = bsfp.encode_array((sign << 15) | (exp5 << 10) | man10)
+    word = (wq.astype(np.uint16) << 12) | wr
+    assert np.array_equal(word >> 15, sign)
+    assert [int(q) for q in (word >> 12) & 7] == [REMAP_TABLE[e][0] for e in exp5]
+    assert [int(f) for f in (word >> 11) & 1] == [REMAP_TABLE[e][1] for e in exp5]
+    assert np.array_equal((word >> 10) & 1, exp5 & 1)
+    assert np.array_equal(word & 0x3FF, man10)
 
 
 def test_exhaustive_roundtrip_vectorized():
@@ -139,9 +173,9 @@ def test_decode_full_array_malformed():
 def test_monotone_fidelity_critical_range():
     # Remapped decode is exact on exponents 8..11, so its relative error
     # never exceeds naive truncate-to-even extraction there.
-    for e in range(8, 12):
-        qcode = bsfp.remap_encode(e)[0]
-        remap_err = abs(2.0 ** (bsfp.decode_q_exp(qcode) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
+    wq, _ = bsfp.encode_array(np.arange(8, 12, dtype=np.uint16) << 10)
+    for e, exp4 in zip(range(8, 12), bsfp.q_exponent_array(wq)):
+        remap_err = abs(2.0 ** (int(exp4) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
         naive_err = abs(2.0 ** ((e >> 1 << 1) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
         assert remap_err <= naive_err
         assert remap_err == 0.0

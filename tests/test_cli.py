@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from speq.cli import main
+from speq.container import read_container, to_bytes
 from speq.report import parse
 
 
@@ -117,6 +118,21 @@ def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path):
     a = str(tmp_path / "a.npy")
     np.save(a, np.ones((1, 256), dtype=np.float16))
     code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(wout))
+    assert code == 2
+
+
+def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path):
+    wout = tmp_path / "w.speq"
+    run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
+    p = read_container(wout)
+    p.wq[0, 0] = 0b0100  # qcode 100, which only an unflagged word may carry
+    p.wr[0, 0] |= 1 << 11
+    wout.write_bytes(to_bytes(p))
+    a = str(tmp_path / "a.npy")
+    np.save(a, np.ones((1, 256), dtype=np.float16))
+    code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(wout))
+    assert code == 2
+    code, _, _ = run(capsys, "roundtrip", str(wout))
     assert code == 2
 
 

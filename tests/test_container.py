@@ -119,6 +119,17 @@ def test_zero_group_scale_round_trips():
     assert from_bytes(to_bytes(p)) == p
 
 
+@pytest.mark.parametrize("qcode", [0b100, 0b101, 0b110, 0b111])
+def test_rejects_unreachable_word(qcode):
+    p = _tensor(7, (64, 3))
+    p.wq[5, 1] = (p.wq[5, 1] & 8) | qcode
+    p.wr[5, 1] &= 0x7FF
+    assert from_bytes(to_bytes(p)) == p  # unflagged, the code is valid
+    p.wr[5, 1] |= 1 << 11  # to_bytes recomputes the CRC
+    with pytest.raises(ContainerError, match="unreachable"):
+        from_bytes(to_bytes(p))
+
+
 def test_truncation():
     data = to_bytes(_tensor(6, (64, 3)))
     with pytest.raises(TruncatedError):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from speq import _accel, pe
-from speq.kernels import TrafficCounter, exact_fp16_product, gemm_draft, gemm_full
+from speq.kernels import TrafficCounter, gemm_draft, gemm_full
 from speq.quantize import (
     QuantFormat,
     draft_reconstruction,
@@ -22,16 +22,17 @@ def _rand16(rng, shape, scale=0.02):
 
 
 # ── exact product ────────────────────────────────────────────────────────
+# The kernels multiply FP16 operands widened to float32, which is exact.
 
 
 def test_exact_product_basic():
-    assert exact_fp16_product(np.float16(1.5), np.float16(0.5)) == np.float32(0.75)
+    assert np.float32(np.float16(1.5)) * np.float32(np.float16(0.5)) == np.float32(0.75)
 
 
 def test_exact_product_sign_symmetry():
     for x in [0.0, 6e-8, 0.333, 1.0, 65504.0]:
         x16 = np.float16(x)
-        assert exact_fp16_product(np.float16(-1.0), x16) == -np.float32(x16)
+        assert np.float32(np.float16(-1.0)) * np.float32(x16) == -np.float32(x16)
 
 
 def test_exact_product_integer_significand_oracle():
@@ -62,8 +63,13 @@ def test_exact_product_integer_significand_oracle():
 
 
 def test_exact_product_rejects_nonfinite():
-    with pytest.raises(ValueError):
-        exact_fp16_product(np.float16(np.inf), np.float16(1.0))
+    for x in np.array([np.inf, -np.inf, np.nan], np.float16):
+        with pytest.raises(ValueError, match="non-finite"):
+            pe.pe_full_mac(x, np.float16(1.0))
+        with pytest.raises(ValueError, match="non-finite"):
+            pe.pe_full_mac(np.float16(1.0), x)
+        with pytest.raises(ValueError, match="non-finite"):
+            pe.pe_quant_mac(np.array([1.0, x], np.float16), 0, 14)
 
 
 # ── gemm_full ────────────────────────────────────────────────────────────

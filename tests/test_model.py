@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import json
+import re
+import shutil
 import zlib
 
 import numpy as np
 import pytest
 
+from speq.container import write_container
 from speq.model import (
     ContextOverflowError,
     KvCache,
@@ -19,7 +23,7 @@ from speq.model import (
     load_model,
     save_model,
 )
-from speq.quantize import dequantize_full, exponent_histogram
+from speq.quantize import QuantFormat, exponent_histogram, quantize_tensor
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +43,7 @@ def test_init_deterministic():
 
 def test_weights_have_no_unused_exponents(model):
     for name, p in model.weights.items():
-        h = exponent_histogram(dequantize_full(p))
+        h = exponent_histogram(p.full_values())
         assert h.frac_unused == 0.0, name
         assert p.tensor_scale == 1.0
 
@@ -49,7 +53,7 @@ def test_bit_sharing_round_trip(model):
     raw.pop("embed")
     for name, p in model.weights.items():
         assert np.array_equal(
-            dequantize_full(p).view(np.uint16), raw[name].view(np.uint16)
+            p.full_values().view(np.uint16), raw[name].view(np.uint16)
         ), name
 
 
@@ -173,6 +177,57 @@ def test_save_load_round_trip(tmp_path, model):
     a = forward_full(model, t, model.new_cache())
     b = forward_full(loaded, t, loaded.new_cache())
     assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def _drop_l1_w2(d):
+    m = json.loads((d / "model.json").read_text())
+    m["packed"].remove("l1.w2")
+    (d / "model.json").write_text(json.dumps(m))
+
+
+def _list_l0_wq_as_raw_too(d):
+    m = json.loads((d / "model.json").read_text())
+    m["raw"].append("l0.wq")
+    (d / "model.json").write_text(json.dumps(m))
+
+
+def _repack_l0_wq(d, group_size, fmt=QuantFormat.E3M0_REMAP):
+    w = np.random.default_rng(0).normal(0.0, 0.02, (64, 64)).astype(np.float16)
+    write_container(d / "l0.wq.speq", quantize_tensor(w, group_size, fmt))
+
+
+def _resave(path, change):
+    np.save(path, change(np.load(path)))
+
+
+def _to_float32(a):
+    return a.astype(np.float32)
+
+
+# Each case damages one file of a saved model (head kept as a raw FP16
+# array); the error must name that file.
+_LOAD_MISMATCHES = {
+    "missing-layer": ("model.json", _drop_l1_w2),
+    "layer-packed-and-raw": ("model.json", _list_l0_wq_as_raw_too),
+    "wrong-shape": ("l0.wq.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wq.speq")),
+    "wrong-group-size": ("l0.wq.speq", lambda d: _repack_l0_wq(d, 32)),
+    "baseline-format": ("l0.wq.speq", lambda d: _repack_l0_wq(d, 128, QuantFormat.E2M1)),
+    "embed-dtype": ("embed.npy", lambda d: _resave(d / "embed.npy", _to_float32)),
+    "embed-shape": ("embed.npy", lambda d: _resave(d / "embed.npy", lambda a: a[1:])),
+    "raw-dtype": ("head.npy", lambda d: _resave(d / "head.npy", _to_float32)),
+    "raw-shape": ("head.npy", lambda d: _resave(d / "head.npy", lambda a: a.T)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_LOAD_MISMATCHES))
+def test_load_model_rejects_mismatch(tmp_path, case):
+    fname, damage = _LOAD_MISMATCHES[case]
+    d = tmp_path / "m"
+    save_model(init_model(ModelConfig(seed=5, quantize_head=False)), d)
+    load_model(d)
+    damage(d)
+    with pytest.raises(ValueError, match=re.escape(fname)):
+        load_model(d)
 
 
 def test_config_validation():

@@ -13,15 +13,12 @@ from speq.pe import (
     FULL_WEIGHT_BITS,
     QUANT_WEIGHT_BITS,
     PeConfig,
-    PeOperandsQuant,
     decompose_fp16,
     estimate,
     pe_full_mac,
-    pe_input_bits,
-    pe_quant_mac3,
+    pe_quant_mac,
     simulate_gemm,
 )
-from speq.kernels import exact_fp16_product
 from speq.quantize import quantize_tensor
 
 
@@ -46,7 +43,7 @@ def test_pe_full_mac_matches_exact_product():
     for ba, bw in zip(bits_a, bits_w):
         a = np.uint16(ba).view(np.float16)
         w = np.uint16(bw).view(np.float16)
-        assert pe_full_mac(a, w) == exact_fp16_product(a, w)
+        assert pe_full_mac(a, w) == np.float32(a) * np.float32(w)
     a = bits_a.view(np.float16)
     w = bits_w.view(np.float16)
     got = pe_full_mac(a[:, None], w[None, :])  # broadcast (500, 500)
@@ -70,22 +67,27 @@ def test_split_multiply_exhaustive_at_fixed_exponents():
     assert np.array_equal(direct, split)
 
 
+# Quantize mode: one activation against three (sign, exp4) draft weights.
+
+
 def test_pe_quant_mac3_examples():
-    ops = PeOperandsQuant(np.float16(1.0), ((0, 14), (0, 14), (0, 14)))
-    assert pe_quant_mac3(ops) == (np.float32(0.5),) * 3
-    zeros = pe_quant_mac3(PeOperandsQuant(np.float16(0.0), ((0, 9), (1, 2), (0, 14))))
-    assert zeros == (np.float32(0.0),) * 3
+    got = pe_quant_mac(np.float16(1.0), np.array([0, 0, 0]), np.array([14, 14, 14]))
+    assert got.dtype == np.float32
+    assert got.tolist() == [0.5] * 3
+    zeros = pe_quant_mac(np.float16(0.0), np.array([0, 1, 0]), np.array([9, 2, 14]))
+    assert zeros.tolist() == [0.0] * 3
 
 
 def test_pe_quant_mac3_matches_exact_product():
     rng = np.random.default_rng(61)
     for _ in range(300):
         a = np.float16(rng.normal(0, 2.0))
-        weights = tuple((int(rng.integers(0, 2)), int(rng.integers(2, 15))) for _ in range(3))
-        got = pe_quant_mac3(PeOperandsQuant(a, weights))
-        for (s, e4), g in zip(weights, got):
-            wval = np.float16(2.0 ** (e4 - 15) * (-1 if s else 1))
-            assert g == exact_fp16_product(a, wval)
+        sign = rng.integers(0, 2, 3)
+        exp4 = rng.integers(2, 15, 3)
+        got = pe_quant_mac(a, sign, exp4)
+        wval = np.where(sign == 1, -1.0, 1.0) * np.ldexp(1.0, exp4 - 15)
+        expect = np.float32(a) * wval.astype(np.float16).astype(np.float32)
+        assert np.array_equal(got.view(np.uint32), expect.view(np.uint32))
 
 
 def test_decompose_fp16_semantics():
@@ -102,8 +104,8 @@ def test_input_width_parity():
     assert FULL_WEIGHT_BITS == 15
     assert QUANT_WEIGHT_BITS == 15
     assert ACTIVATION_BITS == 16
-    assert pe_input_bits(GemmMode.FULL) == 31
-    assert pe_input_bits(GemmMode.DRAFT) == 31
+    assert ACTIVATION_BITS + FULL_WEIGHT_BITS == 31
+    assert ACTIVATION_BITS + QUANT_WEIGHT_BITS == 31
 
 
 # ── functional equivalence with the kernels ──────────────────────────────

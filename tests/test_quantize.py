@@ -10,7 +10,6 @@ from speq.quantize import (
     FormatMismatchError,
     QuantFormat,
     draft_reconstruction,
-    dequantize_full,
     exponent_histogram,
     fit_group_scale,
     handle_outliers,
@@ -128,7 +127,7 @@ def test_quantize_roundtrip_bit_exact():
     w = _rand16(rng, (256, 128))
     p = quantize_tensor(w)
     assert p.tensor_scale == 1.0
-    assert np.array_equal(dequantize_full(p).view(np.uint16), w.view(np.uint16))
+    assert np.array_equal(p.full_values().view(np.uint16), w.view(np.uint16))
 
 
 def test_quantize_roundtrip_with_outlier():
@@ -139,14 +138,14 @@ def test_quantize_roundtrip_with_outlier():
     p = quantize_tensor(w)
     assert p.tensor_scale == ts != 1.0
     # Round trip reconstructs the scaled tensor, not the original.
-    assert np.array_equal(dequantize_full(p).view(np.uint16), scaled.view(np.uint16))
-    assert not np.array_equal(dequantize_full(p).view(np.uint16), w.view(np.uint16))
+    assert np.array_equal(p.full_values().view(np.uint16), scaled.view(np.uint16))
+    assert not np.array_equal(p.full_values().view(np.uint16), w.view(np.uint16))
 
 
 def test_quantize_edge_patterns():
     w = np.array([[0.0], [-0.0], [6e-8], [-6e-8], [1.0], [-1.999]], dtype=np.float16)
     p = quantize_tensor(w, group_size=6)
-    assert np.array_equal(dequantize_full(p).view(np.uint16), w.view(np.uint16))
+    assert np.array_equal(p.full_values().view(np.uint16), w.view(np.uint16))
 
 
 def test_quantize_rejects_bad_shapes():
@@ -172,7 +171,7 @@ def test_dequantize_rejects_baselines():
     w = np.ones((8, 2), dtype=np.float16)
     for fmt in (QuantFormat.E3M0_NAIVE, QuantFormat.E2M1, QuantFormat.E1M2):
         with pytest.raises(FormatMismatchError):
-            dequantize_full(quantize_tensor(w, 8, fmt))
+            quantize_tensor(w, 8, fmt).full_values()
 
 
 def test_remap_beats_naive_single():
