@@ -20,14 +20,15 @@ so that exponents 9 and 11 keep unique draft representations:
 
 ``flag`` occupies the top exponent bit (always zero for in-range weights)
 and marks the six exponents whose code differs from their middle bits;
-``elsb`` is the original exponent's least-significant bit. A flagged code
-is inverted through a 4-entry lookup; an unflagged one decodes by plain
-concatenation.
+``elsb`` is the original exponent's least-significant bit.
 
-The codecs are vectorized over numpy arrays: ``encode_array`` takes FP16
-bit patterns, and the decoders take ``wq`` / ``wr`` element arrays. A word
-with the flag set on a code in 100..111 comes from no exponent;
-``check_reachable`` rejects it, both on decode and when a container loads.
+The codecs are vectorized over numpy arrays. ``encode_array`` is the one
+definition of the remap: run over every in-range FP16 pattern at import,
+it fills a read-only table from each word ``wq << 12 | wr`` back to its
+FP16 bits, so ``decode_full_array`` is its exact inverse (a lookup, as in
+LUT-GEMM, Park et al. 2022). The table is also the one validity rule: the
+32,768 words the encoder never writes, whose draft nibble would not
+quantize the value they restore, raise :class:`MalformedWordError`.
 """
 
 from __future__ import annotations
@@ -40,9 +41,7 @@ __all__ = [
     "REMAP_QCODE",
     "REMAP_FLAG",
     "DECODE_QEXP",
-    "MUX_FLAGGED",
     "encode_array",
-    "check_reachable",
     "decode_full_array",
     "q_exponent_array",
     "q_value_array",
@@ -54,7 +53,7 @@ class ExponentRangeError(ValueError):
 
 
 class MalformedWordError(ValueError):
-    """(qcode, flag) combination not reachable from any in-range exponent."""
+    """A (wq, wr) word that ``encode_array`` writes for no in-range FP16 value."""
 
 
 # Truth tables, indexed by biased exponent or by 3-bit code. These are the
@@ -66,18 +65,10 @@ REMAP_FLAG = (1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0)
 # high) are the looked-up values 9/11; every other code appends a zero.
 DECODE_QEXP = (9, 2, 11, 6, 8, 10, 12, 14)
 
-# Flagged-path MUX: qcode -> top 3 bits of the restored exponent.
-MUX_FLAGGED = {1: 0, 3: 2, 0: 4, 2: 5}
-
 
 _REMAP_QCODE_ARR = np.array(REMAP_QCODE, dtype=np.uint8)
 _REMAP_FLAG_ARR = np.array(REMAP_FLAG, dtype=np.uint16)
 _DECODE_QEXP_ARR = np.array(DECODE_QEXP, dtype=np.int32)
-# Flagged decode table; codes 1xx are rejected by check_reachable first.
-_MUX_ARR = np.zeros(8, dtype=np.uint16)
-for _code, _top in MUX_FLAGGED.items():
-    _MUX_ARR[_code] = _top
-del _code, _top
 
 
 def encode_array(fp16_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -96,30 +87,32 @@ def encode_array(fp16_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wq, wr.astype(np.uint16)
 
 
-def check_reachable(wq: np.ndarray, wr: np.ndarray) -> None:
-    """Raise :class:`MalformedWordError` if a word sets the flag on a qcode 1xx.
+# Entry of a word the encoder never writes: no in-range FP16 value has exponent 31.
+_UNREACHABLE = np.uint16(0xFFFF)
 
-    ``encode_array`` flags only codes 000..011, and the baseline formats
-    never set the flag bit, so no encoder writes such a word.
-    """
-    flagged = (np.asarray(wr) & 0x800) != 0
-    if np.any(flagged & ((np.asarray(wq) & 4) != 0)):
-        raise MalformedWordError("flagged qcode in {100,101,110,111} is unreachable")
+
+def _build_word_table() -> np.ndarray:
+    """FP16 bit pattern of each 16-bit BSFP word, from ``encode_array`` alone."""
+    bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+    bits = bits[((bits >> 10) & 0x1F) <= 15]
+    wq, wr = encode_array(bits)
+    table = np.full(1 << 16, _UNREACHABLE, dtype=np.uint16)
+    table[(wq.astype(np.uint16) << 12) | wr] = bits
+    assert np.count_nonzero(table != _UNREACHABLE) == bits.size, "two patterns share a word"
+    table.setflags(write=False)
+    return table
+
+
+_FP16_OF_WORD = _build_word_table()
 
 
 def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_array`: exact FP16 bit patterns (uint16)."""
-    wq = np.asarray(wq, dtype=np.uint16)
-    wr = np.asarray(wr, dtype=np.uint16)
-    check_reachable(wq, wr)
-    sign = wq >> 3
-    qcode = wq & np.uint16(7)
-    flag = (wr >> 11) & np.uint16(1)
-    elsb = (wr >> 10) & np.uint16(1)
-    man10 = wr & np.uint16(0x3FF)
-    top3 = np.where(flag.astype(bool), _MUX_ARR[qcode], qcode)
-    exp5 = (top3 << 1) | elsb
-    return ((sign << 15) | (exp5 << 10) | man10).astype(np.uint16)
+    """Inverse of :func:`encode_array` (uint16 FP16 bits); rejects words it never writes."""
+    words = (np.asarray(wq, dtype=np.uint16) << 12) | np.asarray(wr, dtype=np.uint16)
+    bits = np.take(_FP16_OF_WORD, words)
+    if np.any(bits == _UNREACHABLE):
+        raise MalformedWordError("unreachable word: encode_array writes no such (wq, wr)")
+    return bits
 
 
 def q_exponent_array(wq: np.ndarray) -> np.ndarray:

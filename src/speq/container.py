@@ -14,6 +14,9 @@ Layout (little-endian throughout):
     crc     u32      CRC-32 of everything between magic and crc
 
 Serialization is canonical: write(read(write(p))) is byte-identical.
+
+``from_bytes`` builds the ``PackedTensor``, which decodes its operands once,
+so a word the format's encoder never writes fails at load as a ContainerError.
 """
 
 from __future__ import annotations
@@ -122,20 +125,18 @@ def from_bytes(data: bytes) -> PackedTensor:
     if not np.all((scales >= 0.0) & (scales < np.inf)):
         raise ContainerError("group scales must be finite and >= 0")
     try:
-        bsfp.check_reachable(wq_flat, wr_flat)
+        return PackedTensor(
+            rows=rows,
+            cols=cols,
+            group_size=group_size,
+            fmt=_FORMATS[fmt_idx],
+            tensor_scale=float(np.float32(tensor_scale)),
+            group_scales=np.array(scales, dtype=np.float32),
+            wq=wq_flat.reshape((rows, cols), order="F").copy(),
+            wr=wr_flat.reshape((rows, cols), order="F").copy(),
+        )
     except bsfp.MalformedWordError as e:
         raise ContainerError(str(e)) from e
-
-    return PackedTensor(
-        rows=rows,
-        cols=cols,
-        group_size=group_size,
-        fmt=_FORMATS[fmt_idx],
-        tensor_scale=float(np.float32(tensor_scale)),
-        group_scales=np.array(scales, dtype=np.float32),
-        wq=wq_flat.reshape((rows, cols), order="F").copy(),
-        wr=wr_flat.reshape((rows, cols), order="F").copy(),
-    )
 
 
 def write_container(path, p: PackedTensor) -> None:

@@ -69,6 +69,10 @@ class ModelConfig:
     logit_scale: float = 48.0
 
     def __post_init__(self) -> None:
+        sizes = ("vocab", "d_model", "n_layers", "n_heads", "d_ff", "context", "group_size")
+        small = [name for name in sizes if getattr(self, name) < 1]
+        if small:
+            raise ValueError(f"{', '.join(small)} must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
 

@@ -9,6 +9,10 @@ Four 4-bit formats are supported. Only ``E3M0_REMAP`` is bit-sharing: its
 4-bit stream plus the 12-bit remainder stream reconstruct the stored FP16
 tensor exactly. ``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and
 the rounded ``E2M1`` / ``E1M2`` grids exist as accuracy baselines.
+
+A ``PackedTensor`` decodes its kernel operands once, at construction: the
+draft values through one 16-entry table per format, and the exact
+E3M0_REMAP weights through ``bsfp.decode_full_array``, the encoder's inverse.
 """
 
 from __future__ import annotations
@@ -113,6 +117,17 @@ def unpack_12bit(data: bytes, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+# Draft magnitude of each 3-bit code; bit 3 of a 4-bit record is its sign.
+_DRAFT_MAG = {
+    QuantFormat.E3M0_REMAP: bsfp.q_value_array(np.arange(8)),
+    QuantFormat.E3M0_NAIVE: np.ldexp(np.float32(1.0), 2 * np.arange(8) - 15),
+    QuantFormat.E2M1: _E2M1_GRID,
+    QuantFormat.E1M2: _E1M2_GRID,
+}
+# 4-bit record -> draft value (float32), one 16-entry table per format.
+_DRAFT_TABLE = {f: np.concatenate([m, -m]).astype(np.float32) for f, m in _DRAFT_MAG.items()}
+
+
 @dataclass(eq=False)
 class PackedTensor:
     """A quantized weight matrix (rows = reduction dim, cols = outputs).
@@ -121,6 +136,8 @@ class PackedTensor:
     weight data the draft path may read; ``wr`` holds the 12-bit remainder
     (flag, elsb, man10). Access to each stream is counted so tests can
     verify the draft path never touches ``wr``.
+    A word the format's encoder never writes raises ``bsfp.MalformedWordError``
+    at construction, so it never reaches a GEMM.
     """
 
     rows: int
@@ -134,15 +151,21 @@ class PackedTensor:
 
     wq_touches: int = field(default=0, repr=False)
     wr_touches: int = field(default=0, repr=False)
-    _qval: np.ndarray | None = field(default=None, repr=False)
-    _full32: np.ndarray | None = field(default=None, repr=False)
-    _inv_scale: np.float32 | None = field(default=None, repr=False)
+    inv_tensor_scale: np.float32 = field(init=False, repr=False)
+    _qval: np.ndarray = field(init=False, repr=False)
+    _full32: np.ndarray | None = field(init=False, repr=False)
 
-    @property
-    def inv_tensor_scale(self) -> np.float32:
-        if self._inv_scale is None:
-            self._inv_scale = np.float32(1.0) / np.float32(self.tensor_scale)
-        return self._inv_scale
+    def __post_init__(self) -> None:
+        self.inv_tensor_scale = np.float32(1.0) / np.float32(self.tensor_scale)
+        self._qval = np.take(_DRAFT_TABLE[self.fmt], self.wq)
+        self._qval.flags.writeable = False
+        self._full32 = None
+        if self.fmt is QuantFormat.E3M0_REMAP:
+            bits = bsfp.decode_full_array(self.wq, self.wr)
+            self._full32 = bits.view(np.float16).astype(np.float32)
+            self._full32.flags.writeable = False
+        elif np.any(self.wr & 0x800):
+            raise bsfp.MalformedWordError(f"unreachable word: {self.fmt.value} sets no flag bit")
 
     @property
     def n_groups(self) -> int:
@@ -159,20 +182,6 @@ class PackedTensor:
     def draft_values(self) -> np.ndarray:
         """Per-element 4-bit decoded values (float32, read-only). Reads only ``wq``."""
         self.wq_touches += 1
-        if self._qval is None:
-            if self.fmt is QuantFormat.E3M0_REMAP:
-                q = bsfp.q_value_array(self.wq)
-            elif self.fmt is QuantFormat.E3M0_NAIVE:
-                exp4 = (self.wq & 7).astype(np.int32) << 1
-                mag = np.ldexp(np.float32(1.0), exp4 - 15).astype(np.float32)
-                q = np.where((self.wq >> 3).astype(bool), -mag, mag)
-            else:
-                grid = _E2M1_GRID if self.fmt is QuantFormat.E2M1 else _E1M2_GRID
-                mag = grid.astype(np.float32)[self.wq & 7]
-                q = np.where((self.wq >> 3).astype(bool), -mag, mag)
-            q = q.astype(np.float32)
-            q.setflags(write=False)
-            self._qval = q
         return self._qval
 
     def full_values(self) -> np.ndarray:
@@ -183,19 +192,11 @@ class PackedTensor:
         return self.full_values_f32().astype(np.float16)
 
     def full_values_f32(self) -> np.ndarray:
-        """Exact stored tensor widened to float32 (read-only, cached for kernels).
-
-        The one place that decodes both streams; E3M0_REMAP only.
-        """
+        """Exact stored tensor in float32 (read-only); reads both streams, E3M0_REMAP only."""
         if self.fmt is not QuantFormat.E3M0_REMAP:
             raise FormatMismatchError(f"{self.fmt.value} is not bit-sharing")
         self.wq_touches += 1
         self.wr_touches += 1
-        if self._full32 is None:
-            bits = bsfp.decode_full_array(self.wq, self.wr)
-            full = bits.view(np.float16).astype(np.float32)
-            full.setflags(write=False)
-            self._full32 = full
         return self._full32
 
     def wq_packed(self) -> bytes:
@@ -323,15 +324,13 @@ def quantize_tensor(
     n_groups = -(-rows // group_size)
     scales = np.zeros((cols, n_groups), dtype=np.float32)
     p = PackedTensor(rows, cols, group_size, fmt, tensor_scale, scales, wq, wr)
-    qv = p.draft_values().astype(np.float64)
+    qv = p._qval.astype(np.float64)
     wref = w16.astype(np.float64)
     for g in range(n_groups):
         sl = slice(g * group_size, min((g + 1) * group_size, rows))
         num = np.sum(wref[sl] * qv[sl], axis=0)
         den = np.sum(qv[sl] * qv[sl], axis=0)
         scales[:, g] = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    p.wq_touches = 0
-    p.wr_touches = 0
     return p
 
 

@@ -18,6 +18,7 @@ Monte-Carlo cross-checks the closed form.
 
 from __future__ import annotations
 
+import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -79,8 +80,8 @@ class PerfParams:
     t_ar: float
 
     def __post_init__(self) -> None:
-        if min(self.t_draft, self.t_verify, self.t_ar) <= 0:
-            raise ValueError("times must be positive")
+        if not all(0.0 < t < math.inf for t in (self.t_draft, self.t_verify, self.t_ar)):
+            raise ValueError("times must be positive and finite")
 
 
 def expected_accept_length(r: float, max_draft_len: int) -> float:

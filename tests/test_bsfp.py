@@ -160,6 +160,18 @@ def test_exhaustive_roundtrip_vectorized():
     assert np.array_equal(bsfp.decode_full_array(wq, wr), bits)
 
 
+def test_decoder_accepts_exactly_the_encoded_words():
+    bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+    bits = bits[((bits >> 10) & 0x1F) <= 15]
+    wq, wr = bsfp.encode_array(bits)
+    written = (wq.astype(np.int64) << 12) | wr
+    assert np.unique(written).size == bits.size == 1 << 15
+    assert np.array_equal(bsfp.decode_full_array(wq, wr), bits)
+    for word in np.setdiff1d(np.arange(1 << 16), written).tolist():
+        with pytest.raises(bsfp.MalformedWordError):
+            bsfp.decode_full_array(np.array([word >> 12]), np.array([word & 0xFFF]))
+
+
 def test_encode_array_rejects_outliers():
     with pytest.raises(bsfp.ExponentRangeError):
         bsfp.encode_array(np.array([np.float16(2.5).view(np.uint16)]))

@@ -46,6 +46,12 @@ def test_perf_reference_speedup(capsys):
     assert rep["perf.accept_len"] == "17.0"
 
 
+@pytest.mark.parametrize("flag,value", [("--td-ratio", "nan"), ("--tv-ratio", "inf")])
+def test_perf_rejects_nonfinite_time(capsys, flag, value):
+    code, _, _ = run(capsys, "perf", "--r", "0.5", "--L", "4", "--mc-rounds", "0", flag, value)
+    assert code == 2
+
+
 def test_quantize_then_roundtrip(capsys, tensor_npy, tmp_path):
     out = str(tmp_path / "w.speq")
     code, rep, _ = run(capsys, "quantize", "--in", tensor_npy, "--out", out)
@@ -124,16 +130,23 @@ def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path):
 def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
-    p = read_container(wout)
-    p.wq[0, 0] = 0b0100  # qcode 100, which only an unflagged word may carry
-    p.wr[0, 0] |= 1 << 11
-    wout.write_bytes(to_bytes(p))
     a = str(tmp_path / "a.npy")
     np.save(a, np.ones((1, 256), dtype=np.float16))
-    code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(wout))
-    assert code == 2
-    code, _, _ = run(capsys, "roundtrip", str(wout))
-    assert code == 2
+    # Flagged qcode 100, which only an unflagged word may carry, then the
+    # eight (qcode, flag, elsb) aliases that decode bit by bit to an
+    # in-range value the encoder writes under another word.
+    words = [(0b100, 1, 1), (0b000, 0, 0), (0b000, 0, 1), (0b000, 1, 0), (0b010, 0, 0),
+             (0b010, 0, 1), (0b010, 1, 0), (0b100, 0, 1), (0b101, 0, 1)]
+    for qcode, flag, elsb in words:
+        p = read_container(wout)
+        p.wq[0, 0] = qcode
+        p.wr[0, 0] = (flag << 11) | (elsb << 10) | (p.wr[0, 0] & 0x3FF)
+        bad = tmp_path / "bad.speq"
+        bad.write_bytes(to_bytes(p))
+        code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(bad))
+        assert code == 2, (qcode, flag, elsb)
+        code, _, _ = run(capsys, "roundtrip", str(bad))
+        assert code == 2, (qcode, flag, elsb)
 
 
 def test_inspect(capsys, tensor_npy):

@@ -8,6 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
+from speq.bsfp import decode_full_array, encode_array
 from speq.container import (
     MAGIC,
     BadMagicError,
@@ -119,13 +120,35 @@ def test_zero_group_scale_round_trips():
     assert from_bytes(to_bytes(p)) == p
 
 
-@pytest.mark.parametrize("qcode", [0b100, 0b101, 0b110, 0b111])
-def test_rejects_unreachable_word(qcode):
+# (qcode, flag, elsb) of the words encode_array never writes that decode
+# bit by bit to an in-range FP16 value: each would restore exact weights
+# while its draft nibble quantizes some other value.
+ALIASES = [(0b000, 0, 0), (0b000, 0, 1), (0b000, 1, 0), (0b010, 0, 0), (0b010, 0, 1),
+           (0b010, 1, 0), (0b100, 0, 1), (0b101, 0, 1)]
+
+
+@pytest.mark.parametrize(
+    "qcode,flag,elsb",
+    [pytest.param(q, 1, 0, id=str(q)) for q in (0b100, 0b101, 0b110, 0b111)]
+    + [pytest.param(q, f, e, id=f"{q:03b}-{f}-{e}") for q, f, e in ALIASES],
+)
+def test_rejects_unreachable_word(qcode, flag, elsb):
     p = _tensor(7, (64, 3))
     p.wq[5, 1] = (p.wq[5, 1] & 8) | qcode
-    p.wr[5, 1] &= 0x7FF
-    assert from_bytes(to_bytes(p)) == p  # unflagged, the code is valid
-    p.wr[5, 1] |= 1 << 11  # to_bytes recomputes the CRC
+    p.wr[5, 1] &= 0x3FF
+    if qcode & 4:
+        assert from_bytes(to_bytes(p)) == p  # unflagged with elsb 0, the code is valid
+    p.wr[5, 1] |= (flag << 11) | (elsb << 10)  # to_bytes recomputes the CRC
+    with pytest.raises(ContainerError, match="unreachable"):
+        from_bytes(to_bytes(p))
+
+
+@pytest.mark.parametrize("fmt", [QuantFormat.E3M0_NAIVE, QuantFormat.E2M1, QuantFormat.E1M2])
+def test_baseline_rejects_flag_bit(fmt):
+    p = _tensor(7, (64, 2), fmt)
+    p.wq[3, 0] &= 8  # code 000: the remap flags this code, no baseline does
+    assert from_bytes(to_bytes(p)) == p
+    p.wr[3, 0] |= 1 << 11
     with pytest.raises(ContainerError, match="unreachable"):
         from_bytes(to_bytes(p))
 
@@ -163,3 +186,35 @@ def test_scale_and_stream_preservation():
     assert np.array_equal(q.group_scales, p.group_scales)
     assert q.wq_packed() == p.wq_packed()
     assert q.wr_packed() == p.wr_packed()
+
+
+def test_from_bytes_mutation_fuzz():
+    """Seeded byte flips, truncations and extensions, each with a fresh CRC.
+
+    Only ``ContainerError`` may escape, and every bit-sharing tensor that
+    loads holds only words the encoder writes.
+    """
+    rng = np.random.default_rng(6)
+    seeds = [to_bytes(_tensor(i, (9, 5), fmt, group_size=4)) for i, fmt in enumerate(QuantFormat)]
+    loaded = 0
+    for _ in range(10000):
+        data = bytearray(seeds[rng.integers(len(seeds))])
+        op = rng.integers(3)
+        if op == 0:
+            for _ in range(rng.integers(1, 5)):
+                data[rng.integers(len(data))] ^= 1 << int(rng.integers(8))
+        elif op == 1:
+            del data[rng.integers(len(data)) :]
+        else:
+            data += rng.integers(0, 256, rng.integers(1, 9), dtype=np.uint8).tobytes()
+        if len(data) >= len(MAGIC) + 4:
+            data[-4:] = struct.pack("<I", zlib.crc32(data[len(MAGIC) : -4]) & 0xFFFFFFFF)
+        try:
+            p = from_bytes(bytes(data))
+        except ContainerError:
+            continue
+        loaded += 1
+        if p.fmt is QuantFormat.E3M0_REMAP:
+            wq, wr = encode_array(decode_full_array(p.wq, p.wr))
+            assert np.array_equal(wq, p.wq) and np.array_equal(wr, p.wr)
+    assert loaded > 0

@@ -233,3 +233,7 @@ def test_load_model_rejects_mismatch(tmp_path, case):
 def test_config_validation():
     with pytest.raises(ValueError):
         ModelConfig(d_model=30, n_heads=4)
+    for size in ("vocab", "d_model", "n_layers", "n_heads", "d_ff", "context", "group_size"):
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match=size):
+                ModelConfig(**{size: bad})

@@ -8,6 +8,7 @@ import pytest
 from speq import bsfp
 from speq.quantize import (
     FormatMismatchError,
+    PackedTensor,
     QuantFormat,
     draft_reconstruction,
     exponent_histogram,
@@ -182,6 +183,23 @@ def test_remap_beats_naive_single():
     mse_r = reconstruction_mse(quantize_tensor(w, 128, QuantFormat.E3M0_REMAP), ref)
     mse_n = reconstruction_mse(quantize_tensor(w, 128, QuantFormat.E3M0_NAIVE), ref)
     assert mse_r < mse_n
+
+
+@pytest.mark.parametrize(
+    "fmt,mags",
+    [
+        (QuantFormat.E3M0_NAIVE, [2.0 ** (2 * c - 15) for c in range(8)]),
+        (QuantFormat.E2M1, [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]),
+        (QuantFormat.E1M2, [0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]),
+    ],
+)
+def test_baseline_draft_values_per_code(fmt, mags):
+    # Codes 0..7, then the same codes with the sign bit set (zero becomes -0.0).
+    wq = np.arange(16, dtype=np.uint8).reshape(16, 1)
+    wr = np.zeros((16, 1), np.uint16)
+    p = PackedTensor(16, 1, 16, fmt, 1.0, np.ones((1, 1), np.float32), wq, wr)
+    want = np.array(mags + [-m for m in mags], np.float32).reshape(16, 1)
+    assert np.array_equal(p.draft_values().view(np.uint32), want.view(np.uint32))
 
 
 def test_grid_formats_tie_to_even():

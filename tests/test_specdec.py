@@ -49,7 +49,12 @@ def test_speedup_full_cost_draft():
 
 
 def test_speedup_rejects_nonpositive_times():
-    for times in [(0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0)]:
+    nan, inf = float("nan"), float("inf")
+    for times in [
+        (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0),
+        (nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan),
+        (inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, -inf),
+    ]:
         with pytest.raises(ValueError):
             PerfParams(*times)
 
