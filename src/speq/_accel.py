@@ -10,31 +10,57 @@ thread counts — so it may not be parallelized or reassociated.
 
 Two strategies evaluate that same order, chosen by output size:
 
-* small outputs (at most ``ACCUMULATE_MAX_OUTPUTS`` elements, the M=1
-  decode GEMMs and per-head attention) build each group's (k, m, n)
-  product block and sum it with one ``np.add.accumulate`` along k, which
-  is sequential by definition. It costs about 4.5 ns per product.
-* larger outputs (verify windows, prefill) loop in Python over k,
-  vectorized over the outputs. A k-step costs about 2-3 us whatever the
-  output size, so this wins above ~512 outputs: at M=17 x N=256 the
-  accumulate path took 1.3 ms against 0.37 ms, at the M=383 prefill 29 ms
-  against 5.4 ms (2-vCPU host). It never builds a product block, so memory
-  stays at one (m, n) buffer per group.
+* block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (the M=1 decode GEMMs,
+  the M=L+1 verify windows, per-head attention): build each group's
+  (k, m, n) product block and sum it with ``np.add.reduce(..., axis=0)``.
+  On a C-contiguous block that axis is the outer loop of the reduction,
+  so each output is summed in ascending k, vectorized over the m*n
+  outputs. A group is cut along k into chunks of at most ``BLOCK_MAX``
+  products; the running sum is added into row 0 of the next chunk, which
+  keeps the order sequential and bounds the memory a block takes.
+* loop path, every other output (a single output, the M=383 prefill):
+  loop in Python over k, vectorized over the outputs, from one (m, n)
+  buffer per group.
 
-``accumulate`` starts from the first product where the loop starts from
+Two rules keep the block path sequential. ``np.add.reduce`` sums
+pairwise whenever the reduced axis is the inner, contiguous loop, and
+from k = 8 on that changes the bits:
+
+* the block must be C-contiguous. ``a`` is transposed once per call into
+  a contiguous (k, m) array and ``w`` made contiguous, so ``mul`` of the
+  broadcast operands yields a C-contiguous block. A block built from the
+  strided view ``a[:, k0:k1].T`` keeps k contiguous and, with n = 1,
+  differed from the loop on nearly every shape tried.
+* m*n = 1 stays on the loop: its (k, 1, 1) block collapses to a 1-D
+  array, which ``reduce`` also sums pairwise.
+
+``reduce`` starts from the first product where the loop starts from
 +0.0; they differ only when every product is -0.0 (-0.0 against +0.0).
 Adding the group sum into the +0.0-initialised output gives +0.0 either
-way. ``np.add.reduce`` / ``np.sum`` are not used: along a contiguous axis
-they sum pairwise, which changes the bits.
+way.
+
+Measured costs (2-vCPU host, medians of interleaved repeats): a block
+product costs about 1 ns, a loop k-step 2-5 us plus its outputs. The block
+path took 15 us at (m, k, n) = (1, 64, 256), where ``np.add.accumulate``
+took 93 us, and 0.2 ms at the verify shape (17, 64, 256), where the loop
+took 0.37 ms. The two break even between 8k and 16k outputs: 1.26 against
+1.49 ms at (17, 128, 512), 1.36 against 1.33 ms at (64, 64, 256), and the
+loop wins at the (383, 64, 64) prefill, 1.4 against 2.4 ms; hence
+``REDUCE_MAX_OUTPUTS`` = 8192. Chunks of 2^16 values (256 KiB) took
+0.79 ms at (17, 128, 256) where 2^18 took 1.37 ms, and in three 10 s
+pairs of the draft-heavy benchmark 2^16 beat 2^18 on speculative tok/s
+each time with 0.4 MiB less peak RSS; hence ``BLOCK_MAX`` = 2^16.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Largest output (m * n) summed by ``np.add.accumulate``; see the module
-# docstring for the measured costs that set it.
-ACCUMULATE_MAX_OUTPUTS = 512
+# Largest output (m * n) summed by ``np.add.reduce`` over product blocks,
+# and the most float32 values one block may hold; see the module docstring
+# for the measured costs that set them.
+REDUCE_MAX_OUTPUTS = 8192
+BLOCK_MAX = 1 << 16
 
 
 def active_backend() -> str:
@@ -46,20 +72,30 @@ def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
     """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
 
     ``mul`` gives the float32 products of broadcast operands: a (k, m, 1)
-    x (k, 1, n) block on the accumulate path (M*N at most
-    ``ACCUMULATE_MAX_OUTPUTS``), one ``a[:, i:i+1]`` x ``w[i:i+1, :]``
-    step on the loop path. ``scales`` (shape (N, n_groups)) multiplies
-    each group's partial sum before it is added to the output. Both paths
-    add in ascending k from +0.0.
+    x (k, 1, n) block on the block path (2 <= M*N <= ``REDUCE_MAX_OUTPUTS``),
+    one ``a[:, i:i+1]`` x ``w[i:i+1, :]`` step on the loop path. ``scales``
+    (shape (N, n_groups)) multiplies each group's partial sum before it is
+    added to the output. Both paths add in ascending k.
     """
     m, k = a.shape
     out = np.zeros((m, w.shape[1]), dtype=np.float32)
-    block = out.size <= ACCUMULATE_MAX_OUTPUTS
+    block = 2 <= out.size <= REDUCE_MAX_OUTPUTS
+    if block:
+        # C-contiguous operands make C-contiguous (k, m, n) blocks, whose
+        # axis-0 reduce runs k in the outer loop.
+        at = np.ascontiguousarray(a.T)
+        w = np.ascontiguousarray(w)
+        chunk = max(1, BLOCK_MAX // out.size)
     for g, k0 in enumerate(range(0, k, group_size)):
         k1 = min(k0 + group_size, k)
         if block:
-            prods = mul(a[:, k0:k1].T[:, :, None], w[k0:k1, None, :])
-            gacc = np.add.accumulate(prods, axis=0)[-1]
+            gacc = None
+            for c0 in range(k0, k1, chunk):
+                c1 = min(c0 + chunk, k1)
+                prods = mul(at[c0:c1, :, None], w[c0:c1, None, :])
+                if gacc is not None:
+                    prods[0] += gacc
+                gacc = np.add.reduce(prods, axis=0)
         else:
             gacc = np.zeros_like(out)
             for i in range(k0, k1):

@@ -108,7 +108,12 @@ _FP16_OF_WORD = _build_word_table()
 
 def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
     """Inverse of :func:`encode_array` (uint16 FP16 bits); rejects words it never writes."""
-    words = (np.asarray(wq, dtype=np.uint16) << 12) | np.asarray(wr, dtype=np.uint16)
+    wq, wr = np.asarray(wq), np.asarray(wr)
+    # checked before the uint16 cast, which would wrap 0x10000 to 0
+    low = min(wq.min(initial=0), wr.min(initial=0))
+    if low < 0 or wq.max(initial=0) > 0xF or wr.max(initial=0) > 0xFFF:
+        raise MalformedWordError("field out of range: wq has 4 bits and wr 12")
+    words = (wq.astype(np.uint16, copy=False) << 12) | wr.astype(np.uint16, copy=False)
     bits = np.take(_FP16_OF_WORD, words)
     if np.any(bits == _UNREACHABLE):
         raise MalformedWordError("unreachable word: encode_array writes no such (wq, wr)")

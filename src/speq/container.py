@@ -22,6 +22,7 @@ so a word the format's encoder never writes fails at load as a ContainerError.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 
@@ -47,6 +48,7 @@ __all__ = [
     "from_bytes",
     "write_container",
     "read_container",
+    "read_crc",
 ]
 
 MAGIC = b"SPEQ1"
@@ -121,6 +123,10 @@ def from_bytes(data: bytes) -> PackedTensor:
         raise ChecksumError("payload CRC mismatch")
     if not 0.0 < tensor_scale < math.inf:
         raise ContainerError(f"tensor_scale must be positive and finite, got {tensor_scale}")
+    with np.errstate(over="ignore"):
+        # a subnormal scale would make every output of gemm_full / gemm_draft infinite
+        if not np.isfinite(np.float32(1.0) / np.float32(tensor_scale)):
+            raise ContainerError(f"tensor_scale {tensor_scale} has no finite float32 reciprocal")
     # 0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0.
     if not np.all((scales >= 0.0) & (scales < np.inf)):
         raise ContainerError("group scales must be finite and >= 0")
@@ -147,3 +153,14 @@ def write_container(path, p: PackedTensor) -> None:
 def read_container(path) -> PackedTensor:
     with open(path, "rb") as f:
         return from_bytes(f.read())
+
+
+def read_crc(path) -> int:
+    """The payload CRC-32 stored at the end of a container file.
+
+    Unverified here: ``read_container`` checks it against the payload.
+    """
+    with open(path, "rb") as f:
+        f.seek(-4, os.SEEK_END)
+        (crc,) = struct.unpack("<I", f.read(4))
+    return crc

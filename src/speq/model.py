@@ -4,7 +4,8 @@ Persistence: ``save_model`` writes one ``.speq`` container per packed
 linear layer plus a JSON manifest and the FP16 embedding table;
 ``load_model`` restores a bit-identical model and rejects, with a
 ``ValueError`` naming the file, any file whose layer set, shape, group
-size, format or dtype does not match the manifest's ``ModelConfig``.
+size, format or dtype does not match the manifest's ``ModelConfig``, and
+any container whose payload CRC-32 is not the one the manifest records.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
@@ -287,17 +288,20 @@ def forward_reference(
 def save_model(model: ToyModel, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
+    crcs = {}
+    for name, p in model.weights.items():
+        container.write_container(d / f"{name}.speq", p)
+        crcs[name] = container.read_crc(d / f"{name}.speq")
+    for name, w in model.raw_weights.items():
+        np.save(d / f"{name}.npy", w)
+    np.save(d / "embed.npy", model.embed)
     manifest = {
         "config": dataclasses.asdict(model.cfg),
         "packed": sorted(model.weights),
         "raw": sorted(model.raw_weights),
+        "crc32": dict(sorted(crcs.items())),
     }
     (d / "model.json").write_text(json.dumps(manifest, indent=2))
-    np.save(d / "embed.npy", model.embed)
-    for name, p in model.weights.items():
-        container.write_container(d / f"{name}.speq", p)
-    for name, w in model.raw_weights.items():
-        np.save(d / f"{name}.npy", w)
 
 
 def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
@@ -307,12 +311,16 @@ def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
     return arr
 
 
-def _load_packed(path: Path, cfg: ModelConfig, name: str) -> PackedTensor:
+def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTensor:
     p = container.read_container(path)
     got = ((p.rows, p.cols), p.group_size, p.fmt.value)
     want = (_weight_shape(cfg, name), cfg.group_size, QuantFormat.E3M0_REMAP.value)
     if got != want:
         raise ValueError(f"{path}: (shape, group size, format) is {got}, the manifest needs {want}")
+    # read_container checked the stored CRC against the payload; this catches
+    # a valid container of the same shape saved under another layer's name.
+    if container.read_crc(path) != crc:
+        raise ValueError(f"{path}: payload CRC-32 differs from the manifest's {crc:#010x}")
     return p
 
 
@@ -324,7 +332,12 @@ def load_model(directory) -> ToyModel:
     names = _weight_names(cfg)
     if sorted(manifest["packed"] + manifest["raw"]) != sorted(names):
         raise ValueError(f"{d / 'model.json'}: packed and raw layers must partition {names}")
+    crcs = manifest.get("crc32")
+    if not isinstance(crcs, dict) or sorted(crcs) != sorted(manifest["packed"]):
+        raise ValueError(f"{d / 'model.json'}: crc32 must map every packed layer to its CRC")
     embed = _load_fp16(d / "embed.npy", (cfg.vocab, cfg.d_model))
-    weights = {name: _load_packed(d / f"{name}.speq", cfg, name) for name in manifest["packed"]}
+    weights = {
+        name: _load_packed(d / f"{name}.speq", cfg, name, crcs[name]) for name in manifest["packed"]
+    }
     raw = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in manifest["raw"]}
     return ToyModel(cfg, embed, weights, raw)

@@ -164,8 +164,9 @@ class PackedTensor:
             bits = bsfp.decode_full_array(self.wq, self.wr)
             self._full32 = bits.view(np.float16).astype(np.float32)
             self._full32.flags.writeable = False
-        elif np.any(self.wr & 0x800):
-            raise bsfp.MalformedWordError(f"unreachable word: {self.fmt.value} sets no flag bit")
+        elif np.any(self.wr > (0x7FF if self.fmt is QuantFormat.E3M0_NAIVE else 0)):
+            # e3m0 sets no flag bit; the rounded grids write no remainder at all
+            raise bsfp.MalformedWordError(f"unreachable word: {self.fmt.value} never writes this wr")
 
     @property
     def n_groups(self) -> int:

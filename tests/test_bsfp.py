@@ -182,6 +182,15 @@ def test_decode_full_array_malformed():
         bsfp.decode_full_array(np.array([0b0100], np.uint16), np.array([1 << 11], np.uint16))
 
 
+@pytest.mark.parametrize(
+    "wq,wr", [(0, 0x1C00), (0, 0x1000), (0, 0x13C00), (0, -1), (-1, 0), (0x10, 0), (0x13, 0x3FF)]
+)
+def test_decode_full_array_rejects_wide_fields(wq, wr):
+    # (0, 0x1C00) would otherwise OR into the qcode bits and decode to 1024.0
+    with pytest.raises(bsfp.MalformedWordError, match="out of range"):
+        bsfp.decode_full_array(np.array([wq]), np.array([wr]))
+
+
 def test_monotone_fidelity_critical_range():
     # Remapped decode is exact on exponents 8..11, so its relative error
     # never exceeds naive truncate-to-even extraction there.

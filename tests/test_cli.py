@@ -104,14 +104,16 @@ def test_gemm_output_file(capsys, tensor_npy, tmp_path):
 def test_gemm_bad_tensor_scale_is_io_error(capsys, tensor_npy, tmp_path):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
-    data = bytearray(wout.read_bytes())
-    struct.pack_into("<f", data, 22, 0.0)  # tensor scale, after magic, flags and 4 u32
-    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
-    wout.write_bytes(bytes(data))
+    good = wout.read_bytes()
     a = str(tmp_path / "a.npy")
     np.save(a, np.ones((1, 256), dtype=np.float16))
-    code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))
-    assert code == 2
+    for scale in (0.0, 1e-45):  # 1e-45 is a subnormal whose reciprocal overflows
+        data = bytearray(good)
+        struct.pack_into("<f", data, 22, scale)  # tensor scale, after magic, flags and 4 u32
+        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
+        wout.write_bytes(bytes(data))
+        code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))
+        assert code == 2, scale
 
 
 def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path):

@@ -88,7 +88,8 @@ def _with_tensor_scale(data: bytes, scale: float) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf"), -1.0])
+# 1e-45 and 2^-128 are positive float32 subnormals whose reciprocal overflows.
+@pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf"), -1.0, 1e-45, 2.0**-128])
 def test_rejects_bad_tensor_scale(scale):
     data = to_bytes(_tensor(7, (64, 3)))
     assert from_bytes(_with_tensor_scale(data, 4.0)).tensor_scale == 4.0
@@ -149,6 +150,14 @@ def test_baseline_rejects_flag_bit(fmt):
     p.wq[3, 0] &= 8  # code 000: the remap flags this code, no baseline does
     assert from_bytes(to_bytes(p)) == p
     p.wr[3, 0] |= 1 << 11
+    with pytest.raises(ContainerError, match="unreachable"):
+        from_bytes(to_bytes(p))
+
+
+@pytest.mark.parametrize("fmt", [QuantFormat.E2M1, QuantFormat.E1M2])
+def test_grid_formats_reject_remainder(fmt):
+    p = _tensor(7, (64, 2), fmt)
+    p.wr[3, 0] = 0x7FF  # e3m0 could write this wr; the rounded grids write none
     with pytest.raises(ContainerError, match="unreachable"):
         from_bytes(to_bytes(p))
 

@@ -281,8 +281,9 @@ def _with_neg_zeros(rng, x):
 
 
 # (m, k, n, group): K not a multiple of the group, group larger than K,
-# M = 1, a single element, an exact multiple, and one output above
-# ACCUMULATE_MAX_OUTPUTS (the per-k loop path).
+# M = 1, a single element, an exact multiple, and a wide output. The single
+# element and the last shape, one output above REDUCE_MAX_OUTPUTS, take
+# the per-k loop path; the others the block path.
 _ORACLE_SHAPES = [
     (1, 10, 3, 4),
     (2, 5, 4, 8),
@@ -290,6 +291,7 @@ _ORACLE_SHAPES = [
     (3, 33, 5, 16),
     (2, 16, 3, 16),
     (2, 9, 260, 4),
+    (1, 3, 8193, 4),
 ]
 
 
@@ -367,16 +369,23 @@ def _loop_gemm(a, w, group_size, scales=None, mul=np.multiply):
     return out
 
 
-# (m, k, n, group): outputs of 511, 512 and 513 elements (512 is
-# ACCUMULATE_MAX_OUTPUTS), N = 1 with K >= 64, M = 1 with K > group,
-# a group larger than K.
+# (m, k, n, group): outputs of 8191, 8192 and 8193 elements (8192 is
+# REDUCE_MAX_OUTPUTS); N = 1 with M > 1 and K >= 9 on the block path and
+# on the loop path; a single output (M = N = 1, loop path); the verify
+# shapes (17, 256, 64) and (17, 64, 256), whose groups each span several
+# k-chunks of at most BLOCK_MAX products; M = 1 with K > group; a group
+# larger than K.
 _LOOP_EDGE_SHAPES = [
+    (1, 40, 8191, 16),
+    (64, 10, 128, 8),
+    (3, 20, 2731, 16),
+    (5, 96, 1, 128),
+    (8200, 12, 1, 16),
+    (1, 130, 1, 64),
+    (17, 256, 64, 128),
+    (17, 64, 256, 64),
     (7, 40, 73, 16),
     (1, 200, 512, 128),
-    (19, 33, 27, 8),
-    (1, 64, 513, 32),
-    (5, 96, 1, 128),
-    (1, 130, 1, 64),
     (3, 20, 9, 64),
 ]
 
@@ -411,9 +420,13 @@ def test_gemm_f32_matches_loop_oracle():
         mul = pe_muls[i % 2] if i % 5 == 0 else np.multiply  # 1 in 5 through the PE datapath
         shapes.append(((m, k, n, group), mul))
     sizes = [m * n for (m, _, n, _), _ in shapes]
-    assert min(sizes) <= _accel.ACCUMULATE_MAX_OUTPUTS < max(sizes)
-    for (m, k, n, group), mul in shapes:
+    assert min(sizes) <= _accel.REDUCE_MAX_OUTPUTS < max(sizes)
+    assert any(k * m * n > _accel.BLOCK_MAX for (m, k, n, _), _ in shapes)
+    for i, ((m, k, n, group), mul) in enumerate(shapes):
         a, w, scales = _loop_case(rng, (m, k, n, group), mul)
+        if i % 2:
+            # Fortran order: a k-contiguous product block would be summed pairwise
+            a, w = np.asfortranarray(a), np.asfortranarray(w)
         for s in (None, scales):
             _assert_same_bits(
                 _accel.gemm_f32(a, w, group, s, mul=mul), _loop_gemm(a, w, group, s, mul=mul)

@@ -191,6 +191,18 @@ def _list_l0_wq_as_raw_too(d):
     (d / "model.json").write_text(json.dumps(m))
 
 
+def _drop_l0_wq_crc(d):
+    m = json.loads((d / "model.json").read_text())
+    del m["crc32"]["l0.wq"]
+    (d / "model.json").write_text(json.dumps(m))
+
+
+def _swap_l0_wq_wk(d):
+    wq, wk = (d / "l0.wq.speq").read_bytes(), (d / "l0.wk.speq").read_bytes()
+    (d / "l0.wq.speq").write_bytes(wk)
+    (d / "l0.wk.speq").write_bytes(wq)
+
+
 def _repack_l0_wq(d, group_size, fmt=QuantFormat.E3M0_REMAP):
     w = np.random.default_rng(0).normal(0.0, 0.02, (64, 64)).astype(np.float16)
     write_container(d / "l0.wq.speq", quantize_tensor(w, group_size, fmt))
@@ -209,6 +221,10 @@ def _to_float32(a):
 _LOAD_MISMATCHES = {
     "missing-layer": ("model.json", _drop_l1_w2),
     "layer-packed-and-raw": ("model.json", _list_l0_wq_as_raw_too),
+    "missing-crc": ("model.json", _drop_l0_wq_crc),
+    # same shape, valid containers: only the manifest's CRC tells them apart
+    # (the manifest lists l0.wk before l0.wq, so l0.wk is named)
+    "swapped-layers": ("l0.wk.speq", _swap_l0_wq_wk),
     "wrong-shape": ("l0.wq.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wq.speq")),
     "wrong-group-size": ("l0.wq.speq", lambda d: _repack_l0_wq(d, 32)),
     "baseline-format": ("l0.wq.speq", lambda d: _repack_l0_wq(d, 128, QuantFormat.E2M1)),

@@ -361,3 +361,13 @@ def test_histogram_normal_weights():
     assert h.frac_unused == 0.0
     core = h.counts[4:13].sum()
     assert core / h.total > 0.95
+
+
+@pytest.mark.parametrize("fmt", [QuantFormat.E2M1, QuantFormat.E1M2])
+def test_grid_formats_reject_nonzero_remainder(fmt):
+    p = quantize_tensor(_rand16(np.random.default_rng(3), (16, 2)), 8, fmt)
+    assert not p.wr.any()
+    wr = p.wr.copy()
+    wr[0, 1] = 1
+    with pytest.raises(bsfp.MalformedWordError):
+        PackedTensor(p.rows, p.cols, 8, fmt, p.tensor_scale, p.group_scales, p.wq, wr)
