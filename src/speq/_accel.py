@@ -11,7 +11,7 @@ thread counts — so it may not be parallelized or reassociated.
 Two strategies evaluate that same order, chosen by output size:
 
 * block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (the M=1 decode GEMMs,
-  the M=L+1 verify windows, per-head attention): build each group's
+  the M=L+1 verify windows, attention at decode): build each group's
   (k, m, n) product block and sum it with ``np.add.reduce(..., axis=0)``.
   On a C-contiguous block that axis is the outer loop of the reduction,
   so each output is summed in ascending k, vectorized over the m*n
@@ -21,6 +21,16 @@ Two strategies evaluate that same order, chosen by output size:
 * loop path, every other output (a single output, the M=383 prefill):
   loop in Python over k, vectorized over the outputs, from one (m, n)
   buffer per group.
+
+``gemm_f32`` also takes a batch axis, (B, m, k) x (B, k, n), which the
+attention reductions use with the heads as B. Every output is still one
+independent sum in the same order, so each slice has the bits of its own
+call. When 2 <= B*m*n <= ``REDUCE_MAX_OUTPUTS`` the whole batch is one
+C-contiguous (k, B, m, n) block per group, one call for all heads;
+otherwise each slice runs as its own call and picks its own path. That
+keeps the per-head loop at the (4, 383, 383) prefill, where one block for
+all heads no longer fits in L2 (long-context TTFT went from 77-90 to
+116-123 ms when tried).
 
 Two rules keep the block path sequential. ``np.add.reduce`` sums
 pairwise whenever the reduced axis is the inner, contiguous loop, and
@@ -32,7 +42,9 @@ from k = 8 on that changes the bits:
   strided view ``a[:, k0:k1].T`` keeps k contiguous and, with n = 1,
   differed from the loop on nearly every shape tried.
 * m*n = 1 stays on the loop: its (k, 1, 1) block collapses to a 1-D
-  array, which ``reduce`` also sums pairwise.
+  array, which ``reduce`` also sums pairwise. The batched rule is
+  B*m*n >= 2, so a (k, B, 1, 1) block with B >= 2 reduces along its
+  outer axis and stays sequential.
 
 ``reduce`` starts from the first product where the loop starts from
 +0.0; they differ only when every product is -0.0 (-0.0 against +0.0).
@@ -56,7 +68,7 @@ from __future__ import annotations
 
 import numpy as np
 
-# Largest output (m * n) summed by ``np.add.reduce`` over product blocks,
+# Largest output (B * m * n) summed by ``np.add.reduce`` over product blocks,
 # and the most float32 values one block may hold; see the module docstring
 # for the measured costs that set them.
 REDUCE_MAX_OUTPUTS = 8192
@@ -71,20 +83,27 @@ def active_backend() -> str:
 def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
     """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
 
-    ``mul`` gives the float32 products of broadcast operands: a (k, m, 1)
-    x (k, 1, n) block on the block path (2 <= M*N <= ``REDUCE_MAX_OUTPUTS``),
-    one ``a[:, i:i+1]`` x ``w[i:i+1, :]`` step on the loop path. ``scales``
-    (shape (N, n_groups)) multiplies each group's partial sum before it is
-    added to the output. Both paths add in ascending k.
+    A batch axis is optional: (B,M,K) x (B,K,N) -> (B,M,N), slice by slice
+    the same bits as B separate calls. ``mul`` gives the float32 products
+    of broadcast operands: a (k, [B,] m, 1) x (k, [B,] 1, n) block on the
+    block path (2 <= B*M*N <= ``REDUCE_MAX_OUTPUTS``), one ``a[:, i:i+1]``
+    x ``w[i:i+1, :]`` step on the loop path. A larger batch runs each
+    slice as its own call. ``scales`` (shape (N, n_groups)) multiplies
+    each group's partial sum before it is added to the output. Both paths
+    add in ascending k.
     """
-    m, k = a.shape
-    out = np.zeros((m, w.shape[1]), dtype=np.float32)
+    *batch, m, k = a.shape
+    out = np.zeros((*batch, m, w.shape[-1]), dtype=np.float32)
     block = 2 <= out.size <= REDUCE_MAX_OUTPUTS
+    if batch and not block:
+        for b in range(batch[0]):
+            out[b] = gemm_f32(a[b], w[b], group_size, scales, mul)
+        return out
     if block:
-        # C-contiguous operands make C-contiguous (k, m, n) blocks, whose
-        # axis-0 reduce runs k in the outer loop.
-        at = np.ascontiguousarray(a.T)
-        w = np.ascontiguousarray(w)
+        # C-contiguous (k, [B,] m) and (k, [B,] n) operands make C-contiguous
+        # (k, [B,] m, n) blocks, whose axis-0 reduce runs k in the outer loop.
+        at = np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
+        w = np.ascontiguousarray(w.swapaxes(0, -2))
         chunk = max(1, BLOCK_MAX // out.size)
     for g, k0 in enumerate(range(0, k, group_size)):
         k1 = min(k0 + group_size, k)
@@ -92,7 +111,7 @@ def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
             gacc = None
             for c0 in range(k0, k1, chunk):
                 c1 = min(c0 + chunk, k1)
-                prods = mul(at[c0:c1, :, None], w[c0:c1, None, :])
+                prods = mul(at[c0:c1, ..., None], w[c0:c1, ..., None, :])
                 if gacc is not None:
                     prods[0] += gacc
                 gacc = np.add.reduce(prods, axis=0)
@@ -107,10 +126,12 @@ def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
 
 
 def attn_scores_f32(q, k, n_heads):
-    """Per-head q·k^T, (n, d) x (t, d) -> (n_heads, n, t)."""
-    dh = q.shape[1] // n_heads
-    heads = range(0, q.shape[1], dh)
-    return np.stack([gemm_f32(q[:, c : c + dh], k[:, c : c + dh].T, dh) for c in heads])
+    """Per-head q·k^T, (n, d) x (t, d) -> (n_heads, n, t), heads as the batch axis."""
+    n, d = q.shape
+    dh = d // n_heads
+    qh = q.reshape(n, n_heads, dh).swapaxes(0, 1)  # (H, n, dh)
+    kh = k.reshape(k.shape[0], n_heads, dh).transpose(1, 2, 0)  # (H, dh, t)
+    return gemm_f32(qh, kh, dh)
 
 
 def rowsum_f32(x):
@@ -126,8 +147,7 @@ def rowsum_f32(x):
 
 
 def attn_ctx_f32(probs, v, n_heads):
-    """Per-head probs·v, (n_heads, n, t) x (t, d) -> (n, d)."""
+    """Per-head probs·v, (n_heads, n, t) x (t, d) -> (n, d), heads as the batch axis."""
     t, d = v.shape
-    dh = d // n_heads
-    ctx = [gemm_f32(probs[h], v[:, h * dh : (h + 1) * dh], t) for h in range(n_heads)]
-    return np.concatenate(ctx, axis=1)
+    ctx = gemm_f32(probs, v.reshape(t, n_heads, d // n_heads).swapaxes(0, 1), t)
+    return ctx.swapaxes(0, 1).reshape(probs.shape[1], d)

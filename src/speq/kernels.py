@@ -7,6 +7,13 @@ order lives (ascending k within a group, then ascending group), multiply
 by 1/tensor_scale once per output element, and are bit-reproducible
 across runs and thread counts.
 
+Either takes a ``PackedTensor`` or a ``JointTensor``, several packed
+tensors joined column-wise (the model's q, k and v). A joint operand
+carries one 1/tensor_scale per column, so each column has the bits of its
+part's own GEMM. Its parts view the joint arrays, so each weight is still
+held once. Its traffic is the sum of the parts' weight and scale traffic,
+with the activations read once.
+
 FP16 x FP16 products are computed in float32, which is exact: two 11-bit
 significands need at most 22 bits and the exponent range fits comfortably.
 """
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .quantize import FormatMismatchError, PackedTensor, QuantFormat
+from .quantize import FormatMismatchError, JointTensor, PackedTensor, QuantFormat
 
 __all__ = [
     "GemmMode",
@@ -83,7 +90,9 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.nd
     return _accel.gemm_f32(a.astype(np.float32), w.astype(np.float32), group_size)
 
 
-def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) -> np.ndarray:
+def _check_activations(
+    a: np.ndarray, p: PackedTensor | JointTensor, validate: bool = True
+) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype != np.float16:
         raise ValueError(f"activations must be float16, got {a.dtype}")
@@ -98,7 +107,7 @@ def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) ->
 
 def gemm_full(
     a: np.ndarray,
-    p: PackedTensor,
+    p: PackedTensor | JointTensor,
     traffic: TrafficCounter | None = None,
     validate: bool = True,
 ) -> np.ndarray:
@@ -111,7 +120,7 @@ def gemm_full(
     if traffic is not None:
         traffic.add(
             weight_bits=p.wq_bits + p.wr_bits,
-            scale_bytes=4,
+            scale_bytes=4 * p.n_tensor_scales,
             activation_bytes=2 * a.size,
         )
     return out
@@ -119,7 +128,7 @@ def gemm_full(
 
 def gemm_draft(
     a: np.ndarray,
-    p: PackedTensor,
+    p: PackedTensor | JointTensor,
     traffic: TrafficCounter | None = None,
     validate: bool = True,
 ) -> np.ndarray:
@@ -133,7 +142,7 @@ def gemm_draft(
     if traffic is not None:
         traffic.add(
             weight_bits=p.wq_bits,
-            scale_bytes=4 * p.group_scales.size + 4,
+            scale_bytes=4 * p.group_scales.size + 4 * p.n_tensor_scales,
             activation_bytes=2 * a.size,
         )
     return out

@@ -3,15 +3,25 @@
 Persistence: ``save_model`` writes one ``.speq`` container per packed
 linear layer plus a JSON manifest and the FP16 embedding table;
 ``load_model`` restores a bit-identical model and rejects, with a
-``ValueError`` naming the file, any file whose layer set, shape, group
-size, format or dtype does not match the manifest's ``ModelConfig``, and
-any container whose payload CRC-32 is not the one the manifest records.
+``ValueError`` naming the file, a manifest that is not valid JSON or lacks
+a well-formed key, any file whose layer set, shape, group size, format or
+dtype does not match the manifest's ``ModelConfig``, a raw layer other
+than the head, and any container whose payload CRC-32 is not the one the
+manifest records.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
 through the 4-bit stream (``gemm_draft``) and ``forward_full`` through the
 exact reconstruction (``gemm_full``). Keys/values from both passes land in
 one shared, preallocated FP16 cache.
+
+Each layer's q, k and v projections run as one GEMM over a
+:class:`JointTensor`, a (d, 3d) operand that ``ToyModel`` joins at
+construction. The parts keep their own group scales and tensor scale, so
+every column has the bits of its own projection, and each part's operands
+become column views of the joint arrays, so each weight is held once.
+Containers, ``model.json`` and ``ToyModel.weights`` stay per tensor. Only
+the head may be kept as a raw FP16 array.
 
 Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
@@ -31,7 +41,7 @@ import numpy as np
 
 from . import _accel, container
 from .kernels import TrafficCounter, gemm_draft, gemm_full, reference_gemm
-from .quantize import PackedTensor, QuantFormat, quantize_tensor
+from .quantize import JointTensor, PackedTensor, QuantFormat, quantize_tensor
 
 __all__ = [
     "ModelConfig",
@@ -71,6 +81,12 @@ class ModelConfig:
 
     def __post_init__(self) -> None:
         sizes = ("vocab", "d_model", "n_layers", "n_heads", "d_ff", "context", "group_size")
+        for name in sizes:
+            # a float size (say, from a hand-edited model.json) would fail
+            # only later, where arrays are allocated
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
         small = [name for name in sizes if getattr(self, name) < 1]
         if small:
             raise ValueError(f"{', '.join(small)} must be >= 1")
@@ -109,6 +125,7 @@ class KvCache:
 
 
 _LAYER_PARTS = ("wq", "wk", "wv", "wo", "w1", "w2")
+_QKV = _LAYER_PARTS[:3]  # joined into one (d, 3d) operand per layer
 
 
 def _weight_names(cfg: ModelConfig) -> list[str]:
@@ -162,6 +179,10 @@ class ToyModel:
         self.embed = embed
         self.weights = weights
         self.raw_weights = raw_weights or {}
+        self.qkv = [
+            JointTensor(weights[f"l{i}.{p}"] for p in _QKV) for i in range(cfg.n_layers)
+        ]
+        self._operands = {**weights, **{f"l{i}.qkv": j for i, j in enumerate(self.qkv)}}
         self.pos = _sinusoidal_positions(cfg.context, cfg.d_model)
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
@@ -170,14 +191,14 @@ class ToyModel:
         return KvCache(self.cfg)
 
     def _lin_full(self, name: str, a16: np.ndarray) -> np.ndarray:
-        w = self.weights.get(name)
+        w = self._operands.get(name)
         if w is None:
             return reference_gemm(a16, self.raw_weights[name], self.cfg.group_size)
         # Internal activations are finite by construction; skip the check.
         return gemm_full(a16, w, self.full_traffic, validate=False)
 
     def _lin_draft(self, name: str, a16: np.ndarray) -> np.ndarray:
-        w = self.weights.get(name)
+        w = self._operands.get(name)
         if w is None:
             return reference_gemm(a16, self.raw_weights[name], self.cfg.group_size)
         return gemm_draft(a16, w, self.draft_traffic, validate=False)
@@ -219,15 +240,15 @@ def _forward(model: ToyModel, tokens: np.ndarray, cache: KvCache, lin) -> np.nda
     start = cache.len
     if start + n > cfg.context:
         raise ContextOverflowError(f"{start + n} positions > context {cfg.context}")
-    d_head = cfg.d_model // cfg.n_heads
+    d = cfg.d_model
+    d_head = d // cfg.n_heads
     att_scale = np.float32(1.0 / np.sqrt(d_head))
 
     x = model.embed[tokens].astype(np.float32) + model.pos[start : start + n]
     for i in range(cfg.n_layers):
         h16 = _f16(_layernorm(x))
-        q = lin(f"l{i}.wq", h16)
-        k = lin(f"l{i}.wk", h16)
-        v = lin(f"l{i}.wv", h16)
+        qkv = lin(f"l{i}.qkv", h16)
+        q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
         cache.write(i, start, _f16(k), _f16(v))
         t = start + n
         k_all = cache.keys[i, :t].astype(np.float32)
@@ -275,9 +296,10 @@ def forward_reference(
     """Forward pass over plain FP16 weight arrays (no packed storage)."""
     tokens = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
     gs = model.cfg.group_size
-    return _forward(
-        model, tokens, cache, lambda name, a16: reference_gemm(a16, raw_weights[name], gs)
-    )
+    raw = dict(raw_weights)
+    for i in range(model.cfg.n_layers):
+        raw[f"l{i}.qkv"] = np.concatenate([raw_weights[f"l{i}.{p}"] for p in _QKV], axis=1)
+    return _forward(model, tokens, cache, lambda name, a16: reference_gemm(a16, raw[name], gs))
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +346,47 @@ def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTen
     return p
 
 
+def _read_manifest(path: Path) -> tuple[ModelConfig, list[str], list[str], dict]:
+    """(config, packed names, raw names, CRCs) from ``model.json``; any
+    malformed part raises a ``ValueError`` naming the file."""
+    try:
+        manifest = json.loads(path.read_text())
+    except ValueError as e:  # bad JSON or bad UTF-8
+        raise ValueError(f"{path}: not valid JSON ({e})") from e
+    if not isinstance(manifest, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    missing = [key for key in ("config", "packed", "raw") if key not in manifest]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    if not isinstance(manifest["config"], dict):
+        raise ValueError(f"{path}: config must be an object")
+    try:
+        cfg = ModelConfig(**manifest["config"])
+    except (TypeError, ValueError) as e:  # unknown field, wrong type, bad size
+        raise ValueError(f"{path}: bad config ({e})") from e
+    packed, raw = manifest["packed"], manifest["raw"]
+    if not all(isinstance(x, list) and all(isinstance(n, str) for n in x) for x in (packed, raw)):
+        raise ValueError(f"{path}: packed and raw must be lists of layer names")
+    names = _weight_names(cfg)
+    if sorted(packed + raw) != sorted(names):
+        raise ValueError(f"{path}: packed and raw layers must partition {names}")
+    if raw not in ([], ["head"]):
+        raise ValueError(f"{path}: only the head may be raw, got {raw}")
+    crcs = manifest.get("crc32")
+    if (
+        not isinstance(crcs, dict)
+        or sorted(crcs) != sorted(packed)
+        or not all(type(c) is int for c in crcs.values())
+    ):
+        raise ValueError(f"{path}: crc32 must map every packed layer to its CRC")
+    return cfg, packed, raw, crcs
+
+
 def load_model(directory) -> ToyModel:
     """Restore a saved model; every file is checked against the manifest's config."""
     d = Path(directory)
-    manifest = json.loads((d / "model.json").read_text())
-    cfg = ModelConfig(**manifest["config"])
-    names = _weight_names(cfg)
-    if sorted(manifest["packed"] + manifest["raw"]) != sorted(names):
-        raise ValueError(f"{d / 'model.json'}: packed and raw layers must partition {names}")
-    crcs = manifest.get("crc32")
-    if not isinstance(crcs, dict) or sorted(crcs) != sorted(manifest["packed"]):
-        raise ValueError(f"{d / 'model.json'}: crc32 must map every packed layer to its CRC")
+    cfg, packed, raw, crcs = _read_manifest(d / "model.json")
     embed = _load_fp16(d / "embed.npy", (cfg.vocab, cfg.d_model))
-    weights = {
-        name: _load_packed(d / f"{name}.speq", cfg, name, crcs[name]) for name in manifest["packed"]
-    }
-    raw = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in manifest["raw"]}
-    return ToyModel(cfg, embed, weights, raw)
+    weights = {name: _load_packed(d / f"{name}.speq", cfg, name, crcs[name]) for name in packed}
+    raw_weights = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in raw}
+    return ToyModel(cfg, embed, weights, raw_weights)

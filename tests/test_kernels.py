@@ -10,6 +10,8 @@ import pytest
 from speq import _accel, pe
 from speq.kernels import TrafficCounter, gemm_draft, gemm_full
 from speq.quantize import (
+    FormatMismatchError,
+    JointTensor,
     QuantFormat,
     draft_reconstruction,
     handle_outliers,
@@ -244,6 +246,48 @@ def test_decoded_weight_caches_are_read_only():
         p.full_values_f32()[0, 0] = 0.0
 
 
+def test_joint_gemm_equals_parts_bit_for_bit():
+    # Parts with different tensor scales (one has outliers), group scales and
+    # widths: each joint column has the bits of its part's own GEMM, on the
+    # block path (M = 1, 17) and on the loop path (M = 383).
+    rng = np.random.default_rng(55)
+    ws = [_rand16(rng, (200, 24)), _rand16(rng, (200, 8), 1.0), _rand16(rng, (200, 40))]
+    ws[1][3, 5] = 9.0
+    parts = [quantize_tensor(w, 64) for w in ws]
+    assert parts[1].tensor_scale != 1.0
+    acts = [rng.normal(0, 1, (m, 200)).astype(np.float16) for m in (1, 17, 383)]
+    expect = [[(gemm_full(a, p), gemm_draft(a, p)) for p in parts] for a in acts]
+    joint = JointTensor(parts)
+    for a, per_part in zip(acts, expect):
+        for i, kernel in enumerate((gemm_full, gemm_draft)):
+            got = np.hstack([outs[i] for outs in per_part])
+            _assert_same_bits(kernel(a, joint), got)
+            _assert_same_bits(np.hstack([kernel(a, p) for p in parts]), got)
+    td, tf = TrafficCounter(), TrafficCounter()
+    gemm_draft(acts[0], joint, td)
+    gemm_full(acts[0], joint, tf)
+    assert td.weight_bits == sum(p.wq_bits for p in parts) == tf.weight_bits // 4
+    assert td.scale_bytes == sum(4 * p.group_scales.size + 4 for p in parts)
+    assert tf.scale_bytes == 12
+    assert td.activation_bytes == tf.activation_bytes == 2 * acts[0].size
+
+
+def test_joint_tensor_rejects_mismatched_parts():
+    rng = np.random.default_rng(56)
+    p = quantize_tensor(_rand16(rng, (64, 8)), 32)
+    for other in (
+        quantize_tensor(_rand16(rng, (32, 8)), 32),
+        quantize_tensor(_rand16(rng, (64, 8)), 64),
+        quantize_tensor(_rand16(rng, (64, 8)), 32, QuantFormat.E2M1),
+    ):
+        with pytest.raises(ValueError, match="share rows"):
+            JointTensor([p, other])
+    e2m1 = [quantize_tensor(_rand16(rng, (64, 8)), 32, QuantFormat.E2M1) for _ in range(2)]
+    joint = JointTensor(e2m1)
+    with pytest.raises(FormatMismatchError):
+        gemm_full(np.ones((1, 64), dtype=np.float16), joint)
+
+
 # ── fixed-order oracle for the accumulation loop ─────────────────────────
 
 
@@ -431,3 +475,86 @@ def test_gemm_f32_matches_loop_oracle():
             _assert_same_bits(
                 _accel.gemm_f32(a, w, group, s, mul=mul), _loop_gemm(a, w, group, s, mul=mul)
             )
+
+
+# ── the batch axis against the per-k loop, slice by slice ────────────────
+
+_T = _accel.REDUCE_MAX_OUTPUTS
+# (b, m, k, n, group): B*M*N one below, at and one above REDUCE_MAX_OUTPUTS
+# (8191 = 8191 slices of one output each, so also M*N = 1 with B >= 2 on
+# the block path; 8193 splits into per-slice calls on the block path, and
+# per-slice loops); M*N = 1 with B >= 2 and K >= 9; B*M*N = 1; B = 1;
+# groups that each span several k-chunks of at most BLOCK_MAX products.
+_BATCH_EDGE_SHAPES = [
+    (8191, 1, 12, 1, 8),
+    (2, 64, 10, 64, 4),
+    (3, 1, 20, 2731, 16),
+    (3, 2731, 9, 1, 4),
+    (3, 4100, 10, 2, 8),
+    (5, 1, 40, 1, 16),
+    (1, 1, 30, 1, 8),
+    (1, 3, 20, 5, 8),
+    (4, 17, 64, 64, 64),
+    (4, 1, 200, 136, 128),
+]
+
+
+def _batch_case(rng, shape, mul):
+    """Stacked ``_loop_case`` operands; the first slice's scales serve every slice."""
+    b, m, k, n, group = shape
+    cases = [_loop_case(rng, (m, k, n, group), mul) for _ in range(b)]
+    return np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases]), cases[0][2]
+
+
+def _assert_batch_matches_loop(a, w, group, scales=None, mul=np.multiply):
+    got = _accel.gemm_f32(a, w, group, scales, mul=mul)
+    assert got.shape == (a.shape[0], a.shape[1], w.shape[2])
+    for b in range(a.shape[0]):
+        _assert_same_bits(got[b], _loop_gemm(a[b], w[b], group, scales, mul=mul))
+
+
+def test_batched_gemm_f32_matches_loop_oracle():
+    rng = np.random.default_rng(54)
+    pe_muls = (pe.pe_full_mac, pe._pe_quant_mac_wq)
+    shapes = [(s, np.multiply) for s in _BATCH_EDGE_SHAPES]
+    shapes += [(_BATCH_EDGE_SHAPES[i], mul) for i in (1, 5, 8) for mul in pe_muls]
+    for i in range(200):
+        b, m, n = (int(x) for x in rng.integers(1, 9, 3))
+        k = int(rng.integers(1, 100))
+        group = int(rng.choice([1, 4, 16, 32, 64, 128]))
+        mul = pe_muls[i % 2] if i % 5 == 0 else np.multiply
+        shapes.append(((b, m, k, n, group), mul))
+    sizes = [b * m * n for (b, m, _, n, _), _ in shapes]
+    assert {_T - 1, _T, _T + 1, 1} <= set(sizes)
+    assert any(b * m * n * k > _accel.BLOCK_MAX for (b, m, k, n, _), _ in shapes)
+    for i, ((b, m, k, n, group), mul) in enumerate(shapes):
+        a, w, scales = _batch_case(rng, (b, m, k, n, group), mul)
+        if i % 3 == 1:
+            # Fortran order: a k-contiguous product block would be summed pairwise
+            a, w = np.asfortranarray(a), np.asfortranarray(w)
+        elif i % 3 == 2:
+            # transposed views, as attention passes them
+            a = np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
+            w = np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
+        for s in (None, scales):
+            _assert_batch_matches_loop(a, w, group, s, mul)
+
+
+# (n_heads, n, t): decode (n = 1), verify windows (n = 17) with H*n*t on
+# either side of REDUCE_MAX_OUTPUTS, and a prefill on the per-head loop.
+@pytest.mark.parametrize(
+    "n_heads,n,t", [(4, 1, 136), (4, 1, 480), (4, 17, 120), (4, 17, 137), (2, 70, 70)]
+)
+def test_attention_kernels_match_loop_oracle(n_heads, n, t):
+    d = 64
+    dh = d // n_heads
+    rng = np.random.default_rng(n_heads * 1000 + n * 10 + t)
+    q, k, v = (_with_neg_zeros(rng, rng.normal(0, 1, (r, d)).astype(np.float32)) for r in (n, t, t))
+    probs = rng.uniform(0, 1, (n_heads, n, t)).astype(np.float32)
+    probs[:, np.arange(t)[None, :] > (t - n + np.arange(n))[:, None]] = 0.0
+    scores = _accel.attn_scores_f32(q, k, n_heads)
+    ctx = _accel.attn_ctx_f32(probs, v, n_heads)
+    for h in range(n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        _assert_same_bits(scores[h], _loop_gemm(q[:, sl], k[:, sl].T, dh))
+        _assert_same_bits(ctx[:, sl], _loop_gemm(probs[h], v[:, sl], t))

@@ -10,6 +10,7 @@ import zlib
 import numpy as np
 import pytest
 
+import speq.model as smodel
 from speq.container import write_container
 from speq.model import (
     ContextOverflowError,
@@ -197,6 +198,27 @@ def _drop_l0_wq_crc(d):
     (d / "model.json").write_text(json.dumps(m))
 
 
+def _edit_manifest(edit):
+    def damage(d):
+        m = json.loads((d / "model.json").read_text())
+        edit(m)
+        (d / "model.json").write_text(json.dumps(m))
+
+    return damage
+
+
+def _move_l0_wq_to_raw(m):
+    # consistent in every other way: only the raw-layer rule rejects it
+    m["packed"].remove("l0.wq")
+    m["raw"].append("l0.wq")
+    del m["crc32"]["l0.wq"]
+
+
+def _save_l0_wq_as_raw(d):
+    np.save(d / "l0.wq.npy", draw_weights(ModelConfig(seed=5))["l0.wq"])
+    _edit_manifest(_move_l0_wq_to_raw)(d)
+
+
 def _swap_l0_wq_wk(d):
     wq, wk = (d / "l0.wq.speq").read_bytes(), (d / "l0.wk.speq").read_bytes()
     (d / "l0.wq.speq").write_bytes(wk)
@@ -222,6 +244,16 @@ _LOAD_MISMATCHES = {
     "missing-layer": ("model.json", _drop_l1_w2),
     "layer-packed-and-raw": ("model.json", _list_l0_wq_as_raw_too),
     "missing-crc": ("model.json", _drop_l0_wq_crc),
+    "missing-raw-key": ("model.json", _edit_manifest(lambda m: m.pop("raw"))),
+    "unknown-config-field": ("model.json", _edit_manifest(lambda m: m["config"].update(extra=1))),
+    "config-not-mapping": ("model.json", _edit_manifest(lambda m: m.update(config=[64, 2]))),
+    "config-str-size": ("model.json", _edit_manifest(lambda m: m["config"].update(n_heads="4"))),
+    "config-float-size": ("model.json", _edit_manifest(lambda m: m["config"].update(d_model=64.0))),
+    "packed-not-list": ("model.json", _edit_manifest(lambda m: m.update(packed="head"))),
+    "crc-not-int": ("model.json", _edit_manifest(lambda m: m["crc32"].update({"l0.wq": "0"}))),
+    "not-json": ("model.json", lambda d: (d / "model.json").write_text("{not json")),
+    "not-an-object": ("model.json", lambda d: (d / "model.json").write_text("[]")),
+    "raw-non-head": ("model.json", _save_l0_wq_as_raw),
     # same shape, valid containers: only the manifest's CRC tells them apart
     # (the manifest lists l0.wk before l0.wq, so l0.wk is named)
     "swapped-layers": ("l0.wk.speq", _swap_l0_wq_wk),
@@ -253,3 +285,60 @@ def test_config_validation():
         for bad in (0, -1):
             with pytest.raises(ValueError, match=size):
                 ModelConfig(**{size: bad})
+        for bad in (2.0, True, "2"):
+            with pytest.raises(ValueError, match=f"{size} must be an integer"):
+                ModelConfig(**{size: bad})
+    assert ModelConfig(n_layers=np.int64(1)).n_layers == 1
+
+
+@pytest.mark.parametrize("mode", ["full", "draft"])
+def test_joint_qkv_accounting(monkeypatch, mode):
+    # One decode or draft forward: q, k and v run as one (1, d, 3d) GEMM per
+    # layer through the traced kernel names, and the traffic and touches are
+    # those of the separate tensors.
+    m = init_model(ModelConfig(seed=7))
+    d, n_layers = m.cfg.d_model, m.cfg.n_layers
+    cache = m.new_cache()
+    forward_full(m, [1, 2], cache)
+    kernel = getattr(smodel, f"gemm_{mode}")
+    shapes = []
+
+    def spy(a, p, *args, **kwargs):
+        shapes.append((a.shape[0], p.rows, p.cols))
+        return kernel(a, p, *args, **kwargs)
+
+    monkeypatch.setattr(smodel, f"gemm_{mode}", spy)
+    traffic = m.full_traffic if mode == "full" else m.draft_traffic
+    bits0, scale0 = traffic.weight_bits, traffic.scale_bytes
+    touches0 = {name: (p.wq_touches, p.wr_touches) for name, p in m.weights.items()}
+    if mode == "full":
+        forward_full(m, [3], cache)
+    else:
+        forward_draft(m, 3, cache)
+
+    assert len(shapes) == 4 * n_layers + 1
+    assert shapes.count((1, d, 3 * d)) == n_layers
+    tensors = m.weights.values()
+    if mode == "full":
+        assert traffic.weight_bits - bits0 == sum(p.wq_bits + p.wr_bits for p in tensors)
+        assert traffic.scale_bytes - scale0 == 4 * len(tensors)
+    else:
+        assert traffic.weight_bits - bits0 == sum(p.wq_bits for p in tensors)
+        assert traffic.scale_bytes - scale0 == sum(4 * p.group_scales.size + 4 for p in tensors)
+    reads_wr = int(mode == "full")
+    for name, p in m.weights.items():
+        assert (p.wq_touches, p.wr_touches) == (touches0[name][0] + 1, touches0[name][1] + reads_wr)
+
+    for i, joint in enumerate(m.qkv):
+        assert list(joint.parts) == [m.weights[f"l{i}.{x}"] for x in ("wq", "wk", "wv")]
+        for get in ("draft_values", "full_values_f32"):
+            whole = getattr(joint, get)()
+            assert not whole.flags.writeable
+            for c, p in enumerate(joint.parts):
+                view = getattr(p, get)()
+                assert np.shares_memory(view, whole) and not view.flags.writeable
+                assert np.array_equal(view, whole[:, c * d : (c + 1) * d])
+        for c, p in enumerate(joint.parts):
+            assert np.shares_memory(p.group_scales, joint.group_scales)
+            assert not p.group_scales.flags.writeable
+            assert np.array_equal(p.group_scales, joint.group_scales[c * d : (c + 1) * d])
