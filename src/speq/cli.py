@@ -151,6 +151,8 @@ def _cmd_gemm(args) -> int:
 
 
 def _cmd_specdec(args) -> int:
+    if args.prompts < 1:
+        raise ValueError("--prompts must be >= 1")  # zero prompts would check nothing
     cfg = ModelConfig(seed=args.seed)
     sd = specdec.SpecDecConfig(max_draft_len=args.max_draft_len, gamma=args.gamma)
     model = init_model(cfg)

@@ -7,13 +7,6 @@ order lives (ascending k within a group, then ascending group), multiply
 by 1/tensor_scale once per output element, and are bit-reproducible
 across runs and thread counts.
 
-Either takes a ``PackedTensor`` or a ``JointTensor``, several packed
-tensors joined column-wise (the model's q, k and v). A joint operand
-carries one 1/tensor_scale per column, so each column has the bits of its
-part's own GEMM. Its parts view the joint arrays, so each weight is still
-held once. Its traffic is the sum of the parts' weight and scale traffic,
-with the activations read once.
-
 FP16 x FP16 products are computed in float32, which is exact: two 11-bit
 significands need at most 22 bits and the exponent range fits comfortably.
 """
@@ -26,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .quantize import FormatMismatchError, JointTensor, PackedTensor, QuantFormat
+from .quantize import FormatMismatchError, PackedTensor, QuantFormat
 
 __all__ = [
     "GemmMode",
@@ -90,9 +83,7 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.nd
     return _accel.gemm_f32(a.astype(np.float32), w.astype(np.float32), group_size)
 
 
-def _check_activations(
-    a: np.ndarray, p: PackedTensor | JointTensor, validate: bool = True
-) -> np.ndarray:
+def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype != np.float16:
         raise ValueError(f"activations must be float16, got {a.dtype}")
@@ -107,7 +98,7 @@ def _check_activations(
 
 def gemm_full(
     a: np.ndarray,
-    p: PackedTensor | JointTensor,
+    p: PackedTensor,
     traffic: TrafficCounter | None = None,
     validate: bool = True,
 ) -> np.ndarray:
@@ -120,7 +111,7 @@ def gemm_full(
     if traffic is not None:
         traffic.add(
             weight_bits=p.wq_bits + p.wr_bits,
-            scale_bytes=4 * p.n_tensor_scales,
+            scale_bytes=4,
             activation_bytes=2 * a.size,
         )
     return out
@@ -128,7 +119,7 @@ def gemm_full(
 
 def gemm_draft(
     a: np.ndarray,
-    p: PackedTensor | JointTensor,
+    p: PackedTensor,
     traffic: TrafficCounter | None = None,
     validate: bool = True,
 ) -> np.ndarray:
@@ -142,7 +133,7 @@ def gemm_draft(
     if traffic is not None:
         traffic.add(
             weight_bits=p.wq_bits,
-            scale_bytes=4 * p.group_scales.size + 4 * p.n_tensor_scales,
+            scale_bytes=4 * p.group_scales.size + 4,
             activation_bytes=2 * a.size,
         )
     return out

@@ -15,13 +15,9 @@ through the 4-bit stream (``gemm_draft``) and ``forward_full`` through the
 exact reconstruction (``gemm_full``). Keys/values from both passes land in
 one shared, preallocated FP16 cache.
 
-Each layer's q, k and v projections run as one GEMM over a
-:class:`JointTensor`, a (d, 3d) operand that ``ToyModel`` joins at
-construction. The parts keep their own group scales and tensor scale, so
-every column has the bits of its own projection, and each part's operands
-become column views of the joint arrays, so each weight is held once.
-Containers, ``model.json`` and ``ToyModel.weights`` stay per tensor. Only
-the head may be kept as a raw FP16 array.
+Each layer's q, k and v projections are one (d, 3d) weight, ``l{i}.qkv``
+(as GPT-2 stores ``c_attn``), so they run as one GEMM and are quantized,
+saved and held once. Only the head may be kept as a raw FP16 array.
 
 Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
@@ -34,6 +30,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +38,7 @@ import numpy as np
 
 from . import _accel, container
 from .kernels import TrafficCounter, gemm_draft, gemm_full, reference_gemm
-from .quantize import JointTensor, PackedTensor, QuantFormat, quantize_tensor
+from .quantize import PackedTensor, QuantFormat, quantize_tensor
 
 __all__ = [
     "ModelConfig",
@@ -74,9 +71,9 @@ class ModelConfig:
     group_size: int = 128
     quantize_head: bool = True
     # Confidence knob for untrained weights: logits are multiplied by this
-    # constant in both passes, so argmax (and thus the greedy output) is
-    # unchanged; only softmax peakedness — what the early-exit threshold
-    # sees — depends on it.
+    # finite constant > 0 in both passes, so argmax (and thus the greedy
+    # output) is unchanged; only softmax peakedness — what the early-exit
+    # threshold sees — depends on it.
     logit_scale: float = 48.0
 
     def __post_init__(self) -> None:
@@ -92,6 +89,15 @@ class ModelConfig:
             raise ValueError(f"{', '.join(small)} must be >= 1")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+        if not isinstance(self.quantize_head, (bool, np.bool_)):
+            raise ValueError(f"quantize_head must be a bool, got {self.quantize_head!r}")
+        ls = self.logit_scale
+        real = isinstance(ls, (int, float, np.integer, np.floating)) and not isinstance(ls, bool)
+        if not (real and math.isfinite(ls) and ls > 0):
+            raise ValueError(f"logit_scale must be a finite real > 0, got {ls!r}")
 
 
 class KvCache:
@@ -124,8 +130,7 @@ class KvCache:
         self.high_water = max(self.high_water, end)
 
 
-_LAYER_PARTS = ("wq", "wk", "wv", "wo", "w1", "w2")
-_QKV = _LAYER_PARTS[:3]  # joined into one (d, 3d) operand per layer
+_LAYER_PARTS = ("qkv", "wo", "w1", "w2")
 
 
 def _weight_names(cfg: ModelConfig) -> list[str]:
@@ -138,9 +143,7 @@ def _weight_shape(cfg: ModelConfig, name: str) -> tuple[int, int]:
     part = name.split(".")[-1]
     d = cfg.d_model
     return {
-        "wq": (d, d),
-        "wk": (d, d),
-        "wv": (d, d),
+        "qkv": (d, 3 * d),
         "wo": (d, d),
         "w1": (d, cfg.d_ff),
         "w2": (cfg.d_ff, d),
@@ -149,11 +152,17 @@ def _weight_shape(cfg: ModelConfig, name: str) -> tuple[int, int]:
 
 
 def draw_weights(cfg: ModelConfig) -> dict[str, np.ndarray]:
-    """Seeded FP16 parameter draw: embedding plus every linear, in order."""
+    """Seeded FP16 parameter draw: embedding plus every linear, in order.
+
+    ``qkv`` is drawn as three (d, d) blocks, q then k then v, joined
+    column-wise.
+    """
     rng = np.random.default_rng(cfg.seed)
-    out = {"embed": rng.normal(0.0, 0.02, (cfg.vocab, cfg.d_model)).astype(np.float16)}
+    d = cfg.d_model
+    out = {"embed": rng.normal(0.0, 0.02, (cfg.vocab, d)).astype(np.float16)}
     for name in _weight_names(cfg):
-        out[name] = rng.normal(0.0, 0.02, _weight_shape(cfg, name)).astype(np.float16)
+        blocks = [(d, d)] * 3 if name.endswith(".qkv") else [_weight_shape(cfg, name)]
+        out[name] = np.hstack([rng.normal(0.0, 0.02, b).astype(np.float16) for b in blocks])
     return out
 
 
@@ -179,10 +188,6 @@ class ToyModel:
         self.embed = embed
         self.weights = weights
         self.raw_weights = raw_weights or {}
-        self.qkv = [
-            JointTensor(weights[f"l{i}.{p}"] for p in _QKV) for i in range(cfg.n_layers)
-        ]
-        self._operands = {**weights, **{f"l{i}.qkv": j for i, j in enumerate(self.qkv)}}
         self.pos = _sinusoidal_positions(cfg.context, cfg.d_model)
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
@@ -191,14 +196,14 @@ class ToyModel:
         return KvCache(self.cfg)
 
     def _lin_full(self, name: str, a16: np.ndarray) -> np.ndarray:
-        w = self._operands.get(name)
+        w = self.weights.get(name)
         if w is None:
             return reference_gemm(a16, self.raw_weights[name], self.cfg.group_size)
         # Internal activations are finite by construction; skip the check.
         return gemm_full(a16, w, self.full_traffic, validate=False)
 
     def _lin_draft(self, name: str, a16: np.ndarray) -> np.ndarray:
-        w = self._operands.get(name)
+        w = self.weights.get(name)
         if w is None:
             return reference_gemm(a16, self.raw_weights[name], self.cfg.group_size)
         return gemm_draft(a16, w, self.draft_traffic, validate=False)
@@ -296,10 +301,9 @@ def forward_reference(
     """Forward pass over plain FP16 weight arrays (no packed storage)."""
     tokens = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
     gs = model.cfg.group_size
-    raw = dict(raw_weights)
-    for i in range(model.cfg.n_layers):
-        raw[f"l{i}.qkv"] = np.concatenate([raw_weights[f"l{i}.{p}"] for p in _QKV], axis=1)
-    return _forward(model, tokens, cache, lambda name, a16: reference_gemm(a16, raw[name], gs))
+    return _forward(
+        model, tokens, cache, lambda name, a16: reference_gemm(a16, raw_weights[name], gs)
+    )
 
 
 # ---------------------------------------------------------------------------

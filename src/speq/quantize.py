@@ -13,10 +13,6 @@ the rounded ``E2M1`` / ``E1M2`` grids exist as accuracy baselines.
 A ``PackedTensor`` decodes its kernel operands once, at construction: the
 draft values through one 16-entry table per format, and the exact
 E3M0_REMAP weights through ``bsfp.decode_full_array``, the encoder's inverse.
-A ``JointTensor`` joins packed tensors that share their rows column-wise
-into one GEMM operand (the model's q, k and v projections). It takes over
-the parts' decoded operands and group scales and leaves each part read-only
-column views of them, so each weight is still held once.
 """
 
 from __future__ import annotations
@@ -32,7 +28,6 @@ from . import bsfp
 __all__ = [
     "QuantFormat",
     "PackedTensor",
-    "JointTensor",
     "ExpHistogram",
     "FormatMismatchError",
     "handle_outliers",
@@ -178,10 +173,6 @@ class PackedTensor:
         return -(-self.rows // self.group_size)
 
     @property
-    def n_tensor_scales(self) -> int:
-        return 1
-
-    @property
     def wq_bits(self) -> int:
         return 4 * self.rows * self.cols
 
@@ -230,70 +221,6 @@ class PackedTensor:
             and np.array_equal(self.wq, other.wq)
             and np.array_equal(self.wr, other.wr)
         )
-
-
-def _join_columns(parts: tuple[PackedTensor, ...], attr: str, axis: int) -> np.ndarray:
-    """Concatenate each part's ``attr`` along its column ``axis`` into one
-    read-only array and rebind every part's ``attr`` to its view of it."""
-    joint = np.concatenate([getattr(p, attr) for p in parts], axis=axis)
-    joint.flags.writeable = False
-    bounds = np.cumsum([p.cols for p in parts])[:-1]
-    for p, view in zip(parts, np.split(joint, bounds, axis=axis)):
-        setattr(p, attr, view)
-    return joint
-
-
-class JointTensor:
-    """Packed tensors with the same rows, joined column-wise into one GEMM operand.
-
-    Duck-types the part of ``PackedTensor`` that ``gemm_full`` /
-    ``gemm_draft`` read. It holds the joined draft and exact operands, the
-    concatenated group scales and one inverse tensor scale per column, so
-    every output column keeps its own groups and scales and has the bits of
-    its part's own GEMM. Each part's operands and group scales become
-    read-only column views of the joint arrays, so each weight is held
-    once. Reading an operand reads it from every part, which counts each
-    part's stream touches.
-    """
-
-    def __init__(self, parts):
-        self.parts = tuple(parts)
-        if len({(p.rows, p.group_size, p.fmt) for p in self.parts}) != 1:
-            raise ValueError("joined tensors must share rows, group size and format")
-        p0 = self.parts[0]
-        self.rows, self.group_size, self.fmt = p0.rows, p0.group_size, p0.fmt
-        self.cols = sum(p.cols for p in self.parts)
-        self.inv_tensor_scale = np.concatenate(
-            [np.full(p.cols, p.inv_tensor_scale, dtype=np.float32) for p in self.parts]
-        )
-        self.group_scales = _join_columns(self.parts, "group_scales", axis=0)
-        self._qval = _join_columns(self.parts, "_qval", axis=1)
-        if p0._full32 is not None:
-            self._full32 = _join_columns(self.parts, "_full32", axis=1)
-
-    @property
-    def n_tensor_scales(self) -> int:
-        return len(self.parts)
-
-    @property
-    def wq_bits(self) -> int:
-        return sum(p.wq_bits for p in self.parts)
-
-    @property
-    def wr_bits(self) -> int:
-        return sum(p.wr_bits for p in self.parts)
-
-    def draft_values(self) -> np.ndarray:
-        """Joined draft values (float32, read-only). Reads only each part's ``wq``."""
-        for p in self.parts:
-            p.draft_values()
-        return self._qval
-
-    def full_values_f32(self) -> np.ndarray:
-        """Joined exact tensor in float32 (read-only); reads both streams of every part."""
-        for p in self.parts:
-            p.full_values_f32()
-        return self._full32
 
 
 @dataclass

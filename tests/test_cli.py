@@ -185,6 +185,14 @@ def test_specdec_text_prompt(capsys):
     assert rep["specdec.lossless"] == "true"
 
 
+@pytest.mark.parametrize("prompts", ["0", "-1"])
+def test_specdec_rejects_no_prompts(capsys, prompts):
+    assert main(["specdec", "--prompts", prompts, "--gen-len", "4"]) == 2
+    captured = capsys.readouterr()
+    assert "--prompts must be >= 1" in captured.err
+    assert "lossless" not in captured.out
+
+
 def test_simulate(capsys):
     code, rep, _ = run(
         capsys, "simulate", "--m", "1", "--n", "1024", "--k", "4096", "--mode", "full",

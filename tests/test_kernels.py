@@ -10,8 +10,6 @@ import pytest
 from speq import _accel, pe
 from speq.kernels import TrafficCounter, gemm_draft, gemm_full
 from speq.quantize import (
-    FormatMismatchError,
-    JointTensor,
     QuantFormat,
     draft_reconstruction,
     handle_outliers,
@@ -244,48 +242,6 @@ def test_decoded_weight_caches_are_read_only():
         p.draft_values()[0, 0] = 0.0
     with pytest.raises(ValueError):
         p.full_values_f32()[0, 0] = 0.0
-
-
-def test_joint_gemm_equals_parts_bit_for_bit():
-    # Parts with different tensor scales (one has outliers), group scales and
-    # widths: each joint column has the bits of its part's own GEMM, on the
-    # block path (M = 1, 17) and on the loop path (M = 383).
-    rng = np.random.default_rng(55)
-    ws = [_rand16(rng, (200, 24)), _rand16(rng, (200, 8), 1.0), _rand16(rng, (200, 40))]
-    ws[1][3, 5] = 9.0
-    parts = [quantize_tensor(w, 64) for w in ws]
-    assert parts[1].tensor_scale != 1.0
-    acts = [rng.normal(0, 1, (m, 200)).astype(np.float16) for m in (1, 17, 383)]
-    expect = [[(gemm_full(a, p), gemm_draft(a, p)) for p in parts] for a in acts]
-    joint = JointTensor(parts)
-    for a, per_part in zip(acts, expect):
-        for i, kernel in enumerate((gemm_full, gemm_draft)):
-            got = np.hstack([outs[i] for outs in per_part])
-            _assert_same_bits(kernel(a, joint), got)
-            _assert_same_bits(np.hstack([kernel(a, p) for p in parts]), got)
-    td, tf = TrafficCounter(), TrafficCounter()
-    gemm_draft(acts[0], joint, td)
-    gemm_full(acts[0], joint, tf)
-    assert td.weight_bits == sum(p.wq_bits for p in parts) == tf.weight_bits // 4
-    assert td.scale_bytes == sum(4 * p.group_scales.size + 4 for p in parts)
-    assert tf.scale_bytes == 12
-    assert td.activation_bytes == tf.activation_bytes == 2 * acts[0].size
-
-
-def test_joint_tensor_rejects_mismatched_parts():
-    rng = np.random.default_rng(56)
-    p = quantize_tensor(_rand16(rng, (64, 8)), 32)
-    for other in (
-        quantize_tensor(_rand16(rng, (32, 8)), 32),
-        quantize_tensor(_rand16(rng, (64, 8)), 64),
-        quantize_tensor(_rand16(rng, (64, 8)), 32, QuantFormat.E2M1),
-    ):
-        with pytest.raises(ValueError, match="share rows"):
-            JointTensor([p, other])
-    e2m1 = [quantize_tensor(_rand16(rng, (64, 8)), 32, QuantFormat.E2M1) for _ in range(2)]
-    joint = JointTensor(e2m1)
-    with pytest.raises(FormatMismatchError):
-        gemm_full(np.ones((1, 64), dtype=np.float16), joint)
 
 
 # ── fixed-order oracle for the accumulation loop ─────────────────────────

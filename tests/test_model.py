@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 import speq.model as smodel
-from speq.container import write_container
+from speq.container import read_crc, write_container
+from speq.kernels import GemmMode
 from speq.model import (
     ContextOverflowError,
     KvCache,
@@ -24,6 +25,7 @@ from speq.model import (
     load_model,
     save_model,
 )
+from speq.pe import simulate_gemm
 from speq.quantize import QuantFormat, exponent_histogram, quantize_tensor
 
 
@@ -186,15 +188,15 @@ def _drop_l1_w2(d):
     (d / "model.json").write_text(json.dumps(m))
 
 
-def _list_l0_wq_as_raw_too(d):
+def _list_l0_qkv_as_raw_too(d):
     m = json.loads((d / "model.json").read_text())
-    m["raw"].append("l0.wq")
+    m["raw"].append("l0.qkv")
     (d / "model.json").write_text(json.dumps(m))
 
 
-def _drop_l0_wq_crc(d):
+def _drop_l0_qkv_crc(d):
     m = json.loads((d / "model.json").read_text())
-    del m["crc32"]["l0.wq"]
+    del m["crc32"]["l0.qkv"]
     (d / "model.json").write_text(json.dumps(m))
 
 
@@ -207,27 +209,42 @@ def _edit_manifest(edit):
     return damage
 
 
-def _move_l0_wq_to_raw(m):
+def _move_l0_wo_to_raw(m):
     # consistent in every other way: only the raw-layer rule rejects it
-    m["packed"].remove("l0.wq")
-    m["raw"].append("l0.wq")
-    del m["crc32"]["l0.wq"]
+    m["packed"].remove("l0.wo")
+    m["raw"].append("l0.wo")
+    del m["crc32"]["l0.wo"]
 
 
-def _save_l0_wq_as_raw(d):
-    np.save(d / "l0.wq.npy", draw_weights(ModelConfig(seed=5))["l0.wq"])
-    _edit_manifest(_move_l0_wq_to_raw)(d)
+def _save_l0_wo_as_raw(d):
+    np.save(d / "l0.wo.npy", draw_weights(ModelConfig(seed=5))["l0.wo"])
+    _edit_manifest(_move_l0_wo_to_raw)(d)
 
 
-def _swap_l0_wq_wk(d):
-    wq, wk = (d / "l0.wq.speq").read_bytes(), (d / "l0.wk.speq").read_bytes()
-    (d / "l0.wq.speq").write_bytes(wk)
-    (d / "l0.wk.speq").write_bytes(wq)
+def _save_old_qkv_layout(d):
+    # l0's q, k and v as three valid (d, d) containers, each listed with its
+    # CRC: only the layer partition tells the old layout from the new one
+    qkv = draw_weights(ModelConfig(seed=5))["l0.qkv"]
+    m = json.loads((d / "model.json").read_text())
+    m["packed"].remove("l0.qkv")
+    del m["crc32"]["l0.qkv"]
+    (d / "l0.qkv.speq").unlink()
+    for name, w in zip(("l0.wq", "l0.wk", "l0.wv"), np.hsplit(qkv, 3)):
+        write_container(d / f"{name}.speq", quantize_tensor(w))
+        m["packed"].append(name)
+        m["crc32"][name] = read_crc(d / f"{name}.speq")
+    (d / "model.json").write_text(json.dumps(m))
 
 
-def _repack_l0_wq(d, group_size, fmt=QuantFormat.E3M0_REMAP):
+def _swap_l0_l1_qkv(d):
+    q0, q1 = (d / "l0.qkv.speq").read_bytes(), (d / "l1.qkv.speq").read_bytes()
+    (d / "l0.qkv.speq").write_bytes(q1)
+    (d / "l1.qkv.speq").write_bytes(q0)
+
+
+def _repack_l0_wo(d, group_size, fmt=QuantFormat.E3M0_REMAP):
     w = np.random.default_rng(0).normal(0.0, 0.02, (64, 64)).astype(np.float16)
-    write_container(d / "l0.wq.speq", quantize_tensor(w, group_size, fmt))
+    write_container(d / "l0.wo.speq", quantize_tensor(w, group_size, fmt))
 
 
 def _resave(path, change):
@@ -242,24 +259,33 @@ def _to_float32(a):
 # array); the error must name that file.
 _LOAD_MISMATCHES = {
     "missing-layer": ("model.json", _drop_l1_w2),
-    "layer-packed-and-raw": ("model.json", _list_l0_wq_as_raw_too),
-    "missing-crc": ("model.json", _drop_l0_wq_crc),
+    "layer-packed-and-raw": ("model.json", _list_l0_qkv_as_raw_too),
+    "missing-crc": ("model.json", _drop_l0_qkv_crc),
+    "old-qkv-layout": ("model.json", _save_old_qkv_layout),
     "missing-raw-key": ("model.json", _edit_manifest(lambda m: m.pop("raw"))),
     "unknown-config-field": ("model.json", _edit_manifest(lambda m: m["config"].update(extra=1))),
     "config-not-mapping": ("model.json", _edit_manifest(lambda m: m.update(config=[64, 2]))),
     "config-str-size": ("model.json", _edit_manifest(lambda m: m["config"].update(n_heads="4"))),
     "config-float-size": ("model.json", _edit_manifest(lambda m: m["config"].update(d_model=64.0))),
+    "config-str-logit-scale": (
+        "model.json",
+        _edit_manifest(lambda m: m["config"].update(logit_scale="abc")),
+    ),
+    "config-nan-logit-scale": (
+        "model.json",
+        _edit_manifest(lambda m: m["config"].update(logit_scale=float("nan"))),
+    ),
     "packed-not-list": ("model.json", _edit_manifest(lambda m: m.update(packed="head"))),
-    "crc-not-int": ("model.json", _edit_manifest(lambda m: m["crc32"].update({"l0.wq": "0"}))),
+    "crc-not-int": ("model.json", _edit_manifest(lambda m: m["crc32"].update({"l0.qkv": "0"}))),
     "not-json": ("model.json", lambda d: (d / "model.json").write_text("{not json")),
     "not-an-object": ("model.json", lambda d: (d / "model.json").write_text("[]")),
-    "raw-non-head": ("model.json", _save_l0_wq_as_raw),
+    "raw-non-head": ("model.json", _save_l0_wo_as_raw),
     # same shape, valid containers: only the manifest's CRC tells them apart
-    # (the manifest lists l0.wk before l0.wq, so l0.wk is named)
-    "swapped-layers": ("l0.wk.speq", _swap_l0_wq_wk),
-    "wrong-shape": ("l0.wq.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wq.speq")),
-    "wrong-group-size": ("l0.wq.speq", lambda d: _repack_l0_wq(d, 32)),
-    "baseline-format": ("l0.wq.speq", lambda d: _repack_l0_wq(d, 128, QuantFormat.E2M1)),
+    # (the manifest lists l0.qkv before l1.qkv, so l0.qkv is named)
+    "swapped-layers": ("l0.qkv.speq", _swap_l0_l1_qkv),
+    "wrong-shape": ("l0.wo.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wo.speq")),
+    "wrong-group-size": ("l0.wo.speq", lambda d: _repack_l0_wo(d, 32)),
+    "baseline-format": ("l0.wo.speq", lambda d: _repack_l0_wo(d, 128, QuantFormat.E2M1)),
     "embed-dtype": ("embed.npy", lambda d: _resave(d / "embed.npy", _to_float32)),
     "embed-shape": ("embed.npy", lambda d: _resave(d / "embed.npy", lambda a: a[1:])),
     "raw-dtype": ("head.npy", lambda d: _resave(d / "head.npy", _to_float32)),
@@ -289,56 +315,57 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{size} must be an integer"):
                 ModelConfig(**{size: bad})
     assert ModelConfig(n_layers=np.int64(1)).n_layers == 1
+    for bad in ("abc", "48", float("nan"), float("inf"), 0.0, -1.0, True, None):
+        with pytest.raises(ValueError, match="logit_scale must be a finite real > 0"):
+            ModelConfig(logit_scale=bad)
+    for bad in (-1, 1.0, True, "0"):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            ModelConfig(seed=bad)
+    for bad in (1, 0, "true", None):
+        with pytest.raises(ValueError, match="quantize_head must be a bool"):
+            ModelConfig(quantize_head=bad)
+    cfg = ModelConfig(logit_scale=np.float32(2.5), seed=np.int64(3), quantize_head=np.bool_(False))
+    assert (cfg.logit_scale, cfg.seed, cfg.quantize_head) == (2.5, 3, False)
+    assert ModelConfig(logit_scale=2).logit_scale == 2
 
 
 @pytest.mark.parametrize("mode", ["full", "draft"])
 def test_joint_qkv_accounting(monkeypatch, mode):
     # One decode or draft forward: q, k and v run as one (1, d, 3d) GEMM per
-    # layer through the traced kernel names, and the traffic and touches are
-    # those of the separate tensors.
+    # layer through the traced kernel names, every weight is read once, and
+    # the PE model replays each GEMM with the kernel's output bits and the
+    # traffic the kernel counted.
     m = init_model(ModelConfig(seed=7))
     d, n_layers = m.cfg.d_model, m.cfg.n_layers
     cache = m.new_cache()
     forward_full(m, [1, 2], cache)
     kernel = getattr(smodel, f"gemm_{mode}")
-    shapes = []
+    calls = []
 
-    def spy(a, p, *args, **kwargs):
-        shapes.append((a.shape[0], p.rows, p.cols))
-        return kernel(a, p, *args, **kwargs)
+    def counts(t):
+        return t.weight_bits, t.scale_bytes, t.activation_bytes
+
+    def spy(a, p, traffic, **kwargs):
+        before = counts(traffic)
+        out = kernel(a, p, traffic, **kwargs)
+        delta = tuple(x - y for x, y in zip(counts(traffic), before))
+        calls.append((a, p, out.copy(), delta))  # the forward edits out in place
+        return out
 
     monkeypatch.setattr(smodel, f"gemm_{mode}", spy)
-    traffic = m.full_traffic if mode == "full" else m.draft_traffic
-    bits0, scale0 = traffic.weight_bits, traffic.scale_bytes
     touches0 = {name: (p.wq_touches, p.wr_touches) for name, p in m.weights.items()}
     if mode == "full":
         forward_full(m, [3], cache)
     else:
         forward_draft(m, 3, cache)
 
-    assert len(shapes) == 4 * n_layers + 1
-    assert shapes.count((1, d, 3 * d)) == n_layers
-    tensors = m.weights.values()
-    if mode == "full":
-        assert traffic.weight_bits - bits0 == sum(p.wq_bits + p.wr_bits for p in tensors)
-        assert traffic.scale_bytes - scale0 == 4 * len(tensors)
-    else:
-        assert traffic.weight_bits - bits0 == sum(p.wq_bits for p in tensors)
-        assert traffic.scale_bytes - scale0 == sum(4 * p.group_scales.size + 4 for p in tensors)
+    assert [(a.shape[0], p.rows, p.cols) for a, p, _, _ in calls].count((1, d, 3 * d)) == n_layers
+    assert sorted(id(p) for _, p, _, _ in calls) == sorted(map(id, m.weights.values()))
     reads_wr = int(mode == "full")
     for name, p in m.weights.items():
         assert (p.wq_touches, p.wr_touches) == (touches0[name][0] + 1, touches0[name][1] + reads_wr)
 
-    for i, joint in enumerate(m.qkv):
-        assert list(joint.parts) == [m.weights[f"l{i}.{x}"] for x in ("wq", "wk", "wv")]
-        for get in ("draft_values", "full_values_f32"):
-            whole = getattr(joint, get)()
-            assert not whole.flags.writeable
-            for c, p in enumerate(joint.parts):
-                view = getattr(p, get)()
-                assert np.shares_memory(view, whole) and not view.flags.writeable
-                assert np.array_equal(view, whole[:, c * d : (c + 1) * d])
-        for c, p in enumerate(joint.parts):
-            assert np.shares_memory(p.group_scales, joint.group_scales)
-            assert not p.group_scales.flags.writeable
-            assert np.array_equal(p.group_scales, joint.group_scales[c * d : (c + 1) * d])
+    for a, p, out, delta in calls:
+        sim, rep = simulate_gemm(a, p, GemmMode(mode))
+        assert np.array_equal(sim.view(np.uint32), out.view(np.uint32))
+        assert delta == (rep.weight_bits, rep.scale_bytes, rep.activation_bytes)
