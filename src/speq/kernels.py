@@ -96,6 +96,24 @@ def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) ->
     return a
 
 
+def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, validate: bool):
+    """The one GEMM body: checks, multiply-accumulate, 1/tensor scale, traffic."""
+    a = _check_activations(a, p, validate)
+    if p.fmt is not QuantFormat.E3M0_REMAP:
+        raise FormatMismatchError(f"{p.fmt.value} is not bit-sharing")
+    a32 = a.astype(np.float32)
+    if mode is GemmMode.FULL:
+        out = _accel.gemm_f32(a32, p.full_values_f32(), p.group_size)
+        weight_bits, scale_bytes = p.wq_bits + p.wr_bits, 4
+    else:
+        out = _accel.gemm_f32(a32, p.draft_values(), p.group_size, p.group_scales)
+        weight_bits, scale_bytes = p.wq_bits, 4 * p.group_scales.size + 4
+    out *= p.inv_tensor_scale
+    if traffic is not None:
+        traffic.add(weight_bits, scale_bytes, activation_bytes=2 * a.size)
+    return out
+
+
 def gemm_full(
     a: np.ndarray,
     p: PackedTensor,
@@ -103,18 +121,7 @@ def gemm_full(
     validate: bool = True,
 ) -> np.ndarray:
     """Full-precision GEMM: A (M,K) fp16 x exact FP16 weights (K,N) -> f32."""
-    a = _check_activations(a, p, validate)
-    if p.fmt is not QuantFormat.E3M0_REMAP:
-        raise FormatMismatchError(f"{p.fmt.value} is not bit-sharing")
-    out = _accel.gemm_f32(a.astype(np.float32), p.full_values_f32(), p.group_size)
-    out *= p.inv_tensor_scale
-    if traffic is not None:
-        traffic.add(
-            weight_bits=p.wq_bits + p.wr_bits,
-            scale_bytes=4,
-            activation_bytes=2 * a.size,
-        )
-    return out
+    return _gemm(a, p, GemmMode.FULL, traffic, validate)
 
 
 def gemm_draft(
@@ -124,16 +131,4 @@ def gemm_draft(
     validate: bool = True,
 ) -> np.ndarray:
     """Draft GEMM from the 4-bit stream and scales only; never reads wr."""
-    a = _check_activations(a, p, validate)
-    if p.fmt is not QuantFormat.E3M0_REMAP:
-        raise FormatMismatchError(f"{p.fmt.value} is not bit-sharing")
-    qv = p.draft_values()
-    out = _accel.gemm_f32(a.astype(np.float32), qv, p.group_size, p.group_scales)
-    out *= p.inv_tensor_scale
-    if traffic is not None:
-        traffic.add(
-            weight_bits=p.wq_bits,
-            scale_bytes=4 * p.group_scales.size + 4,
-            activation_bytes=2 * a.size,
-        )
-    return out
+    return _gemm(a, p, GemmMode.DRAFT, traffic, validate)

@@ -1,13 +1,14 @@
 """Tiny deterministic autoregressive transformer over packed weights.
 
 Persistence: ``save_model`` writes one ``.speq`` container per packed
-linear layer plus a JSON manifest and the FP16 embedding table;
-``load_model`` restores a bit-identical model and rejects, with a
-``ValueError`` naming the file, a manifest that is not valid JSON or lacks
-a well-formed key, any file whose layer set, shape, group size, format or
-dtype does not match the manifest's ``ModelConfig``, a raw layer other
-than the head, and any container whose payload CRC-32 is not the one the
-manifest records.
+linear, the raw head (when ``quantize_head`` is false) and the embedding
+as FP16 ``.npy`` files, and ``model.json``: the ``ModelConfig`` and one
+payload CRC-32 per packed linear. Which linears are packed follows from
+the config alone. ``load_model`` restores a bit-identical model and
+rejects, with a ``ValueError`` naming the file, a manifest that is not
+valid JSON, lacks a well-formed config or has CRC keys other than the
+config's packed set, and any file whose shape, group size, format, dtype
+or CRC-32 does not match.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
@@ -29,6 +30,7 @@ logits are bit-reproducible across runs.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -139,6 +141,15 @@ def _weight_names(cfg: ModelConfig) -> list[str]:
     return names
 
 
+def _raw_names(cfg: ModelConfig) -> list[str]:
+    """Linears kept as raw FP16 arrays: the head, when ``quantize_head`` is false."""
+    return [] if cfg.quantize_head else ["head"]
+
+
+def _packed_names(cfg: ModelConfig) -> list[str]:
+    return [name for name in _weight_names(cfg) if name not in _raw_names(cfg)]
+
+
 def _weight_shape(cfg: ModelConfig, name: str) -> tuple[int, int]:
     part = name.split(".")[-1]
     d = cfg.d_model
@@ -166,14 +177,18 @@ def draw_weights(cfg: ModelConfig) -> dict[str, np.ndarray]:
     return out
 
 
+@functools.lru_cache(maxsize=8)
 def _sinusoidal_positions(context: int, d_model: int) -> np.ndarray:
+    """Position table, computed once per shape and shared (read-only)."""
     pos = np.arange(context, dtype=np.float64)[:, None]
     dim = np.arange(d_model // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * dim / d_model)
     enc = np.zeros((context, d_model), dtype=np.float64)
     enc[:, 0::2] = np.sin(angle)
     enc[:, 1::2] = np.cos(angle)
-    return enc.astype(np.float32)
+    out = enc.astype(np.float32)
+    out.flags.writeable = False
+    return out
 
 
 class ToyModel:
@@ -212,15 +227,11 @@ class ToyModel:
 def init_model(cfg: ModelConfig) -> ToyModel:
     """Build a model with every linear layer quantized to packed form."""
     raw = draw_weights(cfg)
-    embed = raw.pop("embed")
-    packed: dict[str, PackedTensor] = {}
-    raw_kept: dict[str, np.ndarray] = {}
-    for name, w16 in raw.items():
-        if name == "head" and not cfg.quantize_head:
-            raw_kept[name] = w16
-        else:
-            packed[name] = quantize_tensor(w16, cfg.group_size, QuantFormat.E3M0_REMAP)
-    return ToyModel(cfg, embed, packed, raw_kept)
+    packed = {
+        name: quantize_tensor(raw[name], cfg.group_size, QuantFormat.E3M0_REMAP)
+        for name in _packed_names(cfg)
+    }
+    return ToyModel(cfg, raw["embed"], packed, {name: raw[name] for name in _raw_names(cfg)})
 
 
 # ---------------------------------------------------------------------------
@@ -315,18 +326,13 @@ def save_model(model: ToyModel, directory) -> None:
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     crcs = {}
-    for name, p in model.weights.items():
-        container.write_container(d / f"{name}.speq", p)
+    for name in _packed_names(model.cfg):
+        container.write_container(d / f"{name}.speq", model.weights[name])
         crcs[name] = container.read_crc(d / f"{name}.speq")
-    for name, w in model.raw_weights.items():
-        np.save(d / f"{name}.npy", w)
+    for name in _raw_names(model.cfg):
+        np.save(d / f"{name}.npy", model.raw_weights[name])
     np.save(d / "embed.npy", model.embed)
-    manifest = {
-        "config": dataclasses.asdict(model.cfg),
-        "packed": sorted(model.weights),
-        "raw": sorted(model.raw_weights),
-        "crc32": dict(sorted(crcs.items())),
-    }
+    manifest = {"config": dataclasses.asdict(model.cfg), "crc32": dict(sorted(crcs.items()))}
     (d / "model.json").write_text(json.dumps(manifest, indent=2))
 
 
@@ -350,16 +356,16 @@ def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTen
     return p
 
 
-def _read_manifest(path: Path) -> tuple[ModelConfig, list[str], list[str], dict]:
-    """(config, packed names, raw names, CRCs) from ``model.json``; any
-    malformed part raises a ``ValueError`` naming the file."""
+def _read_manifest(path: Path) -> tuple[ModelConfig, dict]:
+    """(config, CRC of each packed layer) from ``model.json``; any malformed
+    part raises a ``ValueError`` naming the file. Other keys are ignored."""
     try:
         manifest = json.loads(path.read_text())
     except ValueError as e:  # bad JSON or bad UTF-8
         raise ValueError(f"{path}: not valid JSON ({e})") from e
     if not isinstance(manifest, dict):
         raise ValueError(f"{path}: expected a JSON object")
-    missing = [key for key in ("config", "packed", "raw") if key not in manifest]
+    missing = [key for key in ("config", "crc32") if key not in manifest]
     if missing:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     if not isinstance(manifest["config"], dict):
@@ -368,29 +374,21 @@ def _read_manifest(path: Path) -> tuple[ModelConfig, list[str], list[str], dict]
         cfg = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as e:  # unknown field, wrong type, bad size
         raise ValueError(f"{path}: bad config ({e})") from e
-    packed, raw = manifest["packed"], manifest["raw"]
-    if not all(isinstance(x, list) and all(isinstance(n, str) for n in x) for x in (packed, raw)):
-        raise ValueError(f"{path}: packed and raw must be lists of layer names")
-    names = _weight_names(cfg)
-    if sorted(packed + raw) != sorted(names):
-        raise ValueError(f"{path}: packed and raw layers must partition {names}")
-    if raw not in ([], ["head"]):
-        raise ValueError(f"{path}: only the head may be raw, got {raw}")
-    crcs = manifest.get("crc32")
+    crcs, packed = manifest["crc32"], _packed_names(cfg)
     if (
         not isinstance(crcs, dict)
         or sorted(crcs) != sorted(packed)
         or not all(type(c) is int for c in crcs.values())
     ):
-        raise ValueError(f"{path}: crc32 must map every packed layer to its CRC")
-    return cfg, packed, raw, crcs
+        raise ValueError(f"{path}: crc32 must map exactly the packed layers {packed} to CRCs")
+    return cfg, crcs
 
 
 def load_model(directory) -> ToyModel:
     """Restore a saved model; every file is checked against the manifest's config."""
     d = Path(directory)
-    cfg, packed, raw, crcs = _read_manifest(d / "model.json")
+    cfg, crcs = _read_manifest(d / "model.json")
     embed = _load_fp16(d / "embed.npy", (cfg.vocab, cfg.d_model))
-    weights = {name: _load_packed(d / f"{name}.speq", cfg, name, crcs[name]) for name in packed}
-    raw_weights = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in raw}
+    weights = {n: _load_packed(d / f"{n}.speq", cfg, n, crcs[n]) for n in _packed_names(cfg)}
+    raw_weights = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in _raw_names(cfg)}
     return ToyModel(cfg, embed, weights, raw_weights)

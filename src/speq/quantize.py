@@ -134,8 +134,7 @@ class PackedTensor:
 
     ``wq`` holds one 4-bit record (sign, qcode) per element and is the only
     weight data the draft path may read; ``wr`` holds the 12-bit remainder
-    (flag, elsb, man10). Access to each stream is counted so tests can
-    verify the draft path never touches ``wr``.
+    (flag, elsb, man10).
     A word the format's encoder never writes raises ``bsfp.MalformedWordError``
     at construction, so it never reaches a GEMM.
     """
@@ -149,8 +148,6 @@ class PackedTensor:
     wq: np.ndarray  # uint8, shape (rows, cols), values 0..15
     wr: np.ndarray  # uint16, shape (rows, cols), values 0..4095
 
-    wq_touches: int = field(default=0, repr=False)
-    wr_touches: int = field(default=0, repr=False)
     inv_tensor_scale: np.float32 = field(init=False, repr=False)
     _qval: np.ndarray = field(init=False, repr=False)
     _full32: np.ndarray | None = field(init=False, repr=False)
@@ -182,22 +179,16 @@ class PackedTensor:
 
     def draft_values(self) -> np.ndarray:
         """Per-element 4-bit decoded values (float32, read-only). Reads only ``wq``."""
-        self.wq_touches += 1
         return self._qval
 
     def full_values(self) -> np.ndarray:
-        """Exact stored FP16 tensor, as a fresh array.
-
-        Reads both streams; E3M0_REMAP only.
-        """
+        """Exact stored FP16 tensor as a fresh array; E3M0_REMAP only."""
         return self.full_values_f32().astype(np.float16)
 
     def full_values_f32(self) -> np.ndarray:
-        """Exact stored tensor in float32 (read-only); reads both streams, E3M0_REMAP only."""
+        """Exact stored tensor in float32 (read-only); E3M0_REMAP only."""
         if self.fmt is not QuantFormat.E3M0_REMAP:
             raise FormatMismatchError(f"{self.fmt.value} is not bit-sharing")
-        self.wq_touches += 1
-        self.wr_touches += 1
         return self._full32
 
     def wq_packed(self) -> bytes:

@@ -101,17 +101,30 @@ def expected_speedup(r: float, max_draft_len: int, perf: PerfParams) -> float:
     return la * perf.t_ar / (max_draft_len * perf.t_draft + perf.t_verify)
 
 
+MC_CHUNK_VALUES = 1 << 20  # uniforms per Monte Carlo chunk: 8 MiB of float64
+
+
 def monte_carlo_accept_length(
     r: float, max_draft_len: int, rounds: int = 1_000_000, seed: int = 0
 ) -> float:
-    """Mean tokens per round under i.i.d. Bernoulli(r) acceptance with cutoff L."""
+    """Mean tokens per round under i.i.d. Bernoulli(r) acceptance with cutoff L.
+
+    Rounds are drawn in chunks of at most ``MC_CHUNK_VALUES`` uniforms (one
+    round if L is larger): the same stream and, by an integer total, the
+    same mean as one ``(rounds, L)`` draw, in bounded memory.
+    """
     if not 0.0 <= r <= 1.0:
         raise ValueError("accept rate must be in [0, 1]")
+    if max_draft_len < 1 or rounds < 1:
+        raise ValueError("max_draft_len and rounds must be >= 1")
     rng = np.random.default_rng(seed)
-    acc = rng.random((rounds, max_draft_len)) < r
-    rejected = ~acc
-    run = np.where(rejected.any(axis=1), rejected.argmax(axis=1), max_draft_len)
-    return float(np.mean(run + 1))
+    chunk = max(1, MC_CHUNK_VALUES // max_draft_len)
+    total = 0
+    for start in range(0, rounds, chunk):
+        rejected = rng.random((min(chunk, rounds - start), max_draft_len)) >= r
+        run = np.where(rejected.any(axis=1), rejected.argmax(axis=1), max_draft_len)
+        total += int(run.sum()) + run.size
+    return total / rounds
 
 
 # ---------------------------------------------------------------------------

@@ -204,16 +204,16 @@ def test_determinism_repeat_runs():
     assert np.array_equal(d1.view(np.uint32), d2.view(np.uint32))
 
 
-def test_draft_never_touches_remainder_stream():
+def test_draft_never_touches_remainder_stream(poison_remainder):
     rng = np.random.default_rng(48)
     p = quantize_tensor(_rand16(rng, (128, 4)))
     a = rng.normal(0, 1, (2, 128)).astype(np.float16)
-    gemm_draft(a, p)
-    gemm_draft(a, p)
-    assert p.wr_touches == 0
-    assert p.wq_touches > 0
-    gemm_full(a, p)
-    assert p.wr_touches > 0
+    expect = gemm_draft(a, p)
+    poison_remainder(p)
+    for _ in range(2):
+        assert np.array_equal(gemm_draft(a, p).view(np.uint32), expect.view(np.uint32))
+    with pytest.raises(RuntimeError, match="poisoned remainder"):
+        gemm_full(a, p)
 
 
 def test_traffic_quarter_property():
@@ -236,7 +236,7 @@ def test_decoded_weight_caches_are_read_only():
     a = rng.normal(0, 1, (2, 128)).astype(np.float16)
     expect = gemm_full(a, quantize_tensor(w))
     p = quantize_tensor(w)
-    p.full_values()[:] = 0  # before the first full GEMM builds its cache
+    p.full_values()[:] = 0
     assert np.array_equal(gemm_full(a, p).view(np.uint32), expect.view(np.uint32))
     with pytest.raises(ValueError):
         p.draft_values()[0, 0] = 0.0

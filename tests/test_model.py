@@ -103,16 +103,19 @@ def test_windowed_equals_stepwise(model):
     assert np.array_equal(win.view(np.uint32), np.stack(rows).view(np.uint32))
 
 
-def test_draft_reads_only_draft_stream():
+def test_draft_reads_only_draft_stream(poison_remainder):
+    # With every remainder stream and exact decode made to raise on any read,
+    # draft passes still give the same logits and a full pass fails.
     m = init_model(ModelConfig(seed=6))
     cache = m.new_cache()
-    forward_draft(m, 1, cache)
-    forward_draft(m, 2, cache)
-    for name, p in m.weights.items():
-        assert p.wr_touches == 0, name
-        assert p.wq_touches > 0, name
-    forward_full(m, [3], cache)
-    assert all(p.wr_touches > 0 for p in m.weights.values())
+    expect = [forward_draft(m, t, cache) for t in (1, 2)]
+    cache.rewind(0)
+    for p in m.weights.values():
+        poison_remainder(p)
+    for t, want in zip((1, 2), expect):
+        assert np.array_equal(forward_draft(m, t, cache).view(np.uint32), want.view(np.uint32))
+    with pytest.raises(RuntimeError, match="poisoned remainder"):
+        forward_full(m, [3], cache)
 
 
 def test_full_path_matches_unquantized_reference(model):
@@ -182,16 +185,35 @@ def test_save_load_round_trip(tmp_path, model):
     assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
-def _drop_l1_w2(d):
-    m = json.loads((d / "model.json").read_text())
-    m["packed"].remove("l1.w2")
-    (d / "model.json").write_text(json.dumps(m))
+@pytest.mark.parametrize("quantize_head", [True, False])
+def test_manifest_is_config_and_crcs(tmp_path, quantize_head):
+    # model.json holds only the config and one CRC per packed layer; a
+    # manifest that also lists the layers (the earlier format) still loads.
+    m = init_model(ModelConfig(seed=5, quantize_head=quantize_head))
+    d = tmp_path / "m"
+    save_model(m, d)
+    manifest = json.loads((d / "model.json").read_text())
+    assert sorted(manifest) == ["config", "crc32"]
+    assert sorted(manifest["crc32"]) == sorted(m.weights)
+    manifest.update(packed=sorted(m.weights), raw=sorted(m.raw_weights))
+    (d / "model.json").write_text(json.dumps(manifest))
+    loaded = load_model(d)
+    assert loaded.cfg == m.cfg
+    assert loaded.weights == m.weights
+    assert loaded.raw_weights.keys() == m.raw_weights.keys()
+    for name, w in m.raw_weights.items():
+        assert np.array_equal(loaded.raw_weights[name].view(np.uint16), w.view(np.uint16))
 
 
-def _list_l0_qkv_as_raw_too(d):
-    m = json.loads((d / "model.json").read_text())
-    m["raw"].append("l0.qkv")
-    (d / "model.json").write_text(json.dumps(m))
+def test_position_table_shared_per_shape():
+    a, b = init_model(ModelConfig(seed=1)), init_model(ModelConfig(seed=2))
+    assert a.pos is b.pos
+    assert not a.pos.flags.writeable
+    with pytest.raises(ValueError):
+        a.pos[0, 0] = 1.0
+    c = init_model(ModelConfig(context=16))
+    assert c.pos.shape == (16, 64)
+    assert np.array_equal(c.pos, a.pos[:16])
 
 
 def _drop_l0_qkv_crc(d):
@@ -209,31 +231,24 @@ def _edit_manifest(edit):
     return damage
 
 
-def _move_l0_wo_to_raw(m):
-    # consistent in every other way: only the raw-layer rule rejects it
-    m["packed"].remove("l0.wo")
-    m["raw"].append("l0.wo")
-    del m["crc32"]["l0.wo"]
-
-
-def _save_l0_wo_as_raw(d):
-    np.save(d / "l0.wo.npy", draw_weights(ModelConfig(seed=5))["l0.wo"])
-    _edit_manifest(_move_l0_wo_to_raw)(d)
-
-
 def _save_old_qkv_layout(d):
     # l0's q, k and v as three valid (d, d) containers, each listed with its
-    # CRC: only the layer partition tells the old layout from the new one
+    # CRC: only the config's packed layer set tells the old layout from the new
     qkv = draw_weights(ModelConfig(seed=5))["l0.qkv"]
     m = json.loads((d / "model.json").read_text())
-    m["packed"].remove("l0.qkv")
     del m["crc32"]["l0.qkv"]
     (d / "l0.qkv.speq").unlink()
     for name, w in zip(("l0.wq", "l0.wk", "l0.wv"), np.hsplit(qkv, 3)):
         write_container(d / f"{name}.speq", quantize_tensor(w))
-        m["packed"].append(name)
         m["crc32"][name] = read_crc(d / f"{name}.speq")
     (d / "model.json").write_text(json.dumps(m))
+
+
+def _save_packed_head_flagged_raw(d):
+    # a valid packed-head model whose config claims a raw head
+    shutil.rmtree(d)
+    save_model(init_model(ModelConfig(seed=5)), d)
+    _edit_manifest(lambda m: m["config"].update(quantize_head=False))(d)
 
 
 def _swap_l0_l1_qkv(d):
@@ -256,13 +271,16 @@ def _to_float32(a):
 
 
 # Each case damages one file of a saved model (head kept as a raw FP16
-# array); the error must name that file.
+# array, unless the case re-saves it packed); the error must name that file.
 _LOAD_MISMATCHES = {
-    "missing-layer": ("model.json", _drop_l1_w2),
-    "layer-packed-and-raw": ("model.json", _list_l0_qkv_as_raw_too),
     "missing-crc": ("model.json", _drop_l0_qkv_crc),
+    "missing-crc32-key": ("model.json", _edit_manifest(lambda m: m.pop("crc32"))),
     "old-qkv-layout": ("model.json", _save_old_qkv_layout),
-    "missing-raw-key": ("model.json", _edit_manifest(lambda m: m.pop("raw"))),
+    "head-flag-flipped-to-true": (
+        "model.json",
+        _edit_manifest(lambda m: m["config"].update(quantize_head=True)),
+    ),
+    "head-flag-flipped-to-false": ("model.json", _save_packed_head_flagged_raw),
     "unknown-config-field": ("model.json", _edit_manifest(lambda m: m["config"].update(extra=1))),
     "config-not-mapping": ("model.json", _edit_manifest(lambda m: m.update(config=[64, 2]))),
     "config-str-size": ("model.json", _edit_manifest(lambda m: m["config"].update(n_heads="4"))),
@@ -275,13 +293,11 @@ _LOAD_MISMATCHES = {
         "model.json",
         _edit_manifest(lambda m: m["config"].update(logit_scale=float("nan"))),
     ),
-    "packed-not-list": ("model.json", _edit_manifest(lambda m: m.update(packed="head"))),
     "crc-not-int": ("model.json", _edit_manifest(lambda m: m["crc32"].update({"l0.qkv": "0"}))),
     "not-json": ("model.json", lambda d: (d / "model.json").write_text("{not json")),
     "not-an-object": ("model.json", lambda d: (d / "model.json").write_text("[]")),
-    "raw-non-head": ("model.json", _save_l0_wo_as_raw),
     # same shape, valid containers: only the manifest's CRC tells them apart
-    # (the manifest lists l0.qkv before l1.qkv, so l0.qkv is named)
+    # (layers load in order, so l0.qkv is named)
     "swapped-layers": ("l0.qkv.speq", _swap_l0_l1_qkv),
     "wrong-shape": ("l0.wo.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wo.speq")),
     "wrong-group-size": ("l0.wo.speq", lambda d: _repack_l0_wo(d, 32)),
@@ -353,7 +369,6 @@ def test_joint_qkv_accounting(monkeypatch, mode):
         return out
 
     monkeypatch.setattr(smodel, f"gemm_{mode}", spy)
-    touches0 = {name: (p.wq_touches, p.wr_touches) for name, p in m.weights.items()}
     if mode == "full":
         forward_full(m, [3], cache)
     else:
@@ -361,9 +376,6 @@ def test_joint_qkv_accounting(monkeypatch, mode):
 
     assert [(a.shape[0], p.rows, p.cols) for a, p, _, _ in calls].count((1, d, 3 * d)) == n_layers
     assert sorted(id(p) for _, p, _, _ in calls) == sorted(map(id, m.weights.values()))
-    reads_wr = int(mode == "full")
-    for name, p in m.weights.items():
-        assert (p.wq_touches, p.wr_touches) == (touches0[name][0] + 1, touches0[name][1] + reads_wr)
 
     for a, p, out, delta in calls:
         sim, rep = simulate_gemm(a, p, GemmMode(mode))

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from speq import specdec
 from speq.model import ContextOverflowError, ModelConfig, ToyModel, init_model
 from speq.quantize import quantize_tensor
 from speq.specdec import (
@@ -79,6 +82,41 @@ def test_monte_carlo_three_sigma():
 def test_monte_carlo_extremes():
     assert monte_carlo_accept_length(0.0, 8, 1000, 0) == 1.0
     assert monte_carlo_accept_length(1.0, 8, 1000, 0) == 9.0
+
+
+def test_monte_carlo_domain():
+    for L, rounds in [(0, 10), (8, 0)]:
+        with pytest.raises(ValueError):
+            monte_carlo_accept_length(0.5, L, rounds, 0)
+
+
+def _one_draw_accept_length(r, L, rounds, seed):
+    acc = np.random.default_rng(seed).random((rounds, L)) < r
+    rejected = ~acc
+    run = np.where(rejected.any(axis=1), rejected.argmax(axis=1), L)
+    return float(np.mean(run + 1))
+
+
+def test_monte_carlo_chunks_equal_one_draw(monkeypatch):
+    # Same stream, same mean, bit for bit, over several chunks (last one short).
+    rounds = 2 * (specdec.MC_CHUNK_VALUES // 16) + 999
+    got = monte_carlo_accept_length(0.9, 16, rounds, 4)
+    assert got == _one_draw_accept_length(0.9, 16, rounds, 4)
+    monkeypatch.setattr(specdec, "MC_CHUNK_VALUES", 1000)
+    for r, L, rounds in [(0.5, 4, 2501), (0.977, 16, 1000), (0.3, 1, 3000), (0.7, 2000, 5)]:
+        got = monte_carlo_accept_length(r, L, rounds, 3)
+        assert got == _one_draw_accept_length(r, L, rounds, 3), (r, L, rounds)
+
+
+def test_monte_carlo_memory_bounded():
+    # speq perf's defaults: 1,000,000 rounds at L=16 (one draw took 143 MiB)
+    tracemalloc.start()
+    try:
+        monte_carlo_accept_length(0.8, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ── decoding loops ───────────────────────────────────────────────────────
