@@ -22,7 +22,6 @@ from .model import (
 from .pe import CycleReport, PeConfig, estimate, pe_full_mac, pe_quant_mac, simulate_gemm
 from .quantize import (
     ExpHistogram,
-    FormatMismatchError,
     PackedTensor,
     QuantFormat,
     exponent_histogram,

@@ -20,8 +20,6 @@ from .model import ContextOverflowError, ModelConfig, init_model
 from .quantize import QuantFormat
 from .report import RunReport
 
-_FORMAT_CHOICES = [f.value for f in QuantFormat]
-
 
 def _load_tensor(path: str, bf16: bool = False) -> np.ndarray:
     arr = np.load(path)
@@ -55,10 +53,9 @@ def _emit(rep: RunReport) -> None:
 
 def _cmd_quantize(args) -> int:
     w = _load_tensor(args.infile, args.bf16)
-    fmt = QuantFormat(args.format)
-    p = quantize.quantize_tensor(w, args.group_size, fmt)
+    p = quantize.quantize_tensor(w, args.group_size)
     container.write_container(args.outfile, p)
-    scaled, _ = quantize.handle_outliers(w)
+    mse = {f: quantize.draft_mse(w, args.group_size, f) for f in QuantFormat}
     n = p.rows * p.cols
     scale_bits = 32.0 * (p.group_scales.size + 1)
     rep = _new_report(args)
@@ -66,10 +63,13 @@ def _cmd_quantize(args) -> int:
         "quantize",
         rows=p.rows,
         cols=p.cols,
-        format=fmt.value,
+        format=QuantFormat.E3M0_REMAP.value,
         group_size=p.group_size,
         tensor_scale=p.tensor_scale,
-        mse=quantize.reconstruction_mse(p, scaled.astype(np.float64)),
+        mse=mse[QuantFormat.E3M0_REMAP],
+        mse_e3m0=mse[QuantFormat.E3M0_NAIVE],  # the accuracy baselines
+        mse_e2m1=mse[QuantFormat.E2M1],
+        mse_e1m2=mse[QuantFormat.E1M2],
         payload_bits_per_weight=(p.wq_bits + p.wr_bits) / n,
         draft_bits_per_weight=p.wq_bits / n,
         scale_overhead_bits_per_weight=scale_bits / n,
@@ -114,7 +114,7 @@ def _cmd_roundtrip(args) -> int:
     else:
         w = _load_tensor(args.infile, args.bf16)
         scaled, _ = quantize.handle_outliers(w)
-        p = quantize.quantize_tensor(w, args.group_size, QuantFormat.E3M0_REMAP)
+        p = quantize.quantize_tensor(w, args.group_size)
         back = p.full_values()
         mismatches = int(np.count_nonzero(back.view(np.uint16) != scaled.view(np.uint16)))
         rep.add("roundtrip", mode="tensor", elements=scaled.size, mismatches=mismatches)
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("quantize", help="pack an FP16/BF16 tensor")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", dest="outfile", required=True)
-    q.add_argument("--format", choices=_FORMAT_CHOICES, default="e3m0-remap")
     q.add_argument("--group-size", type=int, default=128)
     q.add_argument("--bf16", action="store_true", help="input npy holds BF16 bit patterns")
     q.set_defaults(fn=_cmd_quantize)

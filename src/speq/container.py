@@ -3,7 +3,7 @@
 Layout (little-endian throughout):
 
     magic   5 bytes  b"SPEQ1"
-    flags   1 byte   low 2 bits: format index (remap/naive/e2m1/e1m2)
+    flags   1 byte   always 0: the bit-sharing E3M0_REMAP format
     ndims   u32      always 2
     dims    u32 * 2  rows, cols
     gsize   u32      group size
@@ -15,8 +15,9 @@ Layout (little-endian throughout):
 
 Serialization is canonical: write(read(write(p))) is byte-identical.
 
-``from_bytes`` builds the ``PackedTensor``, which decodes its operands once,
-so a word the format's encoder never writes fails at load as a ContainerError.
+``from_bytes`` rejects any other flags value, and builds the
+``PackedTensor``, which decodes its operands once, so a word the encoder
+never writes fails at load as a ContainerError.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 from . import bsfp
 from .quantize import (
     PackedTensor,
-    QuantFormat,
     pack_12bit,
     pack_nibbles,
     unpack_12bit,
@@ -52,7 +52,6 @@ __all__ = [
 ]
 
 MAGIC = b"SPEQ1"
-_FORMATS = tuple(QuantFormat)  # index order is part of the file format
 
 
 class ContainerError(ValueError):
@@ -73,7 +72,7 @@ class TruncatedError(ContainerError):
 
 def to_bytes(p: PackedTensor) -> bytes:
     payload = bytearray()
-    payload.append(_FORMATS.index(p.fmt))
+    payload.append(0)  # flags
     payload += struct.pack("<IIII", 2, p.rows, p.cols, p.group_size)
     payload += struct.pack("<f", p.tensor_scale)
     payload += p.group_scales.astype("<f4").tobytes()
@@ -101,9 +100,9 @@ def from_bytes(data: bytes) -> PackedTensor:
         cur += n
         return out
 
-    fmt_idx = take(1)[0]
-    if fmt_idx >= len(_FORMATS):
-        raise ContainerError(f"unknown format index {fmt_idx}")
+    flags = take(1)[0]
+    if flags != 0:
+        raise ContainerError(f"flags byte is {flags}; only 0 (e3m0-remap) is defined")
     (ndims,) = struct.unpack("<I", take(4))
     if ndims != 2:
         raise ContainerError(f"expected 2 dims, got {ndims}")
@@ -135,7 +134,6 @@ def from_bytes(data: bytes) -> PackedTensor:
             rows=rows,
             cols=cols,
             group_size=group_size,
-            fmt=_FORMATS[fmt_idx],
             tensor_scale=float(np.float32(tensor_scale)),
             group_scales=np.array(scales, dtype=np.float32),
             wq=wq_flat.reshape((rows, cols), order="F").copy(),

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .quantize import FormatMismatchError, PackedTensor, QuantFormat
+from .quantize import PackedTensor
 
 __all__ = [
     "GemmMode",
@@ -99,8 +99,6 @@ def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) ->
 def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, validate: bool):
     """The one GEMM body: checks, multiply-accumulate, 1/tensor scale, traffic."""
     a = _check_activations(a, p, validate)
-    if p.fmt is not QuantFormat.E3M0_REMAP:
-        raise FormatMismatchError(f"{p.fmt.value} is not bit-sharing")
     a32 = a.astype(np.float32)
     if mode is GemmMode.FULL:
         out = _accel.gemm_f32(a32, p.full_values_f32(), p.group_size)

@@ -7,8 +7,8 @@ payload CRC-32 per packed linear. Which linears are packed follows from
 the config alone. ``load_model`` restores a bit-identical model and
 rejects, with a ``ValueError`` naming the file, a manifest that is not
 valid JSON, lacks a well-formed config or has CRC keys other than the
-config's packed set, and any file whose shape, group size, format, dtype
-or CRC-32 does not match.
+config's packed set, any ``.speq`` file that is not a valid container,
+and any file whose shape, group size, dtype or CRC-32 does not match.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
@@ -40,7 +40,7 @@ import numpy as np
 
 from . import _accel, container
 from .kernels import TrafficCounter, gemm_draft, gemm_full, reference_gemm
-from .quantize import PackedTensor, QuantFormat, quantize_tensor
+from .quantize import PackedTensor, quantize_tensor
 
 __all__ = [
     "ModelConfig",
@@ -100,6 +100,11 @@ class ModelConfig:
         real = isinstance(ls, (int, float, np.integer, np.floating)) and not isinstance(ls, bool)
         if not (real and math.isfinite(ls) and ls > 0):
             raise ValueError(f"logit_scale must be a finite real > 0, got {ls!r}")
+        # numpy scalars become plain Python values, so the config serialises as JSON
+        for name in (*sizes, "seed"):
+            object.__setattr__(self, name, int(getattr(self, name)))
+        object.__setattr__(self, "quantize_head", bool(self.quantize_head))
+        object.__setattr__(self, "logit_scale", float(ls))
 
 
 class KvCache:
@@ -227,10 +232,7 @@ class ToyModel:
 def init_model(cfg: ModelConfig) -> ToyModel:
     """Build a model with every linear layer quantized to packed form."""
     raw = draw_weights(cfg)
-    packed = {
-        name: quantize_tensor(raw[name], cfg.group_size, QuantFormat.E3M0_REMAP)
-        for name in _packed_names(cfg)
-    }
+    packed = {name: quantize_tensor(raw[name], cfg.group_size) for name in _packed_names(cfg)}
     return ToyModel(cfg, raw["embed"], packed, {name: raw[name] for name in _raw_names(cfg)})
 
 
@@ -323,17 +325,19 @@ def forward_reference(
 
 
 def save_model(model: ToyModel, directory) -> None:
+    """Write a model directory; the manifest is serialised before any file is written."""
     d = Path(directory)
+    blobs = {name: container.to_bytes(model.weights[name]) for name in _packed_names(model.cfg)}
+    # a container ends with its payload CRC-32
+    crcs = {name: int.from_bytes(blobs[name][-4:], "little") for name in sorted(blobs)}
+    manifest = json.dumps({"config": dataclasses.asdict(model.cfg), "crc32": crcs}, indent=2)
     d.mkdir(parents=True, exist_ok=True)
-    crcs = {}
-    for name in _packed_names(model.cfg):
-        container.write_container(d / f"{name}.speq", model.weights[name])
-        crcs[name] = container.read_crc(d / f"{name}.speq")
+    for name, blob in blobs.items():
+        (d / f"{name}.speq").write_bytes(blob)
     for name in _raw_names(model.cfg):
         np.save(d / f"{name}.npy", model.raw_weights[name])
     np.save(d / "embed.npy", model.embed)
-    manifest = {"config": dataclasses.asdict(model.cfg), "crc32": dict(sorted(crcs.items()))}
-    (d / "model.json").write_text(json.dumps(manifest, indent=2))
+    (d / "model.json").write_text(manifest)
 
 
 def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
@@ -344,11 +348,14 @@ def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTensor:
-    p = container.read_container(path)
-    got = ((p.rows, p.cols), p.group_size, p.fmt.value)
-    want = (_weight_shape(cfg, name), cfg.group_size, QuantFormat.E3M0_REMAP.value)
+    try:
+        p = container.read_container(path)
+    except container.ContainerError as e:
+        raise container.ContainerError(f"{path}: {e}") from e
+    got = ((p.rows, p.cols), p.group_size)
+    want = (_weight_shape(cfg, name), cfg.group_size)
     if got != want:
-        raise ValueError(f"{path}: (shape, group size, format) is {got}, the manifest needs {want}")
+        raise ValueError(f"{path}: (shape, group size) is {got}, the manifest needs {want}")
     # read_container checked the stored CRC against the payload; this catches
     # a valid container of the same shape saved under another layer's name.
     if container.read_crc(path) != crc:

@@ -32,7 +32,7 @@ import numpy as np
 
 from . import _accel, bsfp
 from .kernels import GemmMode, GemmSpec, _check_activations
-from .quantize import PackedTensor, QuantFormat
+from .quantize import PackedTensor
 
 __all__ = [
     "PeConfig",
@@ -197,8 +197,6 @@ def simulate_gemm(
     them in the kernels' fixed float32 order.
     """
     a = _check_activations(a, p)
-    if p.fmt is not QuantFormat.E3M0_REMAP:
-        raise ValueError(f"PE model requires the bit-sharing format, got {p.fmt.value}")
     if mode is GemmMode.FULL:
         out = _accel.gemm_f32(a, p.full_values(), p.group_size, mul=pe_full_mac)
     else:

@@ -5,20 +5,21 @@ Pipeline: per-tensor outlier rescaling (so every biased exponent fits in
 contiguous group of ``group_size`` elements along the reduction dimension
 of each output column.
 
-Four 4-bit formats are supported. Only ``E3M0_REMAP`` is bit-sharing: its
+A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor: its
 4-bit stream plus the 12-bit remainder stream reconstruct the stored FP16
-tensor exactly. ``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and
-the rounded ``E2M1`` / ``E1M2`` grids exist as accuracy baselines.
+tensor exactly. It decodes its kernel operands once, at construction: the
+draft values through one 16-entry table, and the exact weights through
+``bsfp.decode_full_array``, the encoder's inverse.
 
-A ``PackedTensor`` decodes its kernel operands once, at construction: the
-draft values through one 16-entry table per format, and the exact
-E3M0_REMAP weights through ``bsfp.decode_full_array``, the encoder's inverse.
+``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and the rounded
+``E2M1`` / ``E1M2`` grids are accuracy baselines only: ``draft_mse``
+fits them with the same group scales and reports their draft error. They
+are never packed, stored or run.
 """
 
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,12 +30,11 @@ __all__ = [
     "QuantFormat",
     "PackedTensor",
     "ExpHistogram",
-    "FormatMismatchError",
     "handle_outliers",
     "fit_group_scale",
     "quantize_tensor",
     "draft_reconstruction",
-    "reconstruction_mse",
+    "draft_mse",
     "ingest_bf16",
     "exponent_histogram",
     "pack_nibbles",
@@ -47,10 +47,6 @@ OUTLIER_THRESHOLD = 2.0
 OUTLIER_TARGET = np.float32(1.999)
 
 
-class FormatMismatchError(ValueError):
-    """Operation requires the bit-sharing format but got a baseline format."""
-
-
 class QuantFormat(enum.Enum):
     E3M0_REMAP = "e3m0-remap"
     E3M0_NAIVE = "e3m0"
@@ -60,8 +56,10 @@ class QuantFormat(enum.Enum):
 
 # Magnitude grids for the rounded baselines (exponent bias 1; the fitted
 # group scale absorbs any constant factor, so only the grid shape matters).
-_E2M1_GRID = np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0])
-_E1M2_GRID = np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75])
+_GRIDS = {
+    QuantFormat.E2M1: np.array([0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 6.0]),
+    QuantFormat.E1M2: np.array([0.0, 0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75]),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -117,32 +115,24 @@ def unpack_12bit(data: bytes, count: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-# Draft magnitude of each 3-bit code; bit 3 of a 4-bit record is its sign.
-_DRAFT_MAG = {
-    QuantFormat.E3M0_REMAP: bsfp.q_value_array(np.arange(8)),
-    QuantFormat.E3M0_NAIVE: np.ldexp(np.float32(1.0), 2 * np.arange(8) - 15),
-    QuantFormat.E2M1: _E2M1_GRID,
-    QuantFormat.E1M2: _E1M2_GRID,
-}
-# 4-bit record -> draft value (float32), one 16-entry table per format.
-_DRAFT_TABLE = {f: np.concatenate([m, -m]).astype(np.float32) for f, m in _DRAFT_MAG.items()}
+# 4-bit record (sign bit 3, qcode) -> draft value (float32).
+_DRAFT_TABLE = bsfp.q_value_array(np.arange(16))
 
 
 @dataclass(eq=False)
 class PackedTensor:
-    """A quantized weight matrix (rows = reduction dim, cols = outputs).
+    """A bit-shared weight matrix (rows = reduction dim, cols = outputs).
 
     ``wq`` holds one 4-bit record (sign, qcode) per element and is the only
     weight data the draft path may read; ``wr`` holds the 12-bit remainder
     (flag, elsb, man10).
-    A word the format's encoder never writes raises ``bsfp.MalformedWordError``
-    at construction, so it never reaches a GEMM.
+    A word the encoder never writes raises ``bsfp.MalformedWordError`` at
+    construction, so it never reaches a GEMM.
     """
 
     rows: int
     cols: int
     group_size: int
-    fmt: QuantFormat
     tensor_scale: float
     group_scales: np.ndarray  # float32, shape (cols, n_groups)
     wq: np.ndarray  # uint8, shape (rows, cols), values 0..15
@@ -150,20 +140,15 @@ class PackedTensor:
 
     inv_tensor_scale: np.float32 = field(init=False, repr=False)
     _qval: np.ndarray = field(init=False, repr=False)
-    _full32: np.ndarray | None = field(init=False, repr=False)
+    _full32: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         self.inv_tensor_scale = np.float32(1.0) / np.float32(self.tensor_scale)
-        self._qval = np.take(_DRAFT_TABLE[self.fmt], self.wq)
+        self._qval = np.take(_DRAFT_TABLE, self.wq)
         self._qval.flags.writeable = False
-        self._full32 = None
-        if self.fmt is QuantFormat.E3M0_REMAP:
-            bits = bsfp.decode_full_array(self.wq, self.wr)
-            self._full32 = bits.view(np.float16).astype(np.float32)
-            self._full32.flags.writeable = False
-        elif np.any(self.wr > (0x7FF if self.fmt is QuantFormat.E3M0_NAIVE else 0)):
-            # e3m0 sets no flag bit; the rounded grids write no remainder at all
-            raise bsfp.MalformedWordError(f"unreachable word: {self.fmt.value} never writes this wr")
+        bits = bsfp.decode_full_array(self.wq, self.wr)
+        self._full32 = bits.view(np.float16).astype(np.float32)
+        self._full32.flags.writeable = False
 
     @property
     def n_groups(self) -> int:
@@ -182,13 +167,11 @@ class PackedTensor:
         return self._qval
 
     def full_values(self) -> np.ndarray:
-        """Exact stored FP16 tensor as a fresh array; E3M0_REMAP only."""
+        """Exact stored FP16 tensor as a fresh array."""
         return self.full_values_f32().astype(np.float16)
 
     def full_values_f32(self) -> np.ndarray:
-        """Exact stored tensor in float32 (read-only); E3M0_REMAP only."""
-        if self.fmt is not QuantFormat.E3M0_REMAP:
-            raise FormatMismatchError(f"{self.fmt.value} is not bit-sharing")
+        """Exact stored tensor in float32 (read-only)."""
         return self._full32
 
     def wq_packed(self) -> bytes:
@@ -206,7 +189,6 @@ class PackedTensor:
             self.rows == other.rows
             and self.cols == other.cols
             and self.group_size == other.group_size
-            and self.fmt is other.fmt
             and self.tensor_scale == other.tensor_scale
             and np.array_equal(self.group_scales, other.group_scales)
             and np.array_equal(self.wq, other.wq)
@@ -256,90 +238,100 @@ def fit_group_scale(w: np.ndarray, q: np.ndarray) -> float:
     return float(np.dot(w, q) / denom)
 
 
-def _encode_elements(w16: np.ndarray, fmt: QuantFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Per-element 4-bit codes and 12-bit remainders for one format."""
-    bits = w16.view(np.uint16)
-    if fmt is QuantFormat.E3M0_REMAP:
-        return bsfp.encode_array(bits)
-    exp5 = (bits >> 10) & np.uint16(0x1F)
-    if np.any(exp5 > 15):
-        raise bsfp.ExponentRangeError("exponent >= 16 present; apply outlier rescaling first")
-    sign = (bits >> 15).astype(np.uint8)
-    if fmt is QuantFormat.E3M0_NAIVE:
-        qcode = (exp5 >> 1).astype(np.uint8)
-        wr = ((exp5 & np.uint16(1)) << 10) | (bits & np.uint16(0x3FF))
-        return (sign << 3) | qcode, wr.astype(np.uint16)
-    # Rounded grids: per-column-group absmax prescale, then round each
-    # magnitude to the nearest grid point (ties to the even code).
-    grid = _E2M1_GRID if fmt is QuantFormat.E2M1 else _E1M2_GRID
-    absw = np.abs(w16.astype(np.float64))
-    mids = (grid[:-1] + grid[1:]) / 2.0
-    gmax = absw.max(axis=0, keepdims=True)
-    prescale = np.where(gmax > 0, gmax / grid[-1], 1.0)
-    x = absw / prescale
-    lo = np.searchsorted(mids, x, side="left").astype(np.uint8)
-    hi = np.searchsorted(mids, x, side="right").astype(np.uint8)
-    tie = lo != hi
-    codes = np.where(tie & (lo % 2 == 1), hi, lo).astype(np.uint8)
-    return (sign << 3) | codes, np.zeros(w16.shape, dtype=np.uint16)
+def _groups(rows: int, group_size: int) -> list[slice]:
+    """Row slices of the groups down each column; the last may be short."""
+    return [slice(g, min(g + group_size, rows)) for g in range(0, rows, group_size)]
 
 
-def quantize_tensor(
-    w: np.ndarray,
-    group_size: int = 128,
-    fmt: QuantFormat = QuantFormat.E3M0_REMAP,
-) -> PackedTensor:
-    """Quantize a 2-D weight tensor; groups run down each column.
+def _fit_group_scales(w16: np.ndarray, qv: np.ndarray, group_size: int) -> np.ndarray:
+    """Least-squares scale per (column, group) of draft values ``qv`` to ``w16``.
 
-    Tail groups shorter than ``group_size`` are fitted over their actual
-    length. The returned tensor stores the outlier scale, one float32
-    scale per (column, group), and the packed element streams.
+    Tail groups are fitted over their actual length; an all-zero draft
+    group gets scale 0.0.
     """
+    qv = qv.astype(np.float64)
+    wref = w16.astype(np.float64)
+    groups = _groups(w16.shape[0], group_size)
+    scales = np.zeros((w16.shape[1], len(groups)), dtype=np.float32)
+    for g, sl in enumerate(groups):
+        num = np.sum(wref[sl] * qv[sl], axis=0)
+        den = np.sum(qv[sl] * qv[sl], axis=0)
+        scales[:, g] = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
+    return scales
+
+
+def _group_scaled(qv: np.ndarray, scales: np.ndarray, group_size: int) -> np.ndarray:
+    """Draft values times their group scales, s_g * q (float64)."""
+    s = np.repeat(scales.astype(np.float64), group_size, axis=1)[:, : qv.shape[0]]
+    return qv.astype(np.float64) * s.T
+
+
+def _rescaled(w: np.ndarray, group_size: int) -> tuple[np.ndarray, float]:
+    """Check a 2-D tensor and group size; return ``handle_outliers(w)``."""
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"expected a 2-D tensor, got shape {w.shape}")
     if group_size < 1:
         raise ValueError("group_size must be >= 1")
-    w16, tensor_scale = handle_outliers(w)
-    rows, cols = w16.shape
+    return handle_outliers(w)
 
-    if fmt in (QuantFormat.E2M1, QuantFormat.E1M2):
-        # Prescale is per (column, group): encode group blocks separately.
-        wq = np.empty((rows, cols), dtype=np.uint8)
-        wr = np.zeros((rows, cols), dtype=np.uint16)
-        for g in range(-(-rows // group_size)):
-            sl = slice(g * group_size, min((g + 1) * group_size, rows))
-            wq[sl], _ = _encode_elements(w16[sl], fmt)
+
+def quantize_tensor(w: np.ndarray, group_size: int = 128) -> PackedTensor:
+    """Quantize a 2-D weight tensor to bit-shared form; groups run down each column.
+
+    The returned tensor stores the outlier scale, one float32 scale per
+    (column, group), and the packed element streams.
+    """
+    w16, tensor_scale = _rescaled(w, group_size)
+    wq, wr = bsfp.encode_array(w16.view(np.uint16))
+    scales = _fit_group_scales(w16, np.take(_DRAFT_TABLE, wq), group_size)
+    return PackedTensor(*w16.shape, group_size, tensor_scale, scales, wq, wr)
+
+
+def _draft_values(w16: np.ndarray, group_size: int, fmt: QuantFormat) -> np.ndarray:
+    """Signed 4-bit draft value of each element of ``w16`` in ``fmt``."""
+    bits = w16.view(np.uint16)
+    if fmt is QuantFormat.E3M0_REMAP:
+        return np.take(_DRAFT_TABLE, bsfp.encode_array(bits)[0])
+    exp5 = (bits >> 10) & np.uint16(0x1F)
+    if np.any(exp5 > 15):
+        raise bsfp.ExponentRangeError("exponent >= 16 present; apply outlier rescaling first")
+    if fmt is QuantFormat.E3M0_NAIVE:
+        mag = np.ldexp(1.0, 2 * (exp5 >> 1).astype(np.int64) - 15)
     else:
-        wq, wr = _encode_elements(w16, fmt)
+        # Per-column-group absmax prescale, then round each magnitude to the
+        # nearest grid point (ties to the even code).
+        grid = _GRIDS[fmt]
+        mids = (grid[:-1] + grid[1:]) / 2.0
+        absw = np.abs(w16.astype(np.float64))
+        mag = np.empty(w16.shape)
+        for sl in _groups(w16.shape[0], group_size):
+            gmax = absw[sl].max(axis=0, keepdims=True)
+            x = absw[sl] / np.where(gmax > 0, gmax / grid[-1], 1.0)
+            lo = np.searchsorted(mids, x, side="left")
+            hi = np.searchsorted(mids, x, side="right")
+            mag[sl] = grid[np.where((lo != hi) & (lo % 2 == 1), hi, lo)]
+    return np.where(bits >> 15 == 1, -mag, mag)
 
-    n_groups = -(-rows // group_size)
-    scales = np.zeros((cols, n_groups), dtype=np.float32)
-    p = PackedTensor(rows, cols, group_size, fmt, tensor_scale, scales, wq, wr)
-    qv = p._qval.astype(np.float64)
-    wref = w16.astype(np.float64)
-    for g in range(n_groups):
-        sl = slice(g * group_size, min((g + 1) * group_size, rows))
-        num = np.sum(wref[sl] * qv[sl], axis=0)
-        den = np.sum(qv[sl] * qv[sl], axis=0)
-        scales[:, g] = np.where(den > 0, num / np.where(den > 0, den, 1.0), 0.0)
-    return p
+
+def draft_mse(w: np.ndarray, group_size: int, fmt: QuantFormat) -> float:
+    """Mean squared error of the group-scaled 4-bit draft of ``w`` in ``fmt``.
+
+    The error is measured against the outlier-rescaled FP16 tensor, with
+    the same least-squares group scales ``quantize_tensor`` fits. For
+    ``E3M0_REMAP`` this is the draft error of ``quantize_tensor(w, group_size)``;
+    the other formats are the accuracy baselines it is compared with.
+    """
+    w16, _ = _rescaled(w, group_size)
+    qv = _draft_values(w16, group_size, fmt)
+    rec = _group_scaled(qv, _fit_group_scales(w16, qv, group_size), group_size)
+    diff = rec - w16.astype(np.float64)
+    return float(np.mean(diff * diff))
 
 
 def draft_reconstruction(p: PackedTensor) -> np.ndarray:
     """Group-scaled draft tensor s_g * q (float64), in the scaled domain."""
-    qv = p.draft_values().astype(np.float64)
-    out = np.empty_like(qv)
-    for g in range(p.n_groups):
-        sl = slice(g * p.group_size, min((g + 1) * p.group_size, p.rows))
-        out[sl] = qv[sl] * p.group_scales[:, g].astype(np.float64)
-    return out
-
-
-def reconstruction_mse(p: PackedTensor, ref: np.ndarray) -> float:
-    """Mean squared error of the draft reconstruction against ``ref``."""
-    diff = draft_reconstruction(p) - np.asarray(ref, dtype=np.float64)
-    return float(np.mean(diff * diff))
+    return _group_scaled(p.draft_values(), p.group_scales, p.group_size)
 
 
 def ingest_bf16(bits: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import pytest
 
 from speq.cli import main
 from speq.container import read_container, to_bytes
+from speq.quantize import QuantFormat, draft_mse
 from speq.report import parse
 
 
@@ -68,6 +69,60 @@ def test_quantize_then_roundtrip(capsys, tensor_npy, tmp_path):
     code, rep, _ = run(capsys, "roundtrip", out)
     assert code == 0
     assert rep["roundtrip.mode"] == "container"
+
+
+# ``speq quantize --format X`` on the pinned tensor below, when every format
+# could still be packed: the ``quantize.mse`` line of each run.
+PINNED_MSE = {
+    QuantFormat.E3M0_REMAP: ("mse", "0.00010775579027443938"),
+    QuantFormat.E3M0_NAIVE: ("mse_e3m0", "8.139005159735339e-05"),
+    QuantFormat.E2M1: ("mse_e2m1", "3.250189642021999e-05"),
+    QuantFormat.E1M2: ("mse_e1m2", "3.268613234816513e-05"),
+}
+
+
+def test_quantize_mse_lines_pinned(capsys, tmp_path):
+    # a 72-row tail group, and one outlier, so tensor_scale != 1
+    w = np.random.default_rng(41).normal(0.0, 0.02, (200, 6)).astype(np.float16)
+    w[17, 3] = np.float16(-2.4062)
+    np.save(tmp_path / "w.npy", w)
+    code, rep, _ = run(
+        capsys, "quantize", "--in", str(tmp_path / "w.npy"), "--out", str(tmp_path / "w.speq")
+    )
+    assert code == 0
+    assert rep["quantize.format"] == "e3m0-remap"
+    assert rep["quantize.tensor_scale"] != "1.0"
+    for fmt, (key, value) in PINNED_MSE.items():
+        assert rep[f"quantize.{key}"] == value
+        assert draft_mse(w, 128, fmt) == float(value)
+
+
+def test_quantize_has_no_format_option(capsys, tensor_npy, tmp_path):
+    out = str(tmp_path / "w.speq")
+    code, _, _ = run(capsys, "quantize", "--in", tensor_npy, "--out", out, "--format", "e2m1")
+    assert code == 2
+
+
+def test_nonzero_flags_byte_is_io_error(capsys, tensor_npy, tmp_path):
+    wout = tmp_path / "w.speq"
+    run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
+    data = bytearray(wout.read_bytes())
+    # a well-formed e2m1 container of the old format: flags byte 2, no remainder
+    data[5] = 2
+    n_wr = 12 * 256 * 8 // 8
+    data[-4 - n_wr : -4] = bytes(n_wr)
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
+    wout.write_bytes(bytes(data))
+    a = str(tmp_path / "a.npy")
+    np.save(a, np.ones((1, 256), dtype=np.float16))
+    for argv in (
+        ("gemm", "--mode", "full", "--a", a, "--w", str(wout)),
+        ("gemm", "--mode", "draft", "--a", a, "--w", str(wout)),
+        ("inspect", str(wout)),
+        ("roundtrip", str(wout)),
+    ):
+        code, _, _ = run(capsys, *argv)
+        assert code == 2, argv
 
 
 def test_roundtrip_exhaustive(capsys):

@@ -9,12 +9,7 @@ import pytest
 
 from speq import _accel, pe
 from speq.kernels import TrafficCounter, gemm_draft, gemm_full
-from speq.quantize import (
-    QuantFormat,
-    draft_reconstruction,
-    handle_outliers,
-    quantize_tensor,
-)
+from speq.quantize import draft_reconstruction, handle_outliers, quantize_tensor
 
 
 def _rand16(rng, shape, scale=0.02):
@@ -183,13 +178,6 @@ def test_gemm_rejects_bad_inputs():
         gemm_full(bad, p)
     with pytest.raises(ValueError):
         gemm_draft(bad, p)
-
-
-def test_gemm_rejects_baseline_formats():
-    w = np.ones((8, 2), dtype=np.float16)
-    p = quantize_tensor(w, 8, QuantFormat.E2M1)
-    with pytest.raises(ValueError):
-        gemm_full(np.ones((1, 8), dtype=np.float16), p)
 
 
 def test_determinism_repeat_runs():

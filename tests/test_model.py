@@ -26,7 +26,7 @@ from speq.model import (
     save_model,
 )
 from speq.pe import simulate_gemm
-from speq.quantize import QuantFormat, exponent_histogram, quantize_tensor
+from speq.quantize import exponent_histogram, quantize_tensor
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +185,25 @@ def test_save_load_round_trip(tmp_path, model):
     assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+def test_numpy_scalar_config_round_trip(tmp_path):
+    # numpy scalars are stored as plain Python values, so the manifest
+    # serialises and the model saves whole
+    cfg = ModelConfig(
+        d_model=np.int64(32),
+        n_layers=np.int32(1),
+        seed=np.int64(3),
+        logit_scale=np.float32(2.5),
+        quantize_head=np.bool_(False),
+    )
+    assert [type(getattr(cfg, f)) for f in ("d_model", "n_layers", "seed")] == [int] * 3
+    assert type(cfg.logit_scale) is float and type(cfg.quantize_head) is bool
+    m = init_model(cfg)
+    save_model(m, tmp_path / "m")
+    loaded = load_model(tmp_path / "m")
+    assert loaded.cfg == cfg
+    assert loaded.weights == m.weights
+
+
 @pytest.mark.parametrize("quantize_head", [True, False])
 def test_manifest_is_config_and_crcs(tmp_path, quantize_head):
     # model.json holds only the config and one CRC per packed layer; a
@@ -257,9 +276,31 @@ def _swap_l0_l1_qkv(d):
     (d / "l1.qkv.speq").write_bytes(q0)
 
 
-def _repack_l0_wo(d, group_size, fmt=QuantFormat.E3M0_REMAP):
+def _repack_l0_wo(d, group_size):
     w = np.random.default_rng(0).normal(0.0, 0.02, (64, 64)).astype(np.float16)
-    write_container(d / "l0.wo.speq", quantize_tensor(w, group_size, fmt))
+    write_container(d / "l0.wo.speq", quantize_tensor(w, group_size))
+
+
+def _edit_l0_wo(edit):
+    def damage(d):
+        data = bytearray((d / "l0.wo.speq").read_bytes())
+        edit(data)
+        (d / "l0.wo.speq").write_bytes(bytes(data))
+
+    return damage
+
+
+def _set_flags_byte_2(data):
+    data[5] = 2  # the flags byte; once the e2m1 baseline's index
+    data[-4:] = zlib.crc32(data[5:-4]).to_bytes(4, "little")
+
+
+def _truncate(data):
+    del data[-10:]
+
+
+def _bad_magic(data):
+    data[:5] = b"SPEQ0"
 
 
 def _resave(path, change):
@@ -301,7 +342,9 @@ _LOAD_MISMATCHES = {
     "swapped-layers": ("l0.qkv.speq", _swap_l0_l1_qkv),
     "wrong-shape": ("l0.wo.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wo.speq")),
     "wrong-group-size": ("l0.wo.speq", lambda d: _repack_l0_wo(d, 32)),
-    "baseline-format": ("l0.wo.speq", lambda d: _repack_l0_wo(d, 128, QuantFormat.E2M1)),
+    "baseline-format": ("l0.wo.speq", _edit_l0_wo(_set_flags_byte_2)),
+    "truncated-container": ("l0.wo.speq", _edit_l0_wo(_truncate)),
+    "bad-magic": ("l0.wo.speq", _edit_l0_wo(_bad_magic)),
     "embed-dtype": ("embed.npy", lambda d: _resave(d / "embed.npy", _to_float32)),
     "embed-shape": ("embed.npy", lambda d: _resave(d / "embed.npy", lambda a: a[1:])),
     "raw-dtype": ("head.npy", lambda d: _resave(d / "head.npy", _to_float32)),
