@@ -125,9 +125,9 @@ def _cmd_roundtrip(args) -> int:
 
 def _cmd_gemm(args) -> int:
     a = _load_tensor(args.a)
-    if a.shape[1] == 1 and a.shape[0] > 1:
-        a = a.T  # a vector activation is one row
     p = container.read_container(args.w)
+    if a.shape[1] == 1 and p.rows != 1:
+        a = a.T  # a vector activation is one row, unless the weight has one row
     traffic = TrafficCounter()
     fn = gemm_draft if args.mode == "draft" else gemm_full
     out = fn(a, p, traffic)

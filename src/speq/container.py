@@ -13,11 +13,11 @@ Layout (little-endian throughout):
     wr      12-bit records, two per three bytes, column-major
     crc     u32      CRC-32 of everything between magic and crc
 
-Serialization is canonical: write(read(write(p))) is byte-identical.
-
-``from_bytes`` rejects any other flags value, and builds the
-``PackedTensor``, which decodes its operands once, so a word the encoder
-never writes fails at load as a ContainerError.
+The padding bits of an odd record count must be zero, so serialization
+is canonical: a container loads only if writing it back gives the same
+bytes. ``to_bytes`` packs ``PackedTensor.words``. Any other flags value,
+nonzero padding or a word the encoder never writes fails at load as a
+ContainerError.
 """
 
 from __future__ import annotations
@@ -30,13 +30,7 @@ import zlib
 import numpy as np
 
 from . import bsfp
-from .quantize import (
-    PackedTensor,
-    pack_12bit,
-    pack_nibbles,
-    unpack_12bit,
-    unpack_nibbles,
-)
+from .quantize import PackedTensor
 
 __all__ = [
     "MAGIC",
@@ -70,14 +64,58 @@ class TruncatedError(ContainerError):
     pass
 
 
+def pack_nibbles(vals: np.ndarray) -> bytes:
+    """Pack 4-bit records two per byte, low nibble first."""
+    v = np.asarray(vals, dtype=np.uint8).ravel()
+    if v.size % 2:
+        v = np.concatenate([v, np.zeros(1, np.uint8)])
+    return (v[0::2] | (v[1::2] << 4)).tobytes()
+
+
+def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
+    b = np.frombuffer(data, dtype=np.uint8)
+    out = np.empty(2 * b.size, dtype=np.uint8)
+    out[0::2] = b & 0x0F
+    out[1::2] = b >> 4
+    return out[:count]
+
+
+def pack_12bit(vals: np.ndarray) -> bytes:
+    """Pack 12-bit records two per three bytes, little-endian bit order."""
+    v = np.asarray(vals, dtype=np.uint16).ravel()
+    pairs = v.size // 2
+    out = np.empty(3 * pairs + 2 * (v.size % 2), dtype=np.uint8)
+    r0 = v[0 : 2 * pairs : 2].astype(np.uint32)
+    r1 = v[1 : 2 * pairs : 2].astype(np.uint32)
+    out[0 : 3 * pairs : 3] = r0 & 0xFF
+    out[1 : 3 * pairs : 3] = (r0 >> 8) | ((r1 & 0x0F) << 4)
+    out[2 : 3 * pairs : 3] = r1 >> 4
+    if v.size % 2:
+        out[-2] = v[-1] & 0xFF
+        out[-1] = v[-1] >> 8
+    return out.tobytes()
+
+
+def unpack_12bit(data: bytes, count: int) -> np.ndarray:
+    b = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
+    pairs = count // 2
+    out = np.empty(count, dtype=np.uint16)
+    out[0 : 2 * pairs : 2] = b[0 : 3 * pairs : 3] | ((b[1 : 3 * pairs : 3] & 0x0F) << 8)
+    out[1 : 2 * pairs : 2] = (b[1 : 3 * pairs : 3] >> 4) | (b[2 : 3 * pairs : 3] << 4)
+    if count % 2:
+        out[-1] = b[3 * pairs] | ((b[3 * pairs + 1] & 0x0F) << 8)
+    return out
+
+
 def to_bytes(p: PackedTensor) -> bytes:
+    wq, wr = p.words()
     payload = bytearray()
     payload.append(0)  # flags
     payload += struct.pack("<IIII", 2, p.rows, p.cols, p.group_size)
     payload += struct.pack("<f", p.tensor_scale)
     payload += p.group_scales.astype("<f4").tobytes()
-    payload += p.wq_packed()
-    payload += p.wr_packed()
+    payload += pack_nibbles(wq.flatten(order="F"))
+    payload += pack_12bit(wr.flatten(order="F"))
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     return MAGIC + bytes(payload) + struct.pack("<I", crc)
 
@@ -114,8 +152,8 @@ def from_bytes(data: bytes) -> PackedTensor:
     scales = np.frombuffer(take(4 * cols * n_groups), dtype="<f4").reshape(cols, n_groups)
 
     count = rows * cols
-    wq_flat = unpack_nibbles(take((count + 1) // 2), count)
-    wr_flat = unpack_12bit(take((12 * count + 7) // 8), count)
+    wq_data = take((count + 1) // 2)
+    wr_data = take((12 * count + 7) // 8)
     if cur != len(payload):
         raise TruncatedError(f"{len(payload) - cur} trailing payload bytes")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
@@ -129,6 +167,8 @@ def from_bytes(data: bytes) -> PackedTensor:
     # 0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0.
     if not np.all((scales >= 0.0) & (scales < np.inf)):
         raise ContainerError("group scales must be finite and >= 0")
+    if count % 2 and (wq_data[-1] >> 4 or wr_data[-1] >> 4):
+        raise ContainerError("nonzero padding bits after the last record")
     try:
         return PackedTensor(
             rows=rows,
@@ -136,8 +176,8 @@ def from_bytes(data: bytes) -> PackedTensor:
             group_size=group_size,
             tensor_scale=float(np.float32(tensor_scale)),
             group_scales=np.array(scales, dtype=np.float32),
-            wq=wq_flat.reshape((rows, cols), order="F").copy(),
-            wr=wr_flat.reshape((rows, cols), order="F").copy(),
+            wq=unpack_nibbles(wq_data, count).reshape((rows, cols), order="F"),
+            wr=unpack_12bit(wr_data, count).reshape((rows, cols), order="F"),
         )
     except bsfp.MalformedWordError as e:
         raise ContainerError(str(e)) from e

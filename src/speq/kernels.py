@@ -1,7 +1,8 @@
 """Dual-path reference GEMM over packed weight tensors.
 
-``gemm_full`` reconstructs exact FP16 weights from both bit streams;
-``gemm_draft`` touches only the 4-bit stream plus the group scales. Both
+``gemm_full`` multiplies by the exact FP16 weights; ``gemm_draft`` by the
+4-bit draft values and the group scales, and never reads the exact values.
+Both operands were decoded once, when the ``PackedTensor`` was built. Both
 accumulate through ``_accel.gemm_f32``, the one place the fixed float32
 order lives (ascending k within a group, then ascending group), multiply
 by 1/tensor_scale once per output element, and are bit-reproducible
@@ -128,5 +129,5 @@ def gemm_draft(
     traffic: TrafficCounter | None = None,
     validate: bool = True,
 ) -> np.ndarray:
-    """Draft GEMM from the 4-bit stream and scales only; never reads wr."""
+    """Draft GEMM from the 4-bit draft values and scales only; never reads the exact values."""
     return _gemm(a, p, GemmMode.DRAFT, traffic, validate)

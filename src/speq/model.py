@@ -12,9 +12,9 @@ and any file whose shape, group size, dtype or CRC-32 does not match.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
-through the 4-bit stream (``gemm_draft``) and ``forward_full`` through the
-exact reconstruction (``gemm_full``). Keys/values from both passes land in
-one shared, preallocated FP16 cache.
+through the 4-bit draft values (``gemm_draft``) and ``forward_full``
+through the exact weights (``gemm_full``). Keys/values from both passes
+land in one shared, preallocated FP16 cache.
 
 Each layer's q, k and v projections are one (d, 3d) weight, ``l{i}.qkv``
 (as GPT-2 stores ``c_attn``), so they run as one GEMM and are quantized,

@@ -200,7 +200,8 @@ def simulate_gemm(
     if mode is GemmMode.FULL:
         out = _accel.gemm_f32(a, p.full_values(), p.group_size, mul=pe_full_mac)
     else:
-        out = _accel.gemm_f32(a, p.wq, p.group_size, p.group_scales, mul=_pe_quant_mac_wq)
+        wq, _ = p.words()
+        out = _accel.gemm_f32(a, wq, p.group_size, p.group_scales, mul=_pe_quant_mac_wq)
     out *= p.inv_tensor_scale
     spec = GemmSpec(m=a.shape[0], n=p.cols, k=p.rows, mode=mode)
     return out, estimate(spec, cfg, group_size=p.group_size)

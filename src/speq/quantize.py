@@ -5,11 +5,10 @@ Pipeline: per-tensor outlier rescaling (so every biased exponent fits in
 contiguous group of ``group_size`` elements along the reduction dimension
 of each output column.
 
-A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor: its
-4-bit stream plus the 12-bit remainder stream reconstruct the stored FP16
-tensor exactly. It decodes its kernel operands once, at construction: the
-draft values through one 16-entry table, and the exact weights through
-``bsfp.decode_full_array``, the encoder's inverse.
+A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor. It
+holds only its two kernel operands, decoded once from the 4-bit and 12-bit
+streams: the draft values through one 16-entry table, and the exact FP16
+weights through ``bsfp.decode_full_array``, the encoder's inverse.
 
 ``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and the rounded
 ``E2M1`` / ``E1M2`` grids are accuracy baselines only: ``draft_mse``
@@ -20,7 +19,7 @@ are never packed, stored or run.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -37,10 +36,6 @@ __all__ = [
     "draft_mse",
     "ingest_bf16",
     "exponent_histogram",
-    "pack_nibbles",
-    "unpack_nibbles",
-    "pack_12bit",
-    "unpack_12bit",
 ]
 
 OUTLIER_THRESHOLD = 2.0
@@ -63,54 +58,6 @@ _GRIDS = {
 
 
 # ---------------------------------------------------------------------------
-# bit-stream packing (canonical on-disk layout, also the traffic unit)
-# ---------------------------------------------------------------------------
-
-
-def pack_nibbles(vals: np.ndarray) -> bytes:
-    """Pack 4-bit records two per byte, low nibble first."""
-    v = np.asarray(vals, dtype=np.uint8).ravel()
-    if v.size % 2:
-        v = np.concatenate([v, np.zeros(1, np.uint8)])
-    return (v[0::2] | (v[1::2] << 4)).tobytes()
-
-
-def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
-    b = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(2 * b.size, dtype=np.uint8)
-    out[0::2] = b & 0x0F
-    out[1::2] = b >> 4
-    return out[:count]
-
-
-def pack_12bit(vals: np.ndarray) -> bytes:
-    """Pack 12-bit records two per three bytes, little-endian bit order."""
-    v = np.asarray(vals, dtype=np.uint16).ravel()
-    pairs = v.size // 2
-    out = np.empty(3 * pairs + 2 * (v.size % 2), dtype=np.uint8)
-    r0 = v[0 : 2 * pairs : 2].astype(np.uint32)
-    r1 = v[1 : 2 * pairs : 2].astype(np.uint32)
-    out[0 : 3 * pairs : 3] = r0 & 0xFF
-    out[1 : 3 * pairs : 3] = (r0 >> 8) | ((r1 & 0x0F) << 4)
-    out[2 : 3 * pairs : 3] = r1 >> 4
-    if v.size % 2:
-        out[-2] = v[-1] & 0xFF
-        out[-1] = v[-1] >> 8
-    return out.tobytes()
-
-
-def unpack_12bit(data: bytes, count: int) -> np.ndarray:
-    b = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
-    pairs = count // 2
-    out = np.empty(count, dtype=np.uint16)
-    out[0 : 2 * pairs : 2] = b[0 : 3 * pairs : 3] | ((b[1 : 3 * pairs : 3] & 0x0F) << 8)
-    out[1 : 2 * pairs : 2] = (b[1 : 3 * pairs : 3] >> 4) | (b[2 : 3 * pairs : 3] << 4)
-    if count % 2:
-        out[-1] = b[3 * pairs] | ((b[3 * pairs + 1] & 0x0F) << 8)
-    return out
-
-
-# ---------------------------------------------------------------------------
 # packed tensor
 # ---------------------------------------------------------------------------
 
@@ -123,9 +70,8 @@ _DRAFT_TABLE = bsfp.q_value_array(np.arange(16))
 class PackedTensor:
     """A bit-shared weight matrix (rows = reduction dim, cols = outputs).
 
-    ``wq`` holds one 4-bit record (sign, qcode) per element and is the only
-    weight data the draft path may read; ``wr`` holds the 12-bit remainder
-    (flag, elsb, man10).
+    Built from ``wq`` (4-bit sign, qcode) and ``wr`` (12-bit flag, elsb,
+    man10) records, and keeps neither: :meth:`words` re-derives them.
     A word the encoder never writes raises ``bsfp.MalformedWordError`` at
     construction, so it never reaches a GEMM.
     """
@@ -135,18 +81,18 @@ class PackedTensor:
     group_size: int
     tensor_scale: float
     group_scales: np.ndarray  # float32, shape (cols, n_groups)
-    wq: np.ndarray  # uint8, shape (rows, cols), values 0..15
-    wr: np.ndarray  # uint16, shape (rows, cols), values 0..4095
+    wq: InitVar[np.ndarray]  # uint8, values 0..15
+    wr: InitVar[np.ndarray]  # uint16, values 0..4095
 
     inv_tensor_scale: np.float32 = field(init=False, repr=False)
     _qval: np.ndarray = field(init=False, repr=False)
     _full32: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, wq: np.ndarray, wr: np.ndarray) -> None:
         self.inv_tensor_scale = np.float32(1.0) / np.float32(self.tensor_scale)
-        self._qval = np.take(_DRAFT_TABLE, self.wq)
+        self._qval = np.take(_DRAFT_TABLE, wq)
         self._qval.flags.writeable = False
-        bits = bsfp.decode_full_array(self.wq, self.wr)
+        bits = bsfp.decode_full_array(wq, wr)
         self._full32 = bits.view(np.float16).astype(np.float32)
         self._full32.flags.writeable = False
 
@@ -163,7 +109,7 @@ class PackedTensor:
         return 12 * self.rows * self.cols
 
     def draft_values(self) -> np.ndarray:
-        """Per-element 4-bit decoded values (float32, read-only). Reads only ``wq``."""
+        """Per-element 4-bit decoded values (float32, read-only), from ``wq`` alone."""
         return self._qval
 
     def full_values(self) -> np.ndarray:
@@ -174,25 +120,21 @@ class PackedTensor:
         """Exact stored tensor in float32 (read-only)."""
         return self._full32
 
-    def wq_packed(self) -> bytes:
-        """Canonical 4-bit stream, column-major group order."""
-        return pack_nibbles(self.wq.flatten(order="F"))
-
-    def wr_packed(self) -> bytes:
-        """Canonical 12-bit stream, column-major group order."""
-        return pack_12bit(self.wr.flatten(order="F"))
+    def words(self) -> tuple[np.ndarray, np.ndarray]:
+        """The (wq, wr) records the tensor was built from, re-encoded from the exact values."""
+        return bsfp.encode_array(self.full_values().view(np.uint16))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedTensor):
             return NotImplemented
+        # The exact bits determine both streams; compared as integers, so +0 != -0.
         return (
             self.rows == other.rows
             and self.cols == other.cols
             and self.group_size == other.group_size
             and self.tensor_scale == other.tensor_scale
             and np.array_equal(self.group_scales, other.group_scales)
-            and np.array_equal(self.wq, other.wq)
-            and np.array_equal(self.wr, other.wr)
+            and np.array_equal(self._full32.view(np.uint32), other._full32.view(np.uint32))
         )
 
 
@@ -211,7 +153,7 @@ class ExpHistogram:
 def handle_outliers(w: np.ndarray) -> tuple[np.ndarray, float]:
     """Rescale a tensor so that max |w| < 2, returning (w', tensor_scale).
 
-    The scale is 1.999 / max|w| when any magnitude exceeds 2.0, else 1.0;
+    The scale is 1.999 / max|w| when any magnitude reaches 2.0, else 1.0;
     rescaled values are rounded back to FP16 (round-to-nearest-even).
     """
     w = np.asarray(w)
@@ -222,7 +164,7 @@ def handle_outliers(w: np.ndarray) -> tuple[np.ndarray, float]:
     if not np.all(np.isfinite(w)):
         raise ValueError("tensor contains NaN or Inf")
     wmax = np.float32(np.max(np.abs(w.astype(np.float32))))
-    if wmax > OUTLIER_THRESHOLD:
+    if wmax >= OUTLIER_THRESHOLD:
         scale = OUTLIER_TARGET / wmax
         return (w.astype(np.float32) * scale).astype(np.float16), float(scale)
     return w, 1.0
@@ -280,7 +222,7 @@ def quantize_tensor(w: np.ndarray, group_size: int = 128) -> PackedTensor:
     """Quantize a 2-D weight tensor to bit-shared form; groups run down each column.
 
     The returned tensor stores the outlier scale, one float32 scale per
-    (column, group), and the packed element streams.
+    (column, group), and the decoded weights.
     """
     w16, tensor_scale = _rescaled(w, group_size)
     wq, wr = bsfp.encode_array(w16.view(np.uint16))

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
+
+from speq.container import MAGIC, pack_12bit, pack_nibbles, unpack_12bit, unpack_nibbles
 
 REMAINDER_READ = "poisoned remainder stream read"
 
@@ -18,10 +23,33 @@ class _Poisoned:
 
 @pytest.fixture
 def poison_remainder():
-    """Replace a PackedTensor's 12-bit stream and its exact decode with objects
-    that raise on any read, so a pass that succeeds provably never read them."""
+    """Replace a PackedTensor's exact decode, the only copy of its 12-bit
+    remainder, with an object that raises on any read, so a pass that
+    succeeds provably never read it."""
 
     def poison(p):
-        p.wr = p._full32 = _Poisoned()
+        p._full32 = _Poisoned()
 
     return poison
+
+
+@pytest.fixture
+def patch_word():
+    """Rewrite one record of a serialised container, keeping its sign and
+    mantissa, and recompute the CRC, so only the word decides whether it loads."""
+
+    def patch(data: bytes, index: int, qcode: int, flag: int, elsb: int) -> bytes:
+        out = bytearray(data)
+        rows, cols, group_size = struct.unpack_from("<III", out, len(MAGIC) + 5)
+        count = rows * cols
+        at = len(MAGIC) + 1 + 16 + 4 + 4 * cols * -(-rows // group_size)
+        mid = at + (count + 1) // 2
+        end = mid + (12 * count + 7) // 8
+        wq, wr = unpack_nibbles(out[at:mid], count), unpack_12bit(out[mid:end], count)
+        wq[index] = (wq[index] & 8) | qcode  # records run column-major
+        wr[index] = (flag << 11) | (elsb << 10) | (wr[index] & 0x3FF)
+        out[at:end] = pack_nibbles(wq) + pack_12bit(wr)
+        struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
+        return bytes(out)
+
+    return patch

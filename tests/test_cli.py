@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from speq.cli import main
-from speq.container import read_container, to_bytes
 from speq.quantize import QuantFormat, draft_mse
 from speq.report import parse
 
@@ -184,7 +183,7 @@ def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path):
     assert code == 2
 
 
-def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path):
+def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path, patch_word):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
     a = str(tmp_path / "a.npy")
@@ -194,16 +193,45 @@ def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path):
     # in-range value the encoder writes under another word.
     words = [(0b100, 1, 1), (0b000, 0, 0), (0b000, 0, 1), (0b000, 1, 0), (0b010, 0, 0),
              (0b010, 0, 1), (0b010, 1, 0), (0b100, 0, 1), (0b101, 0, 1)]
+    good = wout.read_bytes()
     for qcode, flag, elsb in words:
-        p = read_container(wout)
-        p.wq[0, 0] = qcode
-        p.wr[0, 0] = (flag << 11) | (elsb << 10) | (p.wr[0, 0] & 0x3FF)
         bad = tmp_path / "bad.speq"
-        bad.write_bytes(to_bytes(p))
+        bad.write_bytes(patch_word(good, 0, qcode, flag, elsb))
         code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(bad))
         assert code == 2, (qcode, flag, elsb)
         code, _, _ = run(capsys, "roundtrip", str(bad))
         assert code == 2, (qcode, flag, elsb)
+
+
+def test_nonzero_padding_is_io_error(capsys, tmp_path):
+    w, wout = str(tmp_path / "w.npy"), tmp_path / "w.speq"
+    np.save(w, np.random.default_rng(5).normal(0, 0.02, (7, 5)).astype(np.float16))
+    run(capsys, "quantize", "--in", w, "--out", str(wout))
+    a = str(tmp_path / "a.npy")
+    np.save(a, np.ones((1, 7), dtype=np.float16))
+    data = bytearray(wout.read_bytes())
+    data[-5] |= 0x10  # above the last 12-bit record of 35
+    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
+    wout.write_bytes(bytes(data))
+    code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))
+    assert code == 2
+    code, _, _ = run(capsys, "roundtrip", str(wout))
+    assert code == 2
+
+
+def test_gemm_column_activation(capsys, tmp_path):
+    # A (3, 1) activation against a (1, 6) weight is three rows of K=1,
+    # not one row of K=3; against a (3, 2) weight a column is one row.
+    rng = np.random.default_rng(6)
+    a = str(tmp_path / "a.npy")
+    for shape, m in (((1, 6), 3), ((3, 2), 1)):
+        w, wout = str(tmp_path / "w.npy"), str(tmp_path / "w.speq")
+        np.save(w, rng.normal(0, 0.02, shape).astype(np.float16))
+        run(capsys, "quantize", "--in", w, "--out", wout)
+        np.save(a, rng.normal(0, 1, (3, 1)).astype(np.float16))
+        code, rep, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", wout)
+        assert code == 0, shape
+        assert (rep["gemm.m"], rep["gemm.n"], rep["gemm.k"]) == (str(m), str(shape[1]), str(shape[0]))
 
 
 def test_inspect(capsys, tensor_npy):

@@ -8,7 +8,6 @@ import zlib
 import numpy as np
 import pytest
 
-from speq.bsfp import decode_full_array, encode_array
 from speq.container import (
     MAGIC,
     BadMagicError,
@@ -137,15 +136,27 @@ ALIASES = [(0b000, 0, 0), (0b000, 0, 1), (0b000, 1, 0), (0b010, 0, 0), (0b010, 0
     [pytest.param(q, 1, 0, id=str(q)) for q in (0b100, 0b101, 0b110, 0b111)]
     + [pytest.param(q, f, e, id=f"{q:03b}-{f}-{e}") for q, f, e in ALIASES],
 )
-def test_rejects_unreachable_word(qcode, flag, elsb):
-    p = _tensor(7, (64, 3))
-    p.wq[5, 1] = (p.wq[5, 1] & 8) | qcode
-    p.wr[5, 1] &= 0x3FF
+def test_rejects_unreachable_word(qcode, flag, elsb, patch_word):
+    data = to_bytes(_tensor(7, (64, 3)))
+    at = 1 * 64 + 5  # element (5, 1)
     if qcode & 4:
-        assert from_bytes(to_bytes(p)) == p  # unflagged with elsb 0, the code is valid
-    p.wr[5, 1] |= (flag << 11) | (elsb << 10)  # to_bytes recomputes the CRC
+        valid = patch_word(data, at, qcode, 0, 0)  # unflagged with elsb 0, the code is valid
+        assert to_bytes(from_bytes(valid)) == valid
     with pytest.raises(ContainerError, match="unreachable"):
-        from_bytes(to_bytes(p))
+        from_bytes(patch_word(data, at, qcode, flag, elsb))
+
+
+@pytest.mark.parametrize("stream", ["wq", "wr"])
+def test_rejects_nonzero_padding(stream):
+    # 35 records: the top four bits of the last byte of each stream are padding.
+    data = to_bytes(_tensor(1, (7, 5)))
+    at = len(data) - 5 - (0 if stream == "wr" else (12 * 35 + 7) // 8)
+    assert data[at] >> 4 == 0
+    for bit in range(4, 8):
+        bad = bytearray(data)
+        bad[at] |= 1 << bit
+        with pytest.raises(ContainerError, match="padding"):
+            from_bytes(_with_crc(bad))
 
 
 def test_truncation():
@@ -175,15 +186,15 @@ def test_scale_and_stream_preservation():
     q = from_bytes(to_bytes(p))
     assert q.tensor_scale == p.tensor_scale != 1.0
     assert np.array_equal(q.group_scales, p.group_scales)
-    assert q.wq_packed() == p.wq_packed()
-    assert q.wr_packed() == p.wr_packed()
+    for got, want in zip(q.words(), p.words()):
+        assert np.array_equal(got, want)
 
 
 def test_from_bytes_mutation_fuzz():
     """Seeded byte flips, truncations and extensions, each with a fresh CRC.
 
-    Only ``ContainerError`` may escape, and every tensor that loads holds
-    only words the encoder writes.
+    Only ``ContainerError`` may escape, and every container that loads is
+    canonical: writing its tensor back gives the same bytes.
     """
     rng = np.random.default_rng(6)
     shapes = [((9, 5), 4), ((1, 1), 1), ((16, 3), 16), ((7, 2), 128)]
@@ -206,6 +217,5 @@ def test_from_bytes_mutation_fuzz():
         except ContainerError:
             continue
         loaded += 1
-        wq, wr = encode_array(decode_full_array(p.wq, p.wr))
-        assert np.array_equal(wq, p.wq) and np.array_equal(wr, p.wr)
+        assert to_bytes(p) == bytes(data)
     assert loaded > 0

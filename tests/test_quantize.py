@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from speq import bsfp
+from speq.container import (
+    MAGIC,
+    from_bytes,
+    pack_12bit,
+    pack_nibbles,
+    to_bytes,
+    unpack_12bit,
+    unpack_nibbles,
+)
 from speq.quantize import (
+    PackedTensor,
     QuantFormat,
     draft_mse,
     draft_reconstruction,
@@ -14,11 +24,7 @@ from speq.quantize import (
     fit_group_scale,
     handle_outliers,
     ingest_bf16,
-    pack_12bit,
-    pack_nibbles,
     quantize_tensor,
-    unpack_12bit,
-    unpack_nibbles,
 )
 
 
@@ -49,6 +55,18 @@ def test_outlier_all_fours():
     scaled, ts = handle_outliers(w)
     assert ts == pytest.approx(0.4997499883174896, abs=0)
     assert np.all(scaled == np.float16(1.999))
+
+
+def test_outlier_exactly_two():
+    # max |w| = 2.0 has biased exponent 16, so it is rescaled like any larger outlier.
+    w = np.array([[2.0], [0.5]], dtype=np.float16)
+    scaled, ts = handle_outliers(w)
+    assert ts == float(np.float32(1.999) / np.float32(2.0))
+    p = quantize_tensor(w, group_size=2)
+    assert p.tensor_scale == ts
+    assert np.array_equal(p.full_values().view(np.uint16), scaled.view(np.uint16))
+    assert from_bytes(to_bytes(p)) == p
+    assert draft_mse(w, 2, QuantFormat.E1M2) >= 0.0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -116,7 +134,7 @@ def test_quantize_all_ones_column():
     p = quantize_tensor(np.ones((128, 1), dtype=np.float16))
     assert p.n_groups == 1
     assert np.all(p.group_scales == 2.0)
-    assert np.all(p.wq == 0b0111)  # sign 0, qcode 111
+    assert np.all(p.words()[0] == 0b0111)  # sign 0, qcode 111
     rec = draft_reconstruction(p)
     assert np.all(rec == 1.0)
 
@@ -233,11 +251,11 @@ def test_scale_equivariance_flat_bucket():
     w = ((sign << 15) | (e << 10) | man).view(np.float16)
     w2 = (w.astype(np.float32) * 2.0).astype(np.float16)
     p1, p2 = quantize_tensor(w), quantize_tensor(w2)
-    assert np.array_equal(p1.wq, p2.wq)
+    assert np.array_equal(p1.words()[0], p2.words()[0])
     assert np.allclose(p2.group_scales, 2.0 * p1.group_scales, rtol=1e-6)
 
     half = quantize_tensor((w2.astype(np.float32) * 0.5).astype(np.float16))
-    assert np.array_equal(half.wq, p1.wq)
+    assert np.array_equal(half.words()[0], p1.words()[0])
     assert np.array_equal(half.group_scales, p1.group_scales)
 
 
@@ -261,9 +279,12 @@ def test_bit_volume():
     n = w.size
     assert p.wq_bits == 4 * n
     assert p.wr_bits == 12 * n
-    assert len(p.wq_packed()) == n // 2
-    assert len(p.wr_packed()) == 12 * n // 8
-    assert len(p.wq_packed()) + len(p.wr_packed()) == 2 * n  # 16 bits/weight
+    wq, wr = p.words()
+    assert len(pack_nibbles(wq)) == n // 2
+    assert len(pack_12bit(wr)) == 12 * n // 8
+    # 16 bits/weight; the container adds only its header, the scales and the CRC
+    header = len(MAGIC) + 1 + 16 + 4
+    assert len(to_bytes(p)) == header + 4 * p.group_scales.size + 2 * n + 4
 
 
 def test_draft_stream_is_quarter():
@@ -271,6 +292,59 @@ def test_draft_stream_is_quarter():
     for shape in [(128, 8), (200, 3), (64, 64)]:
         p = quantize_tensor(_rand16(rng, shape))
         assert 4 * p.wq_bits == p.wq_bits + p.wr_bits
+
+
+# ── one copy of each weight ──────────────────────────────────────────────
+
+
+def _both_ways(w, group_size=128):
+    """A tensor from ``quantize_tensor`` and the same tensor back from its container."""
+    p = quantize_tensor(w, group_size)
+    return p, from_bytes(to_bytes(p))
+
+
+def test_holds_no_stream():
+    for p in _both_ways(_rand16(np.random.default_rng(40), (9, 5)), group_size=4):
+        held = {k: v for k, v in vars(p).items() if isinstance(v, np.ndarray)}
+        assert sorted(held) == ["_full32", "_qval", "group_scales"]
+        assert all(v.dtype.kind == "f" for v in held.values())
+        assert not hasattr(p, "wq") and not hasattr(p, "wr")
+
+
+def test_operands_read_only_and_c_contiguous():
+    # gemm_f32 would copy an F-ordered weight on every call.
+    for p in _both_ways(_rand16(np.random.default_rng(41), (9, 5)), group_size=4):
+        for op in (p.draft_values(), p.full_values_f32()):
+            assert op.dtype == np.float32 and op.shape == (9, 5)
+            assert op.flags.c_contiguous and not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[0, 0] = 0.0
+
+
+def test_words_are_the_construction_words():
+    rng = np.random.default_rng(42)
+    w = _rand16(rng, (9, 5))
+    w[0, 0] = 4.0  # outlier: the words are those of the rescaled tensor
+    scaled, _ = handle_outliers(w)
+    want = bsfp.encode_array(scaled.view(np.uint16))
+    for p in _both_ways(w, group_size=4):
+        for got, exp in zip(p.words(), want):
+            assert got.dtype == exp.dtype and np.array_equal(got, exp)
+    # any valid words, given directly, come back unchanged
+    wq, wr = bsfp.encode_array(rng.integers(0, 0x3C00, (6, 3)).astype(np.uint16))
+    p = PackedTensor(6, 3, 4, 1.0, np.ones((3, 2), np.float32), wq, wr)
+    assert np.array_equal(p.words()[0], wq) and np.array_equal(p.words()[1], wr)
+
+
+def test_signed_zero_is_not_equal():
+    w = np.array([[0.5], [0.0], [0.25]], dtype=np.float16)
+    neg = w.copy()
+    neg[1, 0] = -0.0
+    p, q = quantize_tensor(w), quantize_tensor(neg)
+    assert np.array_equal(p.group_scales, q.group_scales)
+    assert np.array_equal(p.full_values_f32(), q.full_values_f32())  # as floats, 0.0 == -0.0
+    assert p != q
+    assert p == quantize_tensor(w.copy())
 
 
 # ── packing primitives ───────────────────────────────────────────────────

@@ -40,8 +40,8 @@ def test_bench_readers_agree(monkeypatch):
     m = init_model(ModelConfig())
     resident, params = bench.resident_bytes(m)
     assert params == 114688
-    # 4-bit records in u8, 12-bit remainders in u16, both float32 decodes
-    want = {"wq": params, "wr": 2 * params, "scales": 6144, "cache": 8 * params, "raw": 0}
+    # no resident bit streams: only the two float32 operands and the scales
+    want = {"wq": 0, "wr": 0, "scales": 6144, "cache": 8 * params, "raw": 0}
     assert resident == want
     assert bench._traffic_bits(m) == (0, 0)
     cache = m.new_cache()
