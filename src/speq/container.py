@@ -108,6 +108,9 @@ def unpack_12bit(data: bytes, count: int) -> np.ndarray:
 
 
 def to_bytes(p: PackedTensor) -> bytes:
+    for field in ("rows", "cols", "group_size"):
+        if not 0 <= getattr(p, field) <= 0xFFFFFFFF:
+            raise ValueError(f"{field} {getattr(p, field)} does not fit the u32 header field")
     wq, wr = p.words()
     payload = bytearray()
     payload.append(0)  # flags
@@ -164,9 +167,12 @@ def from_bytes(data: bytes) -> PackedTensor:
         # a subnormal scale would make every output of gemm_full / gemm_draft infinite
         if not np.isfinite(np.float32(1.0) / np.float32(tensor_scale)):
             raise ContainerError(f"tensor_scale {tensor_scale} has no finite float32 reciprocal")
-    # 0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0.
-    if not np.all((scales >= 0.0) & (scales < np.inf)):
-        raise ContainerError("group scales must be finite and >= 0")
+    # +0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0. It
+    # never writes -0.0 (each scale is a w*q product, q taking w's sign), and
+    # a -0.0 would load equal to a container with different bytes. "< inf"
+    # also rejects NaN.
+    if not np.all(~np.signbit(scales) & (scales < np.inf)):
+        raise ContainerError("group scales must be finite and >= +0.0")
     if count % 2 and (wq_data[-1] >> 4 or wr_data[-1] >> 4):
         raise ContainerError("nonzero padding bits after the last record")
     try:
@@ -184,8 +190,9 @@ def from_bytes(data: bytes) -> PackedTensor:
 
 
 def write_container(path, p: PackedTensor) -> None:
+    data = to_bytes(p)  # before opening: a failed encode leaves an existing file whole
     with open(path, "wb") as f:
-        f.write(to_bytes(p))
+        f.write(data)
 
 
 def read_container(path) -> PackedTensor:

@@ -1,14 +1,14 @@
 """Tiny deterministic autoregressive transformer over packed weights.
 
-Persistence: ``save_model`` writes one ``.speq`` container per packed
-linear, the raw head (when ``quantize_head`` is false) and the embedding
-as FP16 ``.npy`` files, and ``model.json``: the ``ModelConfig`` and one
-payload CRC-32 per packed linear. Which linears are packed follows from
-the config alone. ``load_model`` restores a bit-identical model and
-rejects, with a ``ValueError`` naming the file, a manifest that is not
-valid JSON, lacks a well-formed config or has CRC keys other than the
-config's packed set, any ``.speq`` file that is not a valid container,
-and any file whose shape, group size, dtype or CRC-32 does not match.
+Persistence: ``save_model`` writes one ``.speq`` container per linear,
+the embedding as an FP16 ``embed.npy`` and ``model.json``: the
+``ModelConfig`` and one payload CRC-32 per linear. The layer names and
+shapes follow from the config alone. ``load_model`` restores a
+bit-identical model and rejects, with a ``ValueError`` naming the file, a
+manifest that is not valid JSON, lacks a well-formed config or has CRC
+keys other than the config's layer names, any ``.speq`` file that is not
+a valid container, an unreadable ``embed.npy``, and any file whose shape,
+group size, dtype or CRC-32 does not match.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
@@ -18,7 +18,7 @@ land in one shared, preallocated FP16 cache.
 
 Each layer's q, k and v projections are one (d, 3d) weight, ``l{i}.qkv``
 (as GPT-2 stores ``c_attn``), so they run as one GEMM and are quantized,
-saved and held once. Only the head may be kept as a raw FP16 array.
+saved and held once.
 
 Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
@@ -71,7 +71,6 @@ class ModelConfig:
     context: int = 512
     seed: int = 0
     group_size: int = 128
-    quantize_head: bool = True
     # Confidence knob for untrained weights: logits are multiplied by this
     # finite constant > 0 in both passes, so argmax (and thus the greedy
     # output) is unchanged; only softmax peakedness — what the early-exit
@@ -94,8 +93,6 @@ class ModelConfig:
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        if not isinstance(self.quantize_head, (bool, np.bool_)):
-            raise ValueError(f"quantize_head must be a bool, got {self.quantize_head!r}")
         ls = self.logit_scale
         real = isinstance(ls, (int, float, np.integer, np.floating)) and not isinstance(ls, bool)
         if not (real and math.isfinite(ls) and ls > 0):
@@ -103,7 +100,6 @@ class ModelConfig:
         # numpy scalars become plain Python values, so the config serialises as JSON
         for name in (*sizes, "seed"):
             object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "quantize_head", bool(self.quantize_head))
         object.__setattr__(self, "logit_scale", float(ls))
 
 
@@ -119,11 +115,6 @@ class KvCache:
         self.keys = np.zeros((cfg.n_layers, cfg.context, cfg.d_model), dtype=np.float16)
         self.vals = np.zeros_like(self.keys)
         self.len = 0
-        self.high_water = 0
-
-    @property
-    def capacity_bytes(self) -> int:
-        return self.keys.nbytes + self.vals.nbytes
 
     def rewind(self, n: int) -> None:
         if not 0 <= n <= self.len:
@@ -134,7 +125,6 @@ class KvCache:
         end = start + k16.shape[0]
         self.keys[layer, start:end] = k16
         self.vals[layer, start:end] = v16
-        self.high_water = max(self.high_water, end)
 
 
 _LAYER_PARTS = ("qkv", "wo", "w1", "w2")
@@ -144,15 +134,6 @@ def _weight_names(cfg: ModelConfig) -> list[str]:
     names = [f"l{i}.{p}" for i in range(cfg.n_layers) for p in _LAYER_PARTS]
     names.append("head")
     return names
-
-
-def _raw_names(cfg: ModelConfig) -> list[str]:
-    """Linears kept as raw FP16 arrays: the head, when ``quantize_head`` is false."""
-    return [] if cfg.quantize_head else ["head"]
-
-
-def _packed_names(cfg: ModelConfig) -> list[str]:
-    return [name for name in _weight_names(cfg) if name not in _raw_names(cfg)]
 
 
 def _weight_shape(cfg: ModelConfig, name: str) -> tuple[int, int]:
@@ -197,17 +178,12 @@ def _sinusoidal_positions(context: int, d_model: int) -> np.ndarray:
 
 
 class ToyModel:
-    def __init__(
-        self,
-        cfg: ModelConfig,
-        embed: np.ndarray,
-        weights: dict[str, PackedTensor],
-        raw_weights: dict[str, np.ndarray] | None = None,
-    ):
+    def __init__(self, cfg: ModelConfig, embed: np.ndarray, weights: dict[str, PackedTensor]):
         self.cfg = cfg
         self.embed = embed
         self.weights = weights
-        self.raw_weights = raw_weights or {}
+        # always empty: every linear is packed; bench/speqbench.py::resident_bytes reads it
+        self.raw_weights: dict[str, np.ndarray] = {}
         self.pos = _sinusoidal_positions(cfg.context, cfg.d_model)
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
@@ -215,25 +191,21 @@ class ToyModel:
     def new_cache(self) -> KvCache:
         return KvCache(self.cfg)
 
+    # gemm_full / gemm_draft are looked up in this module at call time, so a
+    # tracer that replaces them here sees every linear.
     def _lin_full(self, name: str, a16: np.ndarray) -> np.ndarray:
-        w = self.weights.get(name)
-        if w is None:
-            return reference_gemm(a16, self.raw_weights[name], self.cfg.group_size)
         # Internal activations are finite by construction; skip the check.
-        return gemm_full(a16, w, self.full_traffic, validate=False)
+        return gemm_full(a16, self.weights[name], self.full_traffic, validate=False)
 
     def _lin_draft(self, name: str, a16: np.ndarray) -> np.ndarray:
-        w = self.weights.get(name)
-        if w is None:
-            return reference_gemm(a16, self.raw_weights[name], self.cfg.group_size)
-        return gemm_draft(a16, w, self.draft_traffic, validate=False)
+        return gemm_draft(a16, self.weights[name], self.draft_traffic, validate=False)
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
     """Build a model with every linear layer quantized to packed form."""
     raw = draw_weights(cfg)
-    packed = {name: quantize_tensor(raw[name], cfg.group_size) for name in _packed_names(cfg)}
-    return ToyModel(cfg, raw["embed"], packed, {name: raw[name] for name in _raw_names(cfg)})
+    packed = {name: quantize_tensor(raw[name], cfg.group_size) for name in _weight_names(cfg)}
+    return ToyModel(cfg, raw["embed"], packed)
 
 
 # ---------------------------------------------------------------------------
@@ -327,21 +299,22 @@ def forward_reference(
 def save_model(model: ToyModel, directory) -> None:
     """Write a model directory; the manifest is serialised before any file is written."""
     d = Path(directory)
-    blobs = {name: container.to_bytes(model.weights[name]) for name in _packed_names(model.cfg)}
+    blobs = {name: container.to_bytes(model.weights[name]) for name in _weight_names(model.cfg)}
     # a container ends with its payload CRC-32
     crcs = {name: int.from_bytes(blobs[name][-4:], "little") for name in sorted(blobs)}
     manifest = json.dumps({"config": dataclasses.asdict(model.cfg), "crc32": crcs}, indent=2)
     d.mkdir(parents=True, exist_ok=True)
     for name, blob in blobs.items():
         (d / f"{name}.speq").write_bytes(blob)
-    for name in _raw_names(model.cfg):
-        np.save(d / f"{name}.npy", model.raw_weights[name])
     np.save(d / "embed.npy", model.embed)
     (d / "model.json").write_text(manifest)
 
 
 def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    arr = np.load(path)
+    try:
+        arr = np.load(path)
+    except (ValueError, EOFError) as e:  # not a .npy file, or truncated or empty
+        raise ValueError(f"{path}: not a readable .npy file ({e})") from e
     if arr.dtype != np.float16 or arr.shape != shape:
         raise ValueError(f"{path}: expected float16 {shape}, got {arr.dtype} {arr.shape}")
     return arr
@@ -364,8 +337,12 @@ def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTen
 
 
 def _read_manifest(path: Path) -> tuple[ModelConfig, dict]:
-    """(config, CRC of each packed layer) from ``model.json``; any malformed
-    part raises a ``ValueError`` naming the file. Other keys are ignored."""
+    """(config, CRC of each linear) from ``model.json``; any malformed part
+    raises a ``ValueError`` naming the file. Other top-level keys are ignored.
+
+    Manifests from before the raw head was removed carry
+    ``"quantize_head": true`` in the config; that key is dropped, and any
+    other value of it is rejected."""
     try:
         manifest = json.loads(path.read_text())
     except ValueError as e:  # bad JSON or bad UTF-8
@@ -377,17 +354,20 @@ def _read_manifest(path: Path) -> tuple[ModelConfig, dict]:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     if not isinstance(manifest["config"], dict):
         raise ValueError(f"{path}: config must be an object")
+    config = dict(manifest["config"])
+    if "quantize_head" in config and config.pop("quantize_head") is not True:
+        raise ValueError(f"{path}: a raw FP16 head is no longer supported (quantize_head)")
     try:
-        cfg = ModelConfig(**manifest["config"])
+        cfg = ModelConfig(**config)
     except (TypeError, ValueError) as e:  # unknown field, wrong type, bad size
         raise ValueError(f"{path}: bad config ({e})") from e
-    crcs, packed = manifest["crc32"], _packed_names(cfg)
+    crcs, names = manifest["crc32"], _weight_names(cfg)
     if (
         not isinstance(crcs, dict)
-        or sorted(crcs) != sorted(packed)
+        or sorted(crcs) != sorted(names)
         or not all(type(c) is int for c in crcs.values())
     ):
-        raise ValueError(f"{path}: crc32 must map exactly the packed layers {packed} to CRCs")
+        raise ValueError(f"{path}: crc32 must map exactly the layers {names} to CRCs")
     return cfg, crcs
 
 
@@ -396,6 +376,5 @@ def load_model(directory) -> ToyModel:
     d = Path(directory)
     cfg, crcs = _read_manifest(d / "model.json")
     embed = _load_fp16(d / "embed.npy", (cfg.vocab, cfg.d_model))
-    weights = {n: _load_packed(d / f"{n}.speq", cfg, n, crcs[n]) for n in _packed_names(cfg)}
-    raw_weights = {n: _load_fp16(d / f"{n}.npy", _weight_shape(cfg, n)) for n in _raw_names(cfg)}
-    return ToyModel(cfg, embed, weights, raw_weights)
+    weights = {n: _load_packed(d / f"{n}.speq", cfg, n, crcs[n]) for n in _weight_names(cfg)}
+    return ToyModel(cfg, embed, weights)

@@ -102,6 +102,17 @@ def test_quantize_has_no_format_option(capsys, tensor_npy, tmp_path):
     assert code == 2
 
 
+def test_quantize_group_size_too_wide_for_header(capsys, tensor_npy, tmp_path):
+    # the container stores the group size as a u32: a wider one is a usage
+    # error, raised before --out is opened, so an existing file keeps its bytes
+    out = tmp_path / "w.speq"
+    out.write_bytes(b"keep me")
+    code = main(["quantize", "--in", tensor_npy, "--out", str(out), "--group-size", str(2**33)])
+    assert code == 2
+    assert "group_size 8589934592 does not fit" in capsys.readouterr().err
+    assert out.read_bytes() == b"keep me"
+
+
 def test_nonzero_flags_byte_is_io_error(capsys, tensor_npy, tmp_path):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))

@@ -108,7 +108,7 @@ def _with_first_group_scale(data: bytes, scale: float) -> bytes:
     return bytes(out)
 
 
-@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0])
+@pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, -0.0])
 def test_rejects_bad_group_scale(scale):
     data = to_bytes(_tensor(7, (64, 3)))
     assert from_bytes(_with_first_group_scale(data, 0.5)).group_scales[0, 0] == 0.5

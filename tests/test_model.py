@@ -129,14 +129,6 @@ def test_full_path_matches_unquantized_reference(model):
     assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
-def test_quantize_head_flag():
-    m = init_model(ModelConfig(seed=5, quantize_head=False))
-    assert "head" not in m.weights
-    assert "head" in m.raw_weights
-    logits = forward_full(m, [1, 2], m.new_cache())
-    assert logits.shape == (2, 256)
-
-
 def test_context_overflow_in_forward(model):
     cache = model.new_cache()
     with pytest.raises(ContextOverflowError):
@@ -146,14 +138,16 @@ def test_context_overflow_in_forward(model):
 def test_kv_cache_semantics():
     cfg = ModelConfig(seed=0)
     cache = KvCache(cfg)
-    assert cache.capacity_bytes == 2 * cfg.n_layers * cfg.context * cfg.d_model * 2
+    fp16_bytes = cfg.n_layers * cfg.context * cfg.d_model * 2
+    assert cache.keys.nbytes + cache.vals.nbytes == 2 * fp16_bytes
     k = np.ones((3, cfg.d_model), dtype=np.float16)
     cache.write(0, 0, k, k)
     cache.len = 3
-    assert cache.high_water == 3
     cache.rewind(1)
     assert cache.len == 1
-    assert cache.high_water == 3  # storage was touched, length is logical
+    # length is logical: the rows written before the rewind are still stored
+    assert np.array_equal(cache.keys[0, :3], k)
+    assert np.array_equal(cache.vals[0, :3], k)
     with pytest.raises(ValueError):
         cache.rewind(5)
 
@@ -193,10 +187,9 @@ def test_numpy_scalar_config_round_trip(tmp_path):
         n_layers=np.int32(1),
         seed=np.int64(3),
         logit_scale=np.float32(2.5),
-        quantize_head=np.bool_(False),
     )
     assert [type(getattr(cfg, f)) for f in ("d_model", "n_layers", "seed")] == [int] * 3
-    assert type(cfg.logit_scale) is float and type(cfg.quantize_head) is bool
+    assert type(cfg.logit_scale) is float
     m = init_model(cfg)
     save_model(m, tmp_path / "m")
     loaded = load_model(tmp_path / "m")
@@ -204,24 +197,30 @@ def test_numpy_scalar_config_round_trip(tmp_path):
     assert loaded.weights == m.weights
 
 
-@pytest.mark.parametrize("quantize_head", [True, False])
-def test_manifest_is_config_and_crcs(tmp_path, quantize_head):
-    # model.json holds only the config and one CRC per packed layer; a
-    # manifest that also lists the layers (the earlier format) still loads.
-    m = init_model(ModelConfig(seed=5, quantize_head=quantize_head))
+def test_manifest_is_config_and_crcs(tmp_path):
+    # model.json holds only the config and one CRC per linear. A manifest of
+    # the earlier formats, which also lists the layers and sets
+    # "quantize_head": true in the config, still loads; any other
+    # quantize_head asks for the raw FP16 head, which is gone.
+    m = init_model(ModelConfig(seed=5))
     d = tmp_path / "m"
     save_model(m, d)
     manifest = json.loads((d / "model.json").read_text())
     assert sorted(manifest) == ["config", "crc32"]
     assert sorted(manifest["crc32"]) == sorted(m.weights)
-    manifest.update(packed=sorted(m.weights), raw=sorted(m.raw_weights))
+    assert "head" in m.weights and not m.raw_weights
+    manifest["config"]["quantize_head"] = True
+    manifest.update(packed=sorted(m.weights), raw=[])
     (d / "model.json").write_text(json.dumps(manifest))
     loaded = load_model(d)
     assert loaded.cfg == m.cfg
     assert loaded.weights == m.weights
-    assert loaded.raw_weights.keys() == m.raw_weights.keys()
-    for name, w in m.raw_weights.items():
-        assert np.array_equal(loaded.raw_weights[name].view(np.uint16), w.view(np.uint16))
+    assert np.array_equal(loaded.embed.view(np.uint16), m.embed.view(np.uint16))
+    for bad in (False, 1, "true", None):
+        manifest["config"]["quantize_head"] = bad
+        (d / "model.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="model.json: a raw FP16 head is no longer supported"):
+            load_model(d)
 
 
 def test_position_table_shared_per_shape():
@@ -263,13 +262,6 @@ def _save_old_qkv_layout(d):
     (d / "model.json").write_text(json.dumps(m))
 
 
-def _save_packed_head_flagged_raw(d):
-    # a valid packed-head model whose config claims a raw head
-    shutil.rmtree(d)
-    save_model(init_model(ModelConfig(seed=5)), d)
-    _edit_manifest(lambda m: m["config"].update(quantize_head=False))(d)
-
-
 def _swap_l0_l1_qkv(d):
     q0, q1 = (d / "l0.qkv.speq").read_bytes(), (d / "l1.qkv.speq").read_bytes()
     (d / "l0.qkv.speq").write_bytes(q1)
@@ -281,11 +273,11 @@ def _repack_l0_wo(d, group_size):
     write_container(d / "l0.wo.speq", quantize_tensor(w, group_size))
 
 
-def _edit_l0_wo(edit):
+def _edit_bytes(name, edit):
     def damage(d):
-        data = bytearray((d / "l0.wo.speq").read_bytes())
+        data = bytearray((d / name).read_bytes())
         edit(data)
-        (d / "l0.wo.speq").write_bytes(bytes(data))
+        (d / name).write_bytes(bytes(data))
 
     return damage
 
@@ -303,6 +295,10 @@ def _bad_magic(data):
     data[:5] = b"SPEQ0"
 
 
+def _empty(data):
+    data.clear()
+
+
 def _resave(path, change):
     np.save(path, change(np.load(path)))
 
@@ -311,17 +307,12 @@ def _to_float32(a):
     return a.astype(np.float32)
 
 
-# Each case damages one file of a saved model (head kept as a raw FP16
-# array, unless the case re-saves it packed); the error must name that file.
+# Each case damages one file of a saved model; the error must name that file.
 _LOAD_MISMATCHES = {
     "missing-crc": ("model.json", _drop_l0_qkv_crc),
     "missing-crc32-key": ("model.json", _edit_manifest(lambda m: m.pop("crc32"))),
     "old-qkv-layout": ("model.json", _save_old_qkv_layout),
-    "head-flag-flipped-to-true": (
-        "model.json",
-        _edit_manifest(lambda m: m["config"].update(quantize_head=True)),
-    ),
-    "head-flag-flipped-to-false": ("model.json", _save_packed_head_flagged_raw),
+    "raw-head": ("model.json", _edit_manifest(lambda m: m["config"].update(quantize_head=False))),
     "unknown-config-field": ("model.json", _edit_manifest(lambda m: m["config"].update(extra=1))),
     "config-not-mapping": ("model.json", _edit_manifest(lambda m: m.update(config=[64, 2]))),
     "config-str-size": ("model.json", _edit_manifest(lambda m: m["config"].update(n_heads="4"))),
@@ -342,13 +333,15 @@ _LOAD_MISMATCHES = {
     "swapped-layers": ("l0.qkv.speq", _swap_l0_l1_qkv),
     "wrong-shape": ("l0.wo.speq", lambda d: shutil.copy(d / "l0.w1.speq", d / "l0.wo.speq")),
     "wrong-group-size": ("l0.wo.speq", lambda d: _repack_l0_wo(d, 32)),
-    "baseline-format": ("l0.wo.speq", _edit_l0_wo(_set_flags_byte_2)),
-    "truncated-container": ("l0.wo.speq", _edit_l0_wo(_truncate)),
-    "bad-magic": ("l0.wo.speq", _edit_l0_wo(_bad_magic)),
+    "baseline-format": ("l0.wo.speq", _edit_bytes("l0.wo.speq", _set_flags_byte_2)),
+    "truncated-container": ("l0.wo.speq", _edit_bytes("l0.wo.speq", _truncate)),
+    "bad-magic": ("l0.wo.speq", _edit_bytes("l0.wo.speq", _bad_magic)),
     "embed-dtype": ("embed.npy", lambda d: _resave(d / "embed.npy", _to_float32)),
     "embed-shape": ("embed.npy", lambda d: _resave(d / "embed.npy", lambda a: a[1:])),
-    "raw-dtype": ("head.npy", lambda d: _resave(d / "head.npy", _to_float32)),
-    "raw-shape": ("head.npy", lambda d: _resave(d / "head.npy", lambda a: a.T)),
+    # np.load's own errors: not an .npy file (it would unpickle), short data, no data
+    "embed-garbage": ("embed.npy", _edit_bytes("embed.npy", _bad_magic)),
+    "embed-truncated": ("embed.npy", _edit_bytes("embed.npy", _truncate)),
+    "embed-empty": ("embed.npy", _edit_bytes("embed.npy", _empty)),
 }
 
 
@@ -356,7 +349,7 @@ _LOAD_MISMATCHES = {
 def test_load_model_rejects_mismatch(tmp_path, case):
     fname, damage = _LOAD_MISMATCHES[case]
     d = tmp_path / "m"
-    save_model(init_model(ModelConfig(seed=5, quantize_head=False)), d)
+    save_model(init_model(ModelConfig(seed=5)), d)
     load_model(d)
     damage(d)
     with pytest.raises(ValueError, match=re.escape(fname)):
@@ -380,11 +373,10 @@ def test_config_validation():
     for bad in (-1, 1.0, True, "0"):
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             ModelConfig(seed=bad)
-    for bad in (1, 0, "true", None):
-        with pytest.raises(ValueError, match="quantize_head must be a bool"):
-            ModelConfig(quantize_head=bad)
-    cfg = ModelConfig(logit_scale=np.float32(2.5), seed=np.int64(3), quantize_head=np.bool_(False))
-    assert (cfg.logit_scale, cfg.seed, cfg.quantize_head) == (2.5, 3, False)
+    cfg = ModelConfig(logit_scale=np.float32(2.5), seed=np.int64(3))
+    assert (cfg.logit_scale, cfg.seed) == (2.5, 3)
+    with pytest.raises(TypeError, match="quantize_head"):
+        ModelConfig(quantize_head=True)  # every linear is packed; no such field
     assert ModelConfig(logit_scale=2).logit_scale == 2
 
 
