@@ -55,13 +55,20 @@ Measured costs (2-vCPU host, medians of interleaved repeats): a block
 product costs about 1 ns, a loop k-step 2-5 us plus its outputs. The block
 path took 15 us at (m, k, n) = (1, 64, 256), where ``np.add.accumulate``
 took 93 us, and 0.2 ms at the verify shape (17, 64, 256), where the loop
-took 0.37 ms. The two break even between 8k and 16k outputs: 1.26 against
-1.49 ms at (17, 128, 512), 1.36 against 1.33 ms at (64, 64, 256), and the
-loop wins at the (383, 64, 64) prefill, 1.4 against 2.4 ms; hence
-``REDUCE_MAX_OUTPUTS`` = 8192. Chunks of 2^16 values (256 KiB) took
-0.79 ms at (17, 128, 256) where 2^18 took 1.37 ms, and in three 10 s
-pairs of the draft-heavy benchmark 2^16 beat 2^18 on speculative tok/s
-each time with 0.4 MiB less peak RSS; hence ``BLOCK_MAX`` = 2^16.
+took 0.37 ms. The block path wins up to about 12k outputs and the two
+break even near 16k. Medians of 40 calls, block against loop, from two
+passes of 4 interleaved repeats: 0.8 / 1.1 against 1.0 / 1.3 ms at
+(17, 128, 512), 8,704 outputs; 1.25 / 1.57 against 1.32 / 1.74 ms at
+(24, 128, 512) and 0.63 / 0.77 against 0.66 / 0.88 ms at (12, 64, 1024),
+12,288 outputs; 1.00 against 1.02 ms at (56, 64, 256), 14,336 outputs;
+0.76 / 1.09 against 0.72 / 1.11 ms at (64, 64, 256), 16,384 outputs. For
+attention at 12k-15k outputs, (4, 7-9, 16, 400-480), one block for all
+heads tied with a block per head. The loop wins at the (383, 64, 64)
+prefill, 1.4 against 2.4 ms; hence ``REDUCE_MAX_OUTPUTS`` = 12288.
+Chunks of 2^16 values (256 KiB) took 0.79 ms at (17, 128, 256) where 2^18
+took 1.37 ms, and in three 10 s pairs of the draft-heavy benchmark 2^16
+beat 2^18 on speculative tok/s each time with 0.4 MiB less peak RSS;
+hence ``BLOCK_MAX`` = 2^16.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ import numpy as np
 # Largest output (B * m * n) summed by ``np.add.reduce`` over product blocks,
 # and the most float32 values one block may hold; see the module docstring
 # for the measured costs that set them.
-REDUCE_MAX_OUTPUTS = 8192
+REDUCE_MAX_OUTPUTS = 12288
 BLOCK_MAX = 1 << 16
 
 

@@ -61,6 +61,11 @@ class ContextOverflowError(RuntimeError):
     """Requested positions exceed the model's context window."""
 
 
+# No file's shape depends on ``context``, so this bound is what keeps a
+# manifest from asking for a position table and KV cache of any size.
+MAX_CONTEXT = 65536
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     vocab: int = 256
@@ -88,6 +93,8 @@ class ModelConfig:
         small = [name for name in sizes if getattr(self, name) < 1]
         if small:
             raise ValueError(f"{', '.join(small)} must be >= 1")
+        if self.context > MAX_CONTEXT:
+            raise ValueError(f"context must be <= {MAX_CONTEXT}, got {self.context}")
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         seed = self.seed

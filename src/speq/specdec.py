@@ -1,14 +1,17 @@
 """Self-speculative decoding controller and its analytic speedup model.
 
-One weight store, two passes: the controller drafts greedily with the
-4-bit view (stopping early when the draft's top softmax probability drops
-below gamma or after ``max_draft_len`` tokens), then verifies all drafted
-positions in a single full-precision pass. The longest draft prefix that
-matches the full model's greedy choices is kept, plus one token from the
-verifier (the correction at the first mismatch, or the bonus token when
-everything matched). Verification overwrites the draft's KV entries with
-full-precision values and the cache is truncated at the accepted point, so
-the emitted sequence is exactly what plain greedy decoding would produce.
+One weight store, two passes. Both decoders run the full-precision pass
+over the whole prompt and take the first token from its last row. Each
+round the controller then drafts greedily with the 4-bit view (stopping
+early when the draft's top softmax probability drops below gamma, after
+``max_draft_len`` tokens, or when no further draft could be emitted within
+``gen_len``) and verifies all drafted positions in one full-precision pass.
+The longest draft prefix that matches the full model's greedy choices is
+kept, plus one token from the verifier (the correction at the first
+mismatch, or the bonus token when everything matched). Verification
+overwrites the draft's KV entries with full-precision values and the cache
+is truncated at the accepted point. A row's logits do not depend on how
+many rows share its forward, so the output is exactly greedy decoding's.
 
 The analytic side: with accept rate r and draft length L, the expected
 tokens per round is (1 - r^(L+1)) / (1 - r), and the speedup over plain
@@ -54,6 +57,8 @@ class SpecDecStats:
     rounds: int
     proposed: int
     accepted: int
+    # tokens the draft/verify rounds emitted, accepted + rounds; the first
+    # token comes from the prefill and belongs to no round
     tokens_generated: int
 
     @property
@@ -155,41 +160,35 @@ def _check_budget(model: ToyModel, prompt, gen_len: int) -> None:
 
 
 def greedy_generate(model: ToyModel, prompt, gen_len: int) -> list[int]:
-    """Plain greedy decoding with the full-precision pass only."""
+    """Plain greedy decoding with the full-precision pass only: the prefill
+    gives the first token, then one M=1 forward per further token."""
     _check_budget(model, prompt, gen_len)
     cache = model.new_cache()
-    if len(prompt) > 1:
-        forward_full(model, list(prompt)[:-1], cache)
-    pending = int(prompt[-1])
-    out: list[int] = []
-    for _ in range(gen_len):
-        logits = forward_full(model, [pending], cache)[0]
-        pending = _argmax(logits)
-        out.append(pending)
+    out = [_argmax(forward_full(model, list(prompt), cache)[-1])]
+    while len(out) < gen_len:
+        out.append(_argmax(forward_full(model, [out[-1]], cache)[0]))
     return out
 
 
 def speculative_generate(
     model: ToyModel, prompt, cfg: SpecDecConfig, gen_len: int
 ) -> tuple[list[int], SpecDecStats]:
-    """Draft/verify loop; output is identical to :func:`greedy_generate`."""
+    """Draft/verify loop; output is identical to :func:`greedy_generate`.
+    No round drafts more tokens than ``gen_len`` still leaves room for."""
     _check_budget(model, prompt, gen_len)
     cache = model.new_cache()
-    if len(prompt) > 1:
-        forward_full(model, list(prompt)[:-1], cache)
-    pending = int(prompt[-1])
-    committed = len(prompt)
-    generated: list[int] = []
+    pending = _argmax(forward_full(model, list(prompt), cache)[-1])
+    generated = [pending]
     rounds = proposed = accepted = 0
 
     while len(generated) < gen_len:
-        base = cache.len  # == committed - 1
+        base = cache.len
 
         # Draft phase: propose while confidence stays at/above gamma. The
         # candidate whose top probability falls below gamma is discarded.
         drafts: list[int] = []
         x = pending
-        limit = min(cfg.max_draft_len, model.cfg.context - committed)
+        limit = min(cfg.max_draft_len, gen_len - len(generated) - 1)
         while len(drafts) < limit:
             logits = forward_draft(model, x, cache)
             if _max_softmax_prob(logits) < cfg.gamma:
@@ -200,18 +199,14 @@ def speculative_generate(
         # Verify phase: one full pass over pending + drafts. Draft-written
         # KV entries are overwritten with full-precision values.
         cache.rewind(base)
-        window = [pending] + drafts
-        targets = forward_full(model, window, cache).argmax(axis=1)
+        targets = forward_full(model, [pending] + drafts, cache).argmax(axis=1)
 
         n_ok = 0
         while n_ok < len(drafts) and drafts[n_ok] == int(targets[n_ok]):
             n_ok += 1
-        emitted = drafts[:n_ok] + [int(targets[n_ok])]
+        pending = int(targets[n_ok])
+        generated += drafts[:n_ok] + [pending]
         cache.rewind(base + n_ok + 1)  # drop rejected positions
-
-        pending = emitted[-1]
-        committed += len(emitted)
-        generated.extend(emitted)
         rounds += 1
         proposed += len(drafts)
         accepted += n_ok
@@ -220,6 +215,6 @@ def speculative_generate(
         rounds=rounds,
         proposed=proposed,
         accepted=accepted,
-        tokens_generated=len(generated),
+        tokens_generated=accepted + rounds,
     )
-    return generated[:gen_len], stats
+    return generated, stats

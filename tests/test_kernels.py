@@ -279,7 +279,7 @@ _ORACLE_SHAPES = [
     (3, 33, 5, 16),
     (2, 16, 3, 16),
     (2, 9, 260, 4),
-    (1, 3, 8193, 4),
+    (1, 3, _accel.REDUCE_MAX_OUTPUTS + 1, 4),
 ]
 
 
@@ -357,18 +357,19 @@ def _loop_gemm(a, w, group_size, scales=None, mul=np.multiply):
     return out
 
 
-# (m, k, n, group): outputs of 8191, 8192 and 8193 elements (8192 is
-# REDUCE_MAX_OUTPUTS); N = 1 with M > 1 and K >= 9 on the block path and
-# on the loop path; a single output (M = N = 1, loop path); the verify
+_T = _accel.REDUCE_MAX_OUTPUTS
+# (m, k, n, group): outputs one below, at and one above REDUCE_MAX_OUTPUTS
+# (M > 1 at it); N = 1 with M > 1 and K >= 9 on the block path and on the
+# loop path; a single output (M = N = 1, loop path); the verify
 # shapes (17, 256, 64) and (17, 64, 256), whose groups each span several
 # k-chunks of at most BLOCK_MAX products; M = 1 with K > group; a group
 # larger than K.
 _LOOP_EDGE_SHAPES = [
-    (1, 40, 8191, 16),
-    (64, 10, 128, 8),
-    (3, 20, 2731, 16),
+    (1, 40, _T - 1, 16),
+    (_T // 128, 10, 128, 8),
+    (1, 20, _T + 1, 16),
     (5, 96, 1, 128),
-    (8200, 12, 1, 16),
+    (_T + 8, 12, 1, 16),
     (1, 130, 1, 64),
     (17, 256, 64, 128),
     (17, 64, 256, 64),
@@ -408,7 +409,7 @@ def test_gemm_f32_matches_loop_oracle():
         mul = pe_muls[i % 2] if i % 5 == 0 else np.multiply  # 1 in 5 through the PE datapath
         shapes.append(((m, k, n, group), mul))
     sizes = [m * n for (m, _, n, _), _ in shapes]
-    assert min(sizes) <= _accel.REDUCE_MAX_OUTPUTS < max(sizes)
+    assert {_T - 1, _T, _T + 1} <= set(sizes)
     assert any(k * m * n > _accel.BLOCK_MAX for (m, k, n, _), _ in shapes)
     for i, ((m, k, n, group), mul) in enumerate(shapes):
         a, w, scales = _loop_case(rng, (m, k, n, group), mul)
@@ -423,18 +424,19 @@ def test_gemm_f32_matches_loop_oracle():
 
 # ── the batch axis against the per-k loop, slice by slice ────────────────
 
-_T = _accel.REDUCE_MAX_OUTPUTS
 # (b, m, k, n, group): B*M*N one below, at and one above REDUCE_MAX_OUTPUTS
-# (8191 = 8191 slices of one output each, so also M*N = 1 with B >= 2 on
-# the block path; 8193 splits into per-slice calls on the block path, and
-# per-slice loops); M*N = 1 with B >= 2 and K >= 9; B*M*N = 1; B = 1;
+# (one below: that many slices of one output each, so also M*N = 1 with
+# B >= 2 on the block path; one above: a single slice on the loop path);
+# just above it with B >= 2, split into per-slice calls on the block path,
+# and per-slice loops; M*N = 1 with B >= 2 and K >= 9; B*M*N = 1; B = 1;
 # groups that each span several k-chunks of at most BLOCK_MAX products.
 _BATCH_EDGE_SHAPES = [
-    (8191, 1, 12, 1, 8),
-    (2, 64, 10, 64, 4),
-    (3, 1, 20, 2731, 16),
-    (3, 2731, 9, 1, 4),
-    (3, 4100, 10, 2, 8),
+    (_T - 1, 1, 12, 1, 8),
+    (2, 64, 10, _T // 128, 4),
+    (1, 1, 9, _T + 1, 8),
+    (2, 1, 20, _T // 2 + 1, 16),
+    (3, _T // 3 + 1, 9, 1, 4),
+    (3, _T // 2 + 4, 10, 2, 8),
     (5, 1, 40, 1, 16),
     (1, 1, 30, 1, 8),
     (1, 3, 20, 5, 8),
@@ -484,10 +486,20 @@ def test_batched_gemm_f32_matches_loop_oracle():
             _assert_batch_matches_loop(a, w, group, s, mul)
 
 
-# (n_heads, n, t): decode (n = 1), verify windows (n = 17) with H*n*t on
-# either side of REDUCE_MAX_OUTPUTS, and a prefill on the per-head loop.
+# (n_heads, n, t): decode (n = 1), verify windows (n = 17) over chat-short
+# lengths and with H*n*t on either side of REDUCE_MAX_OUTPUTS, and a
+# prefill on the per-head loop.
 @pytest.mark.parametrize(
-    "n_heads,n,t", [(4, 1, 136), (4, 1, 480), (4, 17, 120), (4, 17, 137), (2, 70, 70)]
+    "n_heads,n,t",
+    [
+        (4, 1, 136),
+        (4, 1, 480),
+        (4, 17, 120),
+        (4, 17, 137),
+        (4, 17, _T // 68),
+        (4, 17, _T // 68 + 1),
+        (2, 70, 70),
+    ],
 )
 def test_attention_kernels_match_loop_oracle(n_heads, n, t):
     d = 64

@@ -317,6 +317,11 @@ _LOAD_MISMATCHES = {
     "config-not-mapping": ("model.json", _edit_manifest(lambda m: m.update(config=[64, 2]))),
     "config-str-size": ("model.json", _edit_manifest(lambda m: m["config"].update(n_heads="4"))),
     "config-float-size": ("model.json", _edit_manifest(lambda m: m["config"].update(d_model=64.0))),
+    # fails before any allocation: 2**50 positions would be an 8 PiB position table
+    "config-huge-context": (
+        "model.json",
+        _edit_manifest(lambda m: m["config"].update(context=2**50)),
+    ),
     "config-str-logit-scale": (
         "model.json",
         _edit_manifest(lambda m: m["config"].update(logit_scale="abc")),
@@ -367,6 +372,10 @@ def test_config_validation():
             with pytest.raises(ValueError, match=f"{size} must be an integer"):
                 ModelConfig(**{size: bad})
     assert ModelConfig(n_layers=np.int64(1)).n_layers == 1
+    assert ModelConfig(context=smodel.MAX_CONTEXT).context == smodel.MAX_CONTEXT
+    for bad in (smodel.MAX_CONTEXT + 1, 2**50):
+        with pytest.raises(ValueError, match=f"context must be <= {smodel.MAX_CONTEXT}"):
+            ModelConfig(context=bad)
     for bad in ("abc", "48", float("nan"), float("inf"), 0.0, -1.0, True, None):
         with pytest.raises(ValueError, match="logit_scale must be a finite real > 0"):
             ModelConfig(logit_scale=bad)

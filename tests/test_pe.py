@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from speq._accel import REDUCE_MAX_OUTPUTS
 from speq.kernels import GemmMode, GemmSpec, gemm_draft, gemm_full
 from speq.pe import (
     ACTIVATION_BITS,
@@ -111,9 +112,11 @@ def test_input_width_parity():
 # ── functional equivalence with the kernels ──────────────────────────────
 
 
-# (k, m, n); the last has 8250 outputs, above _accel.REDUCE_MAX_OUTPUTS,
+# (k, m, n); the last has just more outputs than _accel.REDUCE_MAX_OUTPUTS,
 # so the PE datapath runs through both gemm_f32 strategies.
-@pytest.mark.parametrize("shape", [(64, 3, 5), (130, 2, 4), (256, 1, 9), (16, 33, 250)])
+@pytest.mark.parametrize(
+    "shape", [(64, 3, 5), (130, 2, 4), (256, 1, 9), (16, 33, REDUCE_MAX_OUTPUTS // 33 + 1)]
+)
 def test_simulate_matches_kernels(shape):
     k, m, n = shape
     rng = np.random.default_rng(hash(shape) % (1 << 32))

@@ -129,13 +129,14 @@ def model():
 
 def test_gamma_one_never_drafts():
     # With unscaled logits the top softmax probability is ~1/vocab << 1.
+    # The prefill gives the first token, then each round emits one.
     m = init_model(ModelConfig(seed=3, logit_scale=1.0))
     prompt = [5, 17, 200]
-    out, stats = speculative_generate(m, prompt, SpecDecConfig(gamma=1.0), 32)
+    out, stats = speculative_generate(m, prompt, SpecDecConfig(gamma=1.0), 33)
     assert stats.proposed == 0
     assert stats.accept_rate == 0.0
     assert stats.rounds == 32
-    assert out == greedy_generate(m, prompt, 32)
+    assert out == greedy_generate(m, prompt, 33)
 
 
 def test_lossless_on_seeded_prompts(model):
@@ -146,6 +147,8 @@ def test_lossless_on_seeded_prompts(model):
         out, stats = speculative_generate(model, prompt, cfg, 48)
         assert out == greedy_generate(model, prompt, 48)
         assert len(out) == 48
+        # every token but the prefill's comes from a round
+        assert stats.tokens_generated == stats.accepted + stats.rounds == 47
         assert 0.0 <= stats.accept_rate <= 1.0
         assert stats.mean_accept_len <= stats.mean_draft_len + 1.0
 
@@ -169,13 +172,58 @@ def _pow2_model(seed: int) -> ToyModel:
 
 
 def test_exact_draft_accepts_everything():
+    # 41 = the prefill's token + 8 rounds of L + 1, so no round is capped
     m = _pow2_model(4)
     cfg = SpecDecConfig(max_draft_len=4, gamma=0.0)
-    out, stats = speculative_generate(m, [1, 2, 3], cfg, 40)
+    out, stats = speculative_generate(m, [1, 2, 3], cfg, 41)
     assert stats.accept_rate == 1.0
     assert stats.mean_draft_len == 4.0
     assert stats.mean_accept_len == 5.0  # L + 1 per round
-    assert out == greedy_generate(m, [1, 2, 3], 40)
+    assert out == greedy_generate(m, [1, 2, 3], 41)
+
+
+def test_last_round_drafts_only_what_can_be_emitted():
+    m = _pow2_model(4)
+    out, stats = speculative_generate(m, [1, 2, 3], SpecDecConfig(max_draft_len=16, gamma=0.0), 5)
+    assert stats == specdec.SpecDecStats(rounds=1, proposed=3, accepted=3, tokens_generated=4)
+    assert out == greedy_generate(m, [1, 2, 3], 5)
+
+
+@pytest.fixture
+def forwards(monkeypatch):
+    """Count the forwards the decoding loops make, by pass."""
+    counts = {"full": 0, "draft": 0}
+
+    def counting(kind, fn):
+        def wrapped(*args, **kwargs):
+            counts[kind] += 1
+            return fn(*args, **kwargs)
+
+        return wrapped
+
+    monkeypatch.setattr(specdec, "forward_full", counting("full", specdec.forward_full))
+    monkeypatch.setattr(specdec, "forward_draft", counting("draft", specdec.forward_draft))
+    return counts
+
+
+def test_first_token_is_one_prefill(model, forwards):
+    out, stats = speculative_generate(model, [4, 8, 15, 16], SpecDecConfig(gamma=0.0), 1)
+    assert forwards == {"full": 1, "draft": 0}
+    assert stats == specdec.SpecDecStats(0, 0, 0, 0)
+    assert out == greedy_generate(model, [4, 8, 15, 16], 1)
+
+
+def test_greedy_makes_one_forward_per_token(model, forwards):
+    for gen_len in (1, 2, 9):
+        forwards["full"] = 0
+        greedy_generate(model, [4, 8, 15, 16], gen_len)
+        assert forwards == {"full": gen_len, "draft": 0}
+
+
+def test_greedy_pinned_tokens():
+    # pinned from a decoder that ran the last prompt token as its own M=1 forward
+    out = greedy_generate(init_model(ModelConfig()), [1, 2, 3, 5, 8, 13, 21, 34], 16)
+    assert out == [88, 88, 146, 146, 146, 7, 7, 37, 65, 65, 65, 65, 197, 197, 37, 37]
 
 
 def test_no_extra_cache_allocated(model, monkeypatch):
