@@ -18,7 +18,8 @@ Two strategies evaluate that same order, chosen by output size:
   outputs. A group is cut along k into chunks of at most ``BLOCK_MAX``
   products; the running sum is added into row 0 of the next chunk, which
   keeps the order sequential and bounds the memory a block takes.
-* loop path, every other output (a single output, the M=383 prefill):
+* loop path, every other output (a single output, the GEMMs of a
+  384-row prefill):
   loop in Python over k, vectorized over the outputs, from one (m, n)
   buffer per group.
 
@@ -28,9 +29,11 @@ independent sum in the same order, so each slice has the bits of its own
 call. When 2 <= B*m*n <= ``REDUCE_MAX_OUTPUTS`` the whole batch is one
 C-contiguous (k, B, m, n) block per group, one call for all heads;
 otherwise each slice runs as its own call and picks its own path. That
-keeps the per-head loop at the (4, 383, 383) prefill, where one block for
-all heads no longer fits in L2 (long-context TTFT went from 77-90 to
-116-123 ms when tried).
+keeps the per-head loop at the (4, 384, 384) prefill attention of every
+layer but the last, where one block for all heads no longer fits in L2
+(long-context TTFT went from 77-90 to 116-123 ms when tried at
+(4, 383, 383)). A prefill's last layer computes attention for the last
+prompt row only, (4, 1, 384), which takes the block path.
 
 Two rules keep the block path sequential. ``np.add.reduce`` sums
 pairwise whenever the reduced axis is the inner, contiguous loop, and
@@ -148,7 +151,8 @@ def rowsum_f32(x):
     column to +0.0 turns an all-(-0.0) row's -0.0 into the +0.0 a loop
     started at +0.0 gives. Against a per-j loop (2-vCPU host) it takes
     7 us instead of 314 us at decode shape (4, 1, 136), and 2.1 ms instead
-    of 1.3 ms at the (4, 383, 383) prefill, once per layer.
+    of 1.3 ms at the (4, 383, 383) prefill shape. A prefill sums that shape
+    in every layer but the last, whose one query row is (4, 1, 384).
     """
     return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
 

@@ -16,6 +16,14 @@ through the 4-bit draft values (``gemm_draft``) and ``forward_full``
 through the exact weights (``gemm_full``). Keys/values from both passes
 land in one shared, preallocated FP16 cache.
 
+``forward_full(..., last_only=True)`` is the prefill the decoders run:
+every layer computes q, k and v for every row and caches the keys and
+values, since later forwards attend to all of them, but the last layer's
+attention, ``wo``, MLP, final layernorm and ``head`` run for the last row
+alone, the only row whose logits are read. A row's outputs do not depend
+on how many rows share its forward, so that row is bit-identical to the
+last row of the default call.
+
 Each layer's q, k and v projections are one (d, 3d) weight, ``l{i}.qkv``
 (as GPT-2 stores ``c_attn``), so they run as one GEMM and are quantized,
 saved and held once.
@@ -231,7 +239,9 @@ def _f16(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float16)
 
 
-def _forward(model: ToyModel, tokens: np.ndarray, cache: KvCache, lin) -> np.ndarray:
+def _forward(
+    model: ToyModel, tokens: np.ndarray, cache: KvCache, lin, last_only: bool = False
+) -> np.ndarray:
     cfg = model.cfg
     n = tokens.shape[0]
     start = cache.len
@@ -240,14 +250,19 @@ def _forward(model: ToyModel, tokens: np.ndarray, cache: KvCache, lin) -> np.nda
     d = cfg.d_model
     d_head = d // cfg.n_heads
     att_scale = np.float32(1.0 / np.sqrt(d_head))
+    t = start + n
+    rows = start + np.arange(n)  # absolute position of each query row
 
-    x = model.embed[tokens].astype(np.float32) + model.pos[start : start + n]
+    x = model.embed[tokens].astype(np.float32) + model.pos[start:t]
     for i in range(cfg.n_layers):
         h16 = _f16(_layernorm(x))
         qkv = lin(f"l{i}.qkv", h16)
         q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
         cache.write(i, start, _f16(k), _f16(v))
-        t = start + n
+        if last_only and i == cfg.n_layers - 1:
+            # Every row's keys and values are cached; nothing reads the
+            # other rows' outputs of the last layer.
+            q, x, rows = q[-1:], x[-1:], rows[-1:]
         k_all = cache.keys[i, :t].astype(np.float32)
         v_all = cache.vals[i, :t].astype(np.float32)
 
@@ -255,7 +270,7 @@ def _forward(model: ToyModel, tokens: np.ndarray, cache: KvCache, lin) -> np.nda
         # The softmax denominator is summed sequentially over the key axis
         # (masked tails contribute exact zeros), so a row's probabilities
         # are bit-identical whether it runs alone or inside a wider window.
-        mask = np.arange(t)[None, :] > (start + np.arange(n))[:, None]
+        mask = np.arange(t)[None, :] > rows[:, None]
         scores = _accel.attn_scores_f32(q, k_all, cfg.n_heads)
         scores *= att_scale
         scores[:, mask] = -np.inf
@@ -269,16 +284,23 @@ def _forward(model: ToyModel, tokens: np.ndarray, cache: KvCache, lin) -> np.nda
         np.maximum(f, np.float32(0.0), out=f)
         x = x + lin(f"l{i}.w2", _f16(f))
 
-    cache.len = start + n
+    cache.len = t
     logits = lin("head", _f16(_layernorm(x)))
     logits *= np.float32(cfg.logit_scale)
     return logits
 
 
-def forward_full(model: ToyModel, tokens, cache: KvCache) -> np.ndarray:
-    """Exact-weights pass over one or more tokens; returns (n, vocab) logits."""
+def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = False) -> np.ndarray:
+    """Exact-weights pass over one or more tokens; returns (n, vocab) logits.
+
+    With ``last_only`` it returns the last row's logits alone, as (1, vocab),
+    bit-identical to the last row of the default call. Every layer still
+    writes every row's keys and values into the cache, so later forwards
+    see the same cache either way; the last layer then runs attention,
+    ``wo``, the MLP, the final layernorm and ``head`` for the last row only.
+    """
     tokens = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
-    return _forward(model, tokens, cache, model._lin_full)
+    return _forward(model, tokens, cache, model._lin_full, last_only)
 
 
 def forward_draft(model: ToyModel, token: int, cache: KvCache) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Self-speculative decoding controller and its analytic speedup model.
 
 One weight store, two passes. Both decoders run the full-precision pass
-over the whole prompt and take the first token from its last row. Each
+over the whole prompt and take the first token from its last row; that
+prefill caches every row's keys and values but computes logits for the
+last row only (``forward_full(..., last_only=True)``). Each
 round the controller then drafts greedily with the 4-bit view (stopping
 early when the draft's top softmax probability drops below gamma, after
 ``max_draft_len`` tokens, or when no further draft could be emitted within
@@ -148,11 +150,19 @@ def _max_softmax_prob(logits: np.ndarray) -> float:
     return float(e.max() / e.sum(dtype=np.float32))
 
 
-def _check_budget(model: ToyModel, prompt, gen_len: int) -> None:
+def _check_request(model: ToyModel, prompt, gen_len: int) -> None:
     if not len(prompt):
         raise ValueError("prompt must be nonempty")
     if gen_len < 1:
         raise ValueError("gen_len must be >= 1")
+    vocab = model.cfg.vocab
+    for t in prompt:
+        # a bool, float or nested sequence would be cast or fail mid-forward;
+        # a negative id would index the embedding from its end
+        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
+            raise ValueError(f"prompt token ids must be integers, got {t!r}")
+        if not 0 <= t < vocab:
+            raise ValueError(f"prompt token id {t} is outside [0, {vocab})")
     if len(prompt) + gen_len > model.cfg.context:
         raise ContextOverflowError(
             f"prompt {len(prompt)} + gen_len {gen_len} exceeds context {model.cfg.context}"
@@ -162,9 +172,9 @@ def _check_budget(model: ToyModel, prompt, gen_len: int) -> None:
 def greedy_generate(model: ToyModel, prompt, gen_len: int) -> list[int]:
     """Plain greedy decoding with the full-precision pass only: the prefill
     gives the first token, then one M=1 forward per further token."""
-    _check_budget(model, prompt, gen_len)
+    _check_request(model, prompt, gen_len)
     cache = model.new_cache()
-    out = [_argmax(forward_full(model, list(prompt), cache)[-1])]
+    out = [_argmax(forward_full(model, list(prompt), cache, last_only=True)[0])]
     while len(out) < gen_len:
         out.append(_argmax(forward_full(model, [out[-1]], cache)[0]))
     return out
@@ -175,9 +185,9 @@ def speculative_generate(
 ) -> tuple[list[int], SpecDecStats]:
     """Draft/verify loop; output is identical to :func:`greedy_generate`.
     No round drafts more tokens than ``gen_len`` still leaves room for."""
-    _check_budget(model, prompt, gen_len)
+    _check_request(model, prompt, gen_len)
     cache = model.new_cache()
-    pending = _argmax(forward_full(model, list(prompt), cache)[-1])
+    pending = _argmax(forward_full(model, list(prompt), cache, last_only=True)[0])
     generated = [pending]
     rounds = proposed = accepted = 0
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 import shutil
@@ -12,7 +13,7 @@ import pytest
 
 import speq.model as smodel
 from speq.container import read_crc, write_container
-from speq.kernels import GemmMode
+from speq.kernels import GemmMode, gemm_full
 from speq.model import (
     ContextOverflowError,
     KvCache,
@@ -101,6 +102,56 @@ def test_windowed_equals_stepwise(model):
     step_cache = model.new_cache()
     rows = [forward_full(model, [t], step_cache)[0] for t in tokens]
     assert np.array_equal(win.view(np.uint32), np.stack(rows).view(np.uint32))
+
+
+@functools.lru_cache(maxsize=None)
+def _layered_model(n_layers):
+    return init_model(ModelConfig(n_layers=n_layers, seed=12))
+
+
+def _assert_last_only_matches(m, tokens, prefix=()):
+    """``last_only`` gives the default call's last row and leaves the same cache."""
+    runs = []
+    for last_only in (False, True):
+        cache = m.new_cache()
+        if prefix:
+            forward_full(m, list(prefix), cache)
+        runs.append((cache, forward_full(m, tokens, cache, last_only=last_only)))
+    (full_cache, full), (last_cache, last) = runs
+    assert last.shape == (1, m.cfg.vocab)
+    assert np.array_equal(last.view(np.uint32), full[-1:].view(np.uint32))
+    assert last_cache.len == full_cache.len == len(prefix) + len(tokens)
+    for name in ("keys", "vals"):
+        got, want = getattr(last_cache, name), getattr(full_cache, name)
+        assert np.array_equal(got.view(np.uint16), want.view(np.uint16)), name
+
+
+@pytest.mark.parametrize("n_layers", [1, 2, 4])
+@pytest.mark.parametrize("n", [1, 8, 384])
+def test_last_only_is_the_last_row(n_layers, n):
+    # n_layers=1: the only layer is the one whose outputs are cut to one row
+    tokens = np.random.default_rng(n).integers(0, 256, n).tolist()
+    _assert_last_only_matches(_layered_model(n_layers), tokens)
+
+
+def test_last_only_on_a_warm_cache():
+    # start > 0: the last query sits at position 12, not at n - 1 = 6
+    _assert_last_only_matches(_layered_model(2), [9, 8, 7, 6, 5, 4, 3], prefix=range(40, 46))
+
+
+def test_last_only_runs_the_last_layer_at_one_row(monkeypatch):
+    rows = []
+
+    def recording(a16, p, *args, **kwargs):
+        rows.append(a16.shape[0])
+        return gemm_full(a16, p, *args, **kwargs)
+
+    monkeypatch.setattr(smodel, "gemm_full", recording)
+    m = _layered_model(2)
+    forward_full(m, list(range(8)), m.new_cache(), last_only=True)
+    # qkv, wo, w1, w2 of layer 0; qkv of layer 1 over every row; then
+    # wo, w1, w2 of layer 1 and the head over the last row
+    assert rows == [8, 8, 8, 8, 8, 1, 1, 1, 1]
 
 
 def test_draft_reads_only_draft_stream(poison_remainder):

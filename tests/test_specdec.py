@@ -189,14 +189,25 @@ def test_last_round_drafts_only_what_can_be_emitted():
     assert out == greedy_generate(m, [1, 2, 3], 5)
 
 
+class _Forwards(dict):
+    """Forward counts by pass, plus the keyword arguments of each full forward."""
+
+    def __init__(self):
+        super().__init__(full=0, draft=0)
+        self.full_kwargs: list[dict] = []
+
+
 @pytest.fixture
 def forwards(monkeypatch):
-    """Count the forwards the decoding loops make, by pass."""
-    counts = {"full": 0, "draft": 0}
+    """Count the forwards the decoding loops make, by pass, and record the
+    keyword arguments of each full forward."""
+    counts = _Forwards()
 
     def counting(kind, fn):
         def wrapped(*args, **kwargs):
             counts[kind] += 1
+            if kind == "full":
+                counts.full_kwargs.append(kwargs)
             return fn(*args, **kwargs)
 
         return wrapped
@@ -218,6 +229,18 @@ def test_greedy_makes_one_forward_per_token(model, forwards):
         forwards["full"] = 0
         greedy_generate(model, [4, 8, 15, 16], gen_len)
         assert forwards == {"full": gen_len, "draft": 0}
+
+
+@pytest.mark.parametrize("decoder", ["greedy", "speculative"])
+def test_only_the_prefill_is_last_only(model, forwards, decoder):
+    prompt = [4, 8, 15, 16]
+    if decoder == "greedy":
+        greedy_generate(model, prompt, 9)
+    else:
+        speculative_generate(model, prompt, SpecDecConfig(max_draft_len=3, gamma=0.0), 9)
+    flags = [kw.get("last_only", False) for kw in forwards.full_kwargs]
+    assert len(flags) > 1
+    assert flags == [True] + [False] * (len(flags) - 1)
 
 
 def test_greedy_pinned_tokens():
@@ -260,6 +283,22 @@ def test_bad_args(model):
         SpecDecConfig(gamma=1.5)
     with pytest.raises(ValueError):
         SpecDecConfig(max_draft_len=0)
+
+
+@pytest.mark.parametrize("prompt", [[-1], [256], [1.5], [True], [3, True], [[1, 2]], "ab"])
+def test_prompt_ids_checked_before_any_forward(model, forwards, prompt):
+    with pytest.raises(ValueError, match="prompt token id"):
+        greedy_generate(model, prompt, 3)
+    with pytest.raises(ValueError, match="prompt token id"):
+        speculative_generate(model, prompt, SpecDecConfig(), 3)
+    assert forwards == {"full": 0, "draft": 0}
+
+
+def test_prompt_id_types_accepted(model):
+    want = greedy_generate(model, [0, 7, 255], 4)
+    for prompt in (b"\x00\x07\xff", np.array([0, 7, 255], dtype=np.uint8), (0, np.int64(7), 255)):
+        assert greedy_generate(model, prompt, 4) == want
+        assert speculative_generate(model, prompt, SpecDecConfig(), 4)[0] == want
 
 
 def test_near_context_boundary(model):
