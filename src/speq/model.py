@@ -14,7 +14,9 @@ Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
 through the 4-bit draft values (``gemm_draft``) and ``forward_full``
 through the exact weights (``gemm_full``). Keys/values from both passes
-land in one shared, preallocated FP16 cache.
+land in one shared, preallocated cache: float32 arrays that hold
+FP16-rounded values, so attention reads them without a cast and sees the
+same bits an FP16 store would give. The decoders size it to the request.
 
 ``forward_full(..., last_only=True)`` is the prefill the decoders run:
 every layer computes q, k and v for every row and caches the keys and
@@ -57,6 +59,7 @@ __all__ = [
     "ContextOverflowError",
     "init_model",
     "draw_weights",
+    "check_token_ids",
     "forward_full",
     "forward_draft",
     "forward_reference",
@@ -119,27 +122,40 @@ class ModelConfig:
 
 
 class KvCache:
-    """Shared key/value store, preallocated to the full context window.
+    """Shared key/value store for ``positions`` tokens (default: the whole
+    context window), allocated once.
 
     Both the draft and verification passes write into the same buffers;
-    there is no second cache for the draft model. ``rewind`` truncates the
-    logical length without touching storage.
+    there is no second cache for the draft model. Storage is float32, but
+    every value written is first rounded to FP16: FP16 -> float32 is exact,
+    so the cache holds FP16 values that attention reads without a cast.
+    ``rewind`` truncates the logical length without touching storage.
     """
 
-    def __init__(self, cfg: ModelConfig):
-        self.keys = np.zeros((cfg.n_layers, cfg.context, cfg.d_model), dtype=np.float16)
+    def __init__(self, cfg: ModelConfig, positions: int | None = None):
+        if positions is None:
+            positions = cfg.context
+        # more positions than the context would outrun the position table
+        if not 1 <= positions <= cfg.context:
+            raise ValueError(f"positions must be in [1, {cfg.context}], got {positions}")
+        self.keys = np.zeros((cfg.n_layers, positions, cfg.d_model), dtype=np.float32)
         self.vals = np.zeros_like(self.keys)
         self.len = 0
+
+    @property
+    def positions(self) -> int:
+        return self.keys.shape[1]
 
     def rewind(self, n: int) -> None:
         if not 0 <= n <= self.len:
             raise ValueError(f"cannot rewind to {n} (len={self.len})")
         self.len = n
 
-    def write(self, layer: int, start: int, k16: np.ndarray, v16: np.ndarray) -> None:
-        end = start + k16.shape[0]
-        self.keys[layer, start:end] = k16
-        self.vals[layer, start:end] = v16
+    def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
+        """Store rows ``start:`` of ``layer``, each value rounded to FP16."""
+        end = start + k.shape[0]
+        self.keys[layer, start:end] = _f16(k)
+        self.vals[layer, start:end] = _f16(v)
 
 
 _LAYER_PARTS = ("qkv", "wo", "w1", "w2")
@@ -203,8 +219,8 @@ class ToyModel:
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
 
-    def new_cache(self) -> KvCache:
-        return KvCache(self.cfg)
+    def new_cache(self, positions: int | None = None) -> KvCache:
+        return KvCache(self.cfg, positions)
 
     # gemm_full / gemm_draft are looked up in this module at call time, so a
     # tracer that replaces them here sees every linear.
@@ -229,14 +245,47 @@ def init_model(cfg: ModelConfig) -> ToyModel:
 
 
 def _layernorm(x: np.ndarray) -> np.ndarray:
-    mu = x.mean(axis=-1, keepdims=True, dtype=np.float32)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True, dtype=np.float32)
+    # add.reduce / n is what float32 ``mean`` computes, without its wrapper
+    n = np.float32(x.shape[-1])
+    xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     return xc / np.sqrt(var + np.float32(1e-5))
 
 
 def _f16(x: np.ndarray) -> np.ndarray:
     return x.astype(np.float16)
+
+
+_BOOL_TYPES = frozenset((bool, np.bool_))
+
+
+def check_token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
+    """``tokens`` as a 1-D int64 array, or a ``ValueError`` naming ``what``.
+
+    A scalar is one id. Each id must be an integer, not a bool, in
+    ``[0, vocab)``: otherwise a float would be truncated, a negative id
+    would index the embedding from its end and a too-large one would fail
+    mid-forward. The checks are array-wide, so a long prompt runs no
+    Python loop over its ids.
+    """
+    ids = np.asarray(tokens)
+    # a bool among ints converts to an int array, so a list's element types
+    # are checked too (by a C-level map, not a Python loop)
+    if (
+        ids.ndim > 1
+        or ids.dtype.kind not in "iu"
+        or (isinstance(tokens, (list, tuple)) and not _BOOL_TYPES.isdisjoint(map(type, tokens)))
+    ):
+        raise ValueError(f"{what} must be a flat sequence of integers, got {tokens!r}")
+    ids = np.atleast_1d(ids)
+    if not ids.size:
+        raise ValueError(f"{what}: none given")
+    ids64 = ids.astype(np.int64, copy=False)
+    # as unsigned, a negative id (and a uint64 id past int64) is >= 2**63
+    if np.maximum.reduce(ids64.view(np.uint64)) >= vocab:
+        bad = ids[(ids < 0) | (ids >= vocab)][0]
+        raise ValueError(f"{what} must lie in [0, {vocab}), got {bad}")
+    return ids64
 
 
 def _forward(
@@ -245,38 +294,39 @@ def _forward(
     cfg = model.cfg
     n = tokens.shape[0]
     start = cache.len
-    if start + n > cfg.context:
-        raise ContextOverflowError(f"{start + n} positions > context {cfg.context}")
+    t = start + n
+    if t > cache.positions:
+        raise ContextOverflowError(f"{t} positions > cache capacity {cache.positions}")
     d = cfg.d_model
     d_head = d // cfg.n_heads
     att_scale = np.float32(1.0 / np.sqrt(d_head))
-    t = start + n
-    rows = start + np.arange(n)  # absolute position of each query row
+    # Causal: query at absolute position start+r sees keys [0, start+r].
+    # A single query row is the last position, t-1, and sees every key,
+    # so only a wider window builds and applies the mask.
+    mask = np.arange(t)[None, :] > np.arange(start, t)[:, None] if n > 1 else None
 
     x = model.embed[tokens].astype(np.float32) + model.pos[start:t]
     for i in range(cfg.n_layers):
         h16 = _f16(_layernorm(x))
         qkv = lin(f"l{i}.qkv", h16)
         q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
-        cache.write(i, start, _f16(k), _f16(v))
+        cache.write(i, start, k, v)
         if last_only and i == cfg.n_layers - 1:
             # Every row's keys and values are cached; nothing reads the
             # other rows' outputs of the last layer.
-            q, x, rows = q[-1:], x[-1:], rows[-1:]
-        k_all = cache.keys[i, :t].astype(np.float32)
-        v_all = cache.vals[i, :t].astype(np.float32)
+            # The kept row is position t-1, which needs no mask.
+            q, x, mask = q[-1:], x[-1:], None
 
-        # Causal: query at absolute position start+r sees keys [0, start+r].
+        scores = _accel.attn_scores_f32(q, cache.keys[i, :t], cfg.n_heads)
+        scores *= att_scale
         # The softmax denominator is summed sequentially over the key axis
         # (masked tails contribute exact zeros), so a row's probabilities
         # are bit-identical whether it runs alone or inside a wider window.
-        mask = np.arange(t)[None, :] > rows[:, None]
-        scores = _accel.attn_scores_f32(q, k_all, cfg.n_heads)
-        scores *= att_scale
-        scores[:, mask] = -np.inf
+        if mask is not None:
+            scores[:, mask] = -np.inf
         e = np.exp(scores - scores.max(axis=-1, keepdims=True))
         probs = e / _accel.rowsum_f32(e)[:, :, None]
-        ctx = _accel.attn_ctx_f32(probs, v_all, cfg.n_heads)
+        ctx = _accel.attn_ctx_f32(probs, cache.vals[i, :t], cfg.n_heads)
         x = x + lin(f"l{i}.wo", _f16(ctx))
 
         h16 = _f16(_layernorm(x))
@@ -299,13 +349,13 @@ def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = F
     see the same cache either way; the last layer then runs attention,
     ``wo``, the MLP, the final layernorm and ``head`` for the last row only.
     """
-    tokens = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
+    tokens = check_token_ids(tokens, model.cfg.vocab)
     return _forward(model, tokens, cache, model._lin_full, last_only)
 
 
 def forward_draft(model: ToyModel, token: int, cache: KvCache) -> np.ndarray:
     """4-bit-weights pass over a single token; returns (vocab,) logits."""
-    tokens = np.asarray([token], dtype=np.int64)
+    tokens = check_token_ids([token], model.cfg.vocab)
     return _forward(model, tokens, cache, model._lin_draft)[0]
 
 
@@ -313,7 +363,7 @@ def forward_reference(
     model: ToyModel, tokens, cache: KvCache, raw_weights: dict[str, np.ndarray]
 ) -> np.ndarray:
     """Forward pass over plain FP16 weight arrays (no packed storage)."""
-    tokens = np.atleast_1d(np.asarray(tokens, dtype=np.int64))
+    tokens = check_token_ids(tokens, model.cfg.vocab)
     gs = model.cfg.group_size
     return _forward(
         model, tokens, cache, lambda name, a16: reference_gemm(a16, raw_weights[name], gs)

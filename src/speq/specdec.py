@@ -1,6 +1,8 @@
 """Self-speculative decoding controller and its analytic speedup model.
 
-One weight store, two passes. Both decoders run the full-precision pass
+One weight store, two passes, one KV cache. Each decoder allocates a
+cache of ``len(prompt) + gen_len`` positions, the most a request can
+write, and both passes share it. Both decoders run the full-precision pass
 over the whole prompt and take the first token from its last row; that
 prefill caches every row's keys and values but computes logits for the
 last row only (``forward_full(..., last_only=True)``). Each
@@ -28,7 +30,13 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from .model import ContextOverflowError, ToyModel, forward_draft, forward_full
+from .model import (
+    ContextOverflowError,
+    ToyModel,
+    check_token_ids,
+    forward_draft,
+    forward_full,
+)
 
 __all__ = [
     "SpecDecConfig",
@@ -150,31 +158,26 @@ def _max_softmax_prob(logits: np.ndarray) -> float:
     return float(e.max() / e.sum(dtype=np.float32))
 
 
-def _check_request(model: ToyModel, prompt, gen_len: int) -> None:
-    if not len(prompt):
-        raise ValueError("prompt must be nonempty")
-    if gen_len < 1:
-        raise ValueError("gen_len must be >= 1")
-    vocab = model.cfg.vocab
-    for t in prompt:
-        # a bool, float or nested sequence would be cast or fail mid-forward;
-        # a negative id would index the embedding from its end
-        if isinstance(t, bool) or not isinstance(t, (int, np.integer)):
-            raise ValueError(f"prompt token ids must be integers, got {t!r}")
-        if not 0 <= t < vocab:
-            raise ValueError(f"prompt token id {t} is outside [0, {vocab})")
-    if len(prompt) + gen_len > model.cfg.context:
+def _check_request(model: ToyModel, prompt, gen_len: int) -> np.ndarray:
+    """The prompt's ids as an int64 array, checked before any forward."""
+    # a float gen_len would size the cache with a float
+    if isinstance(gen_len, bool) or not isinstance(gen_len, (int, np.integer)) or gen_len < 1:
+        raise ValueError(f"gen_len must be an integer >= 1, got {gen_len!r}")
+    # list() turns bytes into ids and a string into characters, which fail
+    ids = check_token_ids(list(prompt), model.cfg.vocab, "prompt token ids")
+    if len(ids) + gen_len > model.cfg.context:
         raise ContextOverflowError(
-            f"prompt {len(prompt)} + gen_len {gen_len} exceeds context {model.cfg.context}"
+            f"prompt {len(ids)} + gen_len {gen_len} exceeds context {model.cfg.context}"
         )
+    return ids
 
 
 def greedy_generate(model: ToyModel, prompt, gen_len: int) -> list[int]:
     """Plain greedy decoding with the full-precision pass only: the prefill
     gives the first token, then one M=1 forward per further token."""
-    _check_request(model, prompt, gen_len)
-    cache = model.new_cache()
-    out = [_argmax(forward_full(model, list(prompt), cache, last_only=True)[0])]
+    ids = _check_request(model, prompt, gen_len)
+    cache = model.new_cache(len(ids) + gen_len)
+    out = [_argmax(forward_full(model, ids, cache, last_only=True)[0])]
     while len(out) < gen_len:
         out.append(_argmax(forward_full(model, [out[-1]], cache)[0]))
     return out
@@ -185,9 +188,9 @@ def speculative_generate(
 ) -> tuple[list[int], SpecDecStats]:
     """Draft/verify loop; output is identical to :func:`greedy_generate`.
     No round drafts more tokens than ``gen_len`` still leaves room for."""
-    _check_request(model, prompt, gen_len)
-    cache = model.new_cache()
-    pending = _argmax(forward_full(model, list(prompt), cache, last_only=True)[0])
+    ids = _check_request(model, prompt, gen_len)
+    cache = model.new_cache(len(ids) + gen_len)
+    pending = _argmax(forward_full(model, ids, cache, last_only=True)[0])
     generated = [pending]
     rounds = proposed = accepted = 0
 

@@ -18,6 +18,7 @@ from speq.model import (
     ContextOverflowError,
     KvCache,
     ModelConfig,
+    check_token_ids,
     draw_weights,
     forward_draft,
     forward_full,
@@ -180,6 +181,57 @@ def test_full_path_matches_unquantized_reference(model):
     assert np.array_equal(got.view(np.uint32), ref.view(np.uint32))
 
 
+def _forwards(m):
+    """Each forward as a function of a token list, on a fresh cache."""
+    raw = draw_weights(m.cfg)
+    return {
+        "full": lambda ids: forward_full(m, ids, m.new_cache()),
+        "draft": lambda ids: forward_draft(m, ids[0], m.new_cache()),
+        "reference": lambda ids: forward_reference(m, ids, m.new_cache(), raw),
+    }
+
+
+@pytest.mark.parametrize("kind", ["full", "draft", "reference"])
+@pytest.mark.parametrize(
+    "ids, match",
+    [([-1], "lie in"), ([256], "lie in"), ([255.7], "integers"), ([True], "integers")],
+)
+def test_forwards_reject_bad_token_ids(model, kind, ids, match):
+    with pytest.raises(ValueError, match=match):
+        _forwards(model)[kind](ids)
+
+
+@pytest.mark.parametrize(
+    "ids",
+    [[3, True], [np.True_], [[1, 2]], [], "ab", [2**70], np.array([2**63], dtype=np.uint64)],
+)
+def test_check_token_ids_rejects(ids):
+    with pytest.raises(ValueError, match="token ids"):
+        check_token_ids(ids, 256)
+
+
+def test_check_token_ids_accepts():
+    want = np.array([0, 7, 255], dtype=np.int64)
+    for ids in ([0, 7, 255], (0, np.int64(7), 255), np.array([0, 7, 255], dtype=np.uint8)):
+        got = check_token_ids(ids, 256)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert np.array_equal(check_token_ids(np.int32(4), 256), [4])  # a scalar is one id
+
+
+@pytest.mark.parametrize("shape", [(1, 64), (17, 128), (384, 64)])
+def test_layernorm_matches_mean_formula(shape):
+    for seed in range(4):
+        x = np.random.default_rng([seed, *shape]).normal(0.0, 3.0, shape).astype(np.float32)
+        x += np.float32(seed)  # a nonzero mean
+        mu = x.mean(axis=-1, keepdims=True, dtype=np.float32)
+        xc = x - mu
+        var = (xc * xc).mean(axis=-1, keepdims=True, dtype=np.float32)
+        want = xc / np.sqrt(var + np.float32(1e-5))
+        got = smodel._layernorm(x)
+        assert got.dtype == np.float32
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
 def test_context_overflow_in_forward(model):
     cache = model.new_cache()
     with pytest.raises(ContextOverflowError):
@@ -188,19 +240,56 @@ def test_context_overflow_in_forward(model):
 
 def test_kv_cache_semantics():
     cfg = ModelConfig(seed=0)
-    cache = KvCache(cfg)
-    fp16_bytes = cfg.n_layers * cfg.context * cfg.d_model * 2
-    assert cache.keys.nbytes + cache.vals.nbytes == 2 * fp16_bytes
-    k = np.ones((3, cfg.d_model), dtype=np.float16)
-    cache.write(0, 0, k, k)
+    assert KvCache(cfg).positions == cfg.context  # default: the whole window
+    cache = KvCache(cfg, 7)
+    for arr in (cache.keys, cache.vals):
+        assert arr.dtype == np.float32 and arr.shape == (cfg.n_layers, 7, cfg.d_model)
+    # written values are rounded to FP16 and stored exactly in float32
+    k = np.random.default_rng(0).normal(0.0, 1.0, (3, cfg.d_model)).astype(np.float32)
+    cache.write(0, 0, k, -k)
+    want = k.astype(np.float16).astype(np.float32)
+    assert not np.array_equal(want, k)  # the rounding is visible
     cache.len = 3
     cache.rewind(1)
     assert cache.len == 1
     # length is logical: the rows written before the rewind are still stored
-    assert np.array_equal(cache.keys[0, :3], k)
-    assert np.array_equal(cache.vals[0, :3], k)
+    assert np.array_equal(cache.keys[0, :3].view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(cache.vals[0, :3].view(np.uint32), (-want).view(np.uint32))
     with pytest.raises(ValueError):
         cache.rewind(5)
+
+
+@pytest.mark.parametrize("positions", [0, -1, 513])
+def test_kv_cache_rejects_bad_size(positions):
+    with pytest.raises(ValueError, match="positions"):
+        KvCache(ModelConfig(), positions)
+
+
+def test_forward_past_cache_capacity(model):
+    cache = model.new_cache(5)
+    forward_full(model, [1, 2, 3], cache)
+    with pytest.raises(ContextOverflowError, match="capacity 5"):
+        forward_full(model, [4, 5, 6], cache)
+    assert cache.len == 3  # nothing written past the check
+    forward_full(model, [4, 5], cache)  # exactly full
+    with pytest.raises(ContextOverflowError):
+        forward_draft(model, 6, cache)
+
+
+def test_cache_holds_fp16_values(model):
+    # Prefill, a draft round, then a verify pass that overwrites the draft's
+    # rows: every stored value is exactly representable in FP16.
+    cache = model.new_cache(16)
+    forward_full(model, [5, 6, 7, 8], cache, last_only=True)
+    for t in (9, 10, 11):
+        forward_draft(model, t, cache)
+    cache.rewind(4)
+    forward_full(model, [9, 10], cache)
+    for arr in (cache.keys, cache.vals):
+        assert arr.dtype == np.float32
+        assert np.any(arr[:, :7] != 0)
+        round_trip = arr.astype(np.float16).astype(np.float32)
+        assert np.array_equal(arr.view(np.uint32), round_trip.view(np.uint32))
 
 
 def test_cache_shared_between_paths(model):

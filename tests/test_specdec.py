@@ -252,19 +252,21 @@ def test_greedy_pinned_tokens():
 def test_no_extra_cache_allocated(model, monkeypatch):
     import speq.model as mm
 
-    counts = {"n": 0}
+    sizes = []
     orig = mm.ToyModel.new_cache
 
-    def counting(self):
-        counts["n"] += 1
-        return orig(self)
+    def counting(self, *args, **kwargs):
+        cache = orig(self, *args, **kwargs)
+        sizes.append(cache.positions)
+        return cache
 
     monkeypatch.setattr(mm.ToyModel, "new_cache", counting)
     speculative_generate(model, [1, 2], SpecDecConfig(), 16)
-    spec_caches = counts["n"]
-    counts["n"] = 0
+    spec_sizes = sizes.copy()
+    sizes.clear()
     greedy_generate(model, [1, 2], 16)
-    assert spec_caches == counts["n"] == 1  # one shared cache per run, no draft copy
+    # one shared cache per run, no draft copy, sized to prompt + gen_len
+    assert spec_sizes == sizes == [2 + 16]
 
 
 def test_context_overflow(model):
@@ -277,8 +279,11 @@ def test_context_overflow(model):
 def test_bad_args(model):
     with pytest.raises(ValueError):
         speculative_generate(model, [], SpecDecConfig(), 4)
-    with pytest.raises(ValueError):
-        speculative_generate(model, [1], SpecDecConfig(), 0)
+    for gen_len in (0, 2.5, True):
+        with pytest.raises(ValueError, match="gen_len"):
+            speculative_generate(model, [1], SpecDecConfig(), gen_len)
+        with pytest.raises(ValueError, match="gen_len"):
+            greedy_generate(model, [1], gen_len)
     with pytest.raises(ValueError):
         SpecDecConfig(gamma=1.5)
     with pytest.raises(ValueError):
