@@ -158,7 +158,7 @@ def _cmd_specdec(args) -> int:
     model = init_model(cfg)
     rng = np.random.default_rng(args.seed)
     rep = _new_report(args)
-    total = specdec.SpecDecStats(rounds=0, proposed=0, accepted=0, tokens_generated=0)
+    total = specdec.SpecDecStats(rounds=0, proposed=0, accepted=0)
     mismatched = 0
     for i in range(args.prompts):
         if args.prompt is not None:

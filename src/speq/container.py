@@ -15,21 +15,22 @@ Layout (little-endian throughout):
 
 The padding bits of an odd record count must be zero, so serialization
 is canonical: a container loads only if writing it back gives the same
-bytes. ``to_bytes`` packs ``PackedTensor.words``. Any other flags value,
-nonzero padding or a word the encoder never writes fails at load as a
-ContainerError.
+bytes. ``to_bytes`` packs ``PackedTensor.words``.
+
+``from_bytes`` is a byte parser: it checks the framing (magic, flags,
+ndims, sizes, truncation, CRC and padding) and leaves every rule on the
+values (tensor scale, group scales, words) to the ``PackedTensor``
+constructor. Any failure of either fails at load as a ContainerError.
 """
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 import zlib
 
 import numpy as np
 
-from . import bsfp
 from .quantize import PackedTensor
 
 __all__ = [
@@ -161,31 +162,13 @@ def from_bytes(data: bytes) -> PackedTensor:
         raise TruncatedError(f"{len(payload) - cur} trailing payload bytes")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise ChecksumError("payload CRC mismatch")
-    if not 0.0 < tensor_scale < math.inf:
-        raise ContainerError(f"tensor_scale must be positive and finite, got {tensor_scale}")
-    with np.errstate(over="ignore"):
-        # a subnormal scale would make every output of gemm_full / gemm_draft infinite
-        if not np.isfinite(np.float32(1.0) / np.float32(tensor_scale)):
-            raise ContainerError(f"tensor_scale {tensor_scale} has no finite float32 reciprocal")
-    # +0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0. It
-    # never writes -0.0 (each scale is a w*q product, q taking w's sign), and
-    # a -0.0 would load equal to a container with different bytes. "< inf"
-    # also rejects NaN.
-    if not np.all(~np.signbit(scales) & (scales < np.inf)):
-        raise ContainerError("group scales must be finite and >= +0.0")
     if count % 2 and (wq_data[-1] >> 4 or wr_data[-1] >> 4):
         raise ContainerError("nonzero padding bits after the last record")
+    wq = unpack_nibbles(wq_data, count).reshape((rows, cols), order="F")
+    wr = unpack_12bit(wr_data, count).reshape((rows, cols), order="F")
     try:
-        return PackedTensor(
-            rows=rows,
-            cols=cols,
-            group_size=group_size,
-            tensor_scale=float(np.float32(tensor_scale)),
-            group_scales=np.array(scales, dtype=np.float32),
-            wq=unpack_nibbles(wq_data, count).reshape((rows, cols), order="F"),
-            wr=unpack_12bit(wr_data, count).reshape((rows, cols), order="F"),
-        )
-    except bsfp.MalformedWordError as e:
+        return PackedTensor(group_size, tensor_scale, scales, wq, wr)
+    except ValueError as e:
         raise ContainerError(str(e)) from e
 
 

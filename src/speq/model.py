@@ -72,6 +72,16 @@ class ContextOverflowError(RuntimeError):
     """Requested positions exceed the model's context window."""
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's too; not a bool, which would pass as 0 or 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A real number, numpy's too; not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 # No file's shape depends on ``context``, so this bound is what keeps a
 # manifest from asking for a position table and KV cache of any size.
 MAX_CONTEXT = 65536
@@ -99,7 +109,7 @@ class ModelConfig:
             # a float size (say, from a hand-edited model.json) would fail
             # only later, where arrays are allocated
             v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+            if not _is_int(v):
                 raise ValueError(f"{name} must be an integer, got {v!r}")
         small = [name for name in sizes if getattr(self, name) < 1]
         if small:
@@ -109,11 +119,10 @@ class ModelConfig:
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
         seed = self.seed
-        if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        if not _is_int(seed) or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         ls = self.logit_scale
-        real = isinstance(ls, (int, float, np.integer, np.floating)) and not isinstance(ls, bool)
-        if not (real and math.isfinite(ls) and ls > 0):
+        if not (_is_real(ls) and math.isfinite(ls) and ls > 0):
             raise ValueError(f"logit_scale must be a finite real > 0, got {ls!r}")
         # numpy scalars become plain Python values, so the config serialises as JSON
         for name in (*sizes, "seed"):

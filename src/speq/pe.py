@@ -32,6 +32,7 @@ import numpy as np
 
 from . import _accel, bsfp
 from .kernels import GemmMode, GemmSpec, _check_activations
+from .model import _is_int, _is_real
 from .quantize import PackedTensor
 
 __all__ = [
@@ -60,9 +61,13 @@ class PeConfig:
     fill_cycles: int = 32  # pipeline fill/drain, one 32x32 array edge by default
 
     def __post_init__(self) -> None:
+        # cycle counts are integers: a float count would make fractional cycles
+        for name in ("tiles", "pes_per_tile", "fill_cycles"):
+            if not _is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.tiles < 1 or self.pes_per_tile < 1:
             raise ValueError("tiles and pes_per_tile must be positive")
-        if not 0 < self.frequency_hz < math.inf:
+        if not (_is_real(self.frequency_hz) and 0 < self.frequency_hz < math.inf):
             raise ValueError("frequency_hz must be positive and finite")
         if self.fill_cycles < 0:
             raise ValueError("fill_cycles must be >= 0")

@@ -8,7 +8,11 @@ of each output column.
 A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor. It
 holds only its two kernel operands, decoded once from the 4-bit and 12-bit
 streams: the draft values through one 16-entry table, and the exact FP16
-weights through ``bsfp.decode_full_array``, the encoder's inverse.
+weights through ``bsfp.decode_full_array``, the encoder's inverse. Its
+constructor alone decides what a valid tensor is (word shapes and codes,
+group size, tensor scale, group scales), so ``quantize_tensor``,
+``container.from_bytes`` and direct callers all get the same checks; the
+container checks only the byte framing around them.
 
 ``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and the rounded
 ``E2M1`` / ``E1M2`` grids are accuracy baselines only: ``draft_mse``
@@ -71,16 +75,18 @@ class PackedTensor:
     """A bit-shared weight matrix (rows = reduction dim, cols = outputs).
 
     Built from ``wq`` (4-bit sign, qcode) and ``wr`` (12-bit flag, elsb,
-    man10) records, and keeps neither: :meth:`words` re-derives them.
-    A word the encoder never writes raises ``bsfp.MalformedWordError`` at
-    construction, so it never reaches a GEMM.
+    man10) records of one 2-D shape, which gives ``rows`` and ``cols``;
+    keeps neither stream: :meth:`words` re-derives them. Construction
+    raises ``ValueError`` for any input no GEMM could use: mismatched or
+    empty words, ``group_size < 1``, a ``tensor_scale`` that is not a
+    finite float32 > 0 with a finite reciprocal, group scales of the wrong
+    shape, non-finite or with the sign bit set, and (as
+    ``bsfp.MalformedWordError``) a word the encoder never writes.
     """
 
-    rows: int
-    cols: int
     group_size: int
     tensor_scale: float
-    group_scales: np.ndarray  # float32, shape (cols, n_groups)
+    group_scales: np.ndarray  # float32, shape (cols, n_groups), read-only
     wq: InitVar[np.ndarray]  # uint8, values 0..15
     wr: InitVar[np.ndarray]  # uint16, values 0..4095
 
@@ -89,12 +95,48 @@ class PackedTensor:
     _full32: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self, wq: np.ndarray, wr: np.ndarray) -> None:
-        self.inv_tensor_scale = np.float32(1.0) / np.float32(self.tensor_scale)
+        wq, wr = np.asarray(wq), np.asarray(wr)
+        if wq.ndim != 2 or wq.shape != wr.shape or wq.size == 0:
+            raise ValueError(f"wq {wq.shape} and wr {wr.shape} must share one non-empty 2-D shape")
+        rows, cols = wq.shape
+        if self.group_size < 1:
+            raise ValueError("group_size must be >= 1")
+        # casts that overflow to inf are rejected below, not warned about
+        with np.errstate(over="ignore", divide="ignore"):
+            scale32 = np.float32(self.tensor_scale)
+            self.inv_tensor_scale = np.float32(1.0) / scale32
+            scales = np.ascontiguousarray(self.group_scales, dtype=np.float32).view()
+        # a subnormal scale would make every output of gemm_full / gemm_draft infinite
+        if not (0.0 < scale32 < np.inf and np.isfinite(self.inv_tensor_scale)):
+            raise ValueError(
+                f"tensor_scale {self.tensor_scale} is not a finite float32 > 0 "
+                "with a finite reciprocal"
+            )
+        n_groups = -(-rows // self.group_size)
+        if scales.shape != (cols, n_groups):
+            raise ValueError(f"group scales must have shape {(cols, n_groups)}, got {scales.shape}")
+        # +0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0. It
+        # never writes -0.0 (each scale is a w*q product, q taking w's sign), and
+        # a -0.0 would compare equal to a tensor whose container has other bytes.
+        if not np.all(np.isfinite(scales) & ~np.signbit(scales)):
+            raise ValueError("group scales must be finite and >= +0.0")
+        scales.flags.writeable = False
+        self.group_scales = scales
+        bits = bsfp.decode_full_array(wq, wr)  # range-checks wq before it indexes the table
         self._qval = np.take(_DRAFT_TABLE, wq)
         self._qval.flags.writeable = False
-        bits = bsfp.decode_full_array(wq, wr)
         self._full32 = bits.view(np.float16).astype(np.float32)
         self._full32.flags.writeable = False
+
+    # Read from the draft operand, never from _full32, so the draft path
+    # provably touches nothing decoded from the remainder stream.
+    @property
+    def rows(self) -> int:
+        return self._qval.shape[0]
+
+    @property
+    def cols(self) -> int:
+        return self._qval.shape[1]
 
     @property
     def n_groups(self) -> int:
@@ -129,9 +171,7 @@ class PackedTensor:
             return NotImplemented
         # The exact bits determine both streams; compared as integers, so +0 != -0.
         return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.group_size == other.group_size
+            self.group_size == other.group_size
             and self.tensor_scale == other.tensor_scale
             and np.array_equal(self.group_scales, other.group_scales)
             and np.array_equal(self._full32.view(np.uint32), other._full32.view(np.uint32))
@@ -227,7 +267,7 @@ def quantize_tensor(w: np.ndarray, group_size: int = 128) -> PackedTensor:
     w16, tensor_scale = _rescaled(w, group_size)
     wq, wr = bsfp.encode_array(w16.view(np.uint16))
     scales = _fit_group_scales(w16, np.take(_DRAFT_TABLE, wq), group_size)
-    return PackedTensor(*w16.shape, group_size, tensor_scale, scales, wq, wr)
+    return PackedTensor(group_size, tensor_scale, scales, wq, wr)
 
 
 def _draft_values(w16: np.ndarray, group_size: int, fmt: QuantFormat) -> np.ndarray:

@@ -33,6 +33,8 @@ import numpy as np
 from .model import (
     ContextOverflowError,
     ToyModel,
+    _is_int,
+    _is_real,
     check_token_ids,
     forward_draft,
     forward_full,
@@ -56,10 +58,11 @@ class SpecDecConfig:
     gamma: float = 0.6
 
     def __post_init__(self) -> None:
-        if self.max_draft_len < 1:
-            raise ValueError("max_draft_len must be >= 1")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
+        # a float length would draft past it (2.5 drafts 3), and True would pass as 1
+        if not _is_int(self.max_draft_len) or self.max_draft_len < 1:
+            raise ValueError(f"max_draft_len must be an integer >= 1, got {self.max_draft_len!r}")
+        if not (_is_real(self.gamma) and 0.0 <= self.gamma <= 1.0):
+            raise ValueError(f"gamma must be a real in [0, 1], got {self.gamma!r}")
 
 
 @dataclass
@@ -67,9 +70,13 @@ class SpecDecStats:
     rounds: int
     proposed: int
     accepted: int
-    # tokens the draft/verify rounds emitted, accepted + rounds; the first
-    # token comes from the prefill and belongs to no round
-    tokens_generated: int
+
+    @property
+    def tokens_generated(self) -> int:
+        """Tokens the draft/verify rounds emitted: each round's accepted drafts
+        plus its verifier token. The first token comes from the prefill and
+        belongs to no round."""
+        return self.accepted + self.rounds
 
     @property
     def accept_rate(self) -> float:
@@ -161,7 +168,7 @@ def _max_softmax_prob(logits: np.ndarray) -> float:
 def _check_request(model: ToyModel, prompt, gen_len: int) -> np.ndarray:
     """The prompt's ids as an int64 array, checked before any forward."""
     # a float gen_len would size the cache with a float
-    if isinstance(gen_len, bool) or not isinstance(gen_len, (int, np.integer)) or gen_len < 1:
+    if not _is_int(gen_len) or gen_len < 1:
         raise ValueError(f"gen_len must be an integer >= 1, got {gen_len!r}")
     # list() turns bytes into ids and a string into characters, which fail
     ids = check_token_ids(list(prompt), model.cfg.vocab, "prompt token ids")
@@ -224,10 +231,4 @@ def speculative_generate(
         proposed += len(drafts)
         accepted += n_ok
 
-    stats = SpecDecStats(
-        rounds=rounds,
-        proposed=proposed,
-        accepted=accepted,
-        tokens_generated=accepted + rounds,
-    )
-    return generated, stats
+    return generated, SpecDecStats(rounds=rounds, proposed=proposed, accepted=accepted)

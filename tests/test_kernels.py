@@ -230,6 +230,8 @@ def test_decoded_weight_caches_are_read_only():
         p.draft_values()[0, 0] = 0.0
     with pytest.raises(ValueError):
         p.full_values_f32()[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        p.group_scales[0, 0] = 0.0
 
 
 # ── fixed-order oracle for the accumulation loop ─────────────────────────

@@ -192,6 +192,18 @@ def test_pe_config_invariant():
     assert PeConfig(tiles=8, pes_per_tile=100, fill_cycles=0).total_pes == 800
 
 
+@pytest.mark.parametrize(
+    "bad",
+    [{"tiles": 2.5}, {"tiles": True}, {"pes_per_tile": 128.0}, {"fill_cycles": 1.5},
+     {"frequency_hz": "5e8"}, {"frequency_hz": True}],
+)
+def test_pe_config_sizes_are_typed(bad):
+    # a float count would make fractional cycles, or fail later inside Fraction
+    with pytest.raises(ValueError):
+        PeConfig(**bad)
+    assert PeConfig(tiles=np.int64(2)).total_pes == 256
+
+
 def test_estimate_rejects_bad_dims():
     with pytest.raises(ValueError):
         estimate(GemmSpec(0, 1, 1, GemmMode.FULL))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -332,8 +334,44 @@ def test_words_are_the_construction_words():
             assert got.dtype == exp.dtype and np.array_equal(got, exp)
     # any valid words, given directly, come back unchanged
     wq, wr = bsfp.encode_array(rng.integers(0, 0x3C00, (6, 3)).astype(np.uint16))
-    p = PackedTensor(6, 3, 4, 1.0, np.ones((3, 2), np.float32), wq, wr)
+    p = PackedTensor(4, 1.0, np.ones((3, 2), np.float32), wq, wr)
     assert np.array_equal(p.words()[0], wq) and np.array_equal(p.words()[1], wr)
+
+
+def _direct_args():
+    """Valid constructor inputs for a 6x3 tensor whose three columns hold the same words."""
+    col = np.random.default_rng(43).integers(0, 0x3C00, (6, 1)).astype(np.uint16)
+    wq, wr = bsfp.encode_array(np.repeat(col, 3, axis=1))
+    return dict(group_size=4, tensor_scale=1.0, group_scales=np.ones((3, 2), np.float32), wq=wq, wr=wr)
+
+
+def test_shape_comes_from_the_words():
+    assert not {"rows", "cols"} & set(inspect.signature(PackedTensor).parameters)
+    p = PackedTensor(**_direct_args())
+    assert (p.rows, p.cols, p.n_groups) == (6, 3, 2)
+    with pytest.raises(TypeError):
+        PackedTensor(rows=3, cols=4, **_direct_args())
+
+
+@pytest.mark.parametrize(
+    "name,value,match",
+    [
+        # broadcasts to the same 6x3 words, so only the shape rule can catch it
+        pytest.param("wr", _direct_args()["wr"][:, :1], "wq", id="mismatched-words"),
+        pytest.param("group_scales", np.ones((7, 9), np.float32), "group scales", id="scale-shape"),
+        pytest.param("group_scales", np.full((3, 2), np.nan, np.float32), "group scales", id="nan-scale"),
+        pytest.param("group_scales", np.full((3, 2), -0.0, np.float32), "group scales", id="neg-zero-scale"),
+        pytest.param("tensor_scale", 0.0, "tensor_scale", id="zero-tensor-scale"),
+        # a float32 subnormal whose reciprocal overflows
+        pytest.param("tensor_scale", 1e-45, "tensor_scale", id="subnormal-tensor-scale"),
+    ],
+)
+def test_packed_tensor_rejects_inconsistent_input(name, value, match):
+    args = _direct_args()
+    PackedTensor(**args)
+    args[name] = value
+    with pytest.raises(ValueError, match=match):
+        PackedTensor(**args)
 
 
 def test_signed_zero_is_not_equal():

@@ -185,7 +185,8 @@ def test_exact_draft_accepts_everything():
 def test_last_round_drafts_only_what_can_be_emitted():
     m = _pow2_model(4)
     out, stats = speculative_generate(m, [1, 2, 3], SpecDecConfig(max_draft_len=16, gamma=0.0), 5)
-    assert stats == specdec.SpecDecStats(rounds=1, proposed=3, accepted=3, tokens_generated=4)
+    assert stats == specdec.SpecDecStats(rounds=1, proposed=3, accepted=3)
+    assert stats.tokens_generated == 4
     assert out == greedy_generate(m, [1, 2, 3], 5)
 
 
@@ -220,7 +221,8 @@ def forwards(monkeypatch):
 def test_first_token_is_one_prefill(model, forwards):
     out, stats = speculative_generate(model, [4, 8, 15, 16], SpecDecConfig(gamma=0.0), 1)
     assert forwards == {"full": 1, "draft": 0}
-    assert stats == specdec.SpecDecStats(0, 0, 0, 0)
+    assert stats == specdec.SpecDecStats(0, 0, 0)
+    assert stats.tokens_generated == 0
     assert out == greedy_generate(model, [4, 8, 15, 16], 1)
 
 
@@ -288,6 +290,16 @@ def test_bad_args(model):
         SpecDecConfig(gamma=1.5)
     with pytest.raises(ValueError):
         SpecDecConfig(max_draft_len=0)
+
+
+@pytest.mark.parametrize(
+    "bad", [{"max_draft_len": 2.5}, {"max_draft_len": True}, {"gamma": "0.5"}, {"gamma": True}]
+)
+def test_spec_dec_config_is_typed(bad):
+    # max_draft_len=2.5 would draft 3 tokens per round, and True pass as 1
+    with pytest.raises(ValueError):
+        SpecDecConfig(**bad)
+    assert SpecDecConfig(max_draft_len=np.int64(2), gamma=np.float32(0.5)).max_draft_len == 2
 
 
 @pytest.mark.parametrize("prompt", [[-1], [256], [1.5], [True], [3, True], [[1, 2]], "ab"])
