@@ -1,11 +1,11 @@
 """Hot numeric kernels: one fixed accumulation order, two ways to run it.
 
 ``gemm_f32`` is the one place the accumulation order lives. The GEMMs
-(``kernels.gemm_full`` / ``gemm_draft`` / ``reference_gemm``), the
-attention reductions below and the PE-array model (``pe.simulate_gemm``)
-all call it. The order, in float32: ascending k within a group starting
-from +0.0, one scale per group, then ascending group index. That order is
-part of the kernel contract — outputs are bit-reproducible across runs and
+(``kernels.gemm_full`` / ``gemm_draft`` / ``reference_gemm``) and the
+attention reductions below call it; the PE-array model reuses the GEMMs.
+The order, in float32: ascending k within a group starting from +0.0,
+one scale per group, then ascending group index. That order is part of
+the kernel contract — outputs are bit-reproducible across runs and
 thread counts — so it may not be parallelized or reassociated.
 
 Two strategies evaluate that same order, chosen by output size:
@@ -40,8 +40,8 @@ pairwise whenever the reduced axis is the inner, contiguous loop, and
 from k = 8 on that changes the bits:
 
 * the block must be C-contiguous. ``a`` is transposed once per call into
-  a contiguous (k, m) array and ``w`` made contiguous, so ``mul`` of the
-  broadcast operands yields a C-contiguous block. A block built from the
+  a contiguous (k, m) array and ``w`` made contiguous, so the product of
+  the broadcast operands is a C-contiguous block. A block built from the
   strided view ``a[:, k0:k1].T`` keeps k contiguous and, with n = 1,
   differed from the loop on nearly every shape tried.
 * m*n = 1 stays on the loop: its (k, 1, 1) block collapses to a 1-D
@@ -90,14 +90,14 @@ def active_backend() -> str:
     return "numpy"
 
 
-def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
+def gemm_f32(a, w, group_size, scales=None):
     """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
 
     A batch axis is optional: (B,M,K) x (B,K,N) -> (B,M,N), slice by slice
-    the same bits as B separate calls. ``mul`` gives the float32 products
-    of broadcast operands: a (k, [B,] m, 1) x (k, [B,] 1, n) block on the
-    block path (2 <= B*M*N <= ``REDUCE_MAX_OUTPUTS``), one ``a[:, i:i+1]``
-    x ``w[i:i+1, :]`` step on the loop path. A larger batch runs each
+    the same bits as B separate calls. Products are ``np.multiply`` of
+    float32 operands: a (k, [B,] m, 1) x (k, [B,] 1, n) block on the block
+    path (2 <= B*M*N <= ``REDUCE_MAX_OUTPUTS``), one ``a[:, i:i+1]`` x
+    ``w[i:i+1, :]`` step on the loop path. A larger batch runs each
     slice as its own call. ``scales`` (shape (N, n_groups)) multiplies
     each group's partial sum before it is added to the output. Both paths
     add in ascending k.
@@ -107,7 +107,7 @@ def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
     block = 2 <= out.size <= REDUCE_MAX_OUTPUTS
     if batch and not block:
         for b in range(batch[0]):
-            out[b] = gemm_f32(a[b], w[b], group_size, scales, mul)
+            out[b] = gemm_f32(a[b], w[b], group_size, scales)
         return out
     if block:
         # C-contiguous (k, [B,] m) and (k, [B,] n) operands make C-contiguous
@@ -121,14 +121,14 @@ def gemm_f32(a, w, group_size, scales=None, mul=np.multiply):
             gacc = None
             for c0 in range(k0, k1, chunk):
                 c1 = min(c0 + chunk, k1)
-                prods = mul(at[c0:c1, ..., None], w[c0:c1, ..., None, :])
+                prods = np.multiply(at[c0:c1, ..., None], w[c0:c1, ..., None, :])
                 if gacc is not None:
                     prods[0] += gacc
                 gacc = np.add.reduce(prods, axis=0)
         else:
             gacc = np.zeros_like(out)
             for i in range(k0, k1):
-                gacc += mul(a[:, i : i + 1], w[i : i + 1, :])
+                gacc += np.multiply(a[:, i : i + 1], w[i : i + 1, :])
         if scales is not None:
             gacc *= scales[:, g]
         out += gacc

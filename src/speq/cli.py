@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bsfp, container, pe, quantize, specdec
 from ._accel import active_backend
-from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full
+from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full, gemm_traffic
 from .model import ContextOverflowError, ModelConfig, init_model
 from .quantize import QuantFormat
 from .report import RunReport
@@ -57,7 +57,8 @@ def _cmd_quantize(args) -> int:
     container.write_container(args.outfile, p)
     mse = {f: quantize.draft_mse(w, args.group_size, f) for f in QuantFormat}
     n = p.rows * p.cols
-    scale_bits = 32.0 * (p.group_scales.size + 1)
+    full_bits = gemm_traffic(1, p.cols, p.rows, GemmMode.FULL, p.group_size)[0]
+    draft_bits, scale_bytes, _ = gemm_traffic(1, p.cols, p.rows, GemmMode.DRAFT, p.group_size)
     rep = _new_report(args)
     rep.add(
         "quantize",
@@ -70,9 +71,9 @@ def _cmd_quantize(args) -> int:
         mse_e3m0=mse[QuantFormat.E3M0_NAIVE],  # the accuracy baselines
         mse_e2m1=mse[QuantFormat.E2M1],
         mse_e1m2=mse[QuantFormat.E1M2],
-        payload_bits_per_weight=(p.wq_bits + p.wr_bits) / n,
-        draft_bits_per_weight=p.wq_bits / n,
-        scale_overhead_bits_per_weight=scale_bits / n,
+        payload_bits_per_weight=full_bits / n,
+        draft_bits_per_weight=draft_bits / n,
+        scale_overhead_bits_per_weight=8 * scale_bytes / n,
         out=args.outfile,
     )
     _emit(rep)

@@ -26,6 +26,7 @@ __all__ = [
     "GemmMode",
     "GemmSpec",
     "TrafficCounter",
+    "gemm_traffic",
     "gemm_full",
     "gemm_draft",
 ]
@@ -52,11 +53,8 @@ class GemmSpec:
 
 @dataclass
 class TrafficCounter:
-    """Byte/bit traffic accumulated over GEMM calls.
-
-    Weights are counted in logical stream bits (4 per weight in draft mode,
-    16 in full mode) so the draft:full ratio is exactly 1:4 for every
-    shape; on-disk byte padding is a container artifact, not dataflow.
+    """Traffic summed over GEMM calls, as ``gemm_traffic`` counts it: weights in
+    logical stream bits, so draft:full is exactly 1:4; container padding is not dataflow.
     """
 
     weight_bits: int = 0
@@ -71,6 +69,13 @@ class TrafficCounter:
         self.weight_bits += weight_bits
         self.scale_bytes += scale_bytes
         self.activation_bytes += activation_bytes
+
+
+def gemm_traffic(m: int, n: int, k: int, mode: GemmMode, group_size: int) -> tuple[int, int, int]:
+    """(weight bits, scale bytes, activation bytes) one (M,K) x (K,N) GEMM reads."""
+    if mode is GemmMode.DRAFT:
+        return 4 * k * n, 4 * n * -(-k // group_size) + 4, 2 * m * k
+    return 16 * k * n, 4, 2 * m * k
 
 
 def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.ndarray:
@@ -103,13 +108,11 @@ def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, va
     a32 = a.astype(np.float32)
     if mode is GemmMode.FULL:
         out = _accel.gemm_f32(a32, p.full_values_f32(), p.group_size)
-        weight_bits, scale_bytes = p.wq_bits + p.wr_bits, 4
     else:
         out = _accel.gemm_f32(a32, p.draft_values(), p.group_size, p.group_scales)
-        weight_bits, scale_bytes = p.wq_bits, 4 * p.group_scales.size + 4
     out *= p.inv_tensor_scale
     if traffic is not None:
-        traffic.add(weight_bits, scale_bytes, activation_bytes=2 * a.size)
+        traffic.add(*gemm_traffic(a.shape[0], p.cols, p.rows, mode, p.group_size))
     return out
 
 

@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _accel, container
 from .kernels import TrafficCounter, gemm_draft, gemm_full, reference_gemm
-from .quantize import PackedTensor, quantize_tensor
+from .quantize import PackedTensor, _is_int, _is_real, quantize_tensor
 
 __all__ = [
     "ModelConfig",
@@ -70,16 +70,6 @@ __all__ = [
 
 class ContextOverflowError(RuntimeError):
     """Requested positions exceed the model's context window."""
-
-
-def _is_int(v) -> bool:
-    """An integer, numpy's too; not a bool, which would pass as 0 or 1."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    """A real number, numpy's too; not a bool."""
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 # No file's shape depends on ``context``, so this bound is what keeps a

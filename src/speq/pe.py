@@ -14,8 +14,10 @@ The array runs in two modes with the same 31-bit PE input width:
   multiplier masked, giving three partial sums per cycle and 3x the MAC
   throughput at the same PE count.
 
-``simulate_gemm`` runs both datapaths, as the ``mul`` of
-``_accel.gemm_f32``, in the same fixed accumulation order as the kernels.
+``simulate_gemm`` takes its output from ``kernels.gemm_full`` /
+``gemm_draft`` and checks that the mode's datapath gives the float32
+products those kernels sum, bit for bit. The sum is the kernels' own
+code, so equal products mean equal outputs.
 
 Cycle counts are ``ceil(macs / (PEs * throughput)) + fill``; the
 pre-ceiling MAC-cycle figure is kept as an exact rational so the 3x
@@ -30,10 +32,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _accel, bsfp
-from .kernels import GemmMode, GemmSpec, _check_activations
-from .model import _is_int, _is_real
-from .quantize import PackedTensor
+from . import bsfp
+from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full, gemm_traffic
+from .quantize import PackedTensor, _is_int, _is_real
 
 __all__ = [
     "PeConfig",
@@ -77,8 +78,10 @@ class PeConfig:
         return self.tiles * self.pes_per_tile
 
 
-@dataclass
-class CycleReport:
+@dataclass(kw_only=True)
+class CycleReport(TrafficCounter):
+    """One GEMM's cycles on the array, and the traffic ``gemm_traffic`` counts for it."""
+
     mode: GemmMode
     m: int
     n: int
@@ -89,14 +92,7 @@ class CycleReport:
     mac_cycles: Fraction
     fill_cycles: int
     cycles: int
-    weight_bits: int
-    scale_bytes: int
-    activation_bytes: int
     frequency_hz: float
-
-    @property
-    def weight_bytes(self) -> float:
-        return self.weight_bits / 8
 
     @property
     def time_s(self) -> float:
@@ -154,11 +150,6 @@ def pe_quant_mac(a, sign_w, exp4_w) -> np.ndarray:
     return _signed_ldexp(sig_a, sa != (np.asarray(sign_w) & 1), ea + np.asarray(exp4_w) - 40)
 
 
-def _pe_quant_mac_wq(a, wq) -> np.ndarray:
-    """Quantize-mode addends fed with raw ``wq`` nibbles (sign, qcode)."""
-    return pe_quant_mac(a, wq >> 3, bsfp.q_exponent_array(wq))
-
-
 def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128) -> CycleReport:
     """Analytic cycle/traffic report for a GEMM shape, no data required."""
     if cfg is None:
@@ -167,11 +158,10 @@ def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128)
         raise ValueError("dimensions must be positive")
     if group_size < 1:
         raise ValueError("group_size must be positive")
-    draft = spec.mode is GemmMode.DRAFT
-    throughput = 3 if draft else 1
+    throughput = 3 if spec.mode is GemmMode.DRAFT else 1
     mac_cycles = Fraction(spec.macs, cfg.total_pes * throughput)
-    n_groups = -(-spec.k // group_size)
     return CycleReport(
+        *gemm_traffic(spec.m, spec.n, spec.k, spec.mode, group_size),
         mode=spec.mode,
         m=spec.m,
         n=spec.n,
@@ -182,9 +172,6 @@ def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128)
         mac_cycles=mac_cycles,
         fill_cycles=cfg.fill_cycles,
         cycles=cfg.fill_cycles + math.ceil(mac_cycles),
-        weight_bits=(4 if draft else 16) * spec.k * spec.n,
-        scale_bytes=(4 * n_groups * spec.n + 4) if draft else 4,
-        activation_bytes=2 * spec.m * spec.k,
         frequency_hz=cfg.frequency_hz,
     )
 
@@ -195,18 +182,27 @@ def simulate_gemm(
     mode: GemmMode,
     cfg: PeConfig | None = None,
 ) -> tuple[np.ndarray, CycleReport]:
-    """Run a GEMM through the PE datapath model.
+    """``gemm_full`` / ``gemm_draft``'s output, its products checked on the PE datapath.
 
-    Outputs are bit-identical to ``kernels.gemm_full`` / ``gemm_draft``:
-    each PE-level product is exact, and ``_accel.gemm_f32`` accumulates
-    them in the kernels' fixed float32 order.
+    Full mode checks ``pe_full_mac`` on the exact FP16 weights, draft mode
+    ``pe_quant_mac`` on the draft values' (sign, exp4), never reading the
+    remainder. A product that differs in any bit from the kernel's raises
+    ``RuntimeError``. A k-slice holds at most 2^16 products, or one k-step.
     """
-    a = _check_activations(a, p)
-    if mode is GemmMode.FULL:
-        out = _accel.gemm_f32(a, p.full_values(), p.group_size, mul=pe_full_mac)
-    else:
-        wq, _ = p.words()
-        out = _accel.gemm_f32(a, wq, p.group_size, p.group_scales, mul=_pe_quant_mac_wq)
-    out *= p.inv_tensor_scale
-    spec = GemmSpec(m=a.shape[0], n=p.cols, k=p.rows, mode=mode)
-    return out, estimate(spec, cfg, group_size=p.group_size)
+    full = mode is GemmMode.FULL
+    out = (gemm_full if full else gemm_draft)(a, p)
+    a = np.asarray(a)
+    w = p.full_values_f32() if full else p.draft_values()
+    m, k = a.shape
+    step = max(1, (1 << 16) // (m * p.cols))  # 256 KiB of float32, as gemm_f32's blocks
+    for k0 in range(0, k, step):
+        ak, wk = a[:, k0 : k0 + step, None], w[None, k0 : k0 + step]
+        if full:
+            got = pe_full_mac(ak, wk.astype(np.float16))
+        else:
+            # every draft value is +/- 2^(exp4 - 15), and frexp gives 2^e as 0.5 * 2^(e + 1)
+            got = pe_quant_mac(ak, np.signbit(wk), np.frexp(wk)[1] + 14)
+        expect = ak.astype(np.float32) * wk
+        if not np.array_equal(got.view(np.uint32), expect.view(np.uint32)):
+            raise RuntimeError(f"{mode.value} PE products differ from the kernel's at k >= {k0}")
+    return out, estimate(GemmSpec(m, p.cols, k, mode), cfg, group_size=p.group_size)

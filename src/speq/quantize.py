@@ -61,6 +61,16 @@ _GRIDS = {
 }
 
 
+def _is_int(v) -> bool:
+    """An integer, numpy's too; not a bool, which would pass as 0 or 1."""
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    """A real number, numpy's too; not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+
+
 # ---------------------------------------------------------------------------
 # packed tensor
 # ---------------------------------------------------------------------------
@@ -78,15 +88,17 @@ class PackedTensor:
     man10) records of one 2-D shape, which gives ``rows`` and ``cols``;
     keeps neither stream: :meth:`words` re-derives them. Construction
     raises ``ValueError`` for any input no GEMM could use: mismatched or
-    empty words, ``group_size < 1``, a ``tensor_scale`` that is not a
-    finite float32 > 0 with a finite reciprocal, group scales of the wrong
-    shape, non-finite or with the sign bit set, and (as
-    ``bsfp.MalformedWordError``) a word the encoder never writes.
+    empty words, a ``group_size`` that is not an integer >= 1, a
+    ``tensor_scale`` that is not a finite float32 > 0 with a finite
+    reciprocal, group scales of the wrong shape, non-finite or with the
+    sign bit set, and (as ``bsfp.MalformedWordError``) a word the encoder
+    never writes. It keeps ``tensor_scale``'s float32 value and a copy of
+    ``group_scales``, so it equals its container round trip.
     """
 
     group_size: int
     tensor_scale: float
-    group_scales: np.ndarray  # float32, shape (cols, n_groups), read-only
+    group_scales: np.ndarray  # float32 copy, shape (cols, n_groups), read-only
     wq: InitVar[np.ndarray]  # uint8, values 0..15
     wr: InitVar[np.ndarray]  # uint16, values 0..4095
 
@@ -99,19 +111,20 @@ class PackedTensor:
         if wq.ndim != 2 or wq.shape != wr.shape or wq.size == 0:
             raise ValueError(f"wq {wq.shape} and wr {wr.shape} must share one non-empty 2-D shape")
         rows, cols = wq.shape
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
+        if not _is_int(self.group_size) or self.group_size < 1:
+            raise ValueError(f"group_size must be an integer >= 1, got {self.group_size!r}")
         # casts that overflow to inf are rejected below, not warned about
         with np.errstate(over="ignore", divide="ignore"):
             scale32 = np.float32(self.tensor_scale)
             self.inv_tensor_scale = np.float32(1.0) / scale32
-            scales = np.ascontiguousarray(self.group_scales, dtype=np.float32).view()
+            scales = np.array(self.group_scales, dtype=np.float32, order="C")
         # a subnormal scale would make every output of gemm_full / gemm_draft infinite
         if not (0.0 < scale32 < np.inf and np.isfinite(self.inv_tensor_scale)):
             raise ValueError(
                 f"tensor_scale {self.tensor_scale} is not a finite float32 > 0 "
                 "with a finite reciprocal"
             )
+        self.tensor_scale = float(scale32)
         n_groups = -(-rows // self.group_size)
         if scales.shape != (cols, n_groups):
             raise ValueError(f"group scales must have shape {(cols, n_groups)}, got {scales.shape}")
@@ -141,14 +154,6 @@ class PackedTensor:
     @property
     def n_groups(self) -> int:
         return -(-self.rows // self.group_size)
-
-    @property
-    def wq_bits(self) -> int:
-        return 4 * self.rows * self.cols
-
-    @property
-    def wr_bits(self) -> int:
-        return 12 * self.rows * self.cols
 
     def draft_values(self) -> np.ndarray:
         """Per-element 4-bit decoded values (float32, read-only), from ``wq`` alone."""
@@ -253,8 +258,8 @@ def _rescaled(w: np.ndarray, group_size: int) -> tuple[np.ndarray, float]:
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"expected a 2-D tensor, got shape {w.shape}")
-    if group_size < 1:
-        raise ValueError("group_size must be >= 1")
+    if not _is_int(group_size) or group_size < 1:
+        raise ValueError(f"group_size must be an integer >= 1, got {group_size!r}")
     return handle_outliers(w)
 
 

@@ -33,12 +33,11 @@ import numpy as np
 from .model import (
     ContextOverflowError,
     ToyModel,
-    _is_int,
-    _is_real,
     check_token_ids,
     forward_draft,
     forward_full,
 )
+from .quantize import _is_int, _is_real
 
 __all__ = [
     "SpecDecConfig",

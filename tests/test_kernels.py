@@ -345,14 +345,14 @@ def test_rowsum_f32_matches_scalar_oracle():
 # ── both gemm_f32 strategies against the per-k loop ──────────────────────
 
 
-def _loop_gemm(a, w, group_size, scales=None, mul=np.multiply):
+def _loop_gemm(a, w, group_size, scales=None):
     """Per-k loop over the fixed order: test-only oracle for ``gemm_f32``."""
     m, k = a.shape
     out = np.zeros((m, w.shape[1]), dtype=np.float32)
     for g, k0 in enumerate(range(0, k, group_size)):
         gacc = np.zeros_like(out)
         for i in range(k0, min(k0 + group_size, k)):
-            gacc += mul(a[:, i : i + 1], w[i : i + 1, :])
+            gacc += a[:, i : i + 1] * w[i : i + 1, :]
         if scales is not None:
             gacc *= scales[:, g]
         out += gacc
@@ -381,47 +381,35 @@ _LOOP_EDGE_SHAPES = [
 ]
 
 
-def _loop_case(rng, shape, mul):
-    """Operands for ``mul`` with -0.0 entries and one all-(-0.0) group."""
+def _loop_case(rng, shape):
+    """float32 operands with -0.0 entries and one all-(-0.0) group."""
     m, k, n, group = shape
-    a = _with_neg_zeros(rng, rng.normal(0, 1, (m, k))).astype(np.float16)
-    if mul is pe._pe_quant_mac_wq:
-        w = rng.integers(0, 16, (k, n)).astype(np.uint8)
-    else:
-        w = _with_neg_zeros(rng, rng.uniform(-1, 1, (k, n))).astype(np.float16)
+    a = _with_neg_zeros(rng, rng.normal(0, 1, (m, k)).astype(np.float32))
+    w = _with_neg_zeros(rng, rng.uniform(-1, 1, (k, n)).astype(np.float32))
     g0 = int(rng.integers(0, -(-k // group))) * group
-    a[:, g0 : g0 + group] = -0.0  # times +0.0 / positive nibbles: every product is -0.0
+    a[:, g0 : g0 + group] = -0.0  # times +0.0: every product is -0.0
     w[g0 : g0 + group] = 0
-    if mul is np.multiply:
-        # float32 operands that are not FP16-exact, so rounding shows the order
-        a = a.astype(np.float32) * np.float32(1.0 + 2.0**-13)
-        w = w.astype(np.float32) * np.float32(1.0 - 2.0**-13)
     scales = rng.uniform(0.1, 2.0, (n, -(-k // group))).astype(np.float32)
     return a, w, scales
 
 
 def test_gemm_f32_matches_loop_oracle():
     rng = np.random.default_rng(53)
-    pe_muls = (pe.pe_full_mac, pe._pe_quant_mac_wq)
-    shapes = [(s, mul) for s in _LOOP_EDGE_SHAPES for mul in (np.multiply, *pe_muls)]
-    for i in range(300):
+    shapes = list(_LOOP_EDGE_SHAPES)
+    for _ in range(300):
         m, n = (int(x) for x in rng.integers(1, 33, 2))
         k = int(rng.integers(1, 161))
         group = int(rng.choice([1, 4, 16, 32, 64, 128, 256]))
-        mul = pe_muls[i % 2] if i % 5 == 0 else np.multiply  # 1 in 5 through the PE datapath
-        shapes.append(((m, k, n, group), mul))
-    sizes = [m * n for (m, _, n, _), _ in shapes]
-    assert {_T - 1, _T, _T + 1} <= set(sizes)
-    assert any(k * m * n > _accel.BLOCK_MAX for (m, k, n, _), _ in shapes)
-    for i, ((m, k, n, group), mul) in enumerate(shapes):
-        a, w, scales = _loop_case(rng, (m, k, n, group), mul)
+        shapes.append((m, k, n, group))
+    assert {_T - 1, _T, _T + 1} <= {m * n for m, _, n, _ in shapes}
+    assert any(k * m * n > _accel.BLOCK_MAX for m, k, n, _ in shapes)
+    for i, (m, k, n, group) in enumerate(shapes):
+        a, w, scales = _loop_case(rng, (m, k, n, group))
         if i % 2:
             # Fortran order: a k-contiguous product block would be summed pairwise
             a, w = np.asfortranarray(a), np.asfortranarray(w)
         for s in (None, scales):
-            _assert_same_bits(
-                _accel.gemm_f32(a, w, group, s, mul=mul), _loop_gemm(a, w, group, s, mul=mul)
-            )
+            _assert_same_bits(_accel.gemm_f32(a, w, group, s), _loop_gemm(a, w, group, s))
 
 
 # ── the batch axis against the per-k loop, slice by slice ────────────────
@@ -447,36 +435,32 @@ _BATCH_EDGE_SHAPES = [
 ]
 
 
-def _batch_case(rng, shape, mul):
+def _batch_case(rng, shape):
     """Stacked ``_loop_case`` operands; the first slice's scales serve every slice."""
     b, m, k, n, group = shape
-    cases = [_loop_case(rng, (m, k, n, group), mul) for _ in range(b)]
+    cases = [_loop_case(rng, (m, k, n, group)) for _ in range(b)]
     return np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases]), cases[0][2]
 
 
-def _assert_batch_matches_loop(a, w, group, scales=None, mul=np.multiply):
-    got = _accel.gemm_f32(a, w, group, scales, mul=mul)
+def _assert_batch_matches_loop(a, w, group, scales=None):
+    got = _accel.gemm_f32(a, w, group, scales)
     assert got.shape == (a.shape[0], a.shape[1], w.shape[2])
     for b in range(a.shape[0]):
-        _assert_same_bits(got[b], _loop_gemm(a[b], w[b], group, scales, mul=mul))
+        _assert_same_bits(got[b], _loop_gemm(a[b], w[b], group, scales))
 
 
 def test_batched_gemm_f32_matches_loop_oracle():
     rng = np.random.default_rng(54)
-    pe_muls = (pe.pe_full_mac, pe._pe_quant_mac_wq)
-    shapes = [(s, np.multiply) for s in _BATCH_EDGE_SHAPES]
-    shapes += [(_BATCH_EDGE_SHAPES[i], mul) for i in (1, 5, 8) for mul in pe_muls]
-    for i in range(200):
+    shapes = list(_BATCH_EDGE_SHAPES)
+    for _ in range(200):
         b, m, n = (int(x) for x in rng.integers(1, 9, 3))
         k = int(rng.integers(1, 100))
         group = int(rng.choice([1, 4, 16, 32, 64, 128]))
-        mul = pe_muls[i % 2] if i % 5 == 0 else np.multiply
-        shapes.append(((b, m, k, n, group), mul))
-    sizes = [b * m * n for (b, m, _, n, _), _ in shapes]
-    assert {_T - 1, _T, _T + 1, 1} <= set(sizes)
-    assert any(b * m * n * k > _accel.BLOCK_MAX for (b, m, k, n, _), _ in shapes)
-    for i, ((b, m, k, n, group), mul) in enumerate(shapes):
-        a, w, scales = _batch_case(rng, (b, m, k, n, group), mul)
+        shapes.append((b, m, k, n, group))
+    assert {_T - 1, _T, _T + 1, 1} <= {b * m * n for b, m, _, n, _ in shapes}
+    assert any(b * m * n * k > _accel.BLOCK_MAX for b, m, k, n, _ in shapes)
+    for i, (b, m, k, n, group) in enumerate(shapes):
+        a, w, scales = _batch_case(rng, (b, m, k, n, group))
         if i % 3 == 1:
             # Fortran order: a k-contiguous product block would be summed pairwise
             a, w = np.asfortranarray(a), np.asfortranarray(w)
@@ -485,7 +469,7 @@ def test_batched_gemm_f32_matches_loop_oracle():
             a = np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
             w = np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
         for s in (None, scales):
-            _assert_batch_matches_loop(a, w, group, s, mul)
+            _assert_batch_matches_loop(a, w, group, s)
 
 
 # (n_heads, n, t): decode (n = 1), verify windows (n = 17) over chat-short

@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from speq import pe
 from speq._accel import REDUCE_MAX_OUTPUTS
 from speq.kernels import GemmMode, GemmSpec, gemm_draft, gemm_full
 from speq.pe import (
@@ -41,10 +42,6 @@ def test_pe_full_mac_matches_exact_product():
     bits_a = np.where(((bits_a >> 10) & 0x1F) == 31, bits_a ^ (1 << 14), bits_a)
     bits_w = rng.integers(0, 1 << 15, 500, dtype=np.uint16)
     bits_w = np.where(((bits_w >> 10) & 0x1F) > 15, bits_w & np.uint16(0x83FF), bits_w)
-    for ba, bw in zip(bits_a, bits_w):
-        a = np.uint16(ba).view(np.float16)
-        w = np.uint16(bw).view(np.float16)
-        assert pe_full_mac(a, w) == np.float32(a) * np.float32(w)
     a = bits_a.view(np.float16)
     w = bits_w.view(np.float16)
     got = pe_full_mac(a[:, None], w[None, :])  # broadcast (500, 500)
@@ -112,23 +109,45 @@ def test_input_width_parity():
 # ── functional equivalence with the kernels ──────────────────────────────
 
 
-# (k, m, n); the last has just more outputs than _accel.REDUCE_MAX_OUTPUTS,
-# so the PE datapath runs through both gemm_f32 strategies.
-@pytest.mark.parametrize(
-    "shape", [(64, 3, 5), (130, 2, 4), (256, 1, 9), (16, 33, REDUCE_MAX_OUTPUTS // 33 + 1)]
-)
+# (k, m, n, group): the fourth runs on the per-k loop path and is checked in
+# k-slices of 5; the last has several groups and K not a multiple of the group.
+_SIM_SHAPES = [(64, 3, 5, 128), (130, 2, 4, 128), (256, 1, 9, 128)]
+_SIM_SHAPES += [(16, 33, REDUCE_MAX_OUTPUTS // 33 + 1, 128), (100, 3, 7, 32)]
+
+
+@pytest.mark.parametrize("shape", _SIM_SHAPES)
 def test_simulate_matches_kernels(shape):
-    k, m, n = shape
+    k, m, n, group = shape
     rng = np.random.default_rng(hash(shape) % (1 << 32))
     w = _rand16(rng, (k, n))
-    p = quantize_tensor(w)
     a = rng.normal(0, 1, (m, k)).astype(np.float16)
-    full_ref = gemm_full(a, p)
-    draft_ref = gemm_draft(a, p)
-    full_got, _ = simulate_gemm(a, p, GemmMode.FULL)
-    draft_got, _ = simulate_gemm(a, p, GemmMode.DRAFT)
-    assert np.array_equal(full_ref.view(np.uint32), full_got.view(np.uint32))
-    assert np.array_equal(draft_ref.view(np.uint32), draft_got.view(np.uint32))
+    a[rng.random(a.shape) < 0.2] = -0.0
+    a[:, ::7] *= np.float16(2.0**-14)  # subnormal activations
+    w[::5] *= np.float16(2.0**-10)  # subnormal weights
+    if k > group:
+        w[:group] = 0  # an all-zero group: its draft values are fitted to scale 0
+    p = quantize_tensor(w, group)
+    for mode, kernel in ((GemmMode.FULL, gemm_full), (GemmMode.DRAFT, gemm_draft)):
+        got, _ = simulate_gemm(a, p, mode)
+        assert np.array_equal(kernel(a, p).view(np.uint32), got.view(np.uint32))
+
+
+def test_simulate_rejects_a_wrong_pe_product(monkeypatch):
+    rng = np.random.default_rng(63)
+    p, a = quantize_tensor(_rand16(rng, (40, 6)), 16), _rand16(rng, (2, 40), 1.0)
+    exact = pe.pe_full_mac  # the output is the kernel's; a datapath one ulp off must not pass
+    monkeypatch.setattr(pe, "pe_full_mac", lambda x, w: np.nextafter(exact(x, w), np.inf))
+    with pytest.raises(RuntimeError, match="full PE products differ"):
+        simulate_gemm(a, p, GemmMode.FULL)
+
+
+def test_simulate_draft_never_reads_remainder(poison_remainder):
+    rng = np.random.default_rng(64)
+    p, a = quantize_tensor(_rand16(rng, (96, 8)), 32), _rand16(rng, (3, 96), 1.0)
+    expect = gemm_draft(a, p)
+    poison_remainder(p)
+    got, _ = simulate_gemm(a, p, GemmMode.DRAFT)
+    assert np.array_equal(expect.view(np.uint32), got.view(np.uint32))
 
 
 # ── cycle model ──────────────────────────────────────────────────────────

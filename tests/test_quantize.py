@@ -279,21 +279,12 @@ def test_bit_volume():
     w = _rand16(rng, (64, 32))
     p = quantize_tensor(w)
     n = w.size
-    assert p.wq_bits == 4 * n
-    assert p.wr_bits == 12 * n
     wq, wr = p.words()
     assert len(pack_nibbles(wq)) == n // 2
     assert len(pack_12bit(wr)) == 12 * n // 8
     # 16 bits/weight; the container adds only its header, the scales and the CRC
     header = len(MAGIC) + 1 + 16 + 4
     assert len(to_bytes(p)) == header + 4 * p.group_scales.size + 2 * n + 4
-
-
-def test_draft_stream_is_quarter():
-    rng = np.random.default_rng(26)
-    for shape in [(128, 8), (200, 3), (64, 64)]:
-        p = quantize_tensor(_rand16(rng, shape))
-        assert 4 * p.wq_bits == p.wq_bits + p.wr_bits
 
 
 # ── one copy of each weight ──────────────────────────────────────────────
@@ -364,6 +355,9 @@ def test_shape_comes_from_the_words():
         pytest.param("tensor_scale", 0.0, "tensor_scale", id="zero-tensor-scale"),
         # a float32 subnormal whose reciprocal overflows
         pytest.param("tensor_scale", 1e-45, "tensor_scale", id="subnormal-tensor-scale"),
+        # 2.5 would give 3.0 groups and True 6, so the scale-shape rule alone misnames them
+        pytest.param("group_size", 2.5, "group_size", id="fractional-group-size"),
+        pytest.param("group_size", True, "group_size", id="bool-group-size"),
     ],
 )
 def test_packed_tensor_rejects_inconsistent_input(name, value, match):
@@ -372,6 +366,14 @@ def test_packed_tensor_rejects_inconsistent_input(name, value, match):
     args[name] = value
     with pytest.raises(ValueError, match=match):
         PackedTensor(**args)
+
+
+def test_direct_tensor_round_trips():
+    args = {**_direct_args(), "tensor_scale": 0.1, "group_size": np.int64(4)}
+    p = PackedTensor(**args)
+    assert from_bytes(to_bytes(p)) == p  # held as float32(0.1), the value the container stores
+    args["group_scales"][:] = 0  # float32 and C-contiguous, yet copied, not aliased
+    assert np.all(p.group_scales == 1)
 
 
 def test_signed_zero_is_not_equal():
