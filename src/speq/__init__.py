@@ -25,7 +25,6 @@ from .quantize import (
     PackedTensor,
     QuantFormat,
     exponent_histogram,
-    fit_group_scale,
     handle_outliers,
     ingest_bf16,
     quantize_tensor,

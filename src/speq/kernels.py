@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .quantize import PackedTensor
+from .quantize import PackedTensor, check_int
 
 __all__ = [
     "GemmMode",
@@ -45,6 +45,10 @@ class GemmSpec:
     n: int
     k: int
     mode: GemmMode
+
+    def __post_init__(self) -> None:
+        for name in ("m", "n", "k"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
 
     @property
     def macs(self) -> int:

@@ -32,9 +32,10 @@ saved and held once.
 
 Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
-to FP16 at every GEMM boundary, and the FFN nonlinearity is ReLU — the hot
-path contains no transcendentals outside the shared softmax helper, so
-logits are bit-reproducible across runs.
+to FP16 at every GEMM boundary, and the FFN nonlinearity is ReLU. The one
+transcendental on the hot path is the softmax's float32 ``np.exp``, called
+in ``_forward``'s attention and in ``specdec._max_softmax_prob``, so logits
+are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -50,7 +50,7 @@ import numpy as np
 
 from . import _accel, container
 from .kernels import TrafficCounter, gemm_draft, gemm_full, reference_gemm
-from .quantize import PackedTensor, _is_int, _is_real, quantize_tensor
+from .quantize import PackedTensor, check_int, check_real, quantize_tensor
 
 __all__ = [
     "ModelConfig",
@@ -94,30 +94,16 @@ class ModelConfig:
     logit_scale: float = 48.0
 
     def __post_init__(self) -> None:
-        sizes = ("vocab", "d_model", "n_layers", "n_heads", "d_ff", "context", "group_size")
-        for name in sizes:
-            # a float size (say, from a hand-edited model.json) would fail
-            # only later, where arrays are allocated
-            v = getattr(self, name)
-            if not _is_int(v):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-        small = [name for name in sizes if getattr(self, name) < 1]
-        if small:
-            raise ValueError(f"{', '.join(small)} must be >= 1")
-        if self.context > MAX_CONTEXT:
-            raise ValueError(f"context must be <= {MAX_CONTEXT}, got {self.context}")
+        # a float size (say, from a hand-edited model.json) would fail only
+        # later, where arrays are allocated; the checks return plain Python
+        # numbers, so the config serialises as JSON
+        for name in ("vocab", "d_model", "n_layers", "n_heads", "d_ff", "group_size"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        object.__setattr__(self, "context", check_int("context", self.context, hi=MAX_CONTEXT))
+        object.__setattr__(self, "seed", check_int("seed", self.seed, lo=0))
+        object.__setattr__(self, "logit_scale", check_real("logit_scale", self.logit_scale))
         if self.d_model % self.n_heads:
             raise ValueError("d_model must be divisible by n_heads")
-        seed = self.seed
-        if not _is_int(seed) or seed < 0:
-            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
-        ls = self.logit_scale
-        if not (_is_real(ls) and math.isfinite(ls) and ls > 0):
-            raise ValueError(f"logit_scale must be a finite real > 0, got {ls!r}")
-        # numpy scalars become plain Python values, so the config serialises as JSON
-        for name in (*sizes, "seed"):
-            object.__setattr__(self, name, int(getattr(self, name)))
-        object.__setattr__(self, "logit_scale", float(ls))
 
 
 class KvCache:
@@ -135,8 +121,7 @@ class KvCache:
         if positions is None:
             positions = cfg.context
         # more positions than the context would outrun the position table
-        if not 1 <= positions <= cfg.context:
-            raise ValueError(f"positions must be in [1, {cfg.context}], got {positions}")
+        positions = check_int("positions", positions, hi=cfg.context)
         self.keys = np.zeros((cfg.n_layers, positions, cfg.d_model), dtype=np.float32)
         self.vals = np.zeros_like(self.keys)
         self.len = 0

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import bsfp
 from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full, gemm_traffic
-from .quantize import PackedTensor, _is_int, _is_real
+from .quantize import PackedTensor, check_int, check_real
 
 __all__ = [
     "PeConfig",
@@ -63,15 +63,10 @@ class PeConfig:
 
     def __post_init__(self) -> None:
         # cycle counts are integers: a float count would make fractional cycles
-        for name in ("tiles", "pes_per_tile", "fill_cycles"):
-            if not _is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        if self.tiles < 1 or self.pes_per_tile < 1:
-            raise ValueError("tiles and pes_per_tile must be positive")
-        if not (_is_real(self.frequency_hz) and 0 < self.frequency_hz < math.inf):
-            raise ValueError("frequency_hz must be positive and finite")
-        if self.fill_cycles < 0:
-            raise ValueError("fill_cycles must be >= 0")
+        for name in ("tiles", "pes_per_tile"):
+            object.__setattr__(self, name, check_int(name, getattr(self, name)))
+        object.__setattr__(self, "fill_cycles", check_int("fill_cycles", self.fill_cycles, lo=0))
+        object.__setattr__(self, "frequency_hz", check_real("frequency_hz", self.frequency_hz))
 
     @property
     def total_pes(self) -> int:
@@ -154,10 +149,7 @@ def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128)
     """Analytic cycle/traffic report for a GEMM shape, no data required."""
     if cfg is None:
         cfg = PeConfig()
-    if min(spec.m, spec.n, spec.k) < 1:
-        raise ValueError("dimensions must be positive")
-    if group_size < 1:
-        raise ValueError("group_size must be positive")
+    group_size = check_int("group_size", group_size)
     throughput = 3 if spec.mode is GemmMode.DRAFT else 1
     mac_cycles = Fraction(spec.macs, cfg.total_pes * throughput)
     return CycleReport(

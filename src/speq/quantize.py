@@ -23,6 +23,7 @@ are never packed, stored or run.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import InitVar, dataclass, field
 
 import numpy as np
@@ -34,7 +35,6 @@ __all__ = [
     "PackedTensor",
     "ExpHistogram",
     "handle_outliers",
-    "fit_group_scale",
     "quantize_tensor",
     "draft_reconstruction",
     "draft_mse",
@@ -61,14 +61,34 @@ _GRIDS = {
 }
 
 
-def _is_int(v) -> bool:
-    """An integer, numpy's too; not a bool, which would pass as 0 or 1."""
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+# The one rule for a valid count or rate. It lives here because every module
+# that takes one already imports this module, which imports none of them.
+def check_int(name: str, v, lo: int = 1, hi: int | None = None) -> int:
+    """``v`` as a plain int in ``[lo, hi]`` (``hi=None``: no upper bound), or
+    a ``ValueError`` naming ``name``.
+
+    numpy integers pass; a bool, which would pass as 0 or 1, does not.
+    """
+    if not (isinstance(v, (int, np.integer)) and not isinstance(v, bool) and v >= lo):
+        raise ValueError(f"{name} must be an integer >= {lo}, got {v!r}")
+    if hi is not None and v > hi:
+        raise ValueError(f"{name} must be <= {hi}, got {v!r}")
+    return int(v)
 
 
-def _is_real(v) -> bool:
-    """A real number, numpy's too; not a bool."""
-    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+def check_real(name: str, v, lo: float = 0, hi: float | None = None) -> float:
+    """``v`` as a plain float, or a ``ValueError`` naming ``name``: a finite
+    real > ``lo`` or, given ``hi``, a real in the closed ``[lo, hi]``.
+
+    numpy reals pass; a bool and a numeric string do not.
+    """
+    real = isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
+    if hi is None:
+        if not (real and lo < v < math.inf):
+            raise ValueError(f"{name} must be a finite real > {lo}, got {v!r}")
+    elif not (real and lo <= v <= hi):
+        raise ValueError(f"{name} must be a real in [{lo}, {hi}], got {v!r}")
+    return float(v)
 
 
 # ---------------------------------------------------------------------------
@@ -89,9 +109,9 @@ class PackedTensor:
     keeps neither stream: :meth:`words` re-derives them. Construction
     raises ``ValueError`` for any input no GEMM could use: mismatched or
     empty words, a ``group_size`` that is not an integer >= 1, a
-    ``tensor_scale`` that is not a finite float32 > 0 with a finite
-    reciprocal, group scales of the wrong shape, non-finite or with the
-    sign bit set, and (as ``bsfp.MalformedWordError``) a word the encoder
+    ``tensor_scale`` that is not a real (a bool or a string is not one)
+    whose float32 value is finite and > 0 with a finite reciprocal, group
+    scales of the wrong shape, non-finite or with the sign bit set, and (as ``bsfp.MalformedWordError``) a word the encoder
     never writes. It keeps ``tensor_scale``'s float32 value and a copy of
     ``group_scales``, so it equals its container round trip.
     """
@@ -111,14 +131,14 @@ class PackedTensor:
         if wq.ndim != 2 or wq.shape != wr.shape or wq.size == 0:
             raise ValueError(f"wq {wq.shape} and wr {wr.shape} must share one non-empty 2-D shape")
         rows, cols = wq.shape
-        if not _is_int(self.group_size) or self.group_size < 1:
-            raise ValueError(f"group_size must be an integer >= 1, got {self.group_size!r}")
+        self.group_size = check_int("group_size", self.group_size)
         # casts that overflow to inf are rejected below, not warned about
         with np.errstate(over="ignore", divide="ignore"):
-            scale32 = np.float32(self.tensor_scale)
+            scale32 = np.float32(check_real("tensor_scale", self.tensor_scale))
             self.inv_tensor_scale = np.float32(1.0) / scale32
             scales = np.array(self.group_scales, dtype=np.float32, order="C")
-        # a subnormal scale would make every output of gemm_full / gemm_draft infinite
+        # a finite real > 0 can still round to float32 0 or inf, and a subnormal
+        # scale would make every output of gemm_full / gemm_draft infinite
         if not (0.0 < scale32 < np.inf and np.isfinite(self.inv_tensor_scale)):
             raise ValueError(
                 f"tensor_scale {self.tensor_scale} is not a finite float32 > 0 "
@@ -215,16 +235,6 @@ def handle_outliers(w: np.ndarray) -> tuple[np.ndarray, float]:
     return w, 1.0
 
 
-def fit_group_scale(w: np.ndarray, q: np.ndarray) -> float:
-    """Least-squares scale: argmin_s sum (w_i - s*q_i)^2 = sum(wq)/sum(qq)."""
-    w = np.asarray(w, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    denom = float(np.dot(q, q))
-    if denom == 0.0:
-        raise ValueError("all quantized values are zero")
-    return float(np.dot(w, q) / denom)
-
-
 def _groups(rows: int, group_size: int) -> list[slice]:
     """Row slices of the groups down each column; the last may be short."""
     return [slice(g, min(g + group_size, rows)) for g in range(0, rows, group_size)]
@@ -258,8 +268,7 @@ def _rescaled(w: np.ndarray, group_size: int) -> tuple[np.ndarray, float]:
     w = np.asarray(w)
     if w.ndim != 2:
         raise ValueError(f"expected a 2-D tensor, got shape {w.shape}")
-    if not _is_int(group_size) or group_size < 1:
-        raise ValueError(f"group_size must be an integer >= 1, got {group_size!r}")
+    check_int("group_size", group_size)
     return handle_outliers(w)
 
 

@@ -25,7 +25,6 @@ Monte-Carlo cross-checks the closed form.
 
 from __future__ import annotations
 
-import math
 from dataclasses import astuple, dataclass
 
 import numpy as np
@@ -37,7 +36,7 @@ from .model import (
     forward_draft,
     forward_full,
 )
-from .quantize import _is_int, _is_real
+from .quantize import check_int, check_real
 
 __all__ = [
     "SpecDecConfig",
@@ -58,10 +57,8 @@ class SpecDecConfig:
 
     def __post_init__(self) -> None:
         # a float length would draft past it (2.5 drafts 3), and True would pass as 1
-        if not _is_int(self.max_draft_len) or self.max_draft_len < 1:
-            raise ValueError(f"max_draft_len must be an integer >= 1, got {self.max_draft_len!r}")
-        if not (_is_real(self.gamma) and 0.0 <= self.gamma <= 1.0):
-            raise ValueError(f"gamma must be a real in [0, 1], got {self.gamma!r}")
+        object.__setattr__(self, "max_draft_len", check_int("max_draft_len", self.max_draft_len))
+        object.__setattr__(self, "gamma", check_real("gamma", self.gamma, 0, 1))
 
 
 @dataclass
@@ -101,16 +98,14 @@ class PerfParams:
     t_ar: float
 
     def __post_init__(self) -> None:
-        if not all(0.0 < t < math.inf for t in (self.t_draft, self.t_verify, self.t_ar)):
-            raise ValueError("times must be positive and finite")
+        for name in ("t_draft", "t_verify", "t_ar"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
 
 
 def expected_accept_length(r: float, max_draft_len: int) -> float:
     """Expected tokens per round: sum_{i=0}^{L} r^i, i.e. (1-r^(L+1))/(1-r)."""
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("accept rate must be in [0, 1]")
-    if max_draft_len < 1:
-        raise ValueError("max_draft_len must be >= 1")
+    r = check_real("r", r, 0, 1)
+    max_draft_len = check_int("max_draft_len", max_draft_len)
     if r == 1.0:
         return float(max_draft_len + 1)
     return (1.0 - r ** (max_draft_len + 1)) / (1.0 - r)
@@ -134,11 +129,10 @@ def monte_carlo_accept_length(
     round if L is larger): the same stream and, by an integer total, the
     same mean as one ``(rounds, L)`` draw, in bounded memory.
     """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError("accept rate must be in [0, 1]")
-    if max_draft_len < 1 or rounds < 1:
-        raise ValueError("max_draft_len and rounds must be >= 1")
-    rng = np.random.default_rng(seed)
+    r = check_real("r", r, 0, 1)
+    max_draft_len = check_int("max_draft_len", max_draft_len)
+    rounds = check_int("rounds", rounds)
+    rng = np.random.default_rng(check_int("seed", seed, lo=0))
     chunk = max(1, MC_CHUNK_VALUES // max_draft_len)
     total = 0
     for start in range(0, rounds, chunk):
@@ -166,9 +160,7 @@ def _max_softmax_prob(logits: np.ndarray) -> float:
 
 def _check_request(model: ToyModel, prompt, gen_len: int) -> np.ndarray:
     """The prompt's ids as an int64 array, checked before any forward."""
-    # a float gen_len would size the cache with a float
-    if not _is_int(gen_len) or gen_len < 1:
-        raise ValueError(f"gen_len must be an integer >= 1, got {gen_len!r}")
+    check_int("gen_len", gen_len)  # a float gen_len would size the cache with a float
     # list() turns bytes into ids and a string into characters, which fail
     ids = check_token_ids(list(prompt), model.cfg.vocab, "prompt token ids")
     if len(ids) + gen_len > model.cfg.context:

@@ -302,12 +302,17 @@ def test_simulate(capsys):
 
 @pytest.mark.parametrize(
     "bad",
-    [["--tiles", "0", "--pes-per-tile", "4"], ["--frequency", "-5"], ["--group-size", "0"]],
+    [
+        (["--tiles", "0", "--pes-per-tile", "4"], "tiles"),
+        (["--frequency", "-5"], "frequency_hz"),
+        (["--group-size", "0"], "group_size"),
+    ],
 )
 def test_simulate_rejects_bad_config(capsys, bad):
-    argv = ["simulate", "--m", "1", "--n", "64", "--k", "64", "--mode", "full", *bad]
+    flags, name = bad
+    argv = ["simulate", "--m", "1", "--n", "64", "--k", "64", "--mode", "full", *flags]
     assert main(argv) == 2
-    assert "must be positive" in capsys.readouterr().err
+    assert f"speq: error: {name} must be" in capsys.readouterr().err
 
 
 def test_deterministic_reports(capsys, tensor_npy):

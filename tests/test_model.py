@@ -259,7 +259,7 @@ def test_kv_cache_semantics():
         cache.rewind(5)
 
 
-@pytest.mark.parametrize("positions", [0, -1, 513])
+@pytest.mark.parametrize("positions", [0, -1, 513, 2.5])
 def test_kv_cache_rejects_bad_size(positions):
     with pytest.raises(ValueError, match="positions"):
         KvCache(ModelConfig(), positions)

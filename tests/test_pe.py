@@ -226,6 +226,12 @@ def test_pe_config_sizes_are_typed(bad):
 def test_estimate_rejects_bad_dims():
     with pytest.raises(ValueError):
         estimate(GemmSpec(0, 1, 1, GemmMode.FULL))
+    # a float dimension failed inside Fraction, and a float group size gave fractional bytes
+    with pytest.raises(ValueError, match="^m must be"):
+        estimate(GemmSpec(1.5, 4, 10, GemmMode.FULL))
+    for bad in (2.5, True):
+        with pytest.raises(ValueError, match="group_size"):
+            estimate(GemmSpec(1, 4, 10, GemmMode.DRAFT), group_size=bad)
 
 
 def test_report_time():

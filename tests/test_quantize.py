@@ -20,10 +20,10 @@ from speq.container import (
 from speq.quantize import (
     PackedTensor,
     QuantFormat,
+    _fit_group_scales,
     draft_mse,
     draft_reconstruction,
     exponent_histogram,
-    fit_group_scale,
     handle_outliers,
     ingest_bf16,
     quantize_tensor,
@@ -81,28 +81,37 @@ def test_outlier_nonfinite(bad):
 # ── scale fitting ────────────────────────────────────────────────────────
 
 
+def _fit(w, q):
+    """``_fit_group_scales``' scale for one column that is one group."""
+    w, q = np.asarray(w).reshape(-1, 1), np.asarray(q).reshape(-1, 1)
+    return _fit_group_scales(w, q, len(w))[0, 0]
+
+
 def test_fit_scale_all_ones():
     w = np.ones(128)
     q = np.full(128, 0.5)
-    assert fit_group_scale(w, q) == 2.0
+    assert _fit(w, q) == 2.0
     assert np.all(2.0 * q == w)
 
 
 def test_fit_scale_exact_multiple():
+    # the float64 least-squares ratio, rounded once to float32
     rng = np.random.default_rng(0)
     q = rng.normal(size=64)
-    assert fit_group_scale(3.7 * q, q) == pytest.approx(3.7, rel=1e-12)
+    assert _fit(3.7 * q, q) == np.float32(3.7)
 
 
 def test_fit_scale_mixed():
     w = np.concatenate([np.ones(64), np.full(64, 0.5)])
     q = np.full(128, 0.5)
-    assert fit_group_scale(w, q) == 1.5
+    assert _fit(w, q) == 1.5
 
 
 def test_fit_scale_zero_denominator():
-    with pytest.raises(ValueError):
-        fit_group_scale(np.ones(4), np.zeros(4))
+    # an all-zero draft group fits scale +0.0, never -0.0, whatever its weights
+    for w in (np.ones(4), -np.ones(4)):
+        s = _fit(w, np.zeros(4))
+        assert s == 0.0 and not np.signbit(s)
 
 
 def test_fit_scale_is_minimizer_scan():
@@ -110,7 +119,7 @@ def test_fit_scale_is_minimizer_scan():
     rng = np.random.default_rng(1)
     w = rng.normal(0, 0.02, 128)
     q = np.where(w < 0, -1.0, 1.0) * 2.0 ** rng.integers(-10, -5, 128).astype(float)
-    s = fit_group_scale(w, q)
+    s = float(_fit(w, q))
     mse = np.mean((w - s * q) ** 2)
     for cand in np.linspace(s * 0.5, s * 1.5, 201):
         assert mse <= np.mean((w - cand * q) ** 2) + 1e-18
@@ -123,7 +132,7 @@ def test_fit_scale_perturbation(eps):
         w = rng.normal(0, 0.02, 128).astype(np.float16).astype(np.float64)
         p = quantize_tensor(w.astype(np.float16).reshape(-1, 1))
         q = p.draft_values().astype(np.float64).ravel()
-        s = fit_group_scale(w, q)
+        s = float(_fit(w, q))
         mse = np.mean((w - s * q) ** 2)
         assert mse <= np.mean((w - s * (1 + eps) * q) ** 2)
         assert mse <= np.mean((w - s * (1 - eps) * q) ** 2)
@@ -182,7 +191,7 @@ def test_tail_groups():
     # The tail group scale is fitted over its actual 72 rows.
     q = p.draft_values().astype(np.float64)
     w64 = w.astype(np.float64)
-    s = fit_group_scale(w64[128:, 2], q[128:, 2])
+    s = np.dot(w64[128:, 2], q[128:, 2]) / np.dot(q[128:, 2], q[128:, 2])
     assert p.group_scales[2, 1] == np.float32(s)
 
 
@@ -355,6 +364,9 @@ def test_shape_comes_from_the_words():
         pytest.param("tensor_scale", 0.0, "tensor_scale", id="zero-tensor-scale"),
         # a float32 subnormal whose reciprocal overflows
         pytest.param("tensor_scale", 1e-45, "tensor_scale", id="subnormal-tensor-scale"),
+        # float32 casts both to a valid scale (0.5 and 1.0)
+        pytest.param("tensor_scale", "0.5", "tensor_scale", id="string-tensor-scale"),
+        pytest.param("tensor_scale", True, "tensor_scale", id="bool-tensor-scale"),
         # 2.5 would give 3.0 groups and True 6, so the scale-shape rule alone misnames them
         pytest.param("group_size", 2.5, "group_size", id="fractional-group-size"),
         pytest.param("group_size", True, "group_size", id="bool-group-size"),

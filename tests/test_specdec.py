@@ -36,6 +36,11 @@ def test_accept_length_domain():
         expected_accept_length(-0.1, 4)
     with pytest.raises(ValueError):
         expected_accept_length(0.5, 0)
+    # a fractional length gave 1.82 tokens per round, and r=True gave L + 1
+    with pytest.raises(ValueError, match="max_draft_len"):
+        expected_accept_length(0.5, 2.5)
+    with pytest.raises(ValueError, match="^r must be"):
+        expected_accept_length(True, 4)
 
 
 def test_speedup_reference_point():
@@ -57,6 +62,7 @@ def test_speedup_rejects_nonpositive_times():
         (0.0, 1.0, 1.0), (1.0, 0.0, 1.0), (1.0, 1.0, -1.0),
         (nan, 1.0, 1.0), (1.0, nan, 1.0), (1.0, 1.0, nan),
         (inf, 1.0, 1.0), (1.0, inf, 1.0), (1.0, 1.0, -inf),
+        (True, 1, 1), (1, "1", 1),
     ]:
         with pytest.raises(ValueError):
             PerfParams(*times)
@@ -85,9 +91,12 @@ def test_monte_carlo_extremes():
 
 
 def test_monte_carlo_domain():
-    for L, rounds in [(0, 10), (8, 0)]:
+    for L, rounds in [(0, 10), (8, 0), (4, 10.5)]:
         with pytest.raises(ValueError):
             monte_carlo_accept_length(0.5, L, rounds, 0)
+    for seed in (2.5, True):  # 2.5 failed inside numpy with a TypeError, True seeded 1
+        with pytest.raises(ValueError, match="seed"):
+            monte_carlo_accept_length(0.5, 4, 10, seed)
 
 
 def _one_draw_accept_length(r, L, rounds, seed):
