@@ -22,15 +22,23 @@ from .report import RunReport
 
 
 def _load_tensor(path: str, bf16: bool = False) -> np.ndarray:
-    arr = np.load(path)
+    try:
+        arr = np.load(path)
+    except (ValueError, EOFError) as e:  # not a .npy file, or truncated or empty
+        raise ValueError(f"{path}: not a readable .npy file ({e})") from e
+    if not isinstance(arr, np.ndarray):  # an .npz archive, which holds the file open
+        arr.close()
+        raise ValueError(f"{path}: expected one .npy array, got an .npz archive")
+    if arr.dtype.kind not in "biuf":  # complex, structured, datetime, string ...
+        raise ValueError(f"{path}: expected a bool, integer or float array, got {arr.dtype}")
     if bf16:
         if arr.dtype != np.uint16:
-            raise ValueError("--bf16 expects a uint16 array of BF16 bit patterns")
+            raise ValueError(f"{path}: --bf16 expects a uint16 array of BF16 bit patterns")
         arr = quantize.ingest_bf16(arr)
     if arr.ndim == 1:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
-        raise ValueError(f"expected a 1-D or 2-D tensor, got shape {arr.shape}")
+        raise ValueError(f"{path}: expected a 1-D or 2-D tensor, got shape {arr.shape}")
     return arr.astype(np.float16)
 
 
@@ -224,20 +232,20 @@ def _cmd_simulate(args) -> int:
         frequency_hz=args.frequency,
         fill_cycles=args.fill_cycles,
     )
-    spec = GemmSpec(m=args.m, n=args.n, k=args.k, mode=GemmMode(args.mode))
-    r = pe.estimate(spec, cfg, group_size=args.group_size)
+    spec = GemmSpec(args.m, args.n, args.k, GemmMode(args.mode), args.group_size)
+    r = pe.estimate(spec, cfg)
     rep = _new_report(args)
     rep.add(
         "cycles",
-        mode=r.mode.value,
-        m=r.m,
-        n=r.n,
-        k=r.k,
-        macs=r.macs,
-        pe_count=r.pe_count,
+        mode=spec.mode.value,
+        m=spec.m,
+        n=spec.n,
+        k=spec.k,
+        macs=spec.macs,
+        pe_count=cfg.total_pes,
         macs_per_pe_per_cycle=r.macs_per_pe_per_cycle,
         mac_cycles=r.mac_cycles,
-        fill_cycles=r.fill_cycles,
+        fill_cycles=cfg.fill_cycles,
         cycles=r.cycles,
         weight_bits=r.weight_bits,
         weight_bytes=r.weight_bytes,

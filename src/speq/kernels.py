@@ -39,15 +39,16 @@ class GemmMode(enum.Enum):
 
 @dataclass(frozen=True)
 class GemmSpec:
-    """Shape and mode of one GEMM; accumulation order is fixed by contract."""
+    """Shape, mode and weight group size of one GEMM; accumulation order is fixed by contract."""
 
     m: int
     n: int
     k: int
     mode: GemmMode
+    group_size: int = 128
 
     def __post_init__(self) -> None:
-        for name in ("m", "n", "k"):
+        for name in ("m", "n", "k", "group_size"):
             object.__setattr__(self, name, check_int(name, getattr(self, name)))
 
     @property

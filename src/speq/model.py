@@ -131,9 +131,7 @@ class KvCache:
         return self.keys.shape[1]
 
     def rewind(self, n: int) -> None:
-        if not 0 <= n <= self.len:
-            raise ValueError(f"cannot rewind to {n} (len={self.len})")
-        self.len = n
+        self.len = check_int("n", n, lo=0, hi=self.len)
 
     def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store rows ``start:`` of ``layer``, each value rounded to FP16."""
@@ -253,6 +251,9 @@ def check_token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
     Python loop over its ids.
     """
     ids = np.asarray(tokens)
+    # checked before the dtype: an empty list converts to a float64 array
+    if not ids.size:
+        raise ValueError(f"{what}: none given")
     # a bool among ints converts to an int array, so a list's element types
     # are checked too (by a C-level map, not a Python loop)
     if (
@@ -262,8 +263,6 @@ def check_token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
     ):
         raise ValueError(f"{what} must be a flat sequence of integers, got {tokens!r}")
     ids = np.atleast_1d(ids)
-    if not ids.size:
-        raise ValueError(f"{what}: none given")
     ids64 = ids.astype(np.int64, copy=False)
     # as unsigned, a negative id (and a uint64 id past int64) is >= 2**63
     if np.maximum.reduce(ids64.view(np.uint64)) >= vocab:
@@ -380,6 +379,8 @@ def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
         raise ValueError(f"{path}: not a readable .npy file ({e})") from e
     if arr.dtype != np.float16 or arr.shape != shape:
         raise ValueError(f"{path}: expected float16 {shape}, got {arr.dtype} {arr.shape}")
+    if not np.isfinite(arr).all():  # a NaN or Inf row would poison every forward that reads it
+        raise ValueError(f"{path}: holds a NaN or Inf")
     return arr
 
 

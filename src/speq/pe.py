@@ -19,9 +19,11 @@ The array runs in two modes with the same 31-bit PE input width:
 products those kernels sum, bit for bit. The sum is the kernels' own
 code, so equal products mean equal outputs.
 
-Cycle counts are ``ceil(macs / (PEs * throughput)) + fill``; the
-pre-ceiling MAC-cycle figure is kept as an exact rational so the 3x
-throughput ratio between modes is exact for every shape.
+``estimate`` returns a ``CycleReport`` that holds the ``GemmSpec`` and
+the ``PeConfig`` and derives every count from them: cycles are
+``ceil(macs / (PEs * throughput)) + fill``, and the pre-ceiling MAC-cycle
+figure is an exact rational, so the 3x throughput ratio between modes is
+exact for every shape.
 """
 
 from __future__ import annotations
@@ -75,23 +77,28 @@ class PeConfig:
 
 @dataclass(kw_only=True)
 class CycleReport(TrafficCounter):
-    """One GEMM's cycles on the array, and the traffic ``gemm_traffic`` counts for it."""
+    """One GEMM on the array: the traffic ``gemm_traffic`` counts for it, and
+    the spec and config its cycle figures are derived from.
+    """
 
-    mode: GemmMode
-    m: int
-    n: int
-    k: int
-    macs: int
-    pe_count: int
-    macs_per_pe_per_cycle: int
-    mac_cycles: Fraction
-    fill_cycles: int
-    cycles: int
-    frequency_hz: float
+    spec: GemmSpec
+    cfg: PeConfig
+
+    @property
+    def macs_per_pe_per_cycle(self) -> int:
+        return 3 if self.spec.mode is GemmMode.DRAFT else 1
+
+    @property
+    def mac_cycles(self) -> Fraction:
+        return Fraction(self.spec.macs, self.cfg.total_pes * self.macs_per_pe_per_cycle)
+
+    @property
+    def cycles(self) -> int:
+        return self.cfg.fill_cycles + math.ceil(self.mac_cycles)
 
     @property
     def time_s(self) -> float:
-        return self.cycles / self.frequency_hz
+        return self.cycles / self.cfg.frequency_hz
 
 
 def decompose_fp16(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -145,27 +152,10 @@ def pe_quant_mac(a, sign_w, exp4_w) -> np.ndarray:
     return _signed_ldexp(sig_a, sa != (np.asarray(sign_w) & 1), ea + np.asarray(exp4_w) - 40)
 
 
-def estimate(spec: GemmSpec, cfg: PeConfig | None = None, group_size: int = 128) -> CycleReport:
+def estimate(spec: GemmSpec, cfg: PeConfig | None = None) -> CycleReport:
     """Analytic cycle/traffic report for a GEMM shape, no data required."""
-    if cfg is None:
-        cfg = PeConfig()
-    group_size = check_int("group_size", group_size)
-    throughput = 3 if spec.mode is GemmMode.DRAFT else 1
-    mac_cycles = Fraction(spec.macs, cfg.total_pes * throughput)
-    return CycleReport(
-        *gemm_traffic(spec.m, spec.n, spec.k, spec.mode, group_size),
-        mode=spec.mode,
-        m=spec.m,
-        n=spec.n,
-        k=spec.k,
-        macs=spec.macs,
-        pe_count=cfg.total_pes,
-        macs_per_pe_per_cycle=throughput,
-        mac_cycles=mac_cycles,
-        fill_cycles=cfg.fill_cycles,
-        cycles=cfg.fill_cycles + math.ceil(mac_cycles),
-        frequency_hz=cfg.frequency_hz,
-    )
+    traffic = gemm_traffic(spec.m, spec.n, spec.k, spec.mode, spec.group_size)
+    return CycleReport(*traffic, spec=spec, cfg=PeConfig() if cfg is None else cfg)
 
 
 def simulate_gemm(
@@ -197,4 +187,4 @@ def simulate_gemm(
         expect = ak.astype(np.float32) * wk
         if not np.array_equal(got.view(np.uint32), expect.view(np.uint32)):
             raise RuntimeError(f"{mode.value} PE products differ from the kernel's at k >= {k0}")
-    return out, estimate(GemmSpec(m, p.cols, k, mode), cfg, group_size=p.group_size)
+    return out, estimate(GemmSpec(m, p.cols, k, mode, p.group_size), cfg)

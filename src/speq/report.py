@@ -6,8 +6,6 @@ report is both human-readable and machine-parseable with ``parse``.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import numpy as np
 
 __all__ = ["RunReport", "parse"]
@@ -20,8 +18,6 @@ def _fmt(v) -> str:
         return repr(float(v))
     if isinstance(v, (int, np.integer)):
         return str(int(v))
-    if isinstance(v, Fraction):
-        return str(v)
     return str(v)
 
 

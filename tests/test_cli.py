@@ -351,3 +351,48 @@ def test_usage_error(capsys):
 def test_roundtrip_needs_target(capsys):
     code, _, _ = run(capsys, "roundtrip")
     assert code == 2
+
+
+def _write_malformed(d):
+    """One file of each kind the tensor and container readers must refuse."""
+    rng = np.random.default_rng(90)
+    arrays = {
+        "archive.npz": None,
+        "complex.npy": rng.normal(size=(8, 2)) + 1j,
+        "structured.npy": np.zeros(4, dtype=[("a", "<f2"), ("b", "<i4")]),
+        "datetime.npy": np.arange(4).astype("datetime64[D]"),
+        "cube.npy": rng.normal(size=(2, 3, 4)).astype(np.float16),
+    }
+    for name, arr in arrays.items():
+        if arr is None:
+            np.savez(d / name, w=rng.normal(size=(8, 2)).astype(np.float16))
+        else:
+            np.save(d / name, arr)
+    (d / "random.bin").write_bytes(rng.integers(0, 256, 300, dtype=np.uint8).tobytes())
+    (d / "empty.npy").write_bytes(b"")
+    np.save(d / "good.npy", rng.normal(0, 0.02, (16, 4)).astype(np.float16))
+    assert main(["quantize", "--in", str(d / "good.npy"), "--out", str(d / "good.speq")]) == 0
+    (d / "truncated.speq").write_bytes((d / "good.speq").read_bytes()[:-7])
+    return sorted([*arrays, "random.bin", "empty.npy", "truncated.speq"])
+
+
+_MALFORMED_USES = {
+    "quantize": lambda d, f: ["quantize", "--in", f, "--out", str(d / "out.speq")],
+    "inspect": lambda d, f: ["inspect", f],
+    "roundtrip": lambda d, f: ["roundtrip", f],
+    "gemm-a": lambda d, f: ["gemm", "--mode", "full", "--a", f, "--w", str(d / "good.speq")],
+    "gemm-w": lambda d, f: ["gemm", "--mode", "draft", "--a", str(d / "good.npy"), "--w", f],
+}
+
+
+@pytest.mark.parametrize("use", sorted(_MALFORMED_USES))
+def test_malformed_input_files_exit_2(capsys, tmp_path, use):
+    # every malformed file is a usage error (exit 2), never a traceback or exit 0/1
+    for name in _write_malformed(tmp_path):
+        capsys.readouterr()
+        path = str(tmp_path / name)
+        code = main(_MALFORMED_USES[use](tmp_path, path))
+        err = capsys.readouterr().err
+        assert (code, err.startswith("speq: error:")) == (2, True), (name, err)
+        if use != "gemm-w" and not name.endswith(".speq"):  # read by np.load
+            assert path in err, (name, err)

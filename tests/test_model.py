@@ -206,7 +206,9 @@ def test_forwards_reject_bad_token_ids(model, kind, ids, match):
     [[3, True], [np.True_], [[1, 2]], [], "ab", [2**70], np.array([2**63], dtype=np.uint64)],
 )
 def test_check_token_ids_rejects(ids):
-    with pytest.raises(ValueError, match="token ids"):
+    # numpy reads an empty list as float64; it must still be "none given"
+    match = "^token ids: none given" if isinstance(ids, list) and not ids else "^token ids"
+    with pytest.raises(ValueError, match=match):
         check_token_ids(ids, 256)
 
 
@@ -257,6 +259,11 @@ def test_kv_cache_semantics():
     assert np.array_equal(cache.vals[0, :3].view(np.uint32), (-want).view(np.uint32))
     with pytest.raises(ValueError):
         cache.rewind(5)
+    # a float length would fail later as a slice index, and a bool is no length
+    for bad in (2.5, True, -1):
+        with pytest.raises(ValueError, match="^n must be an integer >= 0"):
+            cache.rewind(bad)
+    assert cache.len == 1
 
 
 @pytest.mark.parametrize("positions", [0, -1, 513, 2.5])
@@ -447,6 +454,14 @@ def _to_float32(a):
     return a.astype(np.float32)
 
 
+def _set_first(value):
+    def change(a):
+        a.flat[0] = value
+        return a
+
+    return change
+
+
 # Each case damages one file of a saved model; the error must name that file.
 _LOAD_MISMATCHES = {
     "missing-crc": ("model.json", _drop_l0_qkv_crc),
@@ -483,6 +498,9 @@ _LOAD_MISMATCHES = {
     "bad-magic": ("l0.wo.speq", _edit_bytes("l0.wo.speq", _bad_magic)),
     "embed-dtype": ("embed.npy", lambda d: _resave(d / "embed.npy", _to_float32)),
     "embed-shape": ("embed.npy", lambda d: _resave(d / "embed.npy", lambda a: a[1:])),
+    # a NaN loaded and decoded to all zeros; an Inf raised mid-forward
+    "embed-nonfinite": ("embed.npy", lambda d: _resave(d / "embed.npy", _set_first(np.nan))),
+    "embed-inf": ("embed.npy", lambda d: _resave(d / "embed.npy", _set_first(-np.inf))),
     # np.load's own errors: not an .npy file (it would unpickle), short data, no data
     "embed-garbage": ("embed.npy", _edit_bytes("embed.npy", _bad_magic)),
     "embed-truncated": ("embed.npy", _edit_bytes("embed.npy", _truncate)),

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 from fractions import Fraction
 
 import numpy as np
@@ -156,7 +157,7 @@ def test_simulate_draft_never_reads_remainder(poison_remainder):
 def test_cycle_model_reference_shape():
     cfg = PeConfig()
     full = estimate(GemmSpec(1, 1024, 4096, GemmMode.FULL), cfg)
-    assert full.macs == 1024 * 4096
+    assert full.spec.macs == 1024 * 4096
     assert full.mac_cycles == Fraction(4096)
     assert full.cycles == 4096 + cfg.fill_cycles
     draft = estimate(GemmSpec(1, 1024, 4096, GemmMode.DRAFT), cfg)
@@ -165,11 +166,11 @@ def test_cycle_model_reference_shape():
 
 
 def test_cycle_model_traffic():
-    r = estimate(GemmSpec(2, 16, 256, GemmMode.DRAFT), group_size=128)
+    r = estimate(GemmSpec(2, 16, 256, GemmMode.DRAFT, group_size=128))
     assert r.weight_bits == 4 * 256 * 16
     assert r.scale_bytes == 4 * 2 * 16 + 4
     assert r.activation_bytes == 2 * 2 * 256
-    f = estimate(GemmSpec(2, 16, 256, GemmMode.FULL), group_size=128)
+    f = estimate(GemmSpec(2, 16, 256, GemmMode.FULL, group_size=128))
     assert f.weight_bits == 16 * 256 * 16
     assert f.scale_bytes == 4
 
@@ -191,7 +192,7 @@ def test_throughput_ratio_every_shape():
         full = estimate(GemmSpec(m, n, k, GemmMode.FULL))
         draft = estimate(GemmSpec(m, n, k, GemmMode.DRAFT))
         assert draft.mac_cycles * 3 == full.mac_cycles
-        assert draft.macs == full.macs == m * n * k
+        assert draft.spec.macs == full.spec.macs == m * n * k
         assert draft.macs_per_pe_per_cycle == 3 * full.macs_per_pe_per_cycle
 
 
@@ -230,11 +231,29 @@ def test_estimate_rejects_bad_dims():
     with pytest.raises(ValueError, match="^m must be"):
         estimate(GemmSpec(1.5, 4, 10, GemmMode.FULL))
     for bad in (2.5, True):
-        with pytest.raises(ValueError, match="group_size"):
-            estimate(GemmSpec(1, 4, 10, GemmMode.DRAFT), group_size=bad)
+        with pytest.raises(ValueError, match="^group_size must be"):
+            estimate(GemmSpec(1, 4, 10, GemmMode.DRAFT, group_size=bad))
 
 
 def test_report_time():
     r = estimate(GemmSpec(1, 1024, 4096, GemmMode.FULL))
     assert r.time_s == r.cycles / 500e6
     assert r.weight_bytes == r.weight_bits / 8
+
+
+def test_report_holds_spec_and_config():
+    # the report keeps its traffic counts and derives every other figure
+    spec, cfg = GemmSpec(3, 40, 300, GemmMode.DRAFT, group_size=64), PeConfig(tiles=2)
+    r = estimate(spec, cfg)
+    names = {f.name for f in dataclasses.fields(r)}
+    assert names == {"weight_bits", "scale_bytes", "activation_bytes", "spec", "cfg"}
+    assert r.spec is spec and r.cfg is cfg
+    assert r.mac_cycles == Fraction(3 * 40 * 300, 2 * 128 * 3)
+    assert r.cycles == cfg.fill_cycles + 47
+    assert r.scale_bytes == 4 * 40 * 5 + 4  # ceil(300 / 64) groups per column
+    assert estimate(GemmSpec(3, 40, 300, GemmMode.DRAFT)).cfg == PeConfig()
+    # simulate_gemm reports the packed tensor's group size
+    rng = np.random.default_rng(65)
+    p = quantize_tensor(_rand16(rng, (100, 3)), 32)
+    _, sim = simulate_gemm(_rand16(rng, (2, 100), 1.0), p, GemmMode.DRAFT, cfg)
+    assert sim.spec == GemmSpec(2, 3, 100, GemmMode.DRAFT, group_size=32) and sim.cfg is cfg
