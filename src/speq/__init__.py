@@ -36,7 +36,6 @@ from .specdec import (
     expected_accept_length,
     expected_speedup,
     greedy_generate,
-    monte_carlo_accept_length,
     speculative_generate,
 )
 

@@ -15,9 +15,9 @@ import numpy as np
 
 from . import bsfp, container, pe, quantize, specdec
 from ._accel import active_backend
-from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full, gemm_traffic
+from .kernels import GemmMode, GemmSpec, gemm_draft, gemm_full, gemm_traffic
 from .model import ContextOverflowError, ModelConfig, init_model
-from .quantize import QuantFormat
+from .quantize import QuantFormat, check_int
 from .report import RunReport
 
 
@@ -39,7 +39,12 @@ def _load_tensor(path: str, bf16: bool = False) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 1-D or 2-D tensor, got shape {arr.shape}")
-    return arr.astype(np.float16)
+    with np.errstate(over="ignore"):  # an overflow is reported below, with the file's name
+        w = arr.astype(np.float16)
+    overflow = int(np.count_nonzero(np.isinf(w) & np.isfinite(arr)))
+    if overflow:
+        raise ValueError(f"{path}: {overflow} finite values overflow FP16 (largest finite 65504)")
+    return w
 
 
 def _new_report(args) -> RunReport:
@@ -137,22 +142,23 @@ def _cmd_gemm(args) -> int:
     p = container.read_container(args.w)
     if a.shape[1] == 1 and p.rows != 1:
         a = a.T  # a vector activation is one row, unless the weight has one row
-    traffic = TrafficCounter()
-    fn = gemm_draft if args.mode == "draft" else gemm_full
-    out = fn(a, p, traffic)
+    mode = GemmMode(args.mode)
+    out = (gemm_draft if mode is GemmMode.DRAFT else gemm_full)(a, p)
     if args.out:
         np.save(args.out, out)
+    m, n = out.shape
+    weight_bits, scale_bytes, activation_bytes = gemm_traffic(m, n, p.rows, mode, p.group_size)
     rep = _new_report(args)
     rep.add(
         "gemm",
         mode=args.mode,
-        m=out.shape[0],
-        n=out.shape[1],
+        m=m,
+        n=n,
         k=p.rows,
-        weight_bits=traffic.weight_bits,
-        weight_bytes=traffic.weight_bytes,
-        scale_bytes=traffic.scale_bytes,
-        activation_bytes=traffic.activation_bytes,
+        weight_bits=weight_bits,
+        weight_bytes=weight_bits / 8,
+        scale_bytes=scale_bytes,
+        activation_bytes=activation_bytes,
         output_crc32=zlib.crc32(out.tobytes()) & 0xFFFFFFFF,
     )
     _emit(rep)
@@ -160,8 +166,8 @@ def _cmd_gemm(args) -> int:
 
 
 def _cmd_specdec(args) -> int:
-    if args.prompts < 1:
-        raise ValueError("--prompts must be >= 1")  # zero prompts would check nothing
+    check_int("prompts", args.prompts)  # zero prompts would check nothing
+    check_int("prompt_len", args.prompt_len)
     cfg = ModelConfig(seed=args.seed)
     sd = specdec.SpecDecConfig(max_draft_len=args.max_draft_len, gamma=args.gamma)
     model = init_model(cfg)
@@ -198,7 +204,6 @@ def _cmd_specdec(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    la = specdec.expected_accept_length(args.r, args.max_draft_len)
     perf = specdec.PerfParams(t_draft=args.td_ratio, t_verify=args.tv_ratio, t_ar=1.0)
     rep = _new_report(args)
     rep.add(
@@ -207,20 +212,9 @@ def _cmd_perf(args) -> int:
         max_draft_len=args.max_draft_len,
         td_ratio=args.td_ratio,
         tv_ratio=args.tv_ratio,
-        accept_len=la,
+        accept_len=specdec.expected_accept_length(args.r, args.max_draft_len),
         speedup=specdec.expected_speedup(args.r, args.max_draft_len, perf),
-        speedup_approx=specdec.expected_speedup(
-            args.r, args.max_draft_len, specdec.PerfParams(args.td_ratio, 1.0, 1.0)
-        ),
     )
-    if args.mc_rounds:
-        mc = specdec.monte_carlo_accept_length(args.r, args.max_draft_len, args.mc_rounds, args.seed)
-        rep.add(
-            "perf",
-            mc_rounds=args.mc_rounds,
-            mc_accept_len=mc,
-            mc_rel_err=abs(mc - la) / la,
-        )
     _emit(rep)
     return 0
 
@@ -308,8 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--L", dest="max_draft_len", type=int, required=True)
     p.add_argument("--td-ratio", type=float, default=0.25)
     p.add_argument("--tv-ratio", type=float, default=1.0)
-    p.add_argument("--mc-rounds", type=int, default=1_000_000)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=_cmd_perf)
 
     m = sub.add_parser("simulate", help="PE-array cycle report for a GEMM shape")

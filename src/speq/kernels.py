@@ -66,10 +66,6 @@ class TrafficCounter:
     scale_bytes: int = 0
     activation_bytes: int = 0
 
-    @property
-    def weight_bytes(self) -> float:
-        return self.weight_bits / 8
-
     def add(self, weight_bits: int, scale_bytes: int, activation_bytes: int) -> None:
         self.weight_bits += weight_bits
         self.scale_bytes += scale_bytes

@@ -20,10 +20,11 @@ products those kernels sum, bit for bit. The sum is the kernels' own
 code, so equal products mean equal outputs.
 
 ``estimate`` returns a ``CycleReport`` that holds the ``GemmSpec`` and
-the ``PeConfig`` and derives every count from them: cycles are
+the ``PeConfig`` and derives every count from them. Cycles are
 ``ceil(macs / (PEs * throughput)) + fill``, and the pre-ceiling MAC-cycle
 figure is an exact rational, so the 3x throughput ratio between modes is
-exact for every shape.
+exact for every shape. Traffic is ``kernels.gemm_traffic`` of the spec,
+the same formula the kernels count with.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import bsfp
-from .kernels import GemmMode, GemmSpec, TrafficCounter, gemm_draft, gemm_full, gemm_traffic
+from .kernels import GemmMode, GemmSpec, gemm_draft, gemm_full, gemm_traffic
 from .quantize import PackedTensor, check_int, check_real
 
 __all__ = [
@@ -75,14 +76,35 @@ class PeConfig:
         return self.tiles * self.pes_per_tile
 
 
-@dataclass(kw_only=True)
-class CycleReport(TrafficCounter):
-    """One GEMM on the array: the traffic ``gemm_traffic`` counts for it, and
-    the spec and config its cycle figures are derived from.
+@dataclass(frozen=True)
+class CycleReport:
+    """One GEMM on the array: its spec and the array's config. Every cycle
+    and traffic figure is a property over the two.
     """
 
     spec: GemmSpec
     cfg: PeConfig
+
+    @property
+    def _traffic(self) -> tuple[int, int, int]:
+        s = self.spec
+        return gemm_traffic(s.m, s.n, s.k, s.mode, s.group_size)
+
+    @property
+    def weight_bits(self) -> int:
+        return self._traffic[0]
+
+    @property
+    def weight_bytes(self) -> float:
+        return self.weight_bits / 8
+
+    @property
+    def scale_bytes(self) -> int:
+        return self._traffic[1]
+
+    @property
+    def activation_bytes(self) -> int:
+        return self._traffic[2]
 
     @property
     def macs_per_pe_per_cycle(self) -> int:
@@ -154,8 +176,7 @@ def pe_quant_mac(a, sign_w, exp4_w) -> np.ndarray:
 
 def estimate(spec: GemmSpec, cfg: PeConfig | None = None) -> CycleReport:
     """Analytic cycle/traffic report for a GEMM shape, no data required."""
-    traffic = gemm_traffic(spec.m, spec.n, spec.k, spec.mode, spec.group_size)
-    return CycleReport(*traffic, spec=spec, cfg=PeConfig() if cfg is None else cfg)
+    return CycleReport(spec, cfg or PeConfig())
 
 
 def simulate_gemm(

@@ -18,9 +18,10 @@ is truncated at the accepted point. A row's logits do not depend on how
 many rows share its forward, so the output is exactly greedy decoding's.
 
 The analytic side: with accept rate r and draft length L, the expected
-tokens per round is (1 - r^(L+1)) / (1 - r), and the speedup over plain
-autoregressive decoding is L_a * T_ar / (L * T_d + T_v). A Bernoulli
-Monte-Carlo cross-checks the closed form.
+tokens per round is L_a = (1 - r^(L+1)) / (1 - r), and the speedup over plain
+autoregressive decoding is L_a * T_ar / (L * T_d + T_v). L_a assumes
+each draft is accepted independently with the same r (Leviathan et al.
+2023, arXiv:2211.17192).
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ __all__ = [
     "PerfParams",
     "expected_accept_length",
     "expected_speedup",
-    "monte_carlo_accept_length",
     "greedy_generate",
     "speculative_generate",
 ]
@@ -115,31 +115,6 @@ def expected_speedup(r: float, max_draft_len: int, perf: PerfParams) -> float:
     """Speedup over plain autoregressive decoding: L_a*T_ar / (L*T_d + T_v)."""
     la = expected_accept_length(r, max_draft_len)
     return la * perf.t_ar / (max_draft_len * perf.t_draft + perf.t_verify)
-
-
-MC_CHUNK_VALUES = 1 << 20  # uniforms per Monte Carlo chunk: 8 MiB of float64
-
-
-def monte_carlo_accept_length(
-    r: float, max_draft_len: int, rounds: int = 1_000_000, seed: int = 0
-) -> float:
-    """Mean tokens per round under i.i.d. Bernoulli(r) acceptance with cutoff L.
-
-    Rounds are drawn in chunks of at most ``MC_CHUNK_VALUES`` uniforms (one
-    round if L is larger): the same stream and, by an integer total, the
-    same mean as one ``(rounds, L)`` draw, in bounded memory.
-    """
-    r = check_real("r", r, 0, 1)
-    max_draft_len = check_int("max_draft_len", max_draft_len)
-    rounds = check_int("rounds", rounds)
-    rng = np.random.default_rng(check_int("seed", seed, lo=0))
-    chunk = max(1, MC_CHUNK_VALUES // max_draft_len)
-    total = 0
-    for start in range(0, rounds, chunk):
-        rejected = rng.random((min(chunk, rounds - start), max_draft_len)) >= r
-        run = np.where(rejected.any(axis=1), rejected.argmax(axis=1), max_draft_len)
-        total += int(run.sum()) + run.size
-    return total / rounds
 
 
 # ---------------------------------------------------------------------------

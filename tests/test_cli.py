@@ -30,25 +30,28 @@ def tensor_npy(tmp_path):
 def test_perf_r_zero(capsys):
     code, rep, _ = run(
         capsys, "--no-timestamp", "perf", "--r", "0", "--L", "16",
-        "--td-ratio", "0.25", "--tv-ratio", "1", "--mc-rounds", "1000",
+        "--td-ratio", "0.25", "--tv-ratio", "1",
     )
     assert code == 0
     assert rep["perf.accept_len"] == "1.0"
-    assert float(rep["perf.mc_accept_len"]) == 1.0
+    assert rep["perf.speedup"] == "0.2"  # one token per 16 quarter-cost drafts and a verify
 
 
 def test_perf_reference_speedup(capsys):
-    code, rep, _ = run(
-        capsys, "--no-timestamp", "perf", "--r", "1", "--L", "16", "--mc-rounds", "0",
-    )
+    code, rep, _ = run(capsys, "--no-timestamp", "perf", "--r", "1", "--L", "16")
     assert code == 0
-    assert rep["perf.speedup_approx"] == "3.4"
+    assert rep["perf.speedup"] == "3.4"
     assert rep["perf.accept_len"] == "17.0"
+    # the analytic model only: no sampling path and no second speedup line
+    perf = {k.removeprefix("perf.") for k in rep if k.startswith("perf.")}
+    assert perf == {"r", "max_draft_len", "td_ratio", "tv_ratio", "accept_len", "speedup"}
+    for removed in (["--mc-rounds", "10"], ["--seed", "1"]):
+        assert main(["perf", "--r", "0.5", "--L", "4", *removed]) == 2
 
 
 @pytest.mark.parametrize("flag,value", [("--td-ratio", "nan"), ("--tv-ratio", "inf")])
 def test_perf_rejects_nonfinite_time(capsys, flag, value):
-    code, _, _ = run(capsys, "perf", "--r", "0.5", "--L", "4", "--mc-rounds", "0", flag, value)
+    code, _, _ = run(capsys, "perf", "--r", "0.5", "--L", "4", flag, value)
     assert code == 2
 
 
@@ -144,7 +147,7 @@ def test_roundtrip_exhaustive(capsys):
 
 def test_gemm_modes(capsys, tensor_npy, tmp_path):
     wout = str(tmp_path / "w.speq")
-    run(capsys, "quantize", "--in", tensor_npy, "--out", wout)
+    run(capsys, "quantize", "--in", tensor_npy, "--out", wout, "--group-size", "64")
     a = str(tmp_path / "a.npy")
     np.save(a, np.random.default_rng(1).normal(0, 1, (2, 256)).astype(np.float16))
 
@@ -153,6 +156,13 @@ def test_gemm_modes(capsys, tensor_npy, tmp_path):
     code, rep_f, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", wout)
     assert code == 0
     assert 4 * int(rep_d["gemm.weight_bits"]) == int(rep_f["gemm.weight_bits"])
+    # the traffic lines are the PE model's for the same GEMM
+    for mode, rep in (("draft", rep_d), ("full", rep_f)):
+        shape = ["--m", "2", "--n", "8", "--k", "256", "--group-size", "64"]
+        code, sim, _ = run(capsys, "simulate", *shape, "--mode", mode)
+        assert code == 0
+        for key in ("weight_bits", "weight_bytes", "scale_bytes", "activation_bytes"):
+            assert rep[f"gemm.{key}"] == sim[f"cycles.{key}"], (mode, key)
 
 
 def test_gemm_output_file(capsys, tensor_npy, tmp_path):
@@ -279,11 +289,19 @@ def test_specdec_text_prompt(capsys):
     assert rep["specdec.lossless"] == "true"
 
 
-@pytest.mark.parametrize("prompts", ["0", "-1"])
-def test_specdec_rejects_no_prompts(capsys, prompts):
-    assert main(["specdec", "--prompts", prompts, "--gen-len", "4"]) == 2
+@pytest.mark.parametrize(
+    "flag,value",
+    [
+        pytest.param("--prompts", "0", id="0"),
+        pytest.param("--prompts", "-1", id="-1"),
+        pytest.param("--prompt-len", "-1", id="prompt-len--1"),
+    ],
+)
+def test_specdec_rejects_no_prompts(capsys, flag, value):
+    assert main(["specdec", flag, value, "--gen-len", "4"]) == 2
     captured = capsys.readouterr()
-    assert "--prompts must be >= 1" in captured.err
+    name = flag.removeprefix("--").replace("-", "_")
+    assert f"speq: error: {name} must be" in captured.err
     assert "lossless" not in captured.out
 
 
@@ -362,6 +380,9 @@ def _write_malformed(d):
         "structured.npy": np.zeros(4, dtype=[("a", "<f2"), ("b", "<i4")]),
         "datetime.npy": np.arange(4).astype("datetime64[D]"),
         "cube.npy": rng.normal(size=(2, 3, 4)).astype(np.float16),
+        # finite, but past FP16's 65504, so a float16 cast gives Inf
+        "overflow-int.npy": np.full((4, 16), 70000, dtype=np.int64),
+        "overflow-float.npy": np.full((4, 16), 1e6),
     }
     for name, arr in arrays.items():
         if arr is None:

@@ -242,11 +242,11 @@ def test_report_time():
 
 
 def test_report_holds_spec_and_config():
-    # the report keeps its traffic counts and derives every other figure
+    # the report holds the spec and config and derives every figure from them
     spec, cfg = GemmSpec(3, 40, 300, GemmMode.DRAFT, group_size=64), PeConfig(tiles=2)
     r = estimate(spec, cfg)
     names = {f.name for f in dataclasses.fields(r)}
-    assert names == {"weight_bits", "scale_bytes", "activation_bytes", "spec", "cfg"}
+    assert names == {"spec", "cfg"}
     assert r.spec is spec and r.cfg is cfg
     assert r.mac_cycles == Fraction(3 * 40 * 300, 2 * 128 * 3)
     assert r.cycles == cfg.fill_cycles + 47

@@ -1,8 +1,9 @@
-"""Controller tests: accept-length formulas, Monte-Carlo, lossless decoding."""
+"""Controller tests: accept-length formulas, exact oracle, lossless decoding."""
 
 from __future__ import annotations
 
-import tracemalloc
+import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ from speq.specdec import (
     expected_accept_length,
     expected_speedup,
     greedy_generate,
-    monte_carlo_accept_length,
     speculative_generate,
 )
 
@@ -76,56 +76,22 @@ def test_speedup_monotone_in_r():
         prev = s
 
 
-def test_monte_carlo_three_sigma():
-    rounds = 200_000
-    for r, L in [(0.5, 4), (0.9, 8), (0.977, 16)]:
-        la = expected_accept_length(r, L)
-        mc = monte_carlo_accept_length(r, L, rounds, seed=9)
-        # Worst-case std of (1 + truncated geometric) is < L; 3 sigma bound.
-        assert abs(mc - la) < 3 * L / np.sqrt(rounds)
+def _enumerated_accept_length(r: Fraction, L: int) -> Fraction:
+    """Exact tokens per round: every one of the 2^L accept/reject patterns,
+    weighted by its probability; a round emits its leading accepts plus one."""
+    total = Fraction(0)
+    for pattern in itertools.product((True, False), repeat=L):
+        n_ok = next((i for i, ok in enumerate(pattern) if not ok), L)
+        accepts = sum(pattern)
+        total += (n_ok + 1) * r**accepts * (1 - r) ** (L - accepts)
+    return total
 
 
-def test_monte_carlo_extremes():
-    assert monte_carlo_accept_length(0.0, 8, 1000, 0) == 1.0
-    assert monte_carlo_accept_length(1.0, 8, 1000, 0) == 9.0
-
-
-def test_monte_carlo_domain():
-    for L, rounds in [(0, 10), (8, 0), (4, 10.5)]:
-        with pytest.raises(ValueError):
-            monte_carlo_accept_length(0.5, L, rounds, 0)
-    for seed in (2.5, True):  # 2.5 failed inside numpy with a TypeError, True seeded 1
-        with pytest.raises(ValueError, match="seed"):
-            monte_carlo_accept_length(0.5, 4, 10, seed)
-
-
-def _one_draw_accept_length(r, L, rounds, seed):
-    acc = np.random.default_rng(seed).random((rounds, L)) < r
-    rejected = ~acc
-    run = np.where(rejected.any(axis=1), rejected.argmax(axis=1), L)
-    return float(np.mean(run + 1))
-
-
-def test_monte_carlo_chunks_equal_one_draw(monkeypatch):
-    # Same stream, same mean, bit for bit, over several chunks (last one short).
-    rounds = 2 * (specdec.MC_CHUNK_VALUES // 16) + 999
-    got = monte_carlo_accept_length(0.9, 16, rounds, 4)
-    assert got == _one_draw_accept_length(0.9, 16, rounds, 4)
-    monkeypatch.setattr(specdec, "MC_CHUNK_VALUES", 1000)
-    for r, L, rounds in [(0.5, 4, 2501), (0.977, 16, 1000), (0.3, 1, 3000), (0.7, 2000, 5)]:
-        got = monte_carlo_accept_length(r, L, rounds, 3)
-        assert got == _one_draw_accept_length(r, L, rounds, 3), (r, L, rounds)
-
-
-def test_monte_carlo_memory_bounded():
-    # speq perf's defaults: 1,000,000 rounds at L=16 (one draw took 143 MiB)
-    tracemalloc.start()
-    try:
-        monte_carlo_accept_length(0.8, 16)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 32 * 2**20
+@pytest.mark.parametrize("L", [1, 2, 5, 12])
+def test_accept_length_matches_enumeration(L):
+    for r in (0.0, 1 / 3, 0.5, 0.9, 1.0):
+        exact = _enumerated_accept_length(Fraction(r), L)  # the float r, exactly
+        assert expected_accept_length(r, L) == pytest.approx(float(exact), rel=4e-16), r
 
 
 # ── decoding loops ───────────────────────────────────────────────────────
