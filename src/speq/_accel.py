@@ -1,25 +1,65 @@
-"""Hot numeric kernels: one fixed accumulation order, two ways to run it.
+"""Hot numeric kernels: one fixed accumulation order, three ways to run it.
 
-``gemm_f32`` is the one place the accumulation order lives. The GEMMs
-(``kernels.gemm_full`` / ``gemm_draft`` / ``reference_gemm``) and the
-attention reductions below call it; the PE-array model reuses the GEMMs.
-The order, in float32: ascending k within a group starting from +0.0,
-one scale per group, then ascending group index. That order is part of
-the kernel contract — outputs are bit-reproducible across runs and
-thread counts — so it may not be parallelized or reassociated.
+``gemm_f32`` is the reference for the accumulation order. The attention
+reductions below call it, and so does ``kernels.reference_gemm``; the
+weight GEMMs (``kernels.gemm_full`` / ``gemm_draft``) call ``gemm_weights``,
+which gives ``gemm_f32``'s bits; the PE-array model reuses the GEMMs. The
+order, in float32: ascending k within a group starting from +0.0, one
+scale per group, then ascending group index. That order is part of the
+kernel contract — outputs are bit-reproducible across runs and thread
+counts — so it may not be split along k or reassociated.
 
-Two strategies evaluate that same order, chosen by output size:
+``gemm_weights`` runs each group as one OpenBLAS sgemm where that gives
+the same bits:
 
-* block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (the M=1 decode GEMMs,
-  the M=L+1 verify windows, attention at decode): build each group's
+* Precondition: every product is exact in float32. An FP16 x FP16 product
+  has at most 22 significant bits, an FP16 x draft value (±2^e) at most
+  11, and their exponents fit. Attention does not meet it: ``q`` and the
+  softmax probabilities are float32, their products inexact, and an FMA
+  rounds those differently, so attention stays on ``gemm_f32``.
+* Why an FMA keeps the bits: a GEMM micro-kernel keeps each output's
+  accumulator in a register and adds the products into it in ascending k
+  (Goto and van de Geijn, *ACM TOMS* 34(3), 2008). An FMA rounds
+  s + x*y once; when x*y is exact, that is the rounding of
+  s + round(x*y), which is ``gemm_f32``'s multiply-then-add.
+* A one-row call runs as two copies of the row (``_sgemm``). numpy sends
+  a one-row product to sgemv, whose dot products reassociate: OpenBLAS
+  0.3.31 differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256),
+  FP16 activations drawn from N(0, 1) and weights from N(0, 0.02).
+* The probe, not an assumption, admits each shape. Nothing in the BLAS
+  interface fixes the order: a library may split k into blocks or across
+  threads, or switch kernels for a narrow shape (OpenBLAS 0.3.31 differed
+  at N = 1, and at N <= 8 with K >= 64). So ``_blas_in_order`` runs ``_sgemm`` once per
+  (rows, k, n) group shape and process, on seeded FP16 operands whose
+  exponents span the whole normal range, and compares its bits with
+  ``gemm_f32``'s. A call runs on BLAS only when every group shape
+  matched; otherwise the whole call runs ``gemm_f32``. A reversed,
+  pairwise or k-split sum, or sgemv, differs from the fixed order on at
+  least 40% of a probe's outputs at every weight shape of the benchmark's
+  workloads, and a probe has at least 64 outputs there. A probe costs
+  about one ``gemm_f32`` call at its shape, so the first call at a new
+  shape costs about what every call at it cost before.
+* Each group's sum is scaled and added into a +0.0-initialised output, as
+  in ``gemm_f32``, so a -0.0 group sum gives +0.0 either way.
+
+Measured on the 2-vCPU host, OpenBLAS 0.3.31 on one thread, means of 50
+calls, ``gemm_f32`` against ``_sgemm``: 195 against 9 us at
+(17, 64, 256), 967 against 45 us at (17, 128, 512), 32 against 6 us at
+(1, 64, 256), and 4.7 against 0.12 ms at (384, 64, 192).
+
+``gemm_f32`` evaluates the order with two strategies, chosen by output size:
+
+* block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (attention at decode,
+  and the weight GEMMs of decode steps and verify windows when they fall
+  back): build each group's
   (k, m, n) product block and sum it with ``np.add.reduce(..., axis=0)``.
   On a C-contiguous block that axis is the outer loop of the reduction,
   so each output is summed in ascending k, vectorized over the m*n
   outputs. A group is cut along k into chunks of at most ``BLOCK_MAX``
   products; the running sum is added into row 0 of the next chunk, which
   keeps the order sequential and bounds the memory a block takes.
-* loop path, every other output (a single output, the GEMMs of a
-  384-row prefill):
+* loop path, every other output (a single output, a 384-row prefill's
+  weight GEMMs when they fall back):
   loop in Python over k, vectorized over the outputs, from one (m, n)
   buffer per group.
 
@@ -76,6 +116,8 @@ hence ``BLOCK_MAX`` = 2^16.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 # Largest output (B * m * n) summed by ``np.add.reduce`` over product blocks,
@@ -86,8 +128,62 @@ BLOCK_MAX = 1 << 16
 
 
 def active_backend() -> str:
-    """Name of the implementation dispatching the hot kernels."""
-    return "numpy"
+    """numpy's version and the BLAS that runs the weight GEMMs, as numpy's build names it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        name = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # numpy < 1.25 takes no mode; a build may omit a key
+        name = "an unnamed BLAS"
+    return f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked"
+
+
+def _sgemm(a, w):
+    """``a @ w`` for C-contiguous float32 (m, k) and (k, n), through sgemm.
+
+    A one-row product runs as two copies of the row: numpy sends one row
+    to sgemv, which reassociates the sum.
+    """
+    if a.shape[0] == 1:
+        return np.matmul(np.concatenate((a, a)), w)[:1]
+    return np.matmul(a, w)
+
+
+def _probe_operand(rng, shape):
+    """Random FP16 values as float32: any sign, any normal exponent, any significand."""
+    bits = rng.integers(0x0400, 0x7C00, shape, dtype=np.uint16)
+    bits |= rng.integers(0, 2, shape, dtype=np.uint16) << 15
+    return bits.view(np.float16).astype(np.float32)
+
+
+@functools.cache
+def _blas_in_order(rows: int, k: int, n: int) -> bool:
+    """Whether ``_sgemm`` at (rows, k) x (k, n) gave ``gemm_f32``'s bits on the probe operands."""
+    rng = np.random.default_rng([rows, k, n])
+    a, w = _probe_operand(rng, (rows, k)), _probe_operand(rng, (k, n))
+    return np.array_equal(_sgemm(a, w).view(np.uint32), gemm_f32(a, w, k).view(np.uint32))
+
+
+def gemm_weights(a, w, group_size, scales=None):
+    """``gemm_f32(a, w, group_size, scales)``'s bits, for 2-D operands whose
+    every product is exact in float32.
+
+    Each group ``a[:, k0:k1] @ w[k0:k1]`` runs on ``_sgemm`` from
+    C-contiguous operands, is scaled and added into a +0.0 output, when
+    ``_blas_in_order`` admitted every group's shape; otherwise the whole
+    call runs ``gemm_f32``.
+    """
+    m, k = a.shape
+    n = w.shape[1]
+    if not all(_blas_in_order(m, min(group_size, k - k0), n) for k0 in range(0, k, group_size)):
+        return gemm_f32(a, w, group_size, scales)
+    out = np.zeros((m, n), dtype=np.float32)
+    for g, k0 in enumerate(range(0, k, group_size)):
+        k1 = k0 + group_size
+        gacc = _sgemm(np.ascontiguousarray(a[:, k0:k1]), np.ascontiguousarray(w[k0:k1]))
+        if scales is not None:
+            gacc *= scales[:, g]
+        out += gacc
+    return out
 
 
 def gemm_f32(a, w, group_size, scales=None):

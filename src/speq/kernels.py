@@ -3,13 +3,21 @@
 ``gemm_full`` multiplies by the exact FP16 weights; ``gemm_draft`` by the
 4-bit draft values and the group scales, and never reads the exact values.
 Both operands were decoded once, when the ``PackedTensor`` was built. Both
-accumulate through ``_accel.gemm_f32``, the one place the fixed float32
-order lives (ascending k within a group, then ascending group), multiply
-by 1/tensor_scale once per output element, and are bit-reproducible
-across runs and thread counts.
+accumulate in the fixed float32 order of ``_accel.gemm_f32`` (ascending k
+within a group, then ascending group), multiply by 1/tensor_scale once per
+output element, and are bit-reproducible across runs and thread counts.
 
-FP16 x FP16 products are computed in float32, which is exact: two 11-bit
-significands need at most 22 bits and the exponent range fits comfortably.
+They run through ``_accel.gemm_weights``, which needs every product to be
+exact in float32. That holds here: an FP16 x FP16 product has at most 22
+significant bits (two 11-bit significands), an FP16 x draft value (±2^e)
+at most 11, and the exponent range fits comfortably. With exact products
+an FMA rounds where ``gemm_f32``'s multiply-then-add does, so a BLAS
+micro-kernel that adds each output's products in ascending k gives the
+same bits. A one-row call runs as two rows, because numpy's sgemv path
+reassociates. No shape is assumed to work: a once-per-process probe
+admits each (rows, k, n) group shape to OpenBLAS sgemm, and any other
+shape runs ``gemm_f32`` (see ``_accel``). ``reference_gemm`` stays on
+``gemm_f32``, so the tests that compare the two check two implementations.
 """
 
 from __future__ import annotations
@@ -108,9 +116,9 @@ def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, va
     a = _check_activations(a, p, validate)
     a32 = a.astype(np.float32)
     if mode is GemmMode.FULL:
-        out = _accel.gemm_f32(a32, p.full_values_f32(), p.group_size)
+        out = _accel.gemm_weights(a32, p.full_values_f32(), p.group_size)
     else:
-        out = _accel.gemm_f32(a32, p.draft_values(), p.group_size, p.group_scales)
+        out = _accel.gemm_weights(a32, p.draft_values(), p.group_size, p.group_scales)
     out *= p.inv_tensor_scale
     if traffic is not None:
         traffic.add(*gemm_traffic(a.shape[0], p.cols, p.rows, mode, p.group_size))

@@ -197,7 +197,7 @@ def simulate_gemm(
     a = np.asarray(a)
     w = p.full_values_f32() if full else p.draft_values()
     m, k = a.shape
-    step = max(1, (1 << 16) // (m * p.cols))  # 256 KiB of float32, as gemm_f32's blocks
+    step = max(1, (1 << 16) // (m * p.cols))  # at most 256 KiB of float32 products
     for k0 in range(0, k, step):
         ak, wk = a[:, k0 : k0 + step, None], w[None, k0 : k0 + step]
         if full:

@@ -270,6 +270,44 @@ def _with_neg_zeros(rng, x):
     return x
 
 
+# (m, k): a decode row (run as two rows), two rows, a verify window and a
+# long-context prefill, over K = 256 and 512, two and four groups of 128, so
+# the group scales apply. N = 32: OpenBLAS sgemm differed from the fixed
+# order at N <= 8 only.
+@pytest.mark.parametrize("k", [256, 512])
+@pytest.mark.parametrize("m", [1, 2, 17, 384])
+def test_weight_gemms_match_scalar_oracle(m, k):
+    n, group = 32, 128
+    rng = np.random.default_rng(m * 1000 + k)
+    w = rng.normal(0, 0.5, (k, n)).astype(np.float16)
+    w[:, 0] = 0.0  # a zero draft group gets scale 0
+    p = quantize_tensor(w, group)
+    a = rng.normal(0, 1, (m, k)).astype(np.float16)
+    a[:, 1::3] = (rng.normal(0, 1, (m, len(range(1, k, 3)))) * 2.0**-18).astype(np.float16)
+    assert np.any((a != 0) & (np.abs(a) < 2.0**-14))  # FP16-subnormal activations
+    # a row of negatives against the zero column: every full product is -0.0,
+    # every draft group sum is negative and scaled by 0
+    a[0] = -np.abs(a[0])
+    rows = sorted({0, m // 2, m - 1})  # outputs are independent by row
+    a32 = a.astype(np.float32)
+    for got, wv, scales in (
+        (gemm_full(a, p), p.full_values_f32(), None),
+        (gemm_draft(a, p), p.draft_values(), p.group_scales),
+    ):
+        expect = _oracle_gemm(a32[rows], wv, group, scales) * p.inv_tensor_scale
+        _assert_same_bits(got[rows], expect)
+        assert got[0, 0].view(np.uint32) == 0  # +0.0
+
+
+def test_active_backend_names_the_blas(monkeypatch):
+    name = _accel.active_backend()
+    assert name.startswith(f"numpy {np.__version__}; weight GEMMs on ")
+    assert name.endswith(" sgemm where order-checked")
+    assert "unnamed" not in name
+    monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
+    assert "an unnamed BLAS" in _accel.active_backend()
+
+
 # (m, k, n, group): K not a multiple of the group, group larger than K,
 # M = 1, a single element, an exact multiple, and a wide output. The single
 # element and the last shape, one output above REDUCE_MAX_OUTPUTS, take

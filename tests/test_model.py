@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 import re
 import shutil
+import subprocess
+import sys
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +33,8 @@ from speq.model import (
 )
 from speq.pe import simulate_gemm
 from speq.quantize import exponent_histogram, quantize_tensor
+
+SRC = str(Path(smodel.__file__).resolve().parents[1])
 
 
 @pytest.fixture(scope="module")
@@ -92,6 +98,43 @@ def test_golden_logits():
     draft = forward_draft(m, prompt[-1], cache)
     assert crc(full) == 0x7A7BD3DD
     assert crc(draft) == 0xB0DDD3E4
+
+
+# BLAS is the only threaded code in a forward. OpenBLAS runs the golden
+# forward's small GEMMs on one thread whatever it is given; a 384-row
+# prefill's it splits between two (143 against 93 us at (384, 64, 256)).
+_THREADED_FORWARD = """
+import zlib
+from speq import _accel
+from speq.model import ModelConfig, forward_draft, forward_full, init_model
+
+crc = lambda x: hex(zlib.crc32(x.tobytes()))
+m = init_model(ModelConfig())
+cache = m.new_cache()
+prompt = [1, 2, 3, 5, 8, 13, 21, 34]
+print(crc(forward_full(m, prompt, cache)), crc(forward_draft(m, prompt[-1], cache)))
+print(crc(forward_full(m, [t % 256 for t in range(384)], m.new_cache())))
+print(all(_accel._blas_in_order(384, k, n) for k, n in [(64, 192), (64, 64), (64, 256), (128, 64)]))
+"""
+
+
+def test_golden_logits_do_not_depend_on_blas_threads():
+    runs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _THREADED_FORWARD],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+            check=True,
+        )
+        runs.append(out.stdout.split())
+    assert runs[0] == runs[1]
+    assert runs[1][:2] == ["0x7a7bd3dd", "0xb0ddd3e4"]
+    assert runs[1][3] == "True"  # the prefill ran on BLAS, not the fallback
 
 
 def test_windowed_equals_stepwise(model):
