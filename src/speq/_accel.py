@@ -50,16 +50,18 @@ calls, ``gemm_f32`` against ``_sgemm``: 195 against 9 us at
 ``gemm_f32`` evaluates the order with two strategies, chosen by output size:
 
 * block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (attention at decode,
-  and the weight GEMMs of decode steps and verify windows when they fall
-  back): build each group's
+  a prefill tile's context and its scores over up to 192 keys, and the
+  weight GEMMs of decode steps and verify windows when they fall back):
+  build each group's
   (k, m, n) product block and sum it with ``np.add.reduce(..., axis=0)``.
   On a C-contiguous block that axis is the outer loop of the reduction,
   so each output is summed in ascending k, vectorized over the m*n
   outputs. A group is cut along k into chunks of at most ``BLOCK_MAX``
   products; the running sum is added into row 0 of the next chunk, which
   keeps the order sequential and bounds the memory a block takes.
-* loop path, every other output (a single output, a 384-row prefill's
-  weight GEMMs when they fall back):
+* loop path, every other output (a single output, a prefill tile's
+  scores over more than 192 keys, a 384-row prefill's weight GEMMs when
+  they fall back):
   loop in Python over k, vectorized over the outputs, from one (m, n)
   buffer per group.
 
@@ -68,22 +70,29 @@ attention reductions use with the heads as B. Every output is still one
 independent sum in the same order, so each slice has the bits of its own
 call. When 2 <= B*m*n <= ``REDUCE_MAX_OUTPUTS`` the whole batch is one
 C-contiguous (k, B, m, n) block per group, one call for all heads;
-otherwise each slice runs as its own call and picks its own path. That
-keeps the per-head loop at the (4, 384, 384) prefill attention of every
-layer but the last, where one block for all heads no longer fits in L2
-(long-context TTFT went from 77-90 to 116-123 ms when tried at
-(4, 383, 383)). A prefill's last layer computes attention for the last
-prompt row only, (4, 1, 384), which takes the block path.
+otherwise each slice runs as its own call and picks its own path.
+
+Attention calls these kernels once per query tile of at most
+``model.TILE`` = 64 rows, each over only the keys its last row sees
+(``model._attend``). The tiles of a 384-row prefill are (4, 64, t) for
+t = 64, 128, ..., 384: their scores run per head, on the block path up to
+t = 192 and on the loop path beyond; their context, (4, 64, 16) outputs,
+is one block for all heads in chunks of 16 keys. A prefill's last layer
+computes attention for the last prompt row only, (4, 1, 384), which takes
+the block path. The scores read the key cache in place: ``KvCache`` stores
+keys as (d_head, n_heads, positions), the (k, B, n) order the block
+reduces over, so ``attn_scores_f32`` takes a view of them with no copy.
 
 Two rules keep the block path sequential. ``np.add.reduce`` sums
 pairwise whenever the reduced axis is the inner, contiguous loop, and
 from k = 8 on that changes the bits:
 
-* the block must be C-contiguous. ``a`` is transposed once per call into
-  a contiguous (k, m) array and ``w`` made contiguous, so the product of
-  the broadcast operands is a C-contiguous block. A block built from the
-  strided view ``a[:, k0:k1].T`` keeps k contiguous and, with n = 1,
-  differed from the loop on nearly every shape tried.
+* the block must be C-contiguous, so each is written with
+  ``order="C"``, whatever its operands' strides. numpy's default lays a
+  product out like its operands: a block built from the strided view
+  ``a[:, k0:k1].T`` keeps k contiguous and, with n = 1, differed from the
+  loop on nearly every shape tried. ``a`` is transposed once per call
+  into a contiguous (k, m) array; ``w`` is read in place.
 * m*n = 1 stays on the loop: its (k, 1, 1) block collapses to a 1-D
   array, which ``reduce`` also sums pairwise. The batched rule is
   B*m*n >= 2, so a (k, B, 1, 1) block with B >= 2 reduces along its
@@ -112,6 +121,16 @@ Chunks of 2^16 values (256 KiB) took 0.79 ms at (17, 128, 256) where 2^18
 took 1.37 ms, and in three 10 s pairs of the draft-heavy benchmark 2^16
 beat 2^18 on speculative tok/s each time with 0.4 MiB less peak RSS;
 hence ``BLOCK_MAX`` = 2^16.
+
+Attention in tiles, against one call over the whole window (2-vCPU host,
+medians of 9 in-process 384-row prefills, kernels timed inside the same
+pass): the prefill took 20-34 ms against 56-65 ms. Its first layer's
+scores took 4.7-8.8 against 24-28 ms, its context 8-14 against 16-20 ms,
+its row sums 1.1-1.4 against 2.0-2.3 ms and its mask, exp and division
+about 4-7 against 8-12 ms. Tiles of 16, 32 and 64 rows tied (23-24 ms)
+and 128 took 26 ms. An M=1 score call at t = 420, which transposed the
+whole (t, d) key prefix before keys were cached in score order, took 26
+against 58 us.
 """
 
 from __future__ import annotations
@@ -163,18 +182,24 @@ def _blas_in_order(rows: int, k: int, n: int) -> bool:
     return np.array_equal(_sgemm(a, w).view(np.uint32), gemm_f32(a, w, k).view(np.uint32))
 
 
+@functools.cache
+def _blas_admits(m: int, k: int, n: int, group_size: int) -> bool:
+    """Whether ``_blas_in_order`` admitted every group shape of an (m, k) x (k, n) call."""
+    return all(_blas_in_order(m, min(group_size, k - k0), n) for k0 in range(0, k, group_size))
+
+
 def gemm_weights(a, w, group_size, scales=None):
     """``gemm_f32(a, w, group_size, scales)``'s bits, for 2-D operands whose
     every product is exact in float32.
 
     Each group ``a[:, k0:k1] @ w[k0:k1]`` runs on ``_sgemm`` from
     C-contiguous operands, is scaled and added into a +0.0 output, when
-    ``_blas_in_order`` admitted every group's shape; otherwise the whole
-    call runs ``gemm_f32``.
+    ``_blas_in_order`` admitted every group's shape (``_blas_admits``, one
+    lookup per call); otherwise the whole call runs ``gemm_f32``.
     """
     m, k = a.shape
     n = w.shape[1]
-    if not all(_blas_in_order(m, min(group_size, k - k0), n) for k0 in range(0, k, group_size)):
+    if not _blas_admits(m, k, n, group_size):
         return gemm_f32(a, w, group_size, scales)
     out = np.zeros((m, n), dtype=np.float32)
     for g, k0 in enumerate(range(0, k, group_size)):
@@ -206,10 +231,11 @@ def gemm_f32(a, w, group_size, scales=None):
             out[b] = gemm_f32(a[b], w[b], group_size, scales)
         return out
     if block:
-        # C-contiguous (k, [B,] m) and (k, [B,] n) operands make C-contiguous
-        # (k, [B,] m, n) blocks, whose axis-0 reduce runs k in the outer loop.
+        # (k, [B,] m) and (k, [B,] n) operands; each block is written in C
+        # order, so its axis-0 reduce runs k in the outer loop. ``w`` stays a
+        # view: a strided key cache is read in place.
         at = np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
-        w = np.ascontiguousarray(w.swapaxes(0, -2))
+        w = w.swapaxes(0, -2)
         chunk = max(1, BLOCK_MAX // out.size)
     for g, k0 in enumerate(range(0, k, group_size)):
         k1 = min(k0 + group_size, k)
@@ -217,7 +243,7 @@ def gemm_f32(a, w, group_size, scales=None):
             gacc = None
             for c0 in range(k0, k1, chunk):
                 c1 = min(c0 + chunk, k1)
-                prods = np.multiply(at[c0:c1, ..., None], w[c0:c1, ..., None, :])
+                prods = np.multiply(at[c0:c1, ..., None], w[c0:c1, ..., None, :], order="C")
                 if gacc is not None:
                     prods[0] += gacc
                 gacc = np.add.reduce(prods, axis=0)
@@ -232,12 +258,16 @@ def gemm_f32(a, w, group_size, scales=None):
 
 
 def attn_scores_f32(q, k, n_heads):
-    """Per-head q·k^T, (n, d) x (t, d) -> (n_heads, n, t), heads as the batch axis."""
-    n, d = q.shape
-    dh = d // n_heads
-    qh = q.reshape(n, n_heads, dh).swapaxes(0, 1)  # (H, n, dh)
-    kh = k.reshape(k.shape[0], n_heads, dh).transpose(1, 2, 0)  # (H, dh, t)
-    return gemm_f32(qh, kh, dh)
+    """Per-head q·k^T, (n, d) x (d_head, n_heads, t) -> (n_heads, n, t), heads
+    as the batch axis.
+
+    ``k`` holds the keys in score order, ``k[j, h, p]`` = key p's column
+    h * d_head + j: the (d_head, n_heads, t) layout the product block
+    reduces over, so a view into the key cache serves without a copy.
+    """
+    dh = k.shape[0]
+    qh = q.reshape(q.shape[0], n_heads, dh).swapaxes(0, 1)  # (H, n, dh)
+    return gemm_f32(qh, k.swapaxes(0, 1), dh)
 
 
 def rowsum_f32(x):
@@ -245,10 +275,12 @@ def rowsum_f32(x):
 
     One ``np.add.accumulate`` along j, which is sequential; adding its last
     column to +0.0 turns an all-(-0.0) row's -0.0 into the +0.0 a loop
-    started at +0.0 gives. Against a per-j loop (2-vCPU host) it takes
-    7 us instead of 314 us at decode shape (4, 1, 136), and 2.1 ms instead
-    of 1.3 ms at (4, 383, 383). A prefill sums the (4, 384, 384) shape in
-    every layer but the last, whose one query row is (4, 1, 384).
+    started at +0.0 gives. Against a per-j loop (2-vCPU host, best of 7) it
+    takes 6 us instead of 233 us at decode shape (4, 1, 136), 107 us
+    instead of 768 us at a verify window's (4, 17, 420), and 66 / 360 us
+    instead of 132 / 801 us at a prefill's first and last 64-row tiles,
+    (4, 64, 64) / (4, 64, 384). Only at one (4, 384, 384) block, which
+    tiling no longer builds, did the loop win: 1.5 against 2.1 ms.
     """
     return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
 

@@ -26,6 +26,14 @@ alone, the only row whose logits are read. A row's outputs do not depend
 on how many rows share its forward, so that row is bit-identical to the
 last row of the default call.
 
+Attention is causal and runs in query tiles: a window of more than
+``TILE`` rows runs tile by tile, and tile rows [r0, r1) attend only to
+keys [0, start + r1), where ``start`` is the cache length before the
+call. A dropped key is masked for every row of its tile, so skipping it
+leaves every bit as one call over all keys would give (``_attend``). The
+cache stores keys in score order, (d_head, n_heads, positions) per layer,
+so the score kernel reads them in place (``KvCache``).
+
 Each layer's q, k and v projections are one (d, 3d) weight, ``l{i}.qkv``
 (as GPT-2 stores ``c_attn``), so they run as one GEMM and are quantized,
 saved and held once.
@@ -115,6 +123,12 @@ class KvCache:
     every value written is first rounded to FP16: FP16 -> float32 is exact,
     so the cache holds FP16 values that attention reads without a cast.
     ``rewind`` truncates the logical length without touching storage.
+
+    Keys are stored in score order, ``(n_layers, d_head, n_heads,
+    positions)``: ``keys[i, j, h, p]`` is column h * d_head + j of position
+    p's key, so ``keys[i, ..., :t]`` is the (d_head, n_heads, t) operand
+    ``_accel.attn_scores_f32`` reduces over, read in place. Values are
+    ``(n_layers, positions, d_model)``, already the context's order.
     """
 
     def __init__(self, cfg: ModelConfig, positions: int | None = None):
@@ -122,13 +136,14 @@ class KvCache:
             positions = cfg.context
         # more positions than the context would outrun the position table
         positions = check_int("positions", positions, hi=cfg.context)
-        self.keys = np.zeros((cfg.n_layers, positions, cfg.d_model), dtype=np.float32)
-        self.vals = np.zeros_like(self.keys)
+        d_head = cfg.d_model // cfg.n_heads
+        self.keys = np.zeros((cfg.n_layers, d_head, cfg.n_heads, positions), dtype=np.float32)
+        self.vals = np.zeros((cfg.n_layers, positions, cfg.d_model), dtype=np.float32)
         self.len = 0
 
     @property
     def positions(self) -> int:
-        return self.keys.shape[1]
+        return self.vals.shape[1]
 
     def rewind(self, n: int) -> None:
         self.len = check_int("n", n, lo=0, hi=self.len)
@@ -136,7 +151,8 @@ class KvCache:
     def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
         """Store rows ``start:`` of ``layer``, each value rounded to FP16."""
         end = start + k.shape[0]
-        self.keys[layer, start:end] = _f16(k)
+        d_head, n_heads = self.keys.shape[1:3]
+        self.keys[layer, ..., start:end] = _f16(k).reshape(-1, n_heads, d_head).T
         self.vals[layer, start:end] = _f16(v)
 
 
@@ -271,6 +287,61 @@ def check_token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
     return ids64
 
 
+# Query rows per attention tile: a wider window runs attention tile by
+# tile (``_attend``). At 64 rows a 384-row prefill took less than half its
+# untiled time; 16 and 32 rows tied with 64, and 128 was slower (2-vCPU
+# host; see the ``_accel`` docstring).
+TILE = 64
+
+
+@functools.lru_cache(maxsize=TILE)
+def _future_mask(n: int) -> np.ndarray:
+    """(n, n), True where row r meets key column c > r: among the last n
+    keys, those an n-row window's row r may not see."""
+    mask = np.triu(np.ones((n, n), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
+def _attend_tile(q, keys, vals, n_heads, scale):
+    """Causal attention of ``q``'s n rows over the t keys given, the last
+    row at position t - 1: row r sees keys [0, t - n + r]. Returns the
+    (n, d) context."""
+    n = q.shape[0]
+    scores = _accel.attn_scores_f32(q, keys, n_heads)
+    scores *= scale
+    # The softmax denominator is summed sequentially over the key axis
+    # (masked tails contribute exact zeros), so a row's probabilities
+    # are bit-identical whether it runs alone or inside a wider window.
+    # A single row sees every key and needs no mask.
+    if n > 1:
+        scores[..., keys.shape[-1] - n :][:, _future_mask(n)] = -np.inf
+    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+    probs = e / _accel.rowsum_f32(e)[:, :, None]
+    return _accel.attn_ctx_f32(probs, vals, n_heads)
+
+
+def _attend(q, keys, vals, n_heads, scale):
+    """``_attend_tile``'s (n, d) context, ``TILE`` query rows at a time.
+
+    Tile rows [r0, r1) attend to keys [0, t - n + r1) only. The keys a tile
+    leaves out are masked for each of its rows, so they would add only
+    exp(-inf) = +0.0 to the row sums and +-0.0 products to the context
+    sums; neither changes a nonzero sum, and a zero one still lands in a
+    +0.0 output. Every row's bits are those of one call over all keys.
+    """
+    n, t = q.shape[0], keys.shape[-1]
+    if n <= TILE:
+        return _attend_tile(q, keys, vals, n_heads, scale)
+    ctx = np.empty(q.shape, dtype=np.float32)
+    for r0 in range(0, n, TILE):
+        end = t - n + min(r0 + TILE, n)
+        ctx[r0 : r0 + TILE] = _attend_tile(
+            q[r0 : r0 + TILE], keys[..., :end], vals[:end], n_heads, scale
+        )
+    return ctx
+
+
 def _forward(
     model: ToyModel, tokens: np.ndarray, cache: KvCache, lin, last_only: bool = False
 ) -> np.ndarray:
@@ -281,12 +352,7 @@ def _forward(
     if t > cache.positions:
         raise ContextOverflowError(f"{t} positions > cache capacity {cache.positions}")
     d = cfg.d_model
-    d_head = d // cfg.n_heads
-    att_scale = np.float32(1.0 / np.sqrt(d_head))
-    # Causal: query at absolute position start+r sees keys [0, start+r].
-    # A single query row is the last position, t-1, and sees every key,
-    # so only a wider window builds and applies the mask.
-    mask = np.arange(t)[None, :] > np.arange(start, t)[:, None] if n > 1 else None
+    att_scale = np.float32(1.0 / np.sqrt(d // cfg.n_heads))
 
     x = model.embed[tokens].astype(np.float32) + model.pos[start:t]
     for i in range(cfg.n_layers):
@@ -297,19 +363,10 @@ def _forward(
         if last_only and i == cfg.n_layers - 1:
             # Every row's keys and values are cached; nothing reads the
             # other rows' outputs of the last layer.
-            # The kept row is position t-1, which needs no mask.
-            q, x, mask = q[-1:], x[-1:], None
+            q, x = q[-1:], x[-1:]
 
-        scores = _accel.attn_scores_f32(q, cache.keys[i, :t], cfg.n_heads)
-        scores *= att_scale
-        # The softmax denominator is summed sequentially over the key axis
-        # (masked tails contribute exact zeros), so a row's probabilities
-        # are bit-identical whether it runs alone or inside a wider window.
-        if mask is not None:
-            scores[:, mask] = -np.inf
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        probs = e / _accel.rowsum_f32(e)[:, :, None]
-        ctx = _accel.attn_ctx_f32(probs, cache.vals[i, :t], cfg.n_heads)
+        # Causal: the query at position start + r sees keys [0, start + r].
+        ctx = _attend(q, cache.keys[i, ..., :t], cache.vals[i, :t], cfg.n_heads, att_scale)
         x = x + lin(f"l{i}.wo", _f16(ctx))
 
         h16 = _f16(_layernorm(x))

@@ -339,6 +339,15 @@ def test_gemm_f32_matches_scalar_oracle(shape):
     _assert_same_bits(_accel.gemm_f32(a, w, group), _oracle_gemm(a, w, group))
 
 
+def _cached_keys(k, n_heads):
+    """(t, d) keys as ``KvCache`` stores them: a (d_head, n_heads, t) view
+    into a buffer with room for more positions."""
+    t, d = k.shape
+    buf = np.zeros((d // n_heads, n_heads, t + 3), dtype=np.float32)
+    buf[..., :t] = k.reshape(t, n_heads, d // n_heads).T
+    return buf[..., :t]
+
+
 @pytest.mark.parametrize("n_heads,n,t", [(1, 1, 1), (2, 3, 5), (4, 1, 9), (2, 2, 7)])
 def test_attention_kernels_match_scalar_oracle(n_heads, n, t):
     d = 8
@@ -360,7 +369,7 @@ def test_attention_kernels_match_scalar_oracle(n_heads, n, t):
                 scores[h, r, j] = _oracle_dot(q[r, sl], k[j, sl])
             for c in range(sl.start, sl.stop):
                 ctx[r, c] = _oracle_dot(probs[h, r], v[:, c])
-    _assert_same_bits(_accel.attn_scores_f32(q, k, n_heads), scores)
+    _assert_same_bits(_accel.attn_scores_f32(q, _cached_keys(k, n_heads), n_heads), scores)
     _assert_same_bits(_accel.attn_ctx_f32(probs, v, n_heads), ctx)
 
 
@@ -532,7 +541,7 @@ def test_attention_kernels_match_loop_oracle(n_heads, n, t):
     q, k, v = (_with_neg_zeros(rng, rng.normal(0, 1, (r, d)).astype(np.float32)) for r in (n, t, t))
     probs = rng.uniform(0, 1, (n_heads, n, t)).astype(np.float32)
     probs[:, np.arange(t)[None, :] > (t - n + np.arange(n))[:, None]] = 0.0
-    scores = _accel.attn_scores_f32(q, k, n_heads)
+    scores = _accel.attn_scores_f32(q, _cached_keys(k, n_heads), n_heads)
     ctx = _accel.attn_ctx_f32(probs, v, n_heads)
     for h in range(n_heads):
         sl = slice(h * dh, (h + 1) * dh)

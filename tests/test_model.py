@@ -134,6 +134,7 @@ def test_golden_logits_do_not_depend_on_blas_threads():
         runs.append(out.stdout.split())
     assert runs[0] == runs[1]
     assert runs[1][:2] == ["0x7a7bd3dd", "0xb0ddd3e4"]
+    assert runs[1][2] == "0xfb7d11d7"  # the 384-row prefill crosses attention tiles
     assert runs[1][3] == "True"  # the prefill ran on BLAS, not the fallback
 
 
@@ -146,6 +147,33 @@ def test_windowed_equals_stepwise(model):
     step_cache = model.new_cache()
     rows = [forward_full(model, [t], step_cache)[0] for t in tokens]
     assert np.array_equal(win.view(np.uint32), np.stack(rows).view(np.uint32))
+
+
+_TILE = smodel.TILE
+
+
+@pytest.mark.parametrize(
+    "prefix,n,last_only",
+    [
+        (7, 2 * _TILE + 5, False),  # more than two tiles, the last one partial
+        (3, 2 * _TILE, False),  # the window ends on a tile boundary
+        (5, _TILE + 1, True),  # a one-row second tile, then the last layer at one row
+    ],
+)
+def test_tiled_window_equals_stepwise(model, prefix, n, last_only):
+    # A window wider than TILE runs attention tile by tile over a warm cache
+    # (start > 0); each row and the cache must match one-token forwards.
+    tokens = np.random.default_rng(n).integers(0, 256, prefix + n).tolist()
+    win_cache, step_cache = model.new_cache(), model.new_cache()
+    forward_full(model, tokens[:prefix], win_cache)
+    win = forward_full(model, tokens[prefix:], win_cache, last_only=last_only)
+    rows = [forward_full(model, [t], step_cache)[0] for t in tokens]
+    want = np.stack(rows[prefix:])[-1:] if last_only else np.stack(rows[prefix:])
+    assert np.array_equal(win.view(np.uint32), want.view(np.uint32))
+    assert win_cache.len == step_cache.len == prefix + n
+    for name in ("keys", "vals"):
+        got, ref = getattr(win_cache, name), getattr(step_cache, name)
+        assert np.array_equal(got.view(np.uint32), ref.view(np.uint32)), name
 
 
 @functools.lru_cache(maxsize=None)
@@ -287,8 +315,11 @@ def test_kv_cache_semantics():
     cfg = ModelConfig(seed=0)
     assert KvCache(cfg).positions == cfg.context  # default: the whole window
     cache = KvCache(cfg, 7)
+    d_head = cfg.d_model // cfg.n_heads
+    assert cache.keys.shape == (cfg.n_layers, d_head, cfg.n_heads, 7)
+    assert cache.vals.shape == (cfg.n_layers, 7, cfg.d_model)
     for arr in (cache.keys, cache.vals):
-        assert arr.dtype == np.float32 and arr.shape == (cfg.n_layers, 7, cfg.d_model)
+        assert arr.dtype == np.float32
     # written values are rounded to FP16 and stored exactly in float32
     k = np.random.default_rng(0).normal(0.0, 1.0, (3, cfg.d_model)).astype(np.float32)
     cache.write(0, 0, k, -k)
@@ -298,7 +329,8 @@ def test_kv_cache_semantics():
     cache.rewind(1)
     assert cache.len == 1
     # length is logical: the rows written before the rewind are still stored
-    assert np.array_equal(cache.keys[0, :3].view(np.uint32), want.view(np.uint32))
+    keys = cache.keys[0, ..., :3].T.reshape(3, cfg.d_model)  # back to (positions, d_model)
+    assert np.array_equal(keys.view(np.uint32), want.view(np.uint32))
     assert np.array_equal(cache.vals[0, :3].view(np.uint32), (-want).view(np.uint32))
     with pytest.raises(ValueError):
         cache.rewind(5)
@@ -335,9 +367,9 @@ def test_cache_holds_fp16_values(model):
         forward_draft(model, t, cache)
     cache.rewind(4)
     forward_full(model, [9, 10], cache)
-    for arr in (cache.keys, cache.vals):
+    for arr in (cache.keys, cache.vals.swapaxes(-1, -2)):  # positions last
         assert arr.dtype == np.float32
-        assert np.any(arr[:, :7] != 0)
+        assert np.any(arr[..., :7] != 0)
         round_trip = arr.astype(np.float16).astype(np.float32)
         assert np.array_equal(arr.view(np.uint32), round_trip.view(np.uint32))
 
@@ -348,11 +380,11 @@ def test_cache_shared_between_paths(model):
     forward_full(model, [1, 2], cache)
     keys_obj = cache.keys
     forward_draft(model, 3, cache)
-    draft_row = cache.keys[0, 2].copy()
+    draft_row = cache.keys[0, ..., 2].copy()
     cache.rewind(2)
     forward_full(model, [3], cache)
     assert cache.keys is keys_obj
-    assert not np.array_equal(cache.keys[0, 2], draft_row)  # overwritten
+    assert not np.array_equal(cache.keys[0, ..., 2], draft_row)  # overwritten
 
 
 def test_save_load_round_trip(tmp_path, model):

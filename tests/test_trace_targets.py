@@ -81,8 +81,10 @@ def _weight_gemm_shapes(wl):
 @pytest.fixture
 def fresh_probe():
     _accel._blas_in_order.cache_clear()
+    _accel._blas_admits.cache_clear()
     yield
     _accel._blas_in_order.cache_clear()
+    _accel._blas_admits.cache_clear()
 
 
 def test_every_workload_weight_gemm_takes_blas(monkeypatch, fresh_probe):
