@@ -1,16 +1,22 @@
 """Hot numeric kernels: one fixed accumulation order, three ways to run it.
 
-``gemm_f32`` is the reference for the accumulation order. The attention
-reductions below call it, and so does ``kernels.reference_gemm``; the
-weight GEMMs (``kernels.gemm_full`` / ``gemm_draft``) call ``gemm_weights``,
-which gives ``gemm_f32``'s bits; the PE-array model reuses the GEMMs. The
-order, in float32: ascending k within a group starting from +0.0, one
-scale per group, then ascending group index. That order is part of the
-kernel contract — outputs are bit-reproducible across runs and thread
-counts — so it may not be split along k or reassociated.
+The order is part of the kernel contract: outputs are bit-reproducible
+across runs and thread counts, so no sum may be split along k or
+reassociated. ``gemm_groups`` holds it for every weight GEMM, in float32:
+sum each group of consecutive k in ascending k from +0.0, multiply the
+group's sums by its scales (the draft GEMM's; the full GEMM has none),
+and add the groups in ascending order into a +0.0 output. A kernel passed
+in sums each group:
 
-``gemm_weights`` runs each group as one OpenBLAS sgemm where that gives
-the same bits:
+* ``gemm_f32``, one sum per output in ascending k from +0.0, in numpy. It
+  is the kernel of the attention reductions, which need no groups, of the
+  weight GEMMs where sgemm is not admitted, and of
+  ``kernels.reference_gemm``.
+* ``_sgemm``, one OpenBLAS sgemm, for the weight GEMMs.
+
+``gemm_weights``, which ``kernels.gemm_full`` / ``gemm_draft`` and through
+them the PE-array model call, runs a call's groups on ``_sgemm`` where
+that gives ``gemm_f32``'s bits:
 
 * Precondition: every product is exact in float32. An FP16 x FP16 product
   has at most 22 significant bits, an FP16 x draft value (±2^e) at most
@@ -29,48 +35,49 @@ the same bits:
 * The probe, not an assumption, admits each shape. Nothing in the BLAS
   interface fixes the order: a library may split k into blocks or across
   threads, or switch kernels for a narrow shape (OpenBLAS 0.3.31 differed
-  at N = 1, and at N <= 8 with K >= 64). So ``_blas_in_order`` runs ``_sgemm`` once per
-  (rows, k, n) group shape and process, on seeded FP16 operands whose
-  exponents span the whole normal range, and compares its bits with
-  ``gemm_f32``'s. A call runs on BLAS only when every group shape
-  matched; otherwise the whole call runs ``gemm_f32``. A reversed,
-  pairwise or k-split sum, or sgemv, differs from the fixed order on at
-  least 40% of a probe's outputs at every weight shape of the benchmark's
-  workloads, and a probe has at least 64 outputs there. A probe costs
-  about one ``gemm_f32`` call at its shape, so the first call at a new
-  shape costs about what every call at it cost before.
-* Each group's sum is scaled and added into a +0.0-initialised output, as
-  in ``gemm_f32``, so a -0.0 group sum gives +0.0 either way.
+  at N = 1, and at N <= 8 with K >= 64). So ``_blas_in_order`` runs
+  ``_sgemm`` once per (rows, k, n) group shape and process, on seeded FP16
+  operands whose exponents span the whole normal range, and compares its
+  bits with ``gemm_f32``'s. A call's groups run on sgemm only when every
+  group shape matched; otherwise they all run on ``gemm_f32``. A
+  reversed, pairwise or k-split sum, or sgemv, differs from the fixed
+  order on at least 40% of a probe's outputs at every weight shape of the
+  benchmark's workloads, and a probe has at least 64 outputs there. A
+  probe costs about one ``gemm_f32`` call at its shape, so the first call
+  at a new shape costs about what every call at it cost before.
+* A group sum of -0.0, which a kernel that starts from the first product
+  would give where every product is -0.0, becomes +0.0 once it is added
+  into the +0.0 output, so the two kernels agree there too.
 
 Measured on the 2-vCPU host, OpenBLAS 0.3.31 on one thread, means of 50
 calls, ``gemm_f32`` against ``_sgemm``: 195 against 9 us at
 (17, 64, 256), 967 against 45 us at (17, 128, 512), 32 against 6 us at
 (1, 64, 256), and 4.7 against 0.12 ms at (384, 64, 192).
 
-``gemm_f32`` evaluates the order with two strategies, chosen by output size:
+``gemm_f32`` evaluates its sum with two strategies, chosen by output size:
 
 * block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (attention at decode,
   a prefill tile's context and its scores over up to 192 keys, and the
   weight GEMMs of decode steps and verify windows when they fall back):
-  build each group's
-  (k, m, n) product block and sum it with ``np.add.reduce(..., axis=0)``.
-  On a C-contiguous block that axis is the outer loop of the reduction,
-  so each output is summed in ascending k, vectorized over the m*n
-  outputs. A group is cut along k into chunks of at most ``BLOCK_MAX``
-  products; the running sum is added into row 0 of the next chunk, which
-  keeps the order sequential and bounds the memory a block takes.
+  build the (k, m, n) product block and sum it with
+  ``np.add.reduce(..., axis=0)``. On a C-contiguous block that axis is
+  the outer loop of the reduction, so each output is summed in ascending
+  k, vectorized over the m*n outputs. The block is cut along k into
+  chunks of at most ``BLOCK_MAX`` products, which bounds the memory it
+  takes. The running sum, +0.0 before the first chunk, is added into row
+  0 of each chunk, which keeps the order sequential and starts it from
+  +0.0 whether or not ``reduce`` does (numpy 2.4.6 does).
 * loop path, every other output (a single output, a prefill tile's
   scores over more than 192 keys, a 384-row prefill's weight GEMMs when
-  they fall back):
-  loop in Python over k, vectorized over the outputs, from one (m, n)
-  buffer per group.
+  they fall back): loop in Python over k, vectorized over the outputs,
+  adding each step's products into the +0.0 output.
 
 ``gemm_f32`` also takes a batch axis, (B, m, k) x (B, k, n), which the
 attention reductions use with the heads as B. Every output is still one
 independent sum in the same order, so each slice has the bits of its own
 call. When 2 <= B*m*n <= ``REDUCE_MAX_OUTPUTS`` the whole batch is one
-C-contiguous (k, B, m, n) block per group, one call for all heads;
-otherwise each slice runs as its own call and picks its own path.
+C-contiguous (k, B, m, n) block, one call for all heads; otherwise each
+slice runs as its own call and picks its own path.
 
 Attention calls these kernels once per query tile of at most
 ``model.TILE`` = 64 rows, each over only the keys its last row sees
@@ -90,18 +97,13 @@ from k = 8 on that changes the bits:
 * the block must be C-contiguous, so each is written with
   ``order="C"``, whatever its operands' strides. numpy's default lays a
   product out like its operands: a block built from the strided view
-  ``a[:, k0:k1].T`` keeps k contiguous and, with n = 1, differed from the
-  loop on nearly every shape tried. ``a`` is transposed once per call
-  into a contiguous (k, m) array; ``w`` is read in place.
+  ``a.T`` keeps k contiguous and, with n = 1, differed from the loop on
+  nearly every shape tried. ``a`` is transposed once per call into a
+  contiguous (k, m) array; ``w`` is read in place.
 * m*n = 1 stays on the loop: its (k, 1, 1) block collapses to a 1-D
   array, which ``reduce`` also sums pairwise. The batched rule is
   B*m*n >= 2, so a (k, B, 1, 1) block with B >= 2 reduces along its
   outer axis and stays sequential.
-
-``reduce`` starts from the first product where the loop starts from
-+0.0; they differ only when every product is -0.0 (-0.0 against +0.0).
-Adding the group sum into the +0.0-initialised output gives +0.0 either
-way.
 
 Measured costs (2-vCPU host, medians of interleaved repeats): a block
 product costs about 1 ns, a loop k-step 2-5 us plus its outputs. The block
@@ -157,11 +159,12 @@ def active_backend() -> str:
 
 
 def _sgemm(a, w):
-    """``a @ w`` for C-contiguous float32 (m, k) and (k, n), through sgemm.
+    """``a @ w`` for float32 (m, k) and (k, n), through sgemm on C-contiguous operands.
 
     A one-row product runs as two copies of the row: numpy sends one row
     to sgemv, which reassociates the sum.
     """
+    a, w = np.ascontiguousarray(a), np.ascontiguousarray(w)
     if a.shape[0] == 1:
         return np.matmul(np.concatenate((a, a)), w)[:1]
     return np.matmul(a, w)
@@ -179,7 +182,7 @@ def _blas_in_order(rows: int, k: int, n: int) -> bool:
     """Whether ``_sgemm`` at (rows, k) x (k, n) gave ``gemm_f32``'s bits on the probe operands."""
     rng = np.random.default_rng([rows, k, n])
     a, w = _probe_operand(rng, (rows, k)), _probe_operand(rng, (k, n))
-    return np.array_equal(_sgemm(a, w).view(np.uint32), gemm_f32(a, w, k).view(np.uint32))
+    return np.array_equal(_sgemm(a, w).view(np.uint32), gemm_f32(a, w).view(np.uint32))
 
 
 @functools.cache
@@ -189,71 +192,65 @@ def _blas_admits(m: int, k: int, n: int, group_size: int) -> bool:
 
 
 def gemm_weights(a, w, group_size, scales=None):
-    """``gemm_f32(a, w, group_size, scales)``'s bits, for 2-D operands whose
-    every product is exact in float32.
+    """``gemm_groups`` for 2-D operands whose every product is exact in float32.
 
-    Each group ``a[:, k0:k1] @ w[k0:k1]`` runs on ``_sgemm`` from
-    C-contiguous operands, is scaled and added into a +0.0 output, when
-    ``_blas_in_order`` admitted every group's shape (``_blas_admits``, one
-    lookup per call); otherwise the whole call runs ``gemm_f32``.
+    Its groups run on ``_sgemm`` when ``_blas_in_order`` admitted every
+    group's shape (``_blas_admits``, one lookup per call), otherwise on
+    ``gemm_f32``.
     """
     m, k = a.shape
-    n = w.shape[1]
-    if not _blas_admits(m, k, n, group_size):
-        return gemm_f32(a, w, group_size, scales)
-    out = np.zeros((m, n), dtype=np.float32)
-    for g, k0 in enumerate(range(0, k, group_size)):
-        k1 = k0 + group_size
-        gacc = _sgemm(np.ascontiguousarray(a[:, k0:k1]), np.ascontiguousarray(w[k0:k1]))
+    kernel = _sgemm if _blas_admits(m, k, w.shape[1], group_size) else gemm_f32
+    return gemm_groups(kernel, a, w, group_size, scales)
+
+
+def gemm_groups(kernel, a, w, group_size, scales=None):
+    """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
+
+    ``kernel(a[:, k0:k1], w[k0:k1])`` sums each group of ``group_size``
+    consecutive k; ``scales`` (shape (N, n_groups)) multiplies group g's
+    sums by ``scales[:, g]``; the groups are added in ascending g into a
+    +0.0 output.
+    """
+    out = np.zeros((a.shape[0], w.shape[1]), dtype=np.float32)
+    for g, k0 in enumerate(range(0, a.shape[1], group_size)):
+        gacc = kernel(a[:, k0 : k0 + group_size], w[k0 : k0 + group_size])
         if scales is not None:
             gacc *= scales[:, g]
         out += gacc
     return out
 
 
-def gemm_f32(a, w, group_size, scales=None):
-    """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
+def gemm_f32(a, w):
+    """(M,K) x (K,N) -> float32 (M,N), each output one sum in ascending k from +0.0.
 
     A batch axis is optional: (B,M,K) x (B,K,N) -> (B,M,N), slice by slice
     the same bits as B separate calls. Products are ``np.multiply`` of
     float32 operands: a (k, [B,] m, 1) x (k, [B,] 1, n) block on the block
     path (2 <= B*M*N <= ``REDUCE_MAX_OUTPUTS``), one ``a[:, i:i+1]`` x
     ``w[i:i+1, :]`` step on the loop path. A larger batch runs each
-    slice as its own call. ``scales`` (shape (N, n_groups)) multiplies
-    each group's partial sum before it is added to the output. Both paths
-    add in ascending k.
+    slice as its own call.
     """
     *batch, m, k = a.shape
     out = np.zeros((*batch, m, w.shape[-1]), dtype=np.float32)
-    block = 2 <= out.size <= REDUCE_MAX_OUTPUTS
-    if batch and not block:
-        for b in range(batch[0]):
-            out[b] = gemm_f32(a[b], w[b], group_size, scales)
-        return out
-    if block:
-        # (k, [B,] m) and (k, [B,] n) operands; each block is written in C
-        # order, so its axis-0 reduce runs k in the outer loop. ``w`` stays a
-        # view: a strided key cache is read in place.
-        at = np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
-        w = w.swapaxes(0, -2)
-        chunk = max(1, BLOCK_MAX // out.size)
-    for g, k0 in enumerate(range(0, k, group_size)):
-        k1 = min(k0 + group_size, k)
-        if block:
-            gacc = None
-            for c0 in range(k0, k1, chunk):
-                c1 = min(c0 + chunk, k1)
-                prods = np.multiply(at[c0:c1, ..., None], w[c0:c1, ..., None, :], order="C")
-                if gacc is not None:
-                    prods[0] += gacc
-                gacc = np.add.reduce(prods, axis=0)
+    if not 2 <= out.size <= REDUCE_MAX_OUTPUTS:
+        if batch:
+            for b in range(batch[0]):
+                out[b] = gemm_f32(a[b], w[b])
         else:
-            gacc = np.zeros_like(out)
-            for i in range(k0, k1):
-                gacc += np.multiply(a[:, i : i + 1], w[i : i + 1, :])
-        if scales is not None:
-            gacc *= scales[:, g]
-        out += gacc
+            for i in range(k):
+                out += np.multiply(a[:, i : i + 1], w[i : i + 1, :])
+        return out
+    # (k, [B,] m) and (k, [B,] n) operands; each block is written in C order,
+    # so its axis-0 reduce runs k in the outer loop. ``w`` stays a view: a
+    # strided key cache is read in place.
+    at = np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
+    w = w.swapaxes(0, -2)
+    chunk = max(1, BLOCK_MAX // out.size)
+    for c0 in range(0, k, chunk):
+        c = slice(c0, c0 + chunk)
+        prods = np.multiply(at[c, ..., None], w[c, ..., None, :], order="C")
+        prods[0] += out  # the running sum, from +0.0
+        out = np.add.reduce(prods, axis=0)
     return out
 
 
@@ -267,7 +264,7 @@ def attn_scores_f32(q, k, n_heads):
     """
     dh = k.shape[0]
     qh = q.reshape(q.shape[0], n_heads, dh).swapaxes(0, 1)  # (H, n, dh)
-    return gemm_f32(qh, k.swapaxes(0, 1), dh)
+    return gemm_f32(qh, k.swapaxes(0, 1))
 
 
 def rowsum_f32(x):
@@ -288,5 +285,5 @@ def rowsum_f32(x):
 def attn_ctx_f32(probs, v, n_heads):
     """Per-head probs·v, (n_heads, n, t) x (t, d) -> (n, d), heads as the batch axis."""
     t, d = v.shape
-    ctx = gemm_f32(probs, v.reshape(t, n_heads, d // n_heads).swapaxes(0, 1), t)
+    ctx = gemm_f32(probs, v.reshape(t, n_heads, d // n_heads).swapaxes(0, 1))
     return ctx.swapaxes(0, 1).reshape(probs.shape[1], d)

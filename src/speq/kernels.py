@@ -3,9 +3,9 @@
 ``gemm_full`` multiplies by the exact FP16 weights; ``gemm_draft`` by the
 4-bit draft values and the group scales, and never reads the exact values.
 Both operands were decoded once, when the ``PackedTensor`` was built. Both
-accumulate in the fixed float32 order of ``_accel.gemm_f32`` (ascending k
-within a group, then ascending group), multiply by 1/tensor_scale once per
-output element, and are bit-reproducible across runs and thread counts.
+accumulate in the fixed float32 order of ``_accel.gemm_groups`` (ascending
+k within a group, then ascending group), multiply by 1/tensor_scale once
+per output element, and are bit-reproducible across runs and thread counts.
 
 They run through ``_accel.gemm_weights``, which needs every product to be
 exact in float32. That holds here: an FP16 x FP16 product has at most 22
@@ -16,8 +16,9 @@ micro-kernel that adds each output's products in ascending k gives the
 same bits. A one-row call runs as two rows, because numpy's sgemv path
 reassociates. No shape is assumed to work: a once-per-process probe
 admits each (rows, k, n) group shape to OpenBLAS sgemm, and any other
-shape runs ``gemm_f32`` (see ``_accel``). ``reference_gemm`` stays on
-``gemm_f32``, so the tests that compare the two check two implementations.
+shape runs ``gemm_f32`` (see ``_accel``). ``reference_gemm`` runs the same
+group loop on ``gemm_f32`` only, so the tests that compare the two check
+two implementations of each group's sum.
 """
 
 from __future__ import annotations
@@ -93,17 +94,17 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.nd
     Matches ``gemm_full`` bit for bit when the packed tensor stores ``w``
     exactly and its tensor scale is 1.
     """
-    a = np.asarray(a, dtype=np.float16)
-    w = np.asarray(w, dtype=np.float16)
-    return _accel.gemm_f32(a.astype(np.float32), w.astype(np.float32), group_size)
+    a = np.asarray(a, dtype=np.float16).astype(np.float32)
+    w = np.asarray(w, dtype=np.float16).astype(np.float32)
+    return _accel.gemm_groups(_accel.gemm_f32, a, w, group_size)
 
 
 def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) -> np.ndarray:
     a = np.asarray(a)
     if a.dtype != np.float16:
         raise ValueError(f"activations must be float16, got {a.dtype}")
-    if a.ndim != 2:
-        raise ValueError(f"activations must be 2-D, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] == 0:
+        raise ValueError(f"activations must be 2-D with at least one row, got shape {a.shape}")
     if a.shape[1] != p.rows:
         raise ValueError(f"dimension mismatch: A is {a.shape}, W is {p.rows}x{p.cols}")
     if validate and not np.all(np.isfinite(a)):

@@ -255,6 +255,16 @@ def test_gemm_column_activation(capsys, tmp_path):
         assert (rep["gemm.m"], rep["gemm.n"], rep["gemm.k"]) == (str(m), str(shape[1]), str(shape[0]))
 
 
+def test_gemm_rejects_zero_row_activation(capsys, tmp_path):
+    w, wout, a = str(tmp_path / "w.npy"), str(tmp_path / "w.speq"), str(tmp_path / "a.npy")
+    np.save(w, np.random.default_rng(7).normal(0, 0.02, (4, 3)).astype(np.float16))
+    run(capsys, "quantize", "--in", w, "--out", wout)
+    np.save(a, np.ones((0, 4), dtype=np.float16))
+    for mode in ("full", "draft"):
+        code, rep, _ = run(capsys, "gemm", "--mode", mode, "--a", a, "--w", wout)
+        assert (code, rep) == (2, {}), mode
+
+
 def test_inspect(capsys, tensor_npy):
     code, rep, _ = run(capsys, "inspect", tensor_npy)
     assert code == 0

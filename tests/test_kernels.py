@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from speq import _accel, pe
-from speq.kernels import TrafficCounter, gemm_draft, gemm_full
+from speq.kernels import GemmMode, TrafficCounter, gemm_draft, gemm_full
 from speq.quantize import draft_reconstruction, handle_outliers, quantize_tensor
 
 
@@ -178,6 +178,13 @@ def test_gemm_rejects_bad_inputs():
         gemm_full(bad, p)
     with pytest.raises(ValueError):
         gemm_draft(bad, p)
+    empty = np.ones((0, 8), dtype=np.float16)  # no rows: nothing to multiply
+    for gemm in (gemm_full, gemm_draft):
+        with pytest.raises(ValueError, match="at least one row"):
+            gemm(empty, p)
+    for mode in GemmMode:
+        with pytest.raises(ValueError, match="at least one row"):
+            pe.simulate_gemm(empty, p, mode)
 
 
 def test_determinism_repeat_runs():
@@ -323,6 +330,11 @@ _ORACLE_SHAPES = [
 ]
 
 
+def _f32_groups(a, w, group_size, scales=None):
+    """The group loop on ``gemm_f32``, as ``reference_gemm`` runs it."""
+    return _accel.gemm_groups(_accel.gemm_f32, a, w, group_size, scales)
+
+
 @pytest.mark.parametrize("shape", _ORACLE_SHAPES)
 def test_gemm_f32_matches_scalar_oracle(shape):
     m, k, n, group = shape
@@ -333,10 +345,11 @@ def test_gemm_f32_matches_scalar_oracle(shape):
         a = _with_neg_zeros(rng, rng.normal(0, 1, (m, k)).astype(np.float32))
         w = _with_neg_zeros(rng, rng.normal(0, 1, (k, n)).astype(np.float32))
         scales = rng.uniform(0.1, 2.0, (n, n_groups)).astype(np.float32)
-        _assert_same_bits(_accel.gemm_f32(a, w, group), _oracle_gemm(a, w, group))
-        _assert_same_bits(_accel.gemm_f32(a, w, group, scales), _oracle_gemm(a, w, group, scales))
-    a = -np.zeros((m, k), dtype=np.float32)  # every product is -0.0: the sum is +0.0
-    _assert_same_bits(_accel.gemm_f32(a, w, group), _oracle_gemm(a, w, group))
+        _assert_same_bits(_f32_groups(a, w, group), _oracle_gemm(a, w, group))
+        _assert_same_bits(_f32_groups(a, w, group, scales), _oracle_gemm(a, w, group, scales))
+    a, w = -np.zeros((m, k), dtype=np.float32), np.abs(w)  # every product is -0.0: the sum is +0.0
+    _assert_same_bits(_f32_groups(a, w, group), _oracle_gemm(a, w, group))
+    _assert_same_bits(_accel.gemm_f32(a, w), np.zeros((m, n), dtype=np.float32))
 
 
 def _cached_keys(k, n_heads):
@@ -456,7 +469,7 @@ def test_gemm_f32_matches_loop_oracle():
             # Fortran order: a k-contiguous product block would be summed pairwise
             a, w = np.asfortranarray(a), np.asfortranarray(w)
         for s in (None, scales):
-            _assert_same_bits(_accel.gemm_f32(a, w, group, s), _loop_gemm(a, w, group, s))
+            _assert_same_bits(_f32_groups(a, w, group, s), _loop_gemm(a, w, group, s))
 
 
 # ── the batch axis against the per-k loop, slice by slice ────────────────
@@ -466,7 +479,9 @@ def test_gemm_f32_matches_loop_oracle():
 # B >= 2 on the block path; one above: a single slice on the loop path);
 # just above it with B >= 2, split into per-slice calls on the block path,
 # and per-slice loops; M*N = 1 with B >= 2 and K >= 9; B*M*N = 1; B = 1;
-# groups that each span several k-chunks of at most BLOCK_MAX products.
+# sums that each span several k-chunks of at most BLOCK_MAX products. Each
+# slice is one sum over K; ``group`` sets the run of -0.0 products that
+# ``_loop_case`` writes into it.
 _BATCH_EDGE_SHAPES = [
     (_T - 1, 1, 12, 1, 8),
     (2, 64, 10, _T // 128, 4),
@@ -483,17 +498,17 @@ _BATCH_EDGE_SHAPES = [
 
 
 def _batch_case(rng, shape):
-    """Stacked ``_loop_case`` operands; the first slice's scales serve every slice."""
+    """Stacked ``_loop_case`` operands."""
     b, m, k, n, group = shape
     cases = [_loop_case(rng, (m, k, n, group)) for _ in range(b)]
-    return np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases]), cases[0][2]
+    return np.stack([c[0] for c in cases]), np.stack([c[1] for c in cases])
 
 
-def _assert_batch_matches_loop(a, w, group, scales=None):
-    got = _accel.gemm_f32(a, w, group, scales)
+def _assert_batch_matches_loop(a, w):
+    got = _accel.gemm_f32(a, w)
     assert got.shape == (a.shape[0], a.shape[1], w.shape[2])
     for b in range(a.shape[0]):
-        _assert_same_bits(got[b], _loop_gemm(a[b], w[b], group, scales))
+        _assert_same_bits(got[b], _loop_gemm(a[b], w[b], a.shape[2]))
 
 
 def test_batched_gemm_f32_matches_loop_oracle():
@@ -507,7 +522,7 @@ def test_batched_gemm_f32_matches_loop_oracle():
     assert {_T - 1, _T, _T + 1, 1} <= {b * m * n for b, m, _, n, _ in shapes}
     assert any(b * m * n * k > _accel.BLOCK_MAX for b, m, k, n, _ in shapes)
     for i, (b, m, k, n, group) in enumerate(shapes):
-        a, w, scales = _batch_case(rng, (b, m, k, n, group))
+        a, w = _batch_case(rng, (b, m, k, n, group))
         if i % 3 == 1:
             # Fortran order: a k-contiguous product block would be summed pairwise
             a, w = np.asfortranarray(a), np.asfortranarray(w)
@@ -515,8 +530,12 @@ def test_batched_gemm_f32_matches_loop_oracle():
             # transposed views, as attention passes them
             a = np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
             w = np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
-        for s in (None, scales):
-            _assert_batch_matches_loop(a, w, group, s)
+        _assert_batch_matches_loop(a, w)
+    for b, m, k, n, _ in _BATCH_EDGE_SHAPES:
+        # every product is -0.0, on the block path, per-slice blocks and
+        # per-slice loops: the sum is +0.0
+        got = _accel.gemm_f32(-np.zeros((b, m, k), np.float32), np.ones((b, k, n), np.float32))
+        _assert_same_bits(got, np.zeros((b, m, n), dtype=np.float32))
 
 
 # (n_heads, n, t): decode (n = 1), verify windows (n = 17) over chat-short

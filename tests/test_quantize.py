@@ -314,7 +314,7 @@ def test_holds_no_stream():
 
 
 def test_operands_read_only_and_c_contiguous():
-    # gemm_f32 would copy an F-ordered weight on every call.
+    # _accel._sgemm would copy an F-ordered weight on every call.
     for p in _both_ways(_rand16(np.random.default_rng(41), (9, 5)), group_size=4):
         for op in (p.draft_values(), p.full_values_f32()):
             assert op.dtype == np.float32 and op.shape == (9, 5)

@@ -131,8 +131,10 @@ def test_probe_rejects_reassociating_blas(monkeypatch, fresh_probe, kernel):
             for p in model.weights.values():
                 a = rng.normal(0, 1, (m, p.rows)).astype(np.float16)
                 a32 = a.astype(np.float32)
-                full = _accel.gemm_f32(a32, p.full_values_f32(), p.group_size)
-                draft = _accel.gemm_f32(a32, p.draft_values(), p.group_size, p.group_scales)
+                full = _accel.gemm_groups(_accel.gemm_f32, a32, p.full_values_f32(), p.group_size)
+                draft = _accel.gemm_groups(
+                    _accel.gemm_f32, a32, p.draft_values(), p.group_size, p.group_scales
+                )
                 for got, want in ((gemm_full(a, p), full), (gemm_draft(a, p), draft)):
                     want = want * p.inv_tensor_scale
                     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
