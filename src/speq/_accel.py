@@ -2,21 +2,26 @@
 
 The order is part of the kernel contract: outputs are bit-reproducible
 across runs and thread counts, so no sum may be split along k or
-reassociated. ``gemm_groups`` holds it for every weight GEMM, in float32:
-sum each group of consecutive k in ascending k from +0.0, multiply the
-group's sums by its scales (the draft GEMM's; the full GEMM has none),
-and add the groups in ascending order into a +0.0 output. A kernel passed
-in sums each group:
+reassociated. Each output is one float32 sum of float32 products, added
+in ascending k into a +0.0 output, each multiply and each add rounded on
+its own. ``_loop_f32`` is its definition: a Python loop over k,
+vectorized over the outputs, that adds each step's products into the
+output. ``gemm_groups`` extends it to the weight GEMMs: sum each group of
+consecutive k in that order, multiply the group's sums by its scales (the
+draft GEMM's; the full GEMM has none), and add the groups in ascending
+order into a +0.0 output. Two faster kernels run the same order where a
+probe shows that they keep it:
 
-* ``gemm_f32``, one sum per output in ascending k from +0.0, in numpy. It
-  is the kernel of the attention reductions, which need no groups, of the
-  weight GEMMs where sgemm is not admitted, and of
+* ``_sgemm``, one OpenBLAS sgemm, for the weight GEMMs (``gemm_weights``).
+* ``np.einsum``, for every other sum (``gemm_f32``): attention's scores
+  and context, the weight GEMMs where sgemm is not admitted, and
   ``kernels.reference_gemm``.
-* ``_sgemm``, one OpenBLAS sgemm, for the weight GEMMs.
+
+Where neither is admitted, ``_loop_f32`` runs: slower, with the same bits.
 
 ``gemm_weights``, which ``kernels.gemm_full`` / ``gemm_draft`` and through
 them the PE-array model call, runs a call's groups on ``_sgemm`` where
-that gives ``gemm_f32``'s bits:
+that gives the fixed order's bits:
 
 * Precondition: every product is exact in float32. An FP16 x FP16 product
   has at most 22 significant bits, an FP16 x draft value (±2^e) at most
@@ -27,7 +32,7 @@ that gives ``gemm_f32``'s bits:
   accumulator in a register and adds the products into it in ascending k
   (Goto and van de Geijn, *ACM TOMS* 34(3), 2008). An FMA rounds
   s + x*y once; when x*y is exact, that is the rounding of
-  s + round(x*y), which is ``gemm_f32``'s multiply-then-add.
+  s + round(x*y), the fixed order's multiply-then-add.
 * A one-row call runs as two copies of the row (``_sgemm``). numpy sends
   a one-row product to sgemv, whose dot products reassociate: OpenBLAS
   0.3.31 differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256),
@@ -42,97 +47,59 @@ that gives ``gemm_f32``'s bits:
   group shape matched; otherwise they all run on ``gemm_f32``. A
   reversed, pairwise or k-split sum, or sgemv, differs from the fixed
   order on at least 40% of a probe's outputs at every weight shape of the
-  benchmark's workloads, and a probe has at least 64 outputs there. A
-  probe costs about one ``gemm_f32`` call at its shape, so the first call
-  at a new shape costs about what every call at it cost before.
+  benchmark's workloads, and a probe has at least 64 outputs there.
 * A group sum of -0.0, which a kernel that starts from the first product
   would give where every product is -0.0, becomes +0.0 once it is added
-  into the +0.0 output, so the two kernels agree there too.
+  into the +0.0 output, so the kernels agree there too.
 
-Measured on the 2-vCPU host, OpenBLAS 0.3.31 on one thread, means of 50
-calls, ``gemm_f32`` against ``_sgemm``: 195 against 9 us at
-(17, 64, 256), 967 against 45 us at (17, 128, 512), 32 against 6 us at
-(1, 64, 256), and 4.7 against 0.12 ms at (384, 64, 192).
+``gemm_f32`` runs ``np.einsum("...mk,...kn->...mn", a, w, optimize=False)``
+(``_einsum``). On numpy 2.4.6 its sum-of-products loop adds each output's
+products in ascending k into a zeroed output, each multiply and each add
+rounded on its own: the fixed order, batch axes included. A rule and a
+probe decide where it runs:
 
-``gemm_f32`` evaluates its sum with two strategies, chosen by output size:
+* The layout rule (``_einsum_admits``). For a ``w`` that is unit-stride or
+  stride-0 along k, or that has one column, einsum takes a dot-product
+  loop, which reassociates; those calls take ``_loop_f32``. Evidence from
+  sweeps of full-mantissa float32 operands against the loop: of 3,000
+  random layouts (m and n 1-19, k 1-299, up to 4 batch slices; C and F
+  order, padded, transposed, negative-stride and stride-0 views of either
+  operand), none of the 1,637 the rule admits differed, and 586 of the
+  1,363 it refuses did. In 1,000 attention layouts (2-8 heads, d_head
+  8-32, 1-64 rows, up to 480 keys, cache capacity t, t + 1 or t + 40)
+  neither the scores nor the context differed, nor at 20,000 and 50,000
+  keys. Every call site of the benchmark's workloads is admitted: a
+  weight is C-order with more than one column, the key-cache view strides
+  by n_heads * capacity along k and the value view by d_model.
+* The probe (``_einsum_in_order``), once per process. Nothing in numpy's
+  interface fixes the order: a build may fuse a multiply-add or sum
+  another way. The probe compares ``_einsum`` with ``_loop_f32`` on
+  seeded full-mantissa float32 operands in the call sites' layouts: a
+  decode row and a 17-row window against a C-order weight, and batched
+  heads against a strided key-cache view and against a value view, each
+  with at least 64 outputs. FP16 operands such as ``_probe_operand``'s
+  have exact products and could not show an FMA. If any case differs,
+  every call takes ``_loop_f32``.
 
-* block path, 2 <= m*n <= ``REDUCE_MAX_OUTPUTS`` (attention at decode,
-  a prefill tile's context and its scores over up to 192 keys, and the
-  weight GEMMs of decode steps and verify windows when they fall back):
-  build the (k, m, n) product block and sum it with
-  ``np.add.reduce(..., axis=0)``. On a C-contiguous block that axis is
-  the outer loop of the reduction, so each output is summed in ascending
-  k, vectorized over the m*n outputs. The block is cut along k into
-  chunks of at most ``BLOCK_MAX`` products, which bounds the memory it
-  takes. The running sum, +0.0 before the first chunk, is added into row
-  0 of each chunk, which keeps the order sequential and starts it from
-  +0.0 whether or not ``reduce`` does (numpy 2.4.6 does).
-* loop path, every other output (a single output, a prefill tile's
-  scores over more than 192 keys, a 384-row prefill's weight GEMMs when
-  they fall back): loop in Python over k, vectorized over the outputs,
-  adding each step's products into the +0.0 output.
+A sum whose every product is -0.0 gives +0.0 on both paths, since both
+add into a zeroed output.
 
-``gemm_f32`` also takes a batch axis, (B, m, k) x (B, k, n), which the
-attention reductions use with the heads as B. Every output is still one
-independent sum in the same order, so each slice has the bits of its own
-call. When 2 <= B*m*n <= ``REDUCE_MAX_OUTPUTS`` the whole batch is one
-C-contiguous (k, B, m, n) block, one call for all heads; otherwise each
-slice runs as its own call and picks its own path.
+Measured on the 2-vCPU host, numpy 2.4.6 and OpenBLAS 0.3.31 on one
+thread, best of 5 runs of 20 calls, the product-block kernel this
+replaced against ``_einsum``: attention scores 1,076 against 247 us at
+(heads, rows, keys) = (4, 64, 384) and 27 against 7 us at (4, 1, 430);
+context 1,990 against 1,249 us at (4, 64, 384) and 525 against 216 us at
+(4, 17, 447); a weight GEMM at (17, 64, 256) 181 against 38 us, where
+``_sgemm`` takes about 10 us. ``_sgemm`` stays 4-17x faster than einsum
+on the weight GEMMs from 17 rows on: 30 against 201 us at (17, 128, 512)
+and 63 against 652 us at (384, 64, 192).
 
 Attention calls these kernels once per query tile of at most
 ``model.TILE`` = 64 rows, each over only the keys its last row sees
-(``model._attend``). The tiles of a 384-row prefill are (4, 64, t) for
-t = 64, 128, ..., 384: their scores run per head, on the block path up to
-t = 192 and on the loop path beyond; their context, (4, 64, 16) outputs,
-is one block for all heads in chunks of 16 keys. A prefill's last layer
-computes attention for the last prompt row only, (4, 1, 384), which takes
-the block path. The scores read the key cache in place: ``KvCache`` stores
-keys as (d_head, n_heads, positions), the (k, B, n) order the block
-reduces over, so ``attn_scores_f32`` takes a view of them with no copy.
-
-Two rules keep the block path sequential. ``np.add.reduce`` sums
-pairwise whenever the reduced axis is the inner, contiguous loop, and
-from k = 8 on that changes the bits:
-
-* the block must be C-contiguous, so each is written with
-  ``order="C"``, whatever its operands' strides. numpy's default lays a
-  product out like its operands: a block built from the strided view
-  ``a.T`` keeps k contiguous and, with n = 1, differed from the loop on
-  nearly every shape tried. ``a`` is transposed once per call into a
-  contiguous (k, m) array; ``w`` is read in place.
-* m*n = 1 stays on the loop: its (k, 1, 1) block collapses to a 1-D
-  array, which ``reduce`` also sums pairwise. The batched rule is
-  B*m*n >= 2, so a (k, B, 1, 1) block with B >= 2 reduces along its
-  outer axis and stays sequential.
-
-Measured costs (2-vCPU host, medians of interleaved repeats): a block
-product costs about 1 ns, a loop k-step 2-5 us plus its outputs. The block
-path took 15 us at (m, k, n) = (1, 64, 256), where ``np.add.accumulate``
-took 93 us, and 0.2 ms at the verify shape (17, 64, 256), where the loop
-took 0.37 ms. The block path wins up to about 12k outputs and the two
-break even near 16k. Medians of 40 calls, block against loop, from two
-passes of 4 interleaved repeats: 0.8 / 1.1 against 1.0 / 1.3 ms at
-(17, 128, 512), 8,704 outputs; 1.25 / 1.57 against 1.32 / 1.74 ms at
-(24, 128, 512) and 0.63 / 0.77 against 0.66 / 0.88 ms at (12, 64, 1024),
-12,288 outputs; 1.00 against 1.02 ms at (56, 64, 256), 14,336 outputs;
-0.76 / 1.09 against 0.72 / 1.11 ms at (64, 64, 256), 16,384 outputs. For
-attention at 12k-15k outputs, (4, 7-9, 16, 400-480), one block for all
-heads tied with a block per head. The loop wins at the (383, 64, 64)
-prefill, 1.4 against 2.4 ms; hence ``REDUCE_MAX_OUTPUTS`` = 12288.
-Chunks of 2^16 values (256 KiB) took 0.79 ms at (17, 128, 256) where 2^18
-took 1.37 ms, and in three 10 s pairs of the draft-heavy benchmark 2^16
-beat 2^18 on speculative tok/s each time with 0.4 MiB less peak RSS;
-hence ``BLOCK_MAX`` = 2^16.
-
-Attention in tiles, against one call over the whole window (2-vCPU host,
-medians of 9 in-process 384-row prefills, kernels timed inside the same
-pass): the prefill took 20-34 ms against 56-65 ms. Its first layer's
-scores took 4.7-8.8 against 24-28 ms, its context 8-14 against 16-20 ms,
-its row sums 1.1-1.4 against 2.0-2.3 ms and its mask, exp and division
-about 4-7 against 8-12 ms. Tiles of 16, 32 and 64 rows tied (23-24 ms)
-and 128 took 26 ms. An M=1 score call at t = 420, which transposed the
-whole (t, d) key prefix before keys were cached in score order, took 26
-against 58 us.
+(``model._attend``). ``KvCache`` stores keys as (d_head, n_heads,
+positions), so ``attn_scores_f32`` reads them in place. Tiles against one
+call over the whole window, on the product-block kernel (2-vCPU host,
+medians of 9 in-process 384-row prefills): 20-34 against 56-65 ms.
 """
 
 from __future__ import annotations
@@ -141,21 +108,20 @@ import functools
 
 import numpy as np
 
-# Largest output (B * m * n) summed by ``np.add.reduce`` over product blocks,
-# and the most float32 values one block may hold; see the module docstring
-# for the measured costs that set them.
-REDUCE_MAX_OUTPUTS = 12288
-BLOCK_MAX = 1 << 16
-
 
 def active_backend() -> str:
-    """numpy's version and the BLAS that runs the weight GEMMs, as numpy's build names it."""
+    """numpy's version, the BLAS that runs the weight GEMMs, as numpy's build
+    names it, and where the other sums run."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.25 takes no mode; a build may omit a key
         name = "an unnamed BLAS"
-    return f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked"
+    sums = "numpy einsum, order-checked" if _einsum_in_order() else "the per-k loop"
+    return (
+        f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked;"
+        f" other sums on {sums}"
+    )
 
 
 def _sgemm(a, w):
@@ -220,38 +186,62 @@ def gemm_groups(kernel, a, w, group_size, scales=None):
     return out
 
 
-def gemm_f32(a, w):
-    """(M,K) x (K,N) -> float32 (M,N), each output one sum in ascending k from +0.0.
-
-    A batch axis is optional: (B,M,K) x (B,K,N) -> (B,M,N), slice by slice
-    the same bits as B separate calls. Products are ``np.multiply`` of
-    float32 operands: a (k, [B,] m, 1) x (k, [B,] 1, n) block on the block
-    path (2 <= B*M*N <= ``REDUCE_MAX_OUTPUTS``), one ``a[:, i:i+1]`` x
-    ``w[i:i+1, :]`` step on the loop path. A larger batch runs each
-    slice as its own call.
-    """
-    *batch, m, k = a.shape
-    out = np.zeros((*batch, m, w.shape[-1]), dtype=np.float32)
-    if not 2 <= out.size <= REDUCE_MAX_OUTPUTS:
-        if batch:
-            for b in range(batch[0]):
-                out[b] = gemm_f32(a[b], w[b])
-        else:
-            for i in range(k):
-                out += np.multiply(a[:, i : i + 1], w[i : i + 1, :])
-        return out
-    # (k, [B,] m) and (k, [B,] n) operands; each block is written in C order,
-    # so its axis-0 reduce runs k in the outer loop. ``w`` stays a view: a
-    # strided key cache is read in place.
-    at = np.ascontiguousarray(a.transpose(a.ndim - 1, *range(a.ndim - 1)))
-    w = w.swapaxes(0, -2)
-    chunk = max(1, BLOCK_MAX // out.size)
-    for c0 in range(0, k, chunk):
-        c = slice(c0, c0 + chunk)
-        prods = np.multiply(at[c, ..., None], w[c, ..., None, :], order="C")
-        prods[0] += out  # the running sum, from +0.0
-        out = np.add.reduce(prods, axis=0)
+def _loop_f32(a, w):
+    """The fixed order itself: (..., M, K) x (..., K, N), one step per k, each
+    step's products added into a +0.0 float32 output."""
+    out = np.zeros((*a.shape[:-1], w.shape[-1]), dtype=np.float32)
+    for i in range(a.shape[-1]):
+        out += np.multiply(a[..., i : i + 1], w[..., i : i + 1, :])
     return out
+
+
+def _einsum(a, w):
+    """numpy's sum-of-products loop over (..., M, K) x (..., K, N)."""
+    return np.einsum("...mk,...kn->...mn", a, w, optimize=False)
+
+
+def _einsum_admits(w) -> bool:
+    """The layout rule: einsum reassociates for a ``w`` with one column, or
+    unit-stride or stride-0 along k."""
+    return w.shape[-1] > 1 and w.strides[-2] not in (0, w.itemsize)
+
+
+@functools.cache
+def _einsum_in_order() -> bool:
+    """Whether ``_einsum`` gave ``_loop_f32``'s bits in every call-site layout
+    on seeded full-mantissa float32 operands."""
+    rng = np.random.default_rng(0)
+    heads, dh, n, t, capacity = 4, 16, 5, 37, 41
+    rows = rng.standard_normal((17, 64), dtype=np.float32)
+    weight = rng.standard_normal((64, 64), dtype=np.float32)
+    qkv = rng.standard_normal((n, 3 * heads * dh), dtype=np.float32)
+    q = qkv[:, : heads * dh].reshape(n, heads, dh).swapaxes(0, 1)
+    keys = rng.standard_normal((dh, heads, capacity), dtype=np.float32)[..., :t]
+    probs = rng.standard_normal((heads, n, t), dtype=np.float32)
+    vals = rng.standard_normal((capacity, heads * dh), dtype=np.float32)[:t]
+    cases = [
+        (rows[:1], weight),  # a decode row
+        (rows, weight),  # a verify window
+        (q, keys.swapaxes(0, 1)),  # as ``attn_scores_f32`` reads the key cache
+        (probs, vals.reshape(t, heads, dh).swapaxes(0, 1)),  # as ``attn_ctx_f32``
+    ]
+    return all(
+        np.array_equal(_einsum(a, w).view(np.uint32), _loop_f32(a, w).view(np.uint32))
+        for a, w in cases
+    )
+
+
+def gemm_f32(a, w):
+    """(..., M, K) x (..., K, N) -> float32 (..., M, N), each output one sum
+    in ascending k from +0.0.
+
+    Leading batch axes are optional; each slice has the bits of its own
+    call. Runs ``_einsum`` where ``_einsum_admits`` ``w``'s layout and
+    ``_einsum_in_order`` held, otherwise ``_loop_f32``.
+    """
+    if _einsum_admits(w) and _einsum_in_order():
+        return _einsum(a, w)
+    return _loop_f32(a, w)
 
 
 def attn_scores_f32(q, k, n_heads):
@@ -259,8 +249,8 @@ def attn_scores_f32(q, k, n_heads):
     as the batch axis.
 
     ``k`` holds the keys in score order, ``k[j, h, p]`` = key p's column
-    h * d_head + j: the (d_head, n_heads, t) layout the product block
-    reduces over, so a view into the key cache serves without a copy.
+    h * d_head + j: the (d_head, n_heads, t) layout ``KvCache`` stores, read
+    in place as a view into the cache.
     """
     dh = k.shape[0]
     qh = q.reshape(q.shape[0], n_heads, dh).swapaxes(0, 1)  # (H, n, dh)

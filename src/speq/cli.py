@@ -39,6 +39,8 @@ def _load_tensor(path: str, bf16: bool = False) -> np.ndarray:
         arr = arr.reshape(-1, 1)
     if arr.ndim != 2:
         raise ValueError(f"{path}: expected a 1-D or 2-D tensor, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{path}: empty tensor, shape {arr.shape}")
     with np.errstate(over="ignore"):  # an overflow is reported below, with the file's name
         w = arr.astype(np.float16)
     overflow = int(np.count_nonzero(np.isinf(w) & np.isfinite(arr)))

@@ -16,9 +16,10 @@ micro-kernel that adds each output's products in ascending k gives the
 same bits. A one-row call runs as two rows, because numpy's sgemv path
 reassociates. No shape is assumed to work: a once-per-process probe
 admits each (rows, k, n) group shape to OpenBLAS sgemm, and any other
-shape runs ``gemm_f32`` (see ``_accel``). ``reference_gemm`` runs the same
-group loop on ``gemm_f32`` only, so the tests that compare the two check
-two implementations of each group's sum.
+shape runs ``gemm_f32``: numpy's einsum where a layout rule and a second
+probe admit it, a per-k loop otherwise (see ``_accel``). ``reference_gemm``
+runs the same group loop on ``gemm_f32`` only, so the tests that compare
+the two check two implementations of each group's sum.
 """
 
 from __future__ import annotations

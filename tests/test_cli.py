@@ -393,6 +393,10 @@ def _write_malformed(d):
         # finite, but past FP16's 65504, so a float16 cast gives Inf
         "overflow-int.npy": np.full((4, 16), 70000, dtype=np.int64),
         "overflow-float.npy": np.full((4, 16), 1e6),
+        # no values: nothing to quantize, inspect or multiply
+        "zero-rows.npy": np.zeros((0, 4), dtype=np.float16),
+        "zero-cols.npy": np.zeros((4, 0), dtype=np.float16),
+        "zero-length.npy": np.zeros(0, dtype=np.float16),
     }
     for name, arr in arrays.items():
         if arr is None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -309,16 +310,22 @@ def test_weight_gemms_match_scalar_oracle(m, k):
 def test_active_backend_names_the_blas(monkeypatch):
     name = _accel.active_backend()
     assert name.startswith(f"numpy {np.__version__}; weight GEMMs on ")
-    assert name.endswith(" sgemm where order-checked")
+    assert name.endswith(" sgemm where order-checked; other sums on numpy einsum, order-checked")
     assert "unnamed" not in name
     monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
     assert "an unnamed BLAS" in _accel.active_backend()
+    _accel._einsum_in_order.cache_clear()
+    monkeypatch.setattr(_accel, "_einsum", np.matmul)  # BLAS sums in another order
+    try:
+        assert _accel.active_backend().endswith("; other sums on the per-k loop")
+    finally:
+        _accel._einsum_in_order.cache_clear()
 
 
 # (m, k, n, group): K not a multiple of the group, group larger than K,
-# M = 1, a single element, an exact multiple, and a wide output. The single
-# element and the last shape, one output above REDUCE_MAX_OUTPUTS, take
-# the per-k loop path; the others the block path.
+# M = 1, a single element, an exact multiple, a wide output, and one column
+# over several rows. The two shapes with N = 1 take the per-k loop; the
+# others einsum.
 _ORACLE_SHAPES = [
     (1, 10, 3, 4),
     (2, 5, 4, 8),
@@ -326,7 +333,7 @@ _ORACLE_SHAPES = [
     (3, 33, 5, 16),
     (2, 16, 3, 16),
     (2, 9, 260, 4),
-    (1, 3, _accel.REDUCE_MAX_OUTPUTS + 1, 4),
+    (5, 12, 1, 4),
 ]
 
 
@@ -352,11 +359,11 @@ def test_gemm_f32_matches_scalar_oracle(shape):
     _assert_same_bits(_accel.gemm_f32(a, w), np.zeros((m, n), dtype=np.float32))
 
 
-def _cached_keys(k, n_heads):
+def _cached_keys(k, n_heads, spare=3):
     """(t, d) keys as ``KvCache`` stores them: a (d_head, n_heads, t) view
-    into a buffer with room for more positions."""
+    into a buffer with room for ``spare`` more positions."""
     t, d = k.shape
-    buf = np.zeros((d // n_heads, n_heads, t + 3), dtype=np.float32)
+    buf = np.zeros((d // n_heads, n_heads, t + spare), dtype=np.float32)
     buf[..., :t] = k.reshape(t, n_heads, d // n_heads).T
     return buf[..., :t]
 
@@ -402,7 +409,7 @@ def test_rowsum_f32_matches_scalar_oracle():
         _assert_same_bits(_accel.rowsum_f32(x), expect)
 
 
-# ── both gemm_f32 strategies against the per-k loop ──────────────────────
+# ── both gemm_f32 paths against the per-k loop ───────────────────────────
 
 
 def _loop_gemm(a, w, group_size, scales=None):
@@ -419,22 +426,17 @@ def _loop_gemm(a, w, group_size, scales=None):
     return out
 
 
-_T = _accel.REDUCE_MAX_OUTPUTS
-# (m, k, n, group): outputs one below, at and one above REDUCE_MAX_OUTPUTS
-# (M > 1 at it); N = 1 with M > 1 and K >= 9 on the block path and on the
-# loop path; a single output (M = N = 1, loop path); the verify
-# shapes (17, 256, 64) and (17, 64, 256), whose groups each span several
-# k-chunks of at most BLOCK_MAX products; M = 1 with K > group; a group
-# larger than K.
+# (m, k, n, group): a decode row against a wide output; N = 1 with M > 1
+# and with M = 1 (a single output), which take the loop; the verify shapes
+# (17, 256, 64) and (17, 64, 256); a long sum; M = 1 with K > group; a
+# group larger than K.
 _LOOP_EDGE_SHAPES = [
-    (1, 40, _T - 1, 16),
-    (_T // 128, 10, 128, 8),
-    (1, 20, _T + 1, 16),
+    (1, 40, 300, 16),
     (5, 96, 1, 128),
-    (_T + 8, 12, 1, 16),
     (1, 130, 1, 64),
     (17, 256, 64, 128),
     (17, 64, 256, 64),
+    (2, 400, 3, 128),
     (7, 40, 73, 16),
     (1, 200, 512, 128),
     (3, 20, 9, 64),
@@ -461,39 +463,38 @@ def test_gemm_f32_matches_loop_oracle():
         k = int(rng.integers(1, 161))
         group = int(rng.choice([1, 4, 16, 32, 64, 128, 256]))
         shapes.append((m, k, n, group))
-    assert {_T - 1, _T, _T + 1} <= {m * n for m, _, n, _ in shapes}
-    assert any(k * m * n > _accel.BLOCK_MAX for m, k, n, _ in shapes)
+    paths = set()
     for i, (m, k, n, group) in enumerate(shapes):
         a, w, scales = _loop_case(rng, (m, k, n, group))
         if i % 2:
-            # Fortran order: a k-contiguous product block would be summed pairwise
+            # Fortran order: ``w`` is unit-stride along k, which einsum would reassociate
             a, w = np.asfortranarray(a), np.asfortranarray(w)
+        paths.add(_accel._einsum_admits(w))
         for s in (None, scales):
             _assert_same_bits(_f32_groups(a, w, group, s), _loop_gemm(a, w, group, s))
+    assert paths == {True, False}  # einsum and the loop both ran
 
 
 # ── the batch axis against the per-k loop, slice by slice ────────────────
 
-# (b, m, k, n, group): B*M*N one below, at and one above REDUCE_MAX_OUTPUTS
-# (one below: that many slices of one output each, so also M*N = 1 with
-# B >= 2 on the block path; one above: a single slice on the loop path);
-# just above it with B >= 2, split into per-slice calls on the block path,
-# and per-slice loops; M*N = 1 with B >= 2 and K >= 9; B*M*N = 1; B = 1;
-# sums that each span several k-chunks of at most BLOCK_MAX products. Each
-# slice is one sum over K; ``group`` sets the run of -0.0 products that
-# ``_loop_case`` writes into it.
+# (b, m, k, n, group): many slices of one output each (M = N = 1, the
+# loop); N = 1 with M > 1 (the loop); M = N = 1 with K >= 9; B*M*N = 1;
+# B = 1 with a wide output; two slices of a wide output; a verify
+# window's and a decode row's attention; a prefill tile's scores and
+# context. Each slice is one sum over K; ``group`` sets the run of -0.0
+# products that ``_loop_case`` writes into it.
 _BATCH_EDGE_SHAPES = [
-    (_T - 1, 1, 12, 1, 8),
-    (2, 64, 10, _T // 128, 4),
-    (1, 1, 9, _T + 1, 8),
-    (2, 1, 20, _T // 2 + 1, 16),
-    (3, _T // 3 + 1, 9, 1, 4),
-    (3, _T // 2 + 4, 10, 2, 8),
+    (64, 1, 12, 1, 8),
+    (3, 40, 9, 1, 4),
     (5, 1, 40, 1, 16),
     (1, 1, 30, 1, 8),
+    (1, 1, 9, 300, 8),
+    (2, 64, 10, 96, 4),
     (1, 3, 20, 5, 8),
     (4, 17, 64, 64, 64),
     (4, 1, 200, 136, 128),
+    (4, 64, 16, 384, 16),
+    (4, 64, 384, 16, 128),
 ]
 
 
@@ -519,28 +520,108 @@ def test_batched_gemm_f32_matches_loop_oracle():
         k = int(rng.integers(1, 100))
         group = int(rng.choice([1, 4, 16, 32, 64, 128]))
         shapes.append((b, m, k, n, group))
-    assert {_T - 1, _T, _T + 1, 1} <= {b * m * n for b, m, _, n, _ in shapes}
-    assert any(b * m * n * k > _accel.BLOCK_MAX for b, m, k, n, _ in shapes)
+    paths = set()
     for i, (b, m, k, n, group) in enumerate(shapes):
         a, w = _batch_case(rng, (b, m, k, n, group))
         if i % 3 == 1:
-            # Fortran order: a k-contiguous product block would be summed pairwise
+            # Fortran order: ``w`` is unit-stride along k, which einsum would reassociate
             a, w = np.asfortranarray(a), np.asfortranarray(w)
         elif i % 3 == 2:
             # transposed views, as attention passes them
             a = np.ascontiguousarray(a.transpose(1, 0, 2)).transpose(1, 0, 2)
             w = np.ascontiguousarray(w.transpose(2, 1, 0)).transpose(2, 1, 0)
+        paths.add(_accel._einsum_admits(w))
         _assert_batch_matches_loop(a, w)
+    assert paths == {True, False}  # einsum and the loop both ran
     for b, m, k, n, _ in _BATCH_EDGE_SHAPES:
-        # every product is -0.0, on the block path, per-slice blocks and
-        # per-slice loops: the sum is +0.0
+        # every product is -0.0, on einsum and on the loop (N = 1): the sum is +0.0
         got = _accel.gemm_f32(-np.zeros((b, m, k), np.float32), np.ones((b, k, n), np.float32))
         _assert_same_bits(got, np.zeros((b, m, n), dtype=np.float32))
 
 
+# ── operand layouts: einsum where the rule admits it, the loop elsewhere ──
+
+
+def _layouts(x, k_axis):
+    """``x`` as (name, view) pairs in the layouts ``gemm_f32`` may be given.
+    The stride-0 view repeats x's first k slice along k."""
+    rev = [slice(None)] * x.ndim
+    rev[k_axis] = slice(None, None, -1)
+    first = [slice(None)] * x.ndim
+    first[k_axis] = slice(0, 1)
+    padded = np.zeros((*x.shape[:-1], x.shape[-1] + 3), dtype=np.float32)
+    padded[..., : x.shape[-1]] = x
+    return [
+        ("C", np.ascontiguousarray(x)),
+        ("F", np.asfortranarray(x)),
+        ("padded", padded[..., : x.shape[-1]]),
+        ("transposed", np.ascontiguousarray(x.swapaxes(-1, -2)).swapaxes(-1, -2)),
+        ("negative", np.ascontiguousarray(x[tuple(rev)])[tuple(rev)]),
+        ("stride-0", np.broadcast_to(x[tuple(first)], x.shape)),
+    ]
+
+
+def _per_slice_loop(a, w):
+    if a.ndim == 2:
+        return _loop_gemm(a, w, a.shape[1])
+    return np.stack([_loop_gemm(a[b], w[b], a.shape[2]) for b in range(a.shape[0])])
+
+
+# (batch, m, k, n): a verify window, a decode row, one column (N = 1), a
+# batch of single outputs (M = N = 1), and a batch of heads.
+_SWEEP_SHAPES = [((), 3, 40, 5), ((), 1, 64, 7), ((), 4, 9, 1), ((3,), 1, 20, 1), ((2,), 5, 33, 6)]
+
+
+def test_gemm_f32_layout_sweep():
+    rng = np.random.default_rng(55)
+    paths = set()
+    for batch, m, k, n in _SWEEP_SHAPES:
+        a = _with_neg_zeros(rng, rng.normal(0, 1, (*batch, m, k)).astype(np.float32))
+        w = _with_neg_zeros(rng, rng.normal(0, 1, (*batch, k, n)).astype(np.float32))
+        for (la, av), (lw, wv) in itertools.product(_layouts(a, -1), _layouts(w, -2)):
+            got = _accel.gemm_f32(av, wv)
+            paths.add(_accel._einsum_admits(wv))
+            expect = _per_slice_loop(av, wv)
+            assert np.array_equal(got.view(np.uint32), expect.view(np.uint32)), (la, lw, m, k, n)
+            # the scalar oracle on the first and last output of the first slice
+            a0, w0 = av.reshape(-1, m, k)[0], wv.reshape(-1, k, n)[0]
+            for r, c in ((0, 0), (m - 1, n - 1)):
+                assert got.reshape(-1, m, n)[0, r, c].view(np.uint32) == _oracle_dot(
+                    a0[r], w0[:, c]
+                ).view(np.uint32), (la, lw, m, k, n)
+    assert paths == {True, False}  # einsum and the loop both ran
+
+    # key and value cache views filled to capacity (no spare positions)
+    n_heads, d, n, t = 4, 32, 3, 24
+    dh = d // n_heads
+    q, k, v = (_with_neg_zeros(rng, rng.normal(0, 1, (r, d)).astype(np.float32)) for r in (n, t, t))
+    probs = rng.uniform(0, 1, (n_heads, n, t)).astype(np.float32)
+    scores = _accel.attn_scores_f32(q, _cached_keys(k, n_heads, spare=0), n_heads)
+    ctx = _accel.attn_ctx_f32(probs, np.ascontiguousarray(v), n_heads)
+    for h in range(n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        _assert_same_bits(scores[h], _loop_gemm(q[:, sl], k[:, sl].T, dh))
+        _assert_same_bits(ctx[:, sl], _loop_gemm(probs[h], v[:, sl], t))
+
+
+@pytest.mark.parametrize("k", [1, 20])
+def test_negative_zero_products_sum_to_positive_zero(k):
+    # Both paths add into a zeroed output, so a sum of -0.0 products is +0.0.
+    a = -np.zeros((3, k), dtype=np.float32)
+    w = np.ones((k, 4), dtype=np.float32)
+    zero = np.zeros((3, 4), dtype=np.float32)
+    _assert_same_bits(_accel._einsum(a, w), zero)
+    _assert_same_bits(_accel._loop_f32(a, w), zero)
+    col = w[:, :1]  # one column: the loop
+    assert _accel._einsum_admits(w) and not _accel._einsum_admits(col)
+    _assert_same_bits(_accel.gemm_f32(a, w), zero)
+    _assert_same_bits(_accel.gemm_f32(a, col), zero[:, :1])
+    _assert_same_bits(_accel.gemm_f32(a[None], w[None]), zero[None])
+    _assert_same_bits(_accel.gemm_f32(a[None], col[None]), zero[None, :, :1])
+
+
 # (n_heads, n, t): decode (n = 1), verify windows (n = 17) over chat-short
-# lengths and with H*n*t on either side of REDUCE_MAX_OUTPUTS, and a
-# prefill on the per-head loop.
+# and long-context lengths, and a window wider than a tile.
 @pytest.mark.parametrize(
     "n_heads,n,t",
     [
@@ -548,8 +629,8 @@ def test_batched_gemm_f32_matches_loop_oracle():
         (4, 1, 480),
         (4, 17, 120),
         (4, 17, 137),
-        (4, 17, _T // 68),
-        (4, 17, _T // 68 + 1),
+        (4, 17, 180),
+        (4, 17, 181),
         (2, 70, 70),
     ],
 )

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from speq import pe
-from speq._accel import REDUCE_MAX_OUTPUTS
 from speq.kernels import GemmMode, GemmSpec, gemm_draft, gemm_full
 from speq.pe import (
     ACTIVATION_BITS,
@@ -110,10 +109,11 @@ def test_input_width_parity():
 # ── functional equivalence with the kernels ──────────────────────────────
 
 
-# (k, m, n, group): the fourth runs on the per-k loop path and is checked in
-# k-slices of 5; the last has several groups and K not a multiple of the group.
+# (k, m, n, group): the fourth is checked in k-slices of 5; the fifth has
+# several groups and K not a multiple of the group; the last has one column,
+# which neither sgemm nor einsum is trusted with, so the per-k loop runs it.
 _SIM_SHAPES = [(64, 3, 5, 128), (130, 2, 4, 128), (256, 1, 9, 128)]
-_SIM_SHAPES += [(16, 33, REDUCE_MAX_OUTPUTS // 33 + 1, 128), (100, 3, 7, 32)]
+_SIM_SHAPES += [(16, 33, 373, 128), (100, 3, 7, 32), (300, 40, 1, 128)]
 
 
 @pytest.mark.parametrize("shape", _SIM_SHAPES)

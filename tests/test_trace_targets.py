@@ -1,8 +1,9 @@
 """The benchmark's readers of ``speq`` must keep working: every name the
 per-layer trace wraps exists, and the resident-bytes, traffic and digest
 readers agree on a fresh default model. Every weight GEMM the benchmark's
-workloads run takes the BLAS path, and the probe that admits it rejects a
-BLAS that sums in another order."""
+workloads run takes the BLAS path, every other sum they run takes numpy's
+einsum, and the probes that admit them reject a kernel that sums in another
+order."""
 
 from __future__ import annotations
 
@@ -78,13 +79,16 @@ def _weight_gemm_shapes(wl):
     return sorted((r, k, n) for r in rows for k, n in kn)
 
 
+_PROBES = (_accel._blas_in_order, _accel._blas_admits, _accel._einsum_in_order)
+
+
 @pytest.fixture
 def fresh_probe():
-    _accel._blas_in_order.cache_clear()
-    _accel._blas_admits.cache_clear()
+    for probe in _PROBES:
+        probe.cache_clear()
     yield
-    _accel._blas_in_order.cache_clear()
-    _accel._blas_admits.cache_clear()
+    for probe in _PROBES:
+        probe.cache_clear()
 
 
 def test_every_workload_weight_gemm_takes_blas(monkeypatch, fresh_probe):
@@ -138,3 +142,82 @@ def test_probe_rejects_reassociating_blas(monkeypatch, fresh_probe, kernel):
                 for got, want in ((gemm_full(a, p), full), (gemm_draft(a, p), draft)):
                     want = want * p.inv_tensor_scale
                     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+
+def test_every_workload_attention_takes_einsum(monkeypatch, fresh_probe):
+    assert _accel._einsum_in_order()
+    loop, looped = _accel._loop_f32, []
+
+    def recording_loop(a, w):
+        looped.append((a.shape, w.shape, w.strides))
+        return loop(a, w)
+
+    monkeypatch.setattr(_accel, "_loop_f32", recording_loop)
+    for wl in _workloads(monkeypatch):
+        model = init_model(ModelConfig(**wl.model))
+        window = SpecDecConfig(**wl.spec).max_draft_len + 1
+        cache = model.new_cache(wl.prompt_len + wl.gen_len)  # as the decoders size it
+        tokens = np.random.default_rng(wl.prompt_len).integers(0, model.cfg.vocab, cache.positions)
+        forward_full(model, tokens[: wl.prompt_len], cache, last_only=True)
+        while cache.len < cache.positions - window:  # one-row forwards at every length
+            forward_draft(model, int(tokens[cache.len]), cache)
+        forward_full(model, tokens[cache.len :], cache)  # a verify window that fills the cache
+        assert cache.len == cache.positions
+        assert looped == [], wl.name
+
+
+_EINSUM = _accel._einsum
+
+
+def _per_k(a, w):
+    """The fixed order, one k-step at a time into a +0.0 output."""
+    out = np.zeros((*a.shape[:-1], w.shape[-1]), dtype=np.float32)
+    for i in range(a.shape[-1]):
+        out = out + a[..., i : i + 1] * w[..., i : i + 1, :]
+    return out
+
+
+def _einsum_reversed_k(a, w):
+    return _EINSUM(np.ascontiguousarray(a[..., ::-1]), np.ascontiguousarray(w[..., ::-1, :]))
+
+
+def _einsum_pairwise(a, w):
+    # reduce over a contiguous axis sums pairwise
+    prods = a[..., :, None, :] * w.swapaxes(-1, -2)[..., None, :, :]
+    return np.add.reduce(np.ascontiguousarray(prods), axis=-1)
+
+
+def _einsum_fma64(a, w):
+    # each product exact in float64 and added to the running sum before one rounding to float32
+    out = np.zeros((*a.shape[:-1], w.shape[-1]), dtype=np.float32)
+    for i in range(a.shape[-1]):
+        out = (out + a[..., i : i + 1].astype(np.float64) * w[..., i : i + 1, :]).astype(np.float32)
+    return out
+
+
+@pytest.mark.parametrize("kernel", [_einsum_reversed_k, _einsum_pairwise, _einsum_fma64])
+def test_probe_rejects_reordered_einsum(monkeypatch, fresh_probe, kernel):
+    monkeypatch.setattr(_accel, "_einsum", kernel)
+    assert not _accel._einsum_in_order()
+
+    rng = np.random.default_rng(70)
+    n_heads, d, n, t = 4, 64, 17, 40
+    dh = d // n_heads
+    q, k, v = (rng.standard_normal((r, d), dtype=np.float32) for r in (n, t, t))
+    probs = rng.random((n_heads, n, t), dtype=np.float32)
+    keys = np.zeros((dh, n_heads, t + 5), dtype=np.float32)  # as KvCache holds them
+    keys[..., :t] = k.reshape(t, n_heads, dh).T
+    a = rng.standard_normal((n, d), dtype=np.float32)
+    w = rng.standard_normal((d, 96), dtype=np.float32)
+    assert not np.array_equal(kernel(a, w).view(np.uint32), _per_k(a, w).view(np.uint32))
+
+    def same_bits(got, want):
+        return np.array_equal(got.view(np.uint32), want.view(np.uint32))
+
+    scores = _accel.attn_scores_f32(q, keys[..., :t], n_heads)
+    ctx = _accel.attn_ctx_f32(probs, v, n_heads)
+    for h in range(n_heads):
+        sl = slice(h * dh, (h + 1) * dh)
+        assert same_bits(scores[h], _per_k(q[:, sl], k[:, sl].T))
+        assert same_bits(ctx[:, sl], _per_k(probs[h], v[:, sl]))
+    assert same_bits(_accel.gemm_f32(a, w), _per_k(a, w))
