@@ -9,10 +9,16 @@ vectorized over the outputs, that adds each step's products into the
 output. ``gemm_groups`` extends it to the weight GEMMs: sum each group of
 consecutive k in that order, multiply the group's sums by its scales (the
 draft GEMM's; the full GEMM has none), and add the groups in ascending
-order into a +0.0 output. Two faster kernels run the same order where a
-probe shows that they keep it:
+order into a +0.0 output. It allocates no zeroed output: the first group's
+sums become the output, and one final ``+= 0.0`` gives the bits of
+starting from +0.0, since the two can differ only in the sign of a zero
+and that add turns -0.0 into +0.0. The draft's scales are read as rows:
+``PackedTensor`` holds them so that ``group_scales.T[g]``, group g's
+scale for every column, is contiguous. Two faster kernels run the same
+order where a probe shows that they keep it:
 
-* ``_sgemm``, one OpenBLAS sgemm, for the weight GEMMs (``gemm_weights``).
+* ``_sgemm``, one OpenBLAS sgemm through ``np.dot``, for the weight GEMMs
+  (``gemm_weights``).
 * ``np.einsum``, for every other sum (``gemm_f32``): attention's scores
   and context, the weight GEMMs where sgemm is not admitted, and
   ``kernels.reference_gemm``.
@@ -33,10 +39,15 @@ that gives the fixed order's bits:
   (Goto and van de Geijn, *ACM TOMS* 34(3), 2008). An FMA rounds
   s + x*y once; when x*y is exact, that is the rounding of
   s + round(x*y), the fixed order's multiply-then-add.
-* A one-row call runs as two copies of the row (``_sgemm``). numpy sends
-  a one-row product to sgemv, whose dot products reassociate: OpenBLAS
-  0.3.31 differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256),
-  FP16 activations drawn from N(0, 1) and weights from N(0, 0.02).
+* A one-row call runs as two copies of the row. numpy sends a one-row
+  product to sgemv, whose dot products reassociate: OpenBLAS 0.3.31
+  differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256), FP16
+  activations drawn from N(0, 1) and weights from N(0, 0.02).
+  ``gemm_weights`` casts the FP16 activations to float32 once per call and
+  doubles a one-row call in that same cast, so every group's ``_sgemm``
+  sees two rows; it returns the first. ``_sgemm`` doubles a one-row
+  operand itself, which only the probe passes it, so the probe for one
+  row runs the same two-row sgemm as the hot path.
 * The probe, not an assumption, admits each shape. Nothing in the BLAS
   interface fixes the order: a library may split k into blocks or across
   threads, or switch kernels for a narrow shape (OpenBLAS 0.3.31 differed
@@ -49,8 +60,9 @@ that gives the fixed order's bits:
   order on at least 40% of a probe's outputs at every weight shape of the
   benchmark's workloads, and a probe has at least 64 outputs there.
 * A group sum of -0.0, which a kernel that starts from the first product
-  would give where every product is -0.0, becomes +0.0 once it is added
-  into the +0.0 output, so the kernels agree there too.
+  would give where every product is -0.0, and a negative group sum times
+  a +0.0 draft scale, become +0.0 in the final ``+= 0.0``, so the kernels
+  agree there too.
 
 ``gemm_f32`` runs ``np.einsum("...mk,...kn->...mn", a, w, optimize=False)``
 (``_einsum``). On numpy 2.4.6 its sum-of-products loop adds each output's
@@ -125,15 +137,20 @@ def active_backend() -> str:
 
 
 def _sgemm(a, w):
-    """``a @ w`` for float32 (m, k) and (k, n), through sgemm on C-contiguous operands.
+    """``a @ w`` for float32 (m, k) and C-contiguous (k, n), through sgemm.
 
-    A one-row product runs as two copies of the row: numpy sends one row
-    to sgemv, which reassociates the sum.
+    ``np.dot`` reaches sgemm with about 0.5 us less overhead per call than
+    ``np.matmul`` at two rows. A one-row ``a`` runs as two copies of its
+    row: numpy sends one row to sgemv, which reassociates the sum.
+    ``gemm_weights`` doubles a one-row call once, in its cast, so only the
+    probe hands this a single row. A group's column slice of ``a`` is
+    copied to a C-contiguous block, as the probe's operands are.
     """
-    a, w = np.ascontiguousarray(a), np.ascontiguousarray(w)
     if a.shape[0] == 1:
-        return np.matmul(np.concatenate((a, a)), w)[:1]
-    return np.matmul(a, w)
+        return np.dot(np.concatenate((a, a)), w)[:1]
+    if not a.flags.c_contiguous:
+        a = np.ascontiguousarray(a)
+    return np.dot(a, w)
 
 
 def _probe_operand(rng, shape):
@@ -157,32 +174,49 @@ def _blas_admits(m: int, k: int, n: int, group_size: int) -> bool:
     return all(_blas_in_order(m, min(group_size, k - k0), n) for k0 in range(0, k, group_size))
 
 
-def gemm_weights(a, w, group_size, scales=None):
-    """``gemm_groups`` for 2-D operands whose every product is exact in float32.
+def gemm_weights(a16, w, group_size, scales=None):
+    """``gemm_groups`` over FP16 activations ``a16`` and a C-contiguous
+    float32 weight operand whose every product with them is exact in float32.
 
-    Its groups run on ``_sgemm`` when ``_blas_in_order`` admitted every
-    group's shape (``_blas_admits``, one lookup per call), otherwise on
+    The activations are cast to float32 once; a one-row call is doubled in
+    that same cast and its first row returned, so ``_sgemm`` never meets
+    sgemv. Its groups run on ``_sgemm`` when ``_blas_in_order`` admitted
+    every group's shape (``_blas_admits``, one lookup per call), otherwise on
     ``gemm_f32``.
     """
-    m, k = a.shape
+    m, k = a16.shape
     kernel = _sgemm if _blas_admits(m, k, w.shape[1], group_size) else gemm_f32
-    return gemm_groups(kernel, a, w, group_size, scales)
+    if m > 1:
+        return gemm_groups(kernel, a16.astype(np.float32), w, group_size, scales)
+    a = a16.repeat(2, axis=0).astype(np.float32)
+    return gemm_groups(kernel, a, w, group_size, scales)[:1]
+
+
+_PLUS_ZERO = np.float32(0.0)
 
 
 def gemm_groups(kernel, a, w, group_size, scales=None):
     """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
 
     ``kernel(a[:, k0:k1], w[k0:k1])`` sums each group of ``group_size``
-    consecutive k; ``scales`` (shape (N, n_groups)) multiplies group g's
-    sums by ``scales[:, g]``; the groups are added in ascending g into a
-    +0.0 output.
+    consecutive k into a fresh array; ``scales`` (shape (N, n_groups))
+    multiplies group g's sums by ``scales[:, g]``, read as the row
+    ``scales.T[g]``; the groups are added in ascending g. The first group's
+    sums become the output, and one final ``+= 0.0`` gives the bits of
+    adding every group into a +0.0 output: the two differ only in the sign
+    of a zero, and that add turns -0.0 into +0.0.
     """
-    out = np.zeros((a.shape[0], w.shape[1]), dtype=np.float32)
+    rows = None if scales is None else scales.T
+    out = None
     for g, k0 in enumerate(range(0, a.shape[1], group_size)):
         gacc = kernel(a[:, k0 : k0 + group_size], w[k0 : k0 + group_size])
-        if scales is not None:
-            gacc *= scales[:, g]
-        out += gacc
+        if rows is not None:
+            gacc *= rows[g]
+        if out is None:
+            out = gacc
+        else:
+            out += gacc
+    out += _PLUS_ZERO
     return out
 
 

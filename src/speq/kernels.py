@@ -4,8 +4,11 @@
 4-bit draft values and the group scales, and never reads the exact values.
 Both operands were decoded once, when the ``PackedTensor`` was built. Both
 accumulate in the fixed float32 order of ``_accel.gemm_groups`` (ascending
-k within a group, then ascending group), multiply by 1/tensor_scale once
-per output element, and are bit-reproducible across runs and thread counts.
+k within a group, then ascending group, the sum ending in one ``+= 0.0``
+that turns a -0.0 into the +0.0 a zeroed output would give), multiply by
+1/tensor_scale once per output element unless it is exactly 1, and are
+bit-reproducible across runs and thread counts. The draft reads group g's
+scales as one contiguous row, ``group_scales.T[g]``.
 
 They run through ``_accel.gemm_weights``, which needs every product to be
 exact in float32. That holds here: an FP16 x FP16 product has at most 22
@@ -13,13 +16,15 @@ significant bits (two 11-bit significands), an FP16 x draft value (±2^e)
 at most 11, and the exponent range fits comfortably. With exact products
 an FMA rounds where ``gemm_f32``'s multiply-then-add does, so a BLAS
 micro-kernel that adds each output's products in ascending k gives the
-same bits. A one-row call runs as two rows, because numpy's sgemv path
-reassociates. No shape is assumed to work: a once-per-process probe
-admits each (rows, k, n) group shape to OpenBLAS sgemm, and any other
-shape runs ``gemm_f32``: numpy's einsum where a layout rule and a second
-probe admit it, a per-k loop otherwise (see ``_accel``). ``reference_gemm``
-runs the same group loop on ``gemm_f32`` only, so the tests that compare
-the two check two implementations of each group's sum.
+same bits. The FP16 activations are cast to float32 once per call, and a
+one-row call is doubled in that same cast, because numpy's sgemv path
+reassociates; the first row is returned. No shape is assumed to work: a
+once-per-process probe admits each (rows, k, n) group shape to OpenBLAS
+sgemm, and any other shape runs ``gemm_f32``: numpy's einsum where a
+layout rule and a second probe admit it, a per-k loop otherwise (see
+``_accel``). ``reference_gemm`` runs the same group loop on ``gemm_f32``
+only, so the tests that compare the two check two implementations of each
+group's sum.
 """
 
 from __future__ import annotations
@@ -116,12 +121,12 @@ def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) ->
 def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, validate: bool):
     """The one GEMM body: checks, multiply-accumulate, 1/tensor scale, traffic."""
     a = _check_activations(a, p, validate)
-    a32 = a.astype(np.float32)
     if mode is GemmMode.FULL:
-        out = _accel.gemm_weights(a32, p.full_values_f32(), p.group_size)
+        out = _accel.gemm_weights(a, p.full_values_f32(), p.group_size)
     else:
-        out = _accel.gemm_weights(a32, p.draft_values(), p.group_size, p.group_scales)
-    out *= p.inv_tensor_scale
+        out = _accel.gemm_weights(a, p.draft_values(), p.group_size, p.group_scales)
+    if p.inv_tensor_scale != 1:  # x * 1 is x, bit for bit
+        out *= p.inv_tensor_scale
     if traffic is not None:
         traffic.add(*gemm_traffic(a.shape[0], p.cols, p.rows, mode, p.group_size))
     return out

@@ -245,6 +245,12 @@ def init_model(cfg: ModelConfig) -> ToyModel:
 def _layernorm(x: np.ndarray) -> np.ndarray:
     # add.reduce / n is what float32 ``mean`` computes, without its wrapper
     n = np.float32(x.shape[-1])
+    if x.shape[0] == 1:
+        # One row: the same reductions over the contiguous 1-D row, and the
+        # mean, variance, eps and sqrt on float32 scalars, with the same bits.
+        xc = x[0] - np.add.reduce(x[0]) / n
+        var = np.add.reduce(xc * xc) / n
+        return (xc / np.sqrt(var + np.float32(1e-5)))[None]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
     return xc / np.sqrt(var + np.float32(1e-5))
@@ -315,7 +321,7 @@ def _attend_tile(q, keys, vals, n_heads, scale):
     # are bit-identical whether it runs alone or inside a wider window.
     # A single row sees every key and needs no mask.
     if n > 1:
-        scores[..., keys.shape[-1] - n :][:, _future_mask(n)] = -np.inf
+        np.copyto(scores[..., keys.shape[-1] - n :], np.float32(-np.inf), where=_future_mask(n))
     e = np.exp(scores - scores.max(axis=-1, keepdims=True))
     probs = e / _accel.rowsum_f32(e)[:, :, None]
     return _accel.attn_ctx_f32(probs, vals, n_heads)

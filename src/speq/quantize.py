@@ -118,7 +118,10 @@ class PackedTensor:
 
     group_size: int
     tensor_scale: float
-    group_scales: np.ndarray  # float32 copy, shape (cols, n_groups), read-only
+    # float32 copy, shape (cols, n_groups), read-only; held in F order, so
+    # ``group_scales.T`` is the (n_groups, cols) C-order array the kernels
+    # read one group's row at a time
+    group_scales: np.ndarray
     wq: InitVar[np.ndarray]  # uint8, values 0..15
     wr: InitVar[np.ndarray]  # uint16, values 0..4095
 
@@ -136,7 +139,7 @@ class PackedTensor:
         with np.errstate(over="ignore", divide="ignore"):
             scale32 = np.float32(check_real("tensor_scale", self.tensor_scale))
             self.inv_tensor_scale = np.float32(1.0) / scale32
-            scales = np.array(self.group_scales, dtype=np.float32, order="C")
+            scales = np.array(self.group_scales, dtype=np.float32, order="F")
         # a finite real > 0 can still round to float32 0 or inf, and a subnormal
         # scale would make every output of gemm_full / gemm_draft infinite
         if not (0.0 < scale32 < np.inf and np.isfinite(self.inv_tensor_scale)):

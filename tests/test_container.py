@@ -19,7 +19,7 @@ from speq.container import (
     to_bytes,
     write_container,
 )
-from speq.quantize import quantize_tensor
+from speq.quantize import PackedTensor, quantize_tensor
 
 
 def _tensor(seed, shape, group_size=128):
@@ -219,3 +219,17 @@ def test_from_bytes_mutation_fuzz():
         loaded += 1
         assert to_bytes(p) == bytes(data)
     assert loaded > 0
+
+
+def test_scales_held_as_rows_keep_the_container_bytes():
+    # The CRC-32 of this container was pinned while the scales were held
+    # (cols, n_groups) in C order; holding them as rows changes no byte.
+    p = _tensor(26, (300, 7))
+    c_order = np.ascontiguousarray(p.group_scales)
+    direct = PackedTensor(p.group_size, p.tensor_scale, c_order, *p.words())
+    for q in (p, from_bytes(to_bytes(p)), direct):
+        data = to_bytes(q)
+        assert len(data) == 4314 and zlib.crc32(data) == 0x43123BEC
+        assert q == p and q.group_scales.shape == (7, 3)
+        # group g's scale for every column is one contiguous row
+        assert all(q.group_scales.T[g].flags.c_contiguous for g in range(q.n_groups))

@@ -647,3 +647,103 @@ def test_attention_kernels_match_loop_oracle(n_heads, n, t):
         sl = slice(h * dh, (h + 1) * dh)
         _assert_same_bits(scores[h], _loop_gemm(q[:, sl], k[:, sl].T, dh))
         _assert_same_bits(ctx[:, sl], _loop_gemm(probs[h], v[:, sl], t))
+
+
+# ── the weight-GEMM path: one cast, first group as output, final +0.0 ───
+# K over groups of 128: one group, and three groups of 128, 128 and a 44-row tail.
+_GROUPED_K = [64, 300]
+_GEMMS = {GemmMode.FULL: gemm_full, GemmMode.DRAFT: gemm_draft}
+_SGEMM = _accel._sgemm
+
+
+@pytest.fixture
+def fresh_blas_probe():
+    """Run the sgemm probes again for this test, and forget them after it."""
+    probes = (_accel._blas_in_order, _accel._blas_admits)
+    for probe in probes:
+        probe.cache_clear()
+    yield
+    for probe in probes:
+        probe.cache_clear()
+
+
+def _packed_case(m, k, *, outlier=False, positive=False):
+    rng = np.random.default_rng([m, k, outlier])
+    w = rng.normal(0, 0.25, (k, 32)).astype(np.float16)  # max |w| < 2: no rescale
+    if positive:
+        w = np.abs(w)
+    if outlier:
+        w[0, 0] = 3.0  # rescaled, so the tensor scale is not 1
+    p = quantize_tensor(w, 128)
+    assert p.n_groups == -(-k // 128) and (p.inv_tensor_scale != 1) == outlier
+    return rng.normal(0, 1, (m, k)).astype(np.float16), p
+
+
+def _loop_expect(a, p, mode):
+    """The per-k loop's group sums, scaled, times 1/tensor scale."""
+    a32 = a.astype(np.float32)
+    if mode is GemmMode.FULL:
+        out = _loop_gemm(a32, p.full_values_f32(), p.group_size)
+    else:
+        out = _loop_gemm(a32, p.draft_values(), p.group_size, p.group_scales)
+    return out * p.inv_tensor_scale
+
+
+@pytest.mark.parametrize("outlier", [False, True])
+@pytest.mark.parametrize("k", _GROUPED_K)
+@pytest.mark.parametrize("m", [1, 2, 17])
+@pytest.mark.parametrize("mode", list(GemmMode))
+def test_weight_gemm_path_matches_loop_oracle(monkeypatch, mode, m, k, outlier):
+    a, p = _packed_case(m, k, outlier=outlier)
+    assert _accel._blas_admits(m, k, 32, 128)
+    seen = []  # rows each group's sgemm call sees
+
+    def recording_sgemm(x, w):
+        seen.append(x.shape[0])
+        return _SGEMM(x, w)
+
+    monkeypatch.setattr(_accel, "_sgemm", recording_sgemm)
+    got = _GEMMS[mode](a, p, validate=False)
+    assert got.shape == (m, 32) and got.dtype == np.float32
+    _assert_same_bits(got, _loop_expect(a, p, mode))
+    # one sgemm per group, and a one-row call reaches it already doubled
+    assert seen == [max(m, 2)] * p.n_groups
+
+
+def _from_first_product(a, w):
+    """The fixed order, but started from the first product instead of +0.0:
+    the same bits, except that all-(-0.0) products sum to -0.0."""
+    out = a[:, :1] * w[:1]
+    for i in range(1, a.shape[1]):
+        out += a[:, i : i + 1] * w[i : i + 1]
+    return out
+
+
+@pytest.mark.parametrize("k", _GROUPED_K)
+@pytest.mark.parametrize("m", [1, 2, 17])
+@pytest.mark.parametrize("mode", list(GemmMode))
+@pytest.mark.parametrize("kernel", ["sgemm", "from-first-product"])
+def test_negative_zero_products_give_positive_zero(
+    monkeypatch, fresh_blas_probe, mode, m, k, kernel
+):
+    a, p = _packed_case(m, k, positive=True)
+    if kernel == "from-first-product":
+        # the probe admits it: its bits differ from the fixed order's only on -0.0
+        monkeypatch.setattr(_accel, "_sgemm", _from_first_product)
+    assert _accel._blas_admits(m, k, 32, 128)
+    neg = np.full_like(a, -0.0)  # times weights >= +0.0: every product is -0.0
+    _assert_same_bits(_GEMMS[mode](neg, p), np.zeros((m, 32), dtype=np.float32))
+
+
+@pytest.mark.parametrize("k", _GROUPED_K)
+@pytest.mark.parametrize("m", [1, 2, 17])
+def test_probe_rejected_fallback_gives_the_admitted_bits(monkeypatch, m, k):
+    a, p = _packed_case(m, k, outlier=True)
+    assert _accel._blas_admits(m, k, 32, 128)
+    admitted = {mode: gemm(a, p) for mode, gemm in _GEMMS.items()}
+    asked = []
+    monkeypatch.setattr(_accel, "_blas_admits", lambda *key: asked.append(key) or False)
+    monkeypatch.setattr(_accel, "_sgemm", None)  # the fallback must not reach it
+    for mode, gemm in _GEMMS.items():
+        _assert_same_bits(gemm(a, p), admitted[mode])
+    assert asked == [(m, k, 32, 128)] * 2  # one lookup per call

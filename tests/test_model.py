@@ -658,3 +658,18 @@ def test_joint_qkv_accounting(monkeypatch, mode):
         sim, rep = simulate_gemm(a, p, GemmMode(mode))
         assert np.array_equal(sim.view(np.uint32), out.view(np.uint32))
         assert delta == (rep.weight_bits, rep.scale_bytes, rep.activation_bytes)
+
+
+@pytest.mark.parametrize("d", [64, 128])
+def test_one_row_layernorm_is_its_row_of_the_window(d):
+    rng = np.random.default_rng([d, 26])
+    x = (rng.normal(0.0, 3.0, (40, d)) + 1.5).astype(np.float32)
+    x[1] = 0.75  # a constant row: variance 0
+    x[2] = 0.1  # a constant row whose mean rounds
+    x[3:14] *= np.float32(1e-3)
+    x[14:26] *= np.float32(1e3)
+    window = smodel._layernorm(x)
+    for i in range(len(x)):
+        row = smodel._layernorm(x[i : i + 1])
+        assert row.shape == (1, d) and row.dtype == np.float32
+        assert np.array_equal(row.view(np.uint32), window[i : i + 1].view(np.uint32)), i
