@@ -15,15 +15,17 @@ starting from +0.0, since the two can differ only in the sign of a zero
 and that add turns -0.0 into +0.0. The draft's scales are read as rows:
 ``PackedTensor`` holds them so that ``group_scales.T[g]``, group g's
 scale for every column, is contiguous. Two faster kernels run the same
-order where a probe shows that they keep it:
+order where a probe, checking them against ``_loop_f32``, shows that they
+keep it. Each has one consumer:
 
 * ``_sgemm``, one OpenBLAS sgemm through ``np.dot``, for the weight GEMMs
   (``gemm_weights``).
-* ``np.einsum``, for every other sum (``gemm_f32``): attention's scores
-  and context, the weight GEMMs where sgemm is not admitted, and
-  ``kernels.reference_gemm``.
+* ``np.einsum``, for attention's scores and context only (``gemm_f32``).
 
 Where neither is admitted, ``_loop_f32`` runs: slower, with the same bits.
+It is also the weight GEMMs' fallback, the sgemm probe's reference and
+``kernels.reference_gemm``'s kernel, so nothing on the weight side depends
+on einsum.
 
 ``gemm_weights``, which ``kernels.gemm_full`` / ``gemm_draft`` and through
 them the PE-array model call, runs a call's groups on ``_sgemm`` where
@@ -54,21 +56,25 @@ that gives the fixed order's bits:
   at N = 1, and at N <= 8 with K >= 64). So ``_blas_in_order`` runs
   ``_sgemm`` once per (rows, k, n) group shape and process, on seeded FP16
   operands whose exponents span the whole normal range, and compares its
-  bits with ``gemm_f32``'s. A call's groups run on sgemm only when every
-  group shape matched; otherwise they all run on ``gemm_f32``. A
+  bits with ``_loop_f32``'s. A call's groups run on sgemm only when every
+  group shape matched; otherwise they all run on ``_loop_f32``. A
   reversed, pairwise or k-split sum, or sgemv, differs from the fixed
   order on at least 40% of a probe's outputs at every weight shape of the
   benchmark's workloads, and a probe has at least 64 outputs there.
+  Probing all 140 group shapes of the three workloads took 0.19-0.23 s
+  in process on the shared 2-vCPU host (0.08-0.11 s against einsum);
+  each shape is probed once per process.
 * A group sum of -0.0, which a kernel that starts from the first product
   would give where every product is -0.0, and a negative group sum times
   a +0.0 draft scale, become +0.0 in the final ``+= 0.0``, so the kernels
   agree there too.
 
-``gemm_f32`` runs ``np.einsum("...mk,...kn->...mn", a, w, optimize=False)``
-(``_einsum``). On numpy 2.4.6 its sum-of-products loop adds each output's
-products in ascending k into a zeroed output, each multiply and each add
-rounded on its own: the fixed order, batch axes included. A rule and a
-probe decide where it runs:
+``gemm_f32``, which only attention calls (``attn_scores_f32``,
+``attn_ctx_f32``), runs ``np.einsum("...mk,...kn->...mn", a, w,
+optimize=False)`` (``_einsum``). On numpy 2.4.6 its sum-of-products loop
+adds each output's products in ascending k into a zeroed output, each
+multiply and each add rounded on its own: the fixed order, batch axes
+included. A rule and a probe decide where it runs:
 
 * The layout rule (``_einsum_admits``). For a ``w`` that is unit-stride or
   stride-0 along k, or that has one column, einsum takes a dot-product
@@ -80,31 +86,20 @@ probe decide where it runs:
   1,363 it refuses did. In 1,000 attention layouts (2-8 heads, d_head
   8-32, 1-64 rows, up to 480 keys, cache capacity t, t + 1 or t + 40)
   neither the scores nor the context differed, nor at 20,000 and 50,000
-  keys. Every call site of the benchmark's workloads is admitted: a
-  weight is C-order with more than one column, the key-cache view strides
-  by n_heads * capacity along k and the value view by d_model.
+  keys. Every attention call of the benchmark's workloads is admitted:
+  the key-cache view strides by n_heads * capacity along k and the value
+  view by d_model.
 * The probe (``_einsum_in_order``), once per process. Nothing in numpy's
   interface fixes the order: a build may fuse a multiply-add or sum
   another way. The probe compares ``_einsum`` with ``_loop_f32`` on
-  seeded full-mantissa float32 operands in the call sites' layouts: a
-  decode row and a 17-row window against a C-order weight, and batched
+  seeded full-mantissa float32 operands in attention's layouts: batched
   heads against a strided key-cache view and against a value view, each
   with at least 64 outputs. FP16 operands such as ``_probe_operand``'s
-  have exact products and could not show an FMA. If any case differs,
+  have exact products and could not show an FMA. If either case differs,
   every call takes ``_loop_f32``.
 
 A sum whose every product is -0.0 gives +0.0 on both paths, since both
 add into a zeroed output.
-
-Measured on the 2-vCPU host, numpy 2.4.6 and OpenBLAS 0.3.31 on one
-thread, best of 5 runs of 20 calls, the product-block kernel this
-replaced against ``_einsum``: attention scores 1,076 against 247 us at
-(heads, rows, keys) = (4, 64, 384) and 27 against 7 us at (4, 1, 430);
-context 1,990 against 1,249 us at (4, 64, 384) and 525 against 216 us at
-(4, 17, 447); a weight GEMM at (17, 64, 256) 181 against 38 us, where
-``_sgemm`` takes about 10 us. ``_sgemm`` stays 4-17x faster than einsum
-on the weight GEMMs from 17 rows on: 30 against 201 us at (17, 128, 512)
-and 63 against 652 us at (384, 64, 192).
 
 Attention calls these kernels once per query tile of at most
 ``model.TILE`` = 64 rows, each over only the keys its last row sees
@@ -123,7 +118,7 @@ import numpy as np
 
 def active_backend() -> str:
     """numpy's version, the BLAS that runs the weight GEMMs, as numpy's build
-    names it, and where the other sums run."""
+    names it, and where attention's sums run."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas['version']}"
@@ -131,8 +126,8 @@ def active_backend() -> str:
         name = "an unnamed BLAS"
     sums = "numpy einsum, order-checked" if _einsum_in_order() else "the per-k loop"
     return (
-        f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked;"
-        f" other sums on {sums}"
+        f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked,"
+        f" else the per-k loop; attention on {sums}"
     )
 
 
@@ -162,10 +157,10 @@ def _probe_operand(rng, shape):
 
 @functools.cache
 def _blas_in_order(rows: int, k: int, n: int) -> bool:
-    """Whether ``_sgemm`` at (rows, k) x (k, n) gave ``gemm_f32``'s bits on the probe operands."""
+    """Whether ``_sgemm`` at (rows, k) x (k, n) gave ``_loop_f32``'s bits on the probe operands."""
     rng = np.random.default_rng([rows, k, n])
     a, w = _probe_operand(rng, (rows, k)), _probe_operand(rng, (k, n))
-    return np.array_equal(_sgemm(a, w).view(np.uint32), gemm_f32(a, w).view(np.uint32))
+    return np.array_equal(_sgemm(a, w).view(np.uint32), _loop_f32(a, w).view(np.uint32))
 
 
 @functools.cache
@@ -182,10 +177,10 @@ def gemm_weights(a16, w, group_size, scales=None):
     that same cast and its first row returned, so ``_sgemm`` never meets
     sgemv. Its groups run on ``_sgemm`` when ``_blas_in_order`` admitted
     every group's shape (``_blas_admits``, one lookup per call), otherwise on
-    ``gemm_f32``.
+    ``_loop_f32``.
     """
     m, k = a16.shape
-    kernel = _sgemm if _blas_admits(m, k, w.shape[1], group_size) else gemm_f32
+    kernel = _sgemm if _blas_admits(m, k, w.shape[1], group_size) else _loop_f32
     if m > 1:
         return gemm_groups(kernel, a16.astype(np.float32), w, group_size, scales)
     a = a16.repeat(2, axis=0).astype(np.float32)
@@ -242,20 +237,16 @@ def _einsum_admits(w) -> bool:
 
 @functools.cache
 def _einsum_in_order() -> bool:
-    """Whether ``_einsum`` gave ``_loop_f32``'s bits in every call-site layout
-    on seeded full-mantissa float32 operands."""
+    """Whether ``_einsum`` gave ``_loop_f32``'s bits in both of attention's
+    layouts on seeded full-mantissa float32 operands."""
     rng = np.random.default_rng(0)
     heads, dh, n, t, capacity = 4, 16, 5, 37, 41
-    rows = rng.standard_normal((17, 64), dtype=np.float32)
-    weight = rng.standard_normal((64, 64), dtype=np.float32)
     qkv = rng.standard_normal((n, 3 * heads * dh), dtype=np.float32)
     q = qkv[:, : heads * dh].reshape(n, heads, dh).swapaxes(0, 1)
     keys = rng.standard_normal((dh, heads, capacity), dtype=np.float32)[..., :t]
     probs = rng.standard_normal((heads, n, t), dtype=np.float32)
     vals = rng.standard_normal((capacity, heads * dh), dtype=np.float32)[:t]
     cases = [
-        (rows[:1], weight),  # a decode row
-        (rows, weight),  # a verify window
         (q, keys.swapaxes(0, 1)),  # as ``attn_scores_f32`` reads the key cache
         (probs, vals.reshape(t, heads, dh).swapaxes(0, 1)),  # as ``attn_ctx_f32``
     ]
@@ -267,7 +258,7 @@ def _einsum_in_order() -> bool:
 
 def gemm_f32(a, w):
     """(..., M, K) x (..., K, N) -> float32 (..., M, N), each output one sum
-    in ascending k from +0.0.
+    in ascending k from +0.0: attention's scores and context.
 
     Leading batch axes are optional; each slice has the bits of its own
     call. Runs ``_einsum`` where ``_einsum_admits`` ``w``'s layout and

@@ -14,17 +14,20 @@ They run through ``_accel.gemm_weights``, which needs every product to be
 exact in float32. That holds here: an FP16 x FP16 product has at most 22
 significant bits (two 11-bit significands), an FP16 x draft value (±2^e)
 at most 11, and the exponent range fits comfortably. With exact products
-an FMA rounds where ``gemm_f32``'s multiply-then-add does, so a BLAS
+an FMA rounds where the fixed order's multiply-then-add does, so a BLAS
 micro-kernel that adds each output's products in ascending k gives the
 same bits. The FP16 activations are cast to float32 once per call, and a
 one-row call is doubled in that same cast, because numpy's sgemv path
 reassociates; the first row is returned. No shape is assumed to work: a
 once-per-process probe admits each (rows, k, n) group shape to OpenBLAS
-sgemm, and any other shape runs ``gemm_f32``: numpy's einsum where a
-layout rule and a second probe admit it, a per-k loop otherwise (see
-``_accel``). ``reference_gemm`` runs the same group loop on ``gemm_f32``
-only, so the tests that compare the two check two implementations of each
-group's sum.
+sgemm by comparing it with ``_accel._loop_f32``, the per-k loop that
+defines the order, and any other shape runs that loop. numpy's einsum
+serves attention only (see ``_accel``). ``reference_gemm`` runs the same
+group loop on ``_loop_f32`` only, so the tests that compare the two check
+sgemm against the order's definition.
+
+``gemm_traffic`` gives a call's traffic from its shape; the model, which
+keeps the counters, adds it up.
 """
 
 from __future__ import annotations
@@ -102,7 +105,7 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.nd
     """
     a = np.asarray(a, dtype=np.float16).astype(np.float32)
     w = np.asarray(w, dtype=np.float16).astype(np.float32)
-    return _accel.gemm_groups(_accel.gemm_f32, a, w, group_size)
+    return _accel.gemm_groups(_accel._loop_f32, a, w, group_size)
 
 
 def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) -> np.ndarray:
@@ -118,8 +121,8 @@ def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) ->
     return a
 
 
-def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, validate: bool):
-    """The one GEMM body: checks, multiply-accumulate, 1/tensor scale, traffic."""
+def _gemm(a, p: PackedTensor, mode: GemmMode, validate: bool):
+    """The one GEMM body: checks, multiply-accumulate, 1/tensor scale."""
     a = _check_activations(a, p, validate)
     if mode is GemmMode.FULL:
         out = _accel.gemm_weights(a, p.full_values_f32(), p.group_size)
@@ -127,26 +130,14 @@ def _gemm(a, p: PackedTensor, mode: GemmMode, traffic: TrafficCounter | None, va
         out = _accel.gemm_weights(a, p.draft_values(), p.group_size, p.group_scales)
     if p.inv_tensor_scale != 1:  # x * 1 is x, bit for bit
         out *= p.inv_tensor_scale
-    if traffic is not None:
-        traffic.add(*gemm_traffic(a.shape[0], p.cols, p.rows, mode, p.group_size))
     return out
 
 
-def gemm_full(
-    a: np.ndarray,
-    p: PackedTensor,
-    traffic: TrafficCounter | None = None,
-    validate: bool = True,
-) -> np.ndarray:
+def gemm_full(a: np.ndarray, p: PackedTensor, *, validate: bool = True) -> np.ndarray:
     """Full-precision GEMM: A (M,K) fp16 x exact FP16 weights (K,N) -> f32."""
-    return _gemm(a, p, GemmMode.FULL, traffic, validate)
+    return _gemm(a, p, GemmMode.FULL, validate)
 
 
-def gemm_draft(
-    a: np.ndarray,
-    p: PackedTensor,
-    traffic: TrafficCounter | None = None,
-    validate: bool = True,
-) -> np.ndarray:
+def gemm_draft(a: np.ndarray, p: PackedTensor, *, validate: bool = True) -> np.ndarray:
     """Draft GEMM from the 4-bit draft values and scales only; never reads the exact values."""
-    return _gemm(a, p, GemmMode.DRAFT, traffic, validate)
+    return _gemm(a, p, GemmMode.DRAFT, validate)

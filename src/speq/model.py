@@ -42,8 +42,8 @@ Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
 to FP16 at every GEMM boundary, and the FFN nonlinearity is ReLU. The one
 transcendental on the hot path is the softmax's float32 ``np.exp``, called
-in ``_forward``'s attention and in ``specdec._max_softmax_prob``, so logits
-are bit-reproducible across runs.
+in ``_attend_tile`` and in ``specdec._max_softmax_prob``, so logits are
+bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from . import _accel, container
-from .kernels import TrafficCounter, gemm_draft, gemm_full, reference_gemm
+from .kernels import GemmMode, TrafficCounter, gemm_draft, gemm_full, gemm_traffic, reference_gemm
 from .quantize import PackedTensor, check_int, check_real, quantize_tensor
 
 __all__ = [
@@ -221,13 +221,21 @@ class ToyModel:
         return KvCache(self.cfg, positions)
 
     # gemm_full / gemm_draft are looked up in this module at call time, so a
-    # tracer that replaces them here sees every linear.
+    # tracer that replaces them here sees every linear. Internal activations
+    # are finite by construction; skip the check.
     def _lin_full(self, name: str, a16: np.ndarray) -> np.ndarray:
-        # Internal activations are finite by construction; skip the check.
-        return gemm_full(a16, self.weights[name], self.full_traffic, validate=False)
+        p = self.weights[name]
+        out = gemm_full(a16, p, validate=False)
+        m = a16.shape[0]
+        self.full_traffic.add(*gemm_traffic(m, p.cols, p.rows, GemmMode.FULL, p.group_size))
+        return out
 
     def _lin_draft(self, name: str, a16: np.ndarray) -> np.ndarray:
-        return gemm_draft(a16, self.weights[name], self.draft_traffic, validate=False)
+        p = self.weights[name]
+        out = gemm_draft(a16, p, validate=False)
+        m = a16.shape[0]
+        self.draft_traffic.add(*gemm_traffic(m, p.cols, p.rows, GemmMode.DRAFT, p.group_size))
+        return out
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
@@ -465,11 +473,7 @@ def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTen
 
 def _read_manifest(path: Path) -> tuple[ModelConfig, dict]:
     """(config, CRC of each linear) from ``model.json``; any malformed part
-    raises a ``ValueError`` naming the file. Other top-level keys are ignored.
-
-    Manifests from before the raw head was removed carry
-    ``"quantize_head": true`` in the config; that key is dropped, and any
-    other value of it is rejected."""
+    raises a ``ValueError`` naming the file. Other top-level keys are ignored."""
     try:
         manifest = json.loads(path.read_text())
     except ValueError as e:  # bad JSON or bad UTF-8
@@ -481,11 +485,8 @@ def _read_manifest(path: Path) -> tuple[ModelConfig, dict]:
         raise ValueError(f"{path}: missing {', '.join(missing)}")
     if not isinstance(manifest["config"], dict):
         raise ValueError(f"{path}: config must be an object")
-    config = dict(manifest["config"])
-    if "quantize_head" in config and config.pop("quantize_head") is not True:
-        raise ValueError(f"{path}: a raw FP16 head is no longer supported (quantize_head)")
     try:
-        cfg = ModelConfig(**config)
+        cfg = ModelConfig(**manifest["config"])
     except (TypeError, ValueError) as e:  # unknown field, wrong type, bad size
         raise ValueError(f"{path}: bad config ({e})") from e
     crcs, names = manifest["crc32"], _weight_names(cfg)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from speq import _accel, pe
-from speq.kernels import GemmMode, TrafficCounter, gemm_draft, gemm_full
+from speq.kernels import GemmMode, gemm_draft, gemm_full, gemm_traffic, reference_gemm
 from speq.quantize import draft_reconstruction, handle_outliers, quantize_tensor
 
 
@@ -216,14 +216,22 @@ def test_traffic_quarter_property():
     rng = np.random.default_rng(49)
     for shape in [(128, 8), (200, 3), (64, 64), (333, 5)]:
         p = quantize_tensor(_rand16(rng, shape))
-        a = rng.normal(0, 1, (2, shape[0])).astype(np.float16)
-        td, tf = TrafficCounter(), TrafficCounter()
-        gemm_draft(a, p, td)
-        gemm_full(a, p, tf)
-        assert 4 * td.weight_bits == tf.weight_bits
-        assert td.scale_bytes == 4 * p.group_scales.size + 4
-        assert tf.scale_bytes == 4
-        assert td.activation_bytes == tf.activation_bytes == 2 * a.size
+        m, (k, n) = 2, shape
+        draft = gemm_traffic(m, n, k, GemmMode.DRAFT, p.group_size)
+        full = gemm_traffic(m, n, k, GemmMode.FULL, p.group_size)
+        assert 4 * draft[0] == full[0]
+        assert draft[1] == 4 * p.group_scales.size + 4
+        assert full[1] == 4
+        assert draft[2] == full[2] == 2 * m * k
+
+
+def test_validate_is_keyword_only():
+    rng = np.random.default_rng(50)
+    p = quantize_tensor(_rand16(rng, (128, 4)))
+    a = rng.normal(0, 1, (2, 128)).astype(np.float16)
+    for gemm in (gemm_full, gemm_draft):
+        with pytest.raises(TypeError):
+            gemm(a, p, False)
 
 
 def test_decoded_weight_caches_are_read_only():
@@ -310,14 +318,16 @@ def test_weight_gemms_match_scalar_oracle(m, k):
 def test_active_backend_names_the_blas(monkeypatch):
     name = _accel.active_backend()
     assert name.startswith(f"numpy {np.__version__}; weight GEMMs on ")
-    assert name.endswith(" sgemm where order-checked; other sums on numpy einsum, order-checked")
+    assert name.endswith(
+        " sgemm where order-checked, else the per-k loop; attention on numpy einsum, order-checked"
+    )
     assert "unnamed" not in name
     monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
     assert "an unnamed BLAS" in _accel.active_backend()
     _accel._einsum_in_order.cache_clear()
     monkeypatch.setattr(_accel, "_einsum", np.matmul)  # BLAS sums in another order
     try:
-        assert _accel.active_backend().endswith("; other sums on the per-k loop")
+        assert _accel.active_backend().endswith("; attention on the per-k loop")
     finally:
         _accel._einsum_in_order.cache_clear()
 
@@ -338,7 +348,7 @@ _ORACLE_SHAPES = [
 
 
 def _f32_groups(a, w, group_size, scales=None):
-    """The group loop on ``gemm_f32``, as ``reference_gemm`` runs it."""
+    """The group loop on ``gemm_f32``."""
     return _accel.gemm_groups(_accel.gemm_f32, a, w, group_size, scales)
 
 
@@ -747,3 +757,32 @@ def test_probe_rejected_fallback_gives_the_admitted_bits(monkeypatch, m, k):
     for mode, gemm in _GEMMS.items():
         _assert_same_bits(gemm(a, p), admitted[mode])
     assert asked == [(m, k, 32, 128)] * 2  # one lookup per call
+
+
+@pytest.mark.parametrize("k", _GROUPED_K)
+@pytest.mark.parametrize("m", [1, 2, 17])
+def test_weight_side_never_calls_gemm_f32(monkeypatch, fresh_blas_probe, m, k):
+    # gemm_f32 (einsum) serves attention alone. With every call to it
+    # raising, the sgemm probe, both weight-GEMM paths and reference_gemm
+    # still give the bits of the group loop on gemm_f32.
+    a, p = _packed_case(m, k)
+    assert p.inv_tensor_scale == 1  # so reference_gemm matches gemm_full
+    a32, w16 = a.astype(np.float32), p.full_values()
+    want = {
+        GemmMode.FULL: _f32_groups(a32, p.full_values_f32(), 128),
+        GemmMode.DRAFT: _f32_groups(a32, p.draft_values(), 128, p.group_scales),
+    }
+
+    def no_gemm_f32(a, w):
+        raise AssertionError("the weight side called gemm_f32")
+
+    monkeypatch.setattr(_accel, "gemm_f32", no_gemm_f32)
+    _accel._blas_in_order.cache_clear()
+    _accel._blas_admits.cache_clear()
+    assert _accel._blas_admits(m, k, 32, 128)  # the probe ran again, on the loop
+    for mode, gemm in _GEMMS.items():
+        _assert_same_bits(gemm(a, p), want[mode])
+    _assert_same_bits(reference_gemm(a, w16, 128), want[GemmMode.FULL])
+    monkeypatch.setattr(_accel, "_blas_admits", lambda *key: False)
+    for mode, gemm in _GEMMS.items():
+        _assert_same_bits(gemm(a, p), want[mode])

@@ -420,10 +420,10 @@ def test_numpy_scalar_config_round_trip(tmp_path):
 
 
 def test_manifest_is_config_and_crcs(tmp_path):
-    # model.json holds only the config and one CRC per linear. A manifest of
-    # the earlier formats, which also lists the layers and sets
-    # "quantize_head": true in the config, still loads; any other
-    # quantize_head asks for the raw FP16 head, which is gone.
+    # model.json holds only the config and one CRC per linear. Other
+    # top-level keys, such as the layer lists of earlier formats, are
+    # ignored; a config that sets the retired "quantize_head" field is a
+    # bad config, whatever its value.
     m = init_model(ModelConfig(seed=5))
     d = tmp_path / "m"
     save_model(m, d)
@@ -431,17 +431,16 @@ def test_manifest_is_config_and_crcs(tmp_path):
     assert sorted(manifest) == ["config", "crc32"]
     assert sorted(manifest["crc32"]) == sorted(m.weights)
     assert "head" in m.weights and not m.raw_weights
-    manifest["config"]["quantize_head"] = True
     manifest.update(packed=sorted(m.weights), raw=[])
     (d / "model.json").write_text(json.dumps(manifest))
     loaded = load_model(d)
     assert loaded.cfg == m.cfg
     assert loaded.weights == m.weights
     assert np.array_equal(loaded.embed.view(np.uint16), m.embed.view(np.uint16))
-    for bad in (False, 1, "true", None):
+    for bad in (True, False, 1, "true", None):
         manifest["config"]["quantize_head"] = bad
         (d / "model.json").write_text(json.dumps(manifest))
-        with pytest.raises(ValueError, match="model.json: a raw FP16 head is no longer supported"):
+        with pytest.raises(ValueError, match="model.json: bad config .*quantize_head"):
             load_model(d)
 
 
@@ -625,39 +624,44 @@ def test_config_validation():
 @pytest.mark.parametrize("mode", ["full", "draft"])
 def test_joint_qkv_accounting(monkeypatch, mode):
     # One decode or draft forward: q, k and v run as one (1, d, 3d) GEMM per
-    # layer through the traced kernel names, every weight is read once, and
-    # the PE model replays each GEMM with the kernel's output bits and the
-    # traffic the kernel counted.
+    # layer through the traced kernel names, every weight is read once, the
+    # PE model replays each GEMM with the kernel's output bits, and the
+    # traffic the model counted over the forward is the sum of the PE
+    # reports' traffic.
     m = init_model(ModelConfig(seed=7))
     d, n_layers = m.cfg.d_model, m.cfg.n_layers
     cache = m.new_cache()
     forward_full(m, [1, 2], cache)
     kernel = getattr(smodel, f"gemm_{mode}")
+    counter = getattr(m, f"{mode}_traffic")
     calls = []
 
-    def counts(t):
-        return t.weight_bits, t.scale_bytes, t.activation_bytes
+    def counts():
+        return counter.weight_bits, counter.scale_bytes, counter.activation_bytes
 
-    def spy(a, p, traffic, **kwargs):
-        before = counts(traffic)
-        out = kernel(a, p, traffic, **kwargs)
-        delta = tuple(x - y for x, y in zip(counts(traffic), before))
-        calls.append((a, p, out.copy(), delta))  # the forward edits out in place
+    def spy(a, p, **kwargs):
+        out = kernel(a, p, **kwargs)
+        calls.append((a, p, out.copy()))  # the forward edits out in place
         return out
 
     monkeypatch.setattr(smodel, f"gemm_{mode}", spy)
+    before = counts()
     if mode == "full":
         forward_full(m, [3], cache)
     else:
         forward_draft(m, 3, cache)
+    delta = tuple(x - y for x, y in zip(counts(), before))
 
-    assert [(a.shape[0], p.rows, p.cols) for a, p, _, _ in calls].count((1, d, 3 * d)) == n_layers
-    assert sorted(id(p) for _, p, _, _ in calls) == sorted(map(id, m.weights.values()))
+    assert [(a.shape[0], p.rows, p.cols) for a, p, _ in calls].count((1, d, 3 * d)) == n_layers
+    assert sorted(id(p) for _, p, _ in calls) == sorted(map(id, m.weights.values()))
 
-    for a, p, out, delta in calls:
+    reported = [0, 0, 0]
+    for a, p, out in calls:
         sim, rep = simulate_gemm(a, p, GemmMode(mode))
         assert np.array_equal(sim.view(np.uint32), out.view(np.uint32))
-        assert delta == (rep.weight_bits, rep.scale_bytes, rep.activation_bytes)
+        for i, x in enumerate((rep.weight_bits, rep.scale_bytes, rep.activation_bytes)):
+            reported[i] += x
+    assert delta == tuple(reported)
 
 
 @pytest.mark.parametrize("d", [64, 128])

@@ -1,13 +1,14 @@
 """The benchmark's readers of ``speq`` must keep working: every name the
-per-layer trace wraps exists, and the resident-bytes, traffic and digest
-readers agree on a fresh default model. Every weight GEMM the benchmark's
-workloads run takes the BLAS path, every other sum they run takes numpy's
-einsum, and the probes that admit them reject a kernel that sums in another
-order."""
+per-layer trace wraps exists, the resident-bytes, traffic and digest
+readers agree on a fresh default model, and the benchmark's self-test
+passes. Every weight GEMM the benchmark's workloads run takes the BLAS
+path, every attention sum they run takes numpy's einsum, and the probes
+that admit them reject a kernel that sums in another order."""
 
 from __future__ import annotations
 
 import importlib.util
+import subprocess
 import sys
 from pathlib import Path
 
@@ -57,6 +58,19 @@ def test_bench_readers_agree(monkeypatch):
     forward_full(m, [1], cache)
     forward_draft(m, 2, cache)
     assert bench._traffic_bits(m) == (4 * params, 16 * params)
+
+
+def test_bench_selftest_passes():
+    # The benchmark's own tests, as its checkout runs them: a change under
+    # src/ that breaks a bench reader fails here.
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "bench/selftest.py"],
+        cwd=BENCH.parent,
+        capture_output=True,
+        text=True,
+        timeout=600,
+    )
+    assert done.returncode == 0, done.stdout[-4000:] + done.stderr[-2000:]
 
 
 def _workloads(monkeypatch):
@@ -146,6 +160,9 @@ def test_probe_rejects_reassociating_blas(monkeypatch, fresh_probe, kernel):
 
 def test_every_workload_attention_takes_einsum(monkeypatch, fresh_probe):
     assert _accel._einsum_in_order()
+    workloads = list(_workloads(monkeypatch))
+    for wl in workloads:  # the sgemm probes check against the loop: run them first
+        assert all(_accel._blas_in_order(*s) for s in _weight_gemm_shapes(wl))
     loop, looped = _accel._loop_f32, []
 
     def recording_loop(a, w):
@@ -153,7 +170,7 @@ def test_every_workload_attention_takes_einsum(monkeypatch, fresh_probe):
         return loop(a, w)
 
     monkeypatch.setattr(_accel, "_loop_f32", recording_loop)
-    for wl in _workloads(monkeypatch):
+    for wl in workloads:
         model = init_model(ModelConfig(**wl.model))
         window = SpecDecConfig(**wl.spec).max_draft_len + 1
         cache = model.new_cache(wl.prompt_len + wl.gen_len)  # as the decoders size it
