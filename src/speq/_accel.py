@@ -6,20 +6,24 @@ reassociated. Each output is one float32 sum of float32 products, added
 in ascending k into a +0.0 output, each multiply and each add rounded on
 its own. ``_loop_f32`` is its definition: a Python loop over k,
 vectorized over the outputs, that adds each step's products into the
-output. ``gemm_groups`` extends it to the weight GEMMs: sum each group of
+output. It takes leading batch axes, each slice summed on its own.
+``gemm_groups`` extends it to the weight GEMMs: sum each group of
 consecutive k in that order, multiply the group's sums by its scales (the
 draft GEMM's; the full GEMM has none), and add the groups in ascending
-order into a +0.0 output. It allocates no zeroed output: the first group's
-sums become the output, and one final ``+= 0.0`` gives the bits of
-starting from +0.0, since the two can differ only in the sign of a zero
-and that add turns -0.0 into +0.0. The draft's scales are read as rows:
-``PackedTensor`` holds them so that ``group_scales.T[g]``, group g's
-scale for every column, is contiguous. Two faster kernels run the same
-order where a probe, checking them against ``_loop_f32``, shows that they
-keep it. Each has one consumer:
+order into a +0.0 output. Its kernel sums a stack of groups in one call,
+(G, rows, gs) x (G, gs, n) -> (G, rows, n), over views of the operands;
+a shorter last group, where k leaves one, takes a second call. The
+scales multiply the whole stack at once. It allocates no zeroed output:
+the groups are added into the first group's sums, and one final
+``+= 0.0`` gives the bits of starting from +0.0, since the two can differ
+only in the sign of a zero and that add turns -0.0 into +0.0. The draft's
+scales are read as rows: ``PackedTensor`` holds them so that
+``group_scales.T``, each group's scale for every column, is C-contiguous.
+Two faster kernels run the same order where a probe, checking them
+against ``_loop_f32``, shows that they keep it. Each has one consumer:
 
-* ``_sgemm``, one OpenBLAS sgemm through ``np.dot``, for the weight GEMMs
-  (``gemm_weights``).
+* ``_sgemm``, OpenBLAS sgemm through one ``np.matmul`` over a stack of
+  groups, for the weight GEMMs (``gemm_weights``).
 * ``np.einsum``, for attention's scores and context only (``gemm_f32``).
 
 Where neither is admitted, ``_loop_f32`` runs: slower, with the same bits.
@@ -28,8 +32,10 @@ It is also the weight GEMMs' fallback, the sgemm probe's reference and
 on einsum.
 
 ``gemm_weights``, which ``kernels.gemm_full`` / ``gemm_draft`` and through
-them the PE-array model call, runs a call's groups on ``_sgemm`` where
-that gives the fixed order's bits:
+them the PE-array model call, runs ``gemm_groups`` on ``_sgemm`` where
+that gives the fixed order's bits, and on ``_loop_f32`` otherwise: one
+cast of the activations, one stacked sgemm call (two with a shorter last
+group), one scale multiply for the draft, and the group adds:
 
 * Precondition: every product is exact in float32. An FP16 x FP16 product
   has at most 22 significant bits, an FP16 x draft value (±2^e) at most
@@ -46,24 +52,29 @@ that gives the fixed order's bits:
   differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256), FP16
   activations drawn from N(0, 1) and weights from N(0, 0.02).
   ``gemm_weights`` casts the FP16 activations to float32 once per call and
-  doubles a one-row call in that same cast, so every group's ``_sgemm``
-  sees two rows; it returns the first. ``_sgemm`` doubles a one-row
-  operand itself, which only the probe passes it, so the probe for one
-  row runs the same two-row sgemm as the hot path.
-* The probe, not an assumption, admits each shape. Nothing in the BLAS
-  interface fixes the order: a library may split k into blocks or across
-  threads, or switch kernels for a narrow shape (OpenBLAS 0.3.31 differed
-  at N = 1, and at N <= 8 with K >= 64). So ``_blas_in_order`` runs
-  ``_sgemm`` once per (rows, k, n) group shape and process, on seeded FP16
-  operands whose exponents span the whole normal range, and compares its
-  bits with ``_loop_f32``'s. A call's groups run on sgemm only when every
-  group shape matched; otherwise they all run on ``_loop_f32``. A
-  reversed, pairwise or k-split sum, or sgemv, differs from the fixed
-  order on at least 40% of a probe's outputs at every weight shape of the
-  benchmark's workloads, and a probe has at least 64 outputs there.
-  Probing all 140 group shapes of the three workloads took 0.19-0.23 s
-  in process on the shared 2-vCPU host (0.08-0.11 s against einsum);
-  each shape is probed once per process.
+  doubles a one-row call in that same cast, so each stacked slice has two
+  rows; it returns the first.
+* The probe, not an assumption, admits each call shape, and it runs the
+  call it admits. Nothing in the BLAS interface fixes the order: a
+  library may split k into blocks or across threads, or switch kernels
+  for a narrow shape (OpenBLAS 0.3.31 differed at N = 1, and at N <= 8
+  with K >= 64). So ``_blas_admits`` runs ``gemm_groups`` on ``_sgemm``
+  once per (rows, k, n, group size) and process, on seeded FP16 operands
+  whose exponents span the whole normal range, a one-row call at two rows
+  as the hot path runs it: the same stacked calls on the same operand
+  shapes. It compares the bits with ``gemm_groups`` on ``_loop_f32``, and
+  a call it rejects runs there. The probe's group scales are random powers
+  of two, exact in every product, so a kernel that hands back its groups
+  out of order fails even at two groups, where their sum alone would
+  commute. A stacked kernel that sums each slice in reverse k, pairwise
+  or split in two, or runs sgemv row by row, differs from the fixed order
+  on at least 46% of a probe's outputs at every call shape of the
+  benchmark's workloads, and one that returns its groups last first on at
+  least 81% wherever a call has more than one group; a probe has at
+  least 128 outputs there. Probing all 157 call shapes of the three
+  workloads took 0.27-0.29 s in process on the shared 2-vCPU host, where
+  probing their 140 group shapes one sgemm each had taken 0.22 s; each
+  call shape is probed once per process.
 * A group sum of -0.0, which a kernel that starts from the first product
   would give where every product is -0.0, and a negative group sum times
   a +0.0 draft scale, become +0.0 in the final ``+= 0.0``, so the kernels
@@ -132,20 +143,18 @@ def active_backend() -> str:
 
 
 def _sgemm(a, w):
-    """``a @ w`` for float32 (m, k) and C-contiguous (k, n), through sgemm.
+    """``a @ w`` for a float32 stack of groups, (G, rows, gs) x (G, gs, n) ->
+    (G, rows, n), through sgemm, in one ``np.matmul`` call.
 
-    ``np.dot`` reaches sgemm with about 0.5 us less overhead per call than
-    ``np.matmul`` at two rows. A one-row ``a`` runs as two copies of its
-    row: numpy sends one row to sgemv, which reassociates the sum.
-    ``gemm_weights`` doubles a one-row call once, in its cast, so only the
-    probe hands this a single row. A group's column slice of ``a`` is
-    copied to a C-contiguous block, as the probe's operands are.
+    numpy runs one sgemm per slice, reading each slice of ``a`` in place (a
+    column block of the activations, strided by their row length). Every
+    call has at least two rows: numpy sends a one-row slice to sgemv, which
+    reassociates the sum, so ``gemm_weights`` doubles a one-row call first.
+    Against ``np.dot`` per group on 2-D blocks (2-vCPU host, minimum of 60
+    interleaved blocks): 2.2 against 1.9 us for one group at (2, 64) x
+    (64, 192), 4.3 against 6.3 us for four at (2, 512) x (512, 128).
     """
-    if a.shape[0] == 1:
-        return np.dot(np.concatenate((a, a)), w)[:1]
-    if not a.flags.c_contiguous:
-        a = np.ascontiguousarray(a)
-    return np.dot(a, w)
+    return np.matmul(a, w)
 
 
 def _probe_operand(rng, shape):
@@ -156,17 +165,23 @@ def _probe_operand(rng, shape):
 
 
 @functools.cache
-def _blas_in_order(rows: int, k: int, n: int) -> bool:
-    """Whether ``_sgemm`` at (rows, k) x (k, n) gave ``_loop_f32``'s bits on the probe operands."""
-    rng = np.random.default_rng([rows, k, n])
-    a, w = _probe_operand(rng, (rows, k)), _probe_operand(rng, (k, n))
-    return np.array_equal(_sgemm(a, w).view(np.uint32), _loop_f32(a, w).view(np.uint32))
-
-
-@functools.cache
 def _blas_admits(m: int, k: int, n: int, group_size: int) -> bool:
-    """Whether ``_blas_in_order`` admitted every group shape of an (m, k) x (k, n) call."""
-    return all(_blas_in_order(m, min(group_size, k - k0), n) for k0 in range(0, k, group_size))
+    """Whether ``gemm_groups`` on ``_sgemm`` gave ``_loop_f32``'s bits for an
+    (m, k) x (k, n) call on the probe operands.
+
+    It runs the hot path's own calls: the same stacks, with a one-row call
+    at two rows as ``gemm_weights`` runs it. The group scales are random
+    powers of two, exact in every product, so a kernel that returns its
+    groups out of order fails even where adding them would commute.
+    """
+    rng = np.random.default_rng([m, k, n, group_size])
+    a, w = _probe_operand(rng, (max(m, 2), k)), _probe_operand(rng, (k, n))
+    exps = rng.integers(-8, 9, (-(-k // group_size), n), dtype=np.int32)
+    # (n, G) with contiguous rows per group, as PackedTensor holds its scales
+    scales = np.ldexp(np.float32(1.0), exps).T
+    got = gemm_groups(_sgemm, a, w, group_size, scales)
+    want = gemm_groups(_loop_f32, a, w, group_size, scales)
+    return np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def gemm_weights(a16, w, group_size, scales=None):
@@ -175,42 +190,49 @@ def gemm_weights(a16, w, group_size, scales=None):
 
     The activations are cast to float32 once; a one-row call is doubled in
     that same cast and its first row returned, so ``_sgemm`` never meets
-    sgemv. Its groups run on ``_sgemm`` when ``_blas_in_order`` admitted
-    every group's shape (``_blas_admits``, one lookup per call), otherwise on
-    ``_loop_f32``.
+    sgemv. The groups run on ``_sgemm`` when ``_blas_admits`` the call's
+    shape (one lookup per call), otherwise on ``_loop_f32``.
     """
     m, k = a16.shape
+    a = np.empty((max(m, 2), k), dtype=np.float32)
+    a[...] = a16  # one row fills both
     kernel = _sgemm if _blas_admits(m, k, w.shape[1], group_size) else _loop_f32
-    if m > 1:
-        return gemm_groups(kernel, a16.astype(np.float32), w, group_size, scales)
-    a = a16.repeat(2, axis=0).astype(np.float32)
-    return gemm_groups(kernel, a, w, group_size, scales)[:1]
+    return gemm_groups(kernel, a, w, group_size, scales)[:m]
 
 
-_PLUS_ZERO = np.float32(0.0)
+# A 0-d array, not a scalar: numpy converts a scalar operand on every call.
+_PLUS_ZERO = np.zeros((), dtype=np.float32)
+_PLUS_ZERO.flags.writeable = False
 
 
 def gemm_groups(kernel, a, w, group_size, scales=None):
     """(M,K) x (K,N) -> float32 (M,N) in the fixed accumulation order.
 
-    ``kernel(a[:, k0:k1], w[k0:k1])`` sums each group of ``group_size``
-    consecutive k into a fresh array; ``scales`` (shape (N, n_groups))
-    multiplies group g's sums by ``scales[:, g]``, read as the row
-    ``scales.T[g]``; the groups are added in ascending g. The first group's
-    sums become the output, and one final ``+= 0.0`` gives the bits of
-    adding every group into a +0.0 output: the two differ only in the sign
-    of a zero, and that add turns -0.0 into +0.0.
+    ``kernel`` sums a stack of groups, (G, M, gs) x (G, gs, N) ->
+    (G, M, N), each group's ``gs`` consecutive k in ascending order. The
+    stacks are views of ``a`` and ``w``: one call covers every full group,
+    and a shorter last group, where K leaves one, takes a second call.
+    ``scales`` (shape (N, n_groups)) multiplies group g's sums by
+    ``scales[:, g]``, read as the row ``scales.T[g]``, in one multiply; the
+    groups are added in ascending g into the first group's sums, and one
+    final ``+= 0.0`` gives the bits of adding every group into a +0.0
+    output: the two differ only in the sign of a zero, and that add turns
+    -0.0 into +0.0.
     """
-    rows = None if scales is None else scales.T
-    out = None
-    for g, k0 in enumerate(range(0, a.shape[1], group_size)):
-        gacc = kernel(a[:, k0 : k0 + group_size], w[k0 : k0 + group_size])
-        if rows is not None:
-            gacc *= rows[g]
-        if out is None:
-            out = gacc
-        else:
-            out += gacc
+    m, k = a.shape
+    if k <= group_size:
+        sums = kernel(a[None], w[None])
+    else:
+        whole = k - k % group_size
+        stack = a[:, :whole].reshape(m, -1, group_size).swapaxes(0, 1)
+        sums = kernel(stack, w[:whole].reshape(-1, group_size, w.shape[1]))
+        if whole < k:
+            sums = np.concatenate((sums, kernel(a[None, :, whole:], w[None, whole:])))
+    if scales is not None:
+        sums *= scales.T[:, None, :]
+    out = sums[0]
+    for g in range(1, len(sums)):
+        out += sums[g]
     out += _PLUS_ZERO
     return out
 

@@ -7,8 +7,8 @@ accumulate in the fixed float32 order of ``_accel.gemm_groups`` (ascending
 k within a group, then ascending group, the sum ending in one ``+= 0.0``
 that turns a -0.0 into the +0.0 a zeroed output would give), multiply by
 1/tensor_scale once per output element unless it is exactly 1, and are
-bit-reproducible across runs and thread counts. The draft reads group g's
-scales as one contiguous row, ``group_scales.T[g]``.
+bit-reproducible across runs and thread counts. The draft reads its
+scales as contiguous rows, ``group_scales.T``, one per group.
 
 They run through ``_accel.gemm_weights``, which needs every product to be
 exact in float32. That holds here: an FP16 x FP16 product has at most 22
@@ -18,16 +18,20 @@ an FMA rounds where the fixed order's multiply-then-add does, so a BLAS
 micro-kernel that adds each output's products in ascending k gives the
 same bits. The FP16 activations are cast to float32 once per call, and a
 one-row call is doubled in that same cast, because numpy's sgemv path
-reassociates; the first row is returned. No shape is assumed to work: a
-once-per-process probe admits each (rows, k, n) group shape to OpenBLAS
-sgemm by comparing it with ``_accel._loop_f32``, the per-k loop that
-defines the order, and any other shape runs that loop. numpy's einsum
-serves attention only (see ``_accel``). ``reference_gemm`` runs the same
-group loop on ``_loop_f32`` only, so the tests that compare the two check
-sgemm against the order's definition.
+reassociates; the first row is returned. Every group of a call runs in
+one stacked sgemm call (a second for a shorter last group). No shape is
+assumed to work: a once-per-process probe admits each (rows, k, n, group
+size) call shape to OpenBLAS sgemm by running that call's stacked sgemm
+and comparing it with the same groups on ``_accel._loop_f32``, the per-k
+loop that defines the order, and any other shape runs that loop. numpy's
+einsum serves attention only (see ``_accel``). ``reference_gemm`` runs
+the same group code on ``_loop_f32`` only, so the tests that compare the
+two check sgemm against the order's definition.
 
+``gemm_full`` and ``gemm_draft`` hand their operand (and the draft its
+scales) to one shared body; neither reads a ``GemmMode`` per call.
 ``gemm_traffic`` gives a call's traffic from its shape; the model, which
-keeps the counters, adds it up.
+keeps the counters, adds one total per forward.
 """
 
 from __future__ import annotations
@@ -121,13 +125,11 @@ def _check_activations(a: np.ndarray, p: PackedTensor, validate: bool = True) ->
     return a
 
 
-def _gemm(a, p: PackedTensor, mode: GemmMode, validate: bool):
-    """The one GEMM body: checks, multiply-accumulate, 1/tensor scale."""
+def _gemm(a, p: PackedTensor, w: np.ndarray, scales, validate: bool):
+    """The one GEMM body: checks, multiply-accumulate over operand ``w``
+    (and the draft's ``scales``), 1/tensor scale."""
     a = _check_activations(a, p, validate)
-    if mode is GemmMode.FULL:
-        out = _accel.gemm_weights(a, p.full_values_f32(), p.group_size)
-    else:
-        out = _accel.gemm_weights(a, p.draft_values(), p.group_size, p.group_scales)
+    out = _accel.gemm_weights(a, w, p.group_size, scales)
     if p.inv_tensor_scale != 1:  # x * 1 is x, bit for bit
         out *= p.inv_tensor_scale
     return out
@@ -135,9 +137,9 @@ def _gemm(a, p: PackedTensor, mode: GemmMode, validate: bool):
 
 def gemm_full(a: np.ndarray, p: PackedTensor, *, validate: bool = True) -> np.ndarray:
     """Full-precision GEMM: A (M,K) fp16 x exact FP16 weights (K,N) -> f32."""
-    return _gemm(a, p, GemmMode.FULL, validate)
+    return _gemm(a, p, p.full_values_f32(), None, validate)
 
 
 def gemm_draft(a: np.ndarray, p: PackedTensor, *, validate: bool = True) -> np.ndarray:
     """Draft GEMM from the 4-bit draft values and scales only; never reads the exact values."""
-    return _gemm(a, p, GemmMode.DRAFT, validate)
+    return _gemm(a, p, p.draft_values(), p.group_scales, validate)

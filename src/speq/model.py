@@ -51,6 +51,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -214,8 +215,11 @@ class ToyModel:
         # always empty: every linear is packed; bench/speqbench.py::resident_bytes reads it
         self.raw_weights: dict[str, np.ndarray] = {}
         self.pos = _sinusoidal_positions(cfg.context, cfg.d_model)
+        # forward_full / forward_draft add each forward's GEMM traffic once,
+        # as _forward_traffic sums it
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
+        self._traffic: dict[tuple[GemmMode, int, bool], tuple[int, int, int]] = {}
 
     def new_cache(self, positions: int | None = None) -> KvCache:
         return KvCache(self.cfg, positions)
@@ -224,18 +228,28 @@ class ToyModel:
     # tracer that replaces them here sees every linear. Internal activations
     # are finite by construction; skip the check.
     def _lin_full(self, name: str, a16: np.ndarray) -> np.ndarray:
-        p = self.weights[name]
-        out = gemm_full(a16, p, validate=False)
-        m = a16.shape[0]
-        self.full_traffic.add(*gemm_traffic(m, p.cols, p.rows, GemmMode.FULL, p.group_size))
-        return out
+        return gemm_full(a16, self.weights[name], validate=False)
 
     def _lin_draft(self, name: str, a16: np.ndarray) -> np.ndarray:
-        p = self.weights[name]
-        out = gemm_draft(a16, p, validate=False)
-        m = a16.shape[0]
-        self.draft_traffic.add(*gemm_traffic(m, p.cols, p.rows, GemmMode.DRAFT, p.group_size))
-        return out
+        return gemm_draft(a16, self.weights[name], validate=False)
+
+    def _forward_traffic(self, mode: GemmMode, n: int, last_only: bool) -> tuple[int, int, int]:
+        """(weight bits, scale bytes, activation bytes) one forward over ``n``
+        rows reads: ``gemm_traffic`` of every linear at the rows it runs,
+        summed once per (mode, n, last_only)."""
+        key = (mode, n, last_only)
+        total = self._traffic.get(key)
+        if total is None:
+            cfg = self.cfg
+            # with last_only, these run the last row alone
+            tail = {f"l{cfg.n_layers - 1}.{part}" for part in ("wo", "w1", "w2")} | {"head"}
+            calls = []
+            for name in _weight_names(cfg):
+                k, cols = _weight_shape(cfg, name)
+                rows = 1 if last_only and name in tail else n
+                calls.append(gemm_traffic(rows, cols, k, mode, cfg.group_size))
+            total = self._traffic[key] = tuple(map(sum, zip(*calls)))
+        return total
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
@@ -250,18 +264,23 @@ def init_model(cfg: ModelConfig) -> ToyModel:
 # ---------------------------------------------------------------------------
 
 
+_LN_EPS = np.float32(1e-5)
+
+
 def _layernorm(x: np.ndarray) -> np.ndarray:
     # add.reduce / n is what float32 ``mean`` computes, without its wrapper
     n = np.float32(x.shape[-1])
     if x.shape[0] == 1:
         # One row: the same reductions over the contiguous 1-D row, and the
         # mean, variance, eps and sqrt on float32 scalars, with the same bits.
-        xc = x[0] - np.add.reduce(x[0]) / n
+        row = x[0]
+        xc = row - np.add.reduce(row) / n
         var = np.add.reduce(xc * xc) / n
-        return (xc / np.sqrt(var + np.float32(1e-5)))[None]
+        xc /= np.sqrt(var + _LN_EPS)
+        return xc[None]
     xc = x - np.add.reduce(x, axis=-1, keepdims=True) / n
     var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / n
-    return xc / np.sqrt(var + np.float32(1e-5))
+    return xc / np.sqrt(var + _LN_EPS)
 
 
 def _f16(x: np.ndarray) -> np.ndarray:
@@ -324,15 +343,18 @@ def _attend_tile(q, keys, vals, n_heads, scale):
     n = q.shape[0]
     scores = _accel.attn_scores_f32(q, keys, n_heads)
     scores *= scale
-    # The softmax denominator is summed sequentially over the key axis
-    # (masked tails contribute exact zeros), so a row's probabilities
-    # are bit-identical whether it runs alone or inside a wider window.
     # A single row sees every key and needs no mask.
     if n > 1:
         np.copyto(scores[..., keys.shape[-1] - n :], np.float32(-np.inf), where=_future_mask(n))
-    e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    probs = e / _accel.rowsum_f32(e)[:, :, None]
-    return _accel.attn_ctx_f32(probs, vals, n_heads)
+    # The softmax overwrites the scores step by step: each step is the op it
+    # would be on a fresh array, so the bits are the same. Its denominator
+    # is summed sequentially over the key axis (masked tails contribute
+    # exact zeros), so a row's probabilities are bit-identical whether it
+    # runs alone or inside a wider window.
+    scores -= scores.max(axis=-1, keepdims=True)
+    np.exp(scores, out=scores)
+    scores /= _accel.rowsum_f32(scores)[:, :, None]
+    return _accel.attn_ctx_f32(scores, vals, n_heads)
 
 
 def _attend(q, keys, vals, n_heads, scale):
@@ -366,7 +388,8 @@ def _forward(
     if t > cache.positions:
         raise ContextOverflowError(f"{t} positions > cache capacity {cache.positions}")
     d = cfg.d_model
-    att_scale = np.float32(1.0 / np.sqrt(d // cfg.n_heads))
+    # math.sqrt and np.sqrt both round the float64 root correctly: the same bits
+    att_scale = np.float32(1.0 / math.sqrt(d // cfg.n_heads))
 
     x = model.embed[tokens].astype(np.float32) + model.pos[start:t]
     for i in range(cfg.n_layers):
@@ -404,13 +427,17 @@ def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = F
     ``wo``, the MLP, the final layernorm and ``head`` for the last row only.
     """
     tokens = check_token_ids(tokens, model.cfg.vocab)
-    return _forward(model, tokens, cache, model._lin_full, last_only)
+    logits = _forward(model, tokens, cache, model._lin_full, last_only)
+    model.full_traffic.add(*model._forward_traffic(GemmMode.FULL, tokens.shape[0], last_only))
+    return logits
 
 
 def forward_draft(model: ToyModel, token: int, cache: KvCache) -> np.ndarray:
     """4-bit-weights pass over a single token; returns (vocab,) logits."""
     tokens = check_token_ids([token], model.cfg.vocab)
-    return _forward(model, tokens, cache, model._lin_draft)[0]
+    logits = _forward(model, tokens, cache, model._lin_draft)
+    model.draft_traffic.add(*model._forward_traffic(GemmMode.DRAFT, 1, False))
+    return logits[0]
 
 
 def forward_reference(

@@ -7,6 +7,7 @@ import zlib
 
 import pytest
 
+from speq import _accel
 from speq.container import MAGIC, pack_12bit, pack_nibbles, unpack_12bit, unpack_nibbles
 
 REMAINDER_READ = "poisoned remainder stream read"
@@ -53,3 +54,18 @@ def patch_word():
         return bytes(out)
 
     return patch
+
+
+@pytest.fixture
+def fresh_probes():
+    """Run every memoised probe of ``_accel`` again for this test, and forget
+    them after it. The probes are found by introspection, each function
+    there with a ``cache_clear`` (every ``functools.cache``), so a renamed
+    or added probe cannot stay warm from one test to the next."""
+    probes = [f for f in vars(_accel).values() if callable(getattr(f, "cache_clear", None))]
+    assert probes, "no memoised probe found in _accel"
+    for probe in probes:
+        probe.cache_clear()
+    yield
+    for probe in probes:
+        probe.cache_clear()

@@ -659,22 +659,19 @@ def test_attention_kernels_match_loop_oracle(n_heads, n, t):
         _assert_same_bits(ctx[:, sl], _loop_gemm(probs[h], v[:, sl], t))
 
 
-# ── the weight-GEMM path: one cast, first group as output, final +0.0 ───
-# K over groups of 128: one group, and three groups of 128, 128 and a 44-row tail.
-_GROUPED_K = [64, 300]
+# ── the weight-GEMM path: one cast, one stacked call, final +0.0 ─────────
+# K over groups of 128: one group; three groups of 128, 128 and a 44-row
+# tail; and four full groups, as draft-heavy's w2 runs.
+_GROUPED_K = [64, 300, 512]
 _GEMMS = {GemmMode.FULL: gemm_full, GemmMode.DRAFT: gemm_draft}
 _SGEMM = _accel._sgemm
 
 
-@pytest.fixture
-def fresh_blas_probe():
-    """Run the sgemm probes again for this test, and forget them after it."""
-    probes = (_accel._blas_in_order, _accel._blas_admits)
-    for probe in probes:
-        probe.cache_clear()
-    yield
-    for probe in probes:
-        probe.cache_clear()
+def _stacks(rows, k, n=32, group_size=128):
+    """(G, rows, gs, n) of each stacked call an (rows, k) x (k, n) GEMM makes:
+    one over the full groups, one over a shorter last group."""
+    full, tail = divmod(k, group_size)
+    return [(full, rows, group_size, n)] * (full > 0) + [(1, rows, tail, n)] * (tail > 0)
 
 
 def _packed_case(m, k, *, outlier=False, positive=False):
@@ -706,26 +703,48 @@ def _loop_expect(a, p, mode):
 def test_weight_gemm_path_matches_loop_oracle(monkeypatch, mode, m, k, outlier):
     a, p = _packed_case(m, k, outlier=outlier)
     assert _accel._blas_admits(m, k, 32, 128)
-    seen = []  # rows each group's sgemm call sees
+    seen = []  # (G, rows, gs, n) of each stacked sgemm call
 
     def recording_sgemm(x, w):
-        seen.append(x.shape[0])
+        seen.append((*x.shape, w.shape[-1]))
         return _SGEMM(x, w)
 
     monkeypatch.setattr(_accel, "_sgemm", recording_sgemm)
     got = _GEMMS[mode](a, p, validate=False)
     assert got.shape == (m, 32) and got.dtype == np.float32
     _assert_same_bits(got, _loop_expect(a, p, mode))
-    # one sgemm per group, and a one-row call reaches it already doubled
-    assert seen == [max(m, 2)] * p.n_groups
+    # one stacked call over every full group (a second for the 44-row
+    # tail), and a one-row call reaches it already doubled
+    assert seen == _stacks(max(m, 2), k)
+
+
+@pytest.mark.parametrize("k", _GROUPED_K)
+@pytest.mark.parametrize("m", [1, 2, 17])
+@pytest.mark.parametrize("mode", list(GemmMode))
+def test_probe_runs_the_admitted_call(monkeypatch, fresh_probes, mode, m, k):
+    # The probe and the hot call run one function, _sgemm, on the same
+    # (G, rows, gs, n) operand shapes: the probe admits the call it runs.
+    a, p = _packed_case(m, k)
+    seen = []
+
+    def spy(x, w):
+        seen.append((*x.shape, w.shape[-1]))
+        return _SGEMM(x, w)
+
+    monkeypatch.setattr(_accel, "_sgemm", spy)
+    assert _accel._blas_admits(m, k, 32, 128)
+    probed, seen[:] = seen[:], []
+    _assert_same_bits(_GEMMS[mode](a, p), _loop_expect(a, p, mode))
+    assert probed == seen == _stacks(max(m, 2), k)
 
 
 def _from_first_product(a, w):
-    """The fixed order, but started from the first product instead of +0.0:
-    the same bits, except that all-(-0.0) products sum to -0.0."""
-    out = a[:, :1] * w[:1]
-    for i in range(1, a.shape[1]):
-        out += a[:, i : i + 1] * w[i : i + 1]
+    """The fixed order over a stack of groups, but started from the first
+    product instead of +0.0: the same bits, except that all-(-0.0) products
+    sum to -0.0."""
+    out = a[..., :1] * w[:, :1]
+    for i in range(1, a.shape[-1]):
+        out += a[..., i : i + 1] * w[:, i : i + 1]
     return out
 
 
@@ -734,7 +753,7 @@ def _from_first_product(a, w):
 @pytest.mark.parametrize("mode", list(GemmMode))
 @pytest.mark.parametrize("kernel", ["sgemm", "from-first-product"])
 def test_negative_zero_products_give_positive_zero(
-    monkeypatch, fresh_blas_probe, mode, m, k, kernel
+    monkeypatch, fresh_probes, mode, m, k, kernel
 ):
     a, p = _packed_case(m, k, positive=True)
     if kernel == "from-first-product":
@@ -761,7 +780,7 @@ def test_probe_rejected_fallback_gives_the_admitted_bits(monkeypatch, m, k):
 
 @pytest.mark.parametrize("k", _GROUPED_K)
 @pytest.mark.parametrize("m", [1, 2, 17])
-def test_weight_side_never_calls_gemm_f32(monkeypatch, fresh_blas_probe, m, k):
+def test_weight_side_never_calls_gemm_f32(monkeypatch, fresh_probes, m, k):
     # gemm_f32 (einsum) serves attention alone. With every call to it
     # raising, the sgemm probe, both weight-GEMM paths and reference_gemm
     # still give the bits of the group loop on gemm_f32.
@@ -777,7 +796,6 @@ def test_weight_side_never_calls_gemm_f32(monkeypatch, fresh_blas_probe, m, k):
         raise AssertionError("the weight side called gemm_f32")
 
     monkeypatch.setattr(_accel, "gemm_f32", no_gemm_f32)
-    _accel._blas_in_order.cache_clear()
     _accel._blas_admits.cache_clear()
     assert _accel._blas_admits(m, k, 32, 128)  # the probe ran again, on the loop
     for mode, gemm in _GEMMS.items():

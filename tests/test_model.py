@@ -17,7 +17,7 @@ import pytest
 
 import speq.model as smodel
 from speq.container import read_crc, write_container
-from speq.kernels import GemmMode, gemm_full
+from speq.kernels import GemmMode, gemm_full, gemm_traffic
 from speq.model import (
     ContextOverflowError,
     KvCache,
@@ -114,7 +114,7 @@ cache = m.new_cache()
 prompt = [1, 2, 3, 5, 8, 13, 21, 34]
 print(crc(forward_full(m, prompt, cache)), crc(forward_draft(m, prompt[-1], cache)))
 print(crc(forward_full(m, [t % 256 for t in range(384)], m.new_cache())))
-print(all(_accel._blas_in_order(384, k, n) for k, n in [(64, 192), (64, 64), (64, 256), (128, 64)]))
+print(all(_accel._blas_admits(384, k, n, 128) for k, n in [(64, 192), (64, 64), (64, 256), (256, 64)]))
 """
 
 
@@ -662,6 +662,37 @@ def test_joint_qkv_accounting(monkeypatch, mode):
         for i, x in enumerate((rep.weight_bits, rep.scale_bytes, rep.activation_bytes)):
             reported[i] += x
     assert delta == tuple(reported)
+
+
+@pytest.mark.parametrize("n, last_only", [(1, False), (5, False), (5, True), (70, True)])
+def test_forward_traffic_is_the_sum_of_its_gemms(monkeypatch, n, last_only):
+    # The counters take one total per forward; it is what gemm_traffic
+    # gives for the GEMMs the forward ran, at the rows each ran (a
+    # last_only prefill runs the last layer's wo, w1, w2 and head on one).
+    m = init_model(ModelConfig(n_layers=3, seed=9))
+    shapes = []
+
+    def spy(kernel):
+        def run(a, p, **kwargs):
+            shapes.append((a.shape[0], p.cols, p.rows, p.group_size))
+            return kernel(a, p, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(smodel, "gemm_full", spy(smodel.gemm_full))
+    monkeypatch.setattr(smodel, "gemm_draft", spy(smodel.gemm_draft))
+    cache = m.new_cache()
+    forward_full(m, list(range(n)), cache, last_only=last_only)
+    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.FULL, s[3]) for s in shapes))]
+    full = m.full_traffic
+    assert [full.weight_bits, full.scale_bytes, full.activation_bytes] == want
+    assert sorted({s[0] for s in shapes}) == sorted({1, n} if last_only else {n})
+
+    shapes.clear()
+    forward_draft(m, 3, cache)
+    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.DRAFT, s[3]) for s in shapes))]
+    draft = m.draft_traffic
+    assert [draft.weight_bits, draft.scale_bytes, draft.activation_bytes] == want
 
 
 @pytest.mark.parametrize("d", [64, 128])

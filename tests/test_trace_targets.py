@@ -80,67 +80,68 @@ def _workloads(monkeypatch):
 
 
 def _weight_gemm_shapes(wl):
-    """(rows, k, n) of every weight-GEMM group a workload can run: its prompt,
-    and 1 to L+1 rows for decode steps, drafts and verify windows."""
+    """(rows, k, n, group size) of every weight GEMM a workload can run: its
+    prompt, and 1 to L+1 rows for decode steps, drafts and verify windows."""
     cfg = ModelConfig(**wl.model)
     rows = {wl.prompt_len, *range(1, SpecDecConfig(**wl.spec).max_draft_len + 2)}
-    gs = cfg.group_size
-    kn = set()
-    for name, w in draw_weights(cfg).items():
-        if name != "embed":
-            k, n = w.shape
-            kn |= {(min(gs, k - k0), n) for k0 in range(0, k, gs)}
-    return sorted((r, k, n) for r in rows for k, n in kn)
+    kn = {w.shape for name, w in draw_weights(cfg).items() if name != "embed"}
+    return sorted((r, k, n, cfg.group_size) for r in rows for k, n in kn)
 
 
-_PROBES = (_accel._blas_in_order, _accel._blas_admits, _accel._einsum_in_order)
-
-
-@pytest.fixture
-def fresh_probe():
-    for probe in _PROBES:
-        probe.cache_clear()
-    yield
-    for probe in _PROBES:
-        probe.cache_clear()
-
-
-def test_every_workload_weight_gemm_takes_blas(monkeypatch, fresh_probe):
+def test_every_workload_weight_gemm_takes_blas(monkeypatch, fresh_probes):
     for wl in _workloads(monkeypatch):
         shapes = _weight_gemm_shapes(wl)
         assert shapes
-        rejected = [s for s in shapes if not _accel._blas_in_order(*s)]
+        rejected = [s for s in shapes if not _accel._blas_admits(*s)]
         assert rejected == [], wl.name
 
 
+# Stacked kernels, (G, rows, gs) x (G, gs, n) -> (G, rows, n), each summing
+# in another order than the fixed one.
 _SGEMM = _accel._sgemm
 
 
 def _reversed_k(a, w):
-    return _SGEMM(np.ascontiguousarray(a[:, ::-1]), np.ascontiguousarray(w[::-1]))
+    # each group's slice summed in descending k
+    return _SGEMM(np.ascontiguousarray(a[..., ::-1]), np.ascontiguousarray(w[:, ::-1]))
 
 
 def _pairwise(a, w):
     # reduce over a contiguous axis sums pairwise
-    return np.add.reduce(np.ascontiguousarray(a[:, None, :] * w.T[None]), axis=-1)
+    return np.add.reduce(np.ascontiguousarray(a[..., None, :] * w.swapaxes(1, 2)[:, None]), axis=-1)
 
 
 def _split_k(a, w):
-    h = a.shape[1] // 2
-    return _SGEMM(np.ascontiguousarray(a[:, :h]), w[:h]) + _SGEMM(np.ascontiguousarray(a[:, h:]), w[h:])
+    h = a.shape[-1] // 2
+    return _SGEMM(a[..., :h], w[:, :h]) + _SGEMM(a[..., h:], w[:, h:])
 
 
 def _sgemv(a, w):
-    return np.matmul(a, w)  # one row goes to sgemv
+    # numpy sends a one-row slice to sgemv
+    return np.concatenate([np.matmul(a[:, i : i + 1], w) for i in range(a.shape[1])], axis=1)
 
 
-@pytest.mark.parametrize("kernel", [_reversed_k, _pairwise, _split_k, _sgemv])
-def test_probe_rejects_reassociating_blas(monkeypatch, fresh_probe, kernel):
+def _descending_groups(a, w):
+    # every group's sums in the fixed order, handed back last group first, so
+    # the groups are scaled and added in descending order
+    return _SGEMM(a, w)[::-1]
+
+
+def _groups(shape):
+    return -(-shape[1] // shape[3])
+
+
+@pytest.mark.parametrize("kernel", [_reversed_k, _pairwise, _split_k, _sgemv, _descending_groups])
+def test_probe_rejects_reassociating_blas(monkeypatch, fresh_probes, kernel):
     monkeypatch.setattr(_accel, "_sgemm", kernel)
     for wl in _workloads(monkeypatch):
-        # sgemv differs from the padded call only on one row
-        shapes = [s for s in _weight_gemm_shapes(wl) if kernel is not _sgemv or s[0] == 1]
-        admitted = [s for s in shapes if _accel._blas_in_order(*s)]
+        shapes = _weight_gemm_shapes(wl)
+        if kernel is _descending_groups:
+            # with one group there is no order to get wrong: the same bits
+            assert all(_accel._blas_admits(*s) for s in shapes if _groups(s) == 1), wl.name
+            shapes = [s for s in shapes if _groups(s) > 1]
+            assert shapes, wl.name
+        admitted = [s for s in shapes if _accel._blas_admits(*s)]
         assert admitted == [], wl.name
 
         model = init_model(ModelConfig(**wl.model))
@@ -158,11 +159,11 @@ def test_probe_rejects_reassociating_blas(monkeypatch, fresh_probe, kernel):
                     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-def test_every_workload_attention_takes_einsum(monkeypatch, fresh_probe):
+def test_every_workload_attention_takes_einsum(monkeypatch, fresh_probes):
     assert _accel._einsum_in_order()
     workloads = list(_workloads(monkeypatch))
     for wl in workloads:  # the sgemm probes check against the loop: run them first
-        assert all(_accel._blas_in_order(*s) for s in _weight_gemm_shapes(wl))
+        assert all(_accel._blas_admits(*s) for s in _weight_gemm_shapes(wl))
     loop, looped = _accel._loop_f32, []
 
     def recording_loop(a, w):
@@ -213,7 +214,7 @@ def _einsum_fma64(a, w):
 
 
 @pytest.mark.parametrize("kernel", [_einsum_reversed_k, _einsum_pairwise, _einsum_fma64])
-def test_probe_rejects_reordered_einsum(monkeypatch, fresh_probe, kernel):
+def test_probe_rejects_reordered_einsum(monkeypatch, fresh_probes, kernel):
     monkeypatch.setattr(_accel, "_einsum", kernel)
     assert not _accel._einsum_in_order()
 
