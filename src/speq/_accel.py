@@ -72,8 +72,7 @@ group), one scale multiply for the draft, and the group adds:
   benchmark's workloads, and one that returns its groups last first on at
   least 81% wherever a call has more than one group; a probe has at
   least 128 outputs there. Probing all 157 call shapes of the three
-  workloads took 0.27-0.29 s in process on the shared 2-vCPU host, where
-  probing their 140 group shapes one sgemm each had taken 0.22 s; each
+  workloads took 0.27-0.29 s in process on the shared 2-vCPU host; each
   call shape is probed once per process.
 * A group sum of -0.0, which a kernel that starts from the first product
   would give where every product is -0.0, and a negative group sum times
@@ -115,9 +114,7 @@ add into a zeroed output.
 Attention calls these kernels once per query tile of at most
 ``model.TILE`` = 64 rows, each over only the keys its last row sees
 (``model._attend``). ``KvCache`` stores keys as (d_head, n_heads,
-positions), so ``attn_scores_f32`` reads them in place. Tiles against one
-call over the whole window, on the product-block kernel (2-vCPU host,
-medians of 9 in-process 384-row prefills): 20-34 against 56-65 ms.
+positions), so ``attn_scores_f32`` reads them in place.
 """
 
 from __future__ import annotations

@@ -41,6 +41,7 @@ __all__ = [
     "REMAP_QCODE",
     "REMAP_FLAG",
     "DECODE_QEXP",
+    "in_range_bits",
     "encode_array",
     "decode_full_array",
     "q_exponent_array",
@@ -87,14 +88,19 @@ def encode_array(fp16_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return wq, wr.astype(np.uint16)
 
 
+def in_range_bits() -> np.ndarray:
+    """Every FP16 bit pattern a BSFP word holds (biased exponent <= 15), ascending: 32,768."""
+    bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
+    return bits[((bits >> 10) & 0x1F) <= 15]
+
+
 # Entry of a word the encoder never writes: no in-range FP16 value has exponent 31.
 _UNREACHABLE = np.uint16(0xFFFF)
 
 
 def _build_word_table() -> np.ndarray:
     """FP16 bit pattern of each 16-bit BSFP word, from ``encode_array`` alone."""
-    bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
-    bits = bits[((bits >> 10) & 0x1F) <= 15]
+    bits = in_range_bits()
     wq, wr = encode_array(bits)
     table = np.full(1 << 16, _UNREACHABLE, dtype=np.uint16)
     table[(wq.astype(np.uint16) << 12) | wr] = bits

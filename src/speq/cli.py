@@ -17,18 +17,12 @@ from . import bsfp, container, pe, quantize, specdec
 from ._accel import active_backend
 from .kernels import GemmMode, GemmSpec, gemm_draft, gemm_full, gemm_traffic
 from .model import ContextOverflowError, ModelConfig, init_model
-from .quantize import QuantFormat, check_int
+from .quantize import DEFAULT_GROUP_SIZE, QuantFormat, check_int
 from .report import RunReport
 
 
 def _load_tensor(path: str, bf16: bool = False) -> np.ndarray:
-    try:
-        arr = np.load(path)
-    except (ValueError, EOFError) as e:  # not a .npy file, or truncated or empty
-        raise ValueError(f"{path}: not a readable .npy file ({e})") from e
-    if not isinstance(arr, np.ndarray):  # an .npz archive, which holds the file open
-        arr.close()
-        raise ValueError(f"{path}: expected one .npy array, got an .npz archive")
+    arr = container.read_npy(path)
     if arr.dtype.kind not in "biuf":  # complex, structured, datetime, string ...
         raise ValueError(f"{path}: expected a bool, integer or float array, got {arr.dtype}")
     if bf16:
@@ -97,8 +91,7 @@ def _cmd_quantize(args) -> int:
 
 def _cmd_inspect(args) -> int:
     if args.infile.endswith(".speq"):
-        p = container.read_container(args.infile)
-        w = p.full_values()
+        w = container.read_container(args.infile).full_values()
     else:
         w = _load_tensor(args.infile, args.bf16)
     hist = quantize.exponent_histogram(w)
@@ -113,10 +106,8 @@ def _cmd_inspect(args) -> int:
 def _cmd_roundtrip(args) -> int:
     rep = _new_report(args)
     if args.exhaustive:
-        bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
-        bits = bits[((bits >> 10) & 0x1F) <= 15]
-        wq, wr = bsfp.encode_array(bits)
-        back = bsfp.decode_full_array(wq, wr)
+        bits = bsfp.in_range_bits()
+        back = bsfp.decode_full_array(*bsfp.encode_array(bits))
         mismatches = int(np.count_nonzero(back != bits))
         rep.add("roundtrip", mode="exhaustive", patterns=len(bits), mismatches=mismatches)
     elif args.infile is None:
@@ -130,8 +121,7 @@ def _cmd_roundtrip(args) -> int:
     else:
         w = _load_tensor(args.infile, args.bf16)
         scaled, _ = quantize.handle_outliers(w)
-        p = quantize.quantize_tensor(w, args.group_size)
-        back = p.full_values()
+        back = quantize.quantize_tensor(w).full_values()
         mismatches = int(np.count_nonzero(back.view(np.uint16) != scaled.view(np.uint16)))
         rep.add("roundtrip", mode="tensor", elements=scaled.size, mismatches=mismatches)
     rep.add("roundtrip", ok=mismatches == 0)
@@ -222,12 +212,7 @@ def _cmd_perf(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    cfg = pe.PeConfig(
-        tiles=args.tiles,
-        pes_per_tile=args.pes_per_tile,
-        frequency_hz=args.frequency,
-        fill_cycles=args.fill_cycles,
-    )
+    cfg = pe.PeConfig(args.tiles, args.pes_per_tile, args.frequency, args.fill_cycles)
     spec = GemmSpec(args.m, args.n, args.k, GemmMode(args.mode), args.group_size)
     r = pe.estimate(spec, cfg)
     rep = _new_report(args)
@@ -266,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("quantize", help="pack an FP16/BF16 tensor")
     q.add_argument("--in", dest="infile", required=True)
     q.add_argument("--out", dest="outfile", required=True)
-    q.add_argument("--group-size", type=int, default=128)
+    q.add_argument("--group-size", type=int, default=DEFAULT_GROUP_SIZE)
     q.add_argument("--bf16", action="store_true", help="input npy holds BF16 bit patterns")
     q.set_defaults(fn=_cmd_quantize)
 
@@ -278,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("roundtrip", help="bit-exactness check")
     r.add_argument("infile", nargs="?")
     r.add_argument("--exhaustive", action="store_true", help="sweep all in-range FP16 patterns")
-    r.add_argument("--group-size", type=int, default=128)
     r.add_argument("--bf16", action="store_true")
     r.set_defaults(fn=_cmd_roundtrip)
 
@@ -290,9 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(fn=_cmd_gemm)
 
     s = sub.add_parser("specdec", help="speculative decode on the toy model")
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--gamma", type=float, default=0.6)
-    s.add_argument("--max-draft-len", type=int, default=16)
+    s.add_argument("--seed", type=int, default=ModelConfig.seed)
+    s.add_argument("--gamma", type=float, default=specdec.SpecDecConfig.gamma)
+    s.add_argument("--max-draft-len", type=int, default=specdec.SpecDecConfig.max_draft_len)
     s.add_argument("--gen-len", type=int, default=256)
     s.add_argument("--prompts", type=int, default=1)
     s.add_argument("--prompt-len", type=int, default=8)
@@ -311,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--n", type=int, required=True)
     m.add_argument("--k", type=int, required=True)
     m.add_argument("--mode", choices=["draft", "full"], required=True)
-    m.add_argument("--group-size", type=int, default=128)
-    m.add_argument("--tiles", type=int, default=8)
-    m.add_argument("--pes-per-tile", type=int, default=128)
-    m.add_argument("--frequency", type=float, default=500e6)
-    m.add_argument("--fill-cycles", type=int, default=32)
+    m.add_argument("--group-size", type=int, default=DEFAULT_GROUP_SIZE)
+    m.add_argument("--tiles", type=int, default=pe.PeConfig.tiles)
+    m.add_argument("--pes-per-tile", type=int, default=pe.PeConfig.pes_per_tile)
+    m.add_argument("--frequency", type=float, default=pe.PeConfig.frequency_hz)
+    m.add_argument("--fill-cycles", type=int, default=pe.PeConfig.fill_cycles)
     m.set_defaults(fn=_cmd_simulate)
 
     return ap

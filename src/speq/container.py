@@ -44,6 +44,7 @@ __all__ = [
     "write_container",
     "read_container",
     "read_crc",
+    "read_npy",
 ]
 
 MAGIC = b"SPEQ1"
@@ -192,3 +193,15 @@ def read_crc(path) -> int:
         f.seek(-4, os.SEEK_END)
         (crc,) = struct.unpack("<I", f.read(4))
     return crc
+
+
+def read_npy(path) -> np.ndarray:
+    """The one array in an ``.npy`` file; any other file raises a ``ValueError`` naming it."""
+    try:
+        arr = np.load(path)
+    except (ValueError, EOFError) as e:  # not a .npy file, or truncated or empty
+        raise ValueError(f"{path}: not a readable .npy file ({e})") from e
+    if not isinstance(arr, np.ndarray):  # an .npz archive, which holds the file open
+        arr.close()
+        raise ValueError(f"{path}: expected one .npy array, got an .npz archive")
+    return arr

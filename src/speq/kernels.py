@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _accel
-from .quantize import PackedTensor, check_int
+from .quantize import DEFAULT_GROUP_SIZE, PackedTensor, check_int
 
 __all__ = [
     "GemmMode",
@@ -67,7 +67,7 @@ class GemmSpec:
     n: int
     k: int
     mode: GemmMode
-    group_size: int = 128
+    group_size: int = DEFAULT_GROUP_SIZE
 
     def __post_init__(self) -> None:
         for name in ("m", "n", "k", "group_size"):
@@ -101,7 +101,7 @@ def gemm_traffic(m: int, n: int, k: int, mode: GemmMode, group_size: int) -> tup
     return 16 * k * n, 4, 2 * m * k
 
 
-def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = 128) -> np.ndarray:
+def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = DEFAULT_GROUP_SIZE) -> np.ndarray:
     """GEMM over plain FP16 weights with the same accumulation contract.
 
     Matches ``gemm_full`` bit for bit when the packed tensor stores ``w``

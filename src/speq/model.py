@@ -7,8 +7,8 @@ shapes follow from the config alone. ``load_model`` restores a
 bit-identical model and rejects, with a ``ValueError`` naming the file, a
 manifest that is not valid JSON, lacks a well-formed config or has CRC
 keys other than the config's layer names, any ``.speq`` file that is not
-a valid container, an unreadable ``embed.npy``, and any file whose shape,
-group size, dtype or CRC-32 does not match.
+a valid container, an ``embed.npy`` that is unreadable or an ``.npz``
+archive, and any file whose shape, group size, dtype or CRC-32 does not match.
 
 Every linear layer is stored as a :class:`PackedTensor`, so the same
 weight object serves two forward passes: ``forward_draft`` routes matmuls
@@ -59,7 +59,7 @@ import numpy as np
 
 from . import _accel, container
 from .kernels import GemmMode, TrafficCounter, gemm_draft, gemm_full, gemm_traffic, reference_gemm
-from .quantize import PackedTensor, check_int, check_real, quantize_tensor
+from .quantize import DEFAULT_GROUP_SIZE, PackedTensor, check_int, check_real, quantize_tensor
 
 __all__ = [
     "ModelConfig",
@@ -95,7 +95,7 @@ class ModelConfig:
     d_ff: int = 256
     context: int = 512
     seed: int = 0
-    group_size: int = 128
+    group_size: int = DEFAULT_GROUP_SIZE
     # Confidence knob for untrained weights: logits are multiplied by this
     # finite constant > 0 in both passes, so argmax (and thus the greedy
     # output) is unchanged; only softmax peakedness — what the early-exit
@@ -471,10 +471,7 @@ def save_model(model: ToyModel, directory) -> None:
 
 
 def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
-    try:
-        arr = np.load(path)
-    except (ValueError, EOFError) as e:  # not a .npy file, or truncated or empty
-        raise ValueError(f"{path}: not a readable .npy file ({e})") from e
+    arr = container.read_npy(path)
     if arr.dtype != np.float16 or arr.shape != shape:
         raise ValueError(f"{path}: expected float16 {shape}, got {arr.dtype} {arr.shape}")
     if not np.isfinite(arr).all():  # a NaN or Inf row would poison every forward that reads it

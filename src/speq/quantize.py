@@ -31,6 +31,7 @@ import numpy as np
 from . import bsfp
 
 __all__ = [
+    "DEFAULT_GROUP_SIZE",
     "QuantFormat",
     "PackedTensor",
     "ExpHistogram",
@@ -42,6 +43,7 @@ __all__ = [
     "exponent_histogram",
 ]
 
+DEFAULT_GROUP_SIZE = 128  # weights per draft scale along k, where a caller names none
 OUTLIER_THRESHOLD = 2.0
 OUTLIER_TARGET = np.float32(1.999)
 
@@ -275,7 +277,7 @@ def _rescaled(w: np.ndarray, group_size: int) -> tuple[np.ndarray, float]:
     return handle_outliers(w)
 
 
-def quantize_tensor(w: np.ndarray, group_size: int = 128) -> PackedTensor:
+def quantize_tensor(w: np.ndarray, group_size: int = DEFAULT_GROUP_SIZE) -> PackedTensor:
     """Quantize a 2-D weight tensor to bit-shared form; groups run down each column.
 
     The returned tensor stores the outlier scale, one float32 scale per

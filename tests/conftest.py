@@ -5,9 +5,11 @@ from __future__ import annotations
 import struct
 import zlib
 
+import numpy as np
 import pytest
 
 from speq import _accel
+from speq.cli import main
 from speq.container import MAGIC, pack_12bit, pack_nibbles, unpack_12bit, unpack_nibbles
 
 REMAINDER_READ = "poisoned remainder stream read"
@@ -69,3 +71,37 @@ def fresh_probes():
     yield
     for probe in probes:
         probe.cache_clear()
+
+
+@pytest.fixture
+def malformed_files(tmp_path):
+    """Write into ``tmp_path`` one file of each kind the tensor, container and
+    model readers must refuse, beside a good ``good.npy`` and ``good.speq``;
+    return the malformed files' names."""
+    d = tmp_path
+    rng = np.random.default_rng(90)
+    arrays = {
+        "archive.npz": None,
+        "complex.npy": rng.normal(size=(8, 2)) + 1j,
+        "structured.npy": np.zeros(4, dtype=[("a", "<f2"), ("b", "<i4")]),
+        "datetime.npy": np.arange(4).astype("datetime64[D]"),
+        "cube.npy": rng.normal(size=(2, 3, 4)).astype(np.float16),
+        # finite, but past FP16's 65504, so a float16 cast gives Inf
+        "overflow-int.npy": np.full((4, 16), 70000, dtype=np.int64),
+        "overflow-float.npy": np.full((4, 16), 1e6),
+        # no values: nothing to quantize, inspect or multiply
+        "zero-rows.npy": np.zeros((0, 4), dtype=np.float16),
+        "zero-cols.npy": np.zeros((4, 0), dtype=np.float16),
+        "zero-length.npy": np.zeros(0, dtype=np.float16),
+    }
+    for name, arr in arrays.items():
+        if arr is None:
+            np.savez(d / name, w=rng.normal(size=(8, 2)).astype(np.float16))
+        else:
+            np.save(d / name, arr)
+    (d / "random.bin").write_bytes(rng.integers(0, 256, 300, dtype=np.uint8).tobytes())
+    (d / "empty.npy").write_bytes(b"")
+    np.save(d / "good.npy", rng.normal(0, 0.02, (16, 4)).astype(np.float16))
+    assert main(["quantize", "--in", str(d / "good.npy"), "--out", str(d / "good.speq")]) == 0
+    (d / "truncated.speq").write_bytes((d / "good.speq").read_bytes()[:-7])
+    return sorted([*arrays, "random.bin", "empty.npy", "truncated.speq"])

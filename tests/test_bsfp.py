@@ -153,6 +153,12 @@ def test_word_bits_roundtrip():
     assert np.array_equal(word & 0x3FF, man10)
 
 
+def test_in_range_bits_enumerates_exponents_up_to_15():
+    want = [b for b in range(1 << 16) if (b >> 10) & 0x1F <= 15]
+    bits = bsfp.in_range_bits()
+    assert (bits.dtype, bits.tolist()) == (np.uint16, want)
+
+
 def test_exhaustive_roundtrip_vectorized():
     bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
     bits = bits[((bits >> 10) & 0x1F) <= 15]

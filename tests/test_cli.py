@@ -8,9 +8,12 @@ import zlib
 import numpy as np
 import pytest
 
-from speq.cli import main
-from speq.quantize import QuantFormat, draft_mse
+from speq.cli import build_parser, main
+from speq.model import ModelConfig
+from speq.pe import PeConfig
+from speq.quantize import DEFAULT_GROUP_SIZE, QuantFormat, draft_mse
 from speq.report import parse
+from speq.specdec import SpecDecConfig
 
 
 def run(capsys, *argv):
@@ -136,6 +139,29 @@ def test_nonzero_flags_byte_is_io_error(capsys, tensor_npy, tmp_path):
     ):
         code, _, _ = run(capsys, *argv)
         assert code == 2, argv
+
+
+def test_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    sim = parse(["simulate", "--m", "1", "--n", "1", "--k", "1", "--mode", "full"])
+    got = PeConfig(
+        tiles=sim.tiles,
+        pes_per_tile=sim.pes_per_tile,
+        frequency_hz=sim.frequency,
+        fill_cycles=sim.fill_cycles,
+    )
+    assert got == PeConfig()
+    assert sim.group_size == DEFAULT_GROUP_SIZE
+    spec = parse(["specdec"])
+    assert SpecDecConfig(max_draft_len=spec.max_draft_len, gamma=spec.gamma) == SpecDecConfig()
+    assert spec.seed == ModelConfig().seed
+    assert parse(["quantize", "--in", "w.npy", "--out", "w.speq"]).group_size == DEFAULT_GROUP_SIZE
+
+
+def test_roundtrip_takes_no_group_size(capsys, tensor_npy):
+    # the full bits do not depend on the group size, so the flag would change nothing
+    assert main(["roundtrip", tensor_npy, "--group-size", "64"]) == 2
+    assert "unrecognized arguments: --group-size" in capsys.readouterr().err
 
 
 def test_roundtrip_exhaustive(capsys):
@@ -381,36 +407,6 @@ def test_roundtrip_needs_target(capsys):
     assert code == 2
 
 
-def _write_malformed(d):
-    """One file of each kind the tensor and container readers must refuse."""
-    rng = np.random.default_rng(90)
-    arrays = {
-        "archive.npz": None,
-        "complex.npy": rng.normal(size=(8, 2)) + 1j,
-        "structured.npy": np.zeros(4, dtype=[("a", "<f2"), ("b", "<i4")]),
-        "datetime.npy": np.arange(4).astype("datetime64[D]"),
-        "cube.npy": rng.normal(size=(2, 3, 4)).astype(np.float16),
-        # finite, but past FP16's 65504, so a float16 cast gives Inf
-        "overflow-int.npy": np.full((4, 16), 70000, dtype=np.int64),
-        "overflow-float.npy": np.full((4, 16), 1e6),
-        # no values: nothing to quantize, inspect or multiply
-        "zero-rows.npy": np.zeros((0, 4), dtype=np.float16),
-        "zero-cols.npy": np.zeros((4, 0), dtype=np.float16),
-        "zero-length.npy": np.zeros(0, dtype=np.float16),
-    }
-    for name, arr in arrays.items():
-        if arr is None:
-            np.savez(d / name, w=rng.normal(size=(8, 2)).astype(np.float16))
-        else:
-            np.save(d / name, arr)
-    (d / "random.bin").write_bytes(rng.integers(0, 256, 300, dtype=np.uint8).tobytes())
-    (d / "empty.npy").write_bytes(b"")
-    np.save(d / "good.npy", rng.normal(0, 0.02, (16, 4)).astype(np.float16))
-    assert main(["quantize", "--in", str(d / "good.npy"), "--out", str(d / "good.speq")]) == 0
-    (d / "truncated.speq").write_bytes((d / "good.speq").read_bytes()[:-7])
-    return sorted([*arrays, "random.bin", "empty.npy", "truncated.speq"])
-
-
 _MALFORMED_USES = {
     "quantize": lambda d, f: ["quantize", "--in", f, "--out", str(d / "out.speq")],
     "inspect": lambda d, f: ["inspect", f],
@@ -421,9 +417,9 @@ _MALFORMED_USES = {
 
 
 @pytest.mark.parametrize("use", sorted(_MALFORMED_USES))
-def test_malformed_input_files_exit_2(capsys, tmp_path, use):
+def test_malformed_input_files_exit_2(capsys, tmp_path, malformed_files, use):
     # every malformed file is a usage error (exit 2), never a traceback or exit 0/1
-    for name in _write_malformed(tmp_path):
+    for name in malformed_files:
         capsys.readouterr()
         path = str(tmp_path / name)
         code = main(_MALFORMED_USES[use](tmp_path, path))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import struct
 import zlib
 
@@ -16,6 +17,7 @@ from speq.container import (
     TruncatedError,
     from_bytes,
     read_container,
+    read_npy,
     to_bytes,
     write_container,
 )
@@ -233,3 +235,20 @@ def test_scales_held_as_rows_keep_the_container_bytes():
         assert q == p and q.group_scales.shape == (7, 3)
         # group g's scale for every column is one contiguous row
         assert all(q.group_scales.T[g].flags.c_contiguous for g in range(q.n_groups))
+
+
+def test_read_npy_closes_a_refused_archive(tmp_path, monkeypatch):
+    # np.load returns an NpzFile that holds the file open until closed or collected
+    path = tmp_path / "w.npy"
+    with open(path, "wb") as f:
+        np.savez(f, w=np.zeros(4, np.float16))
+    opened, load = [], np.load
+
+    def recording_load(p):
+        opened.append(load(p))
+        return opened[-1]
+
+    monkeypatch.setattr(np, "load", recording_load)
+    with pytest.raises(ValueError, match=re.escape(f"{path}: expected one .npy array, got an .npz")):
+        read_npy(path)
+    assert opened[0].fid is None

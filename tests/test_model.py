@@ -528,6 +528,12 @@ def _to_float32(a):
     return a.astype(np.float32)
 
 
+def _npz_as_embed(d):
+    embed = np.load(d / "embed.npy")
+    with open(d / "embed.npy", "wb") as f:  # a file object: savez adds no .npz suffix
+        np.savez(f, embed=embed)
+
+
 def _set_first(value):
     def change(a):
         a.flat[0] = value
@@ -579,6 +585,8 @@ _LOAD_MISMATCHES = {
     "embed-garbage": ("embed.npy", _edit_bytes("embed.npy", _bad_magic)),
     "embed-truncated": ("embed.npy", _edit_bytes("embed.npy", _truncate)),
     "embed-empty": ("embed.npy", _edit_bytes("embed.npy", _empty)),
+    # np.load returns an open NpzFile, not an array
+    "embed-npz": ("embed.npy", _npz_as_embed),
 }
 
 
@@ -591,6 +599,19 @@ def test_load_model_rejects_mismatch(tmp_path, case):
     damage(d)
     with pytest.raises(ValueError, match=re.escape(fname)):
         load_model(d)
+
+
+def test_load_model_rejects_malformed_embed(tmp_path, malformed_files):
+    # every file the CLI's tensor reader refuses, saved as the embedding
+    d = tmp_path / "m"
+    save_model(init_model(ModelConfig(seed=5)), d)
+    embed = d / "embed.npy"
+    for name in malformed_files:
+        if name.endswith(".speq"):
+            continue
+        shutil.copy(tmp_path / name, embed)
+        with pytest.raises(ValueError, match=re.escape(str(embed))):
+            load_model(d)
 
 
 def test_config_validation():
