@@ -71,9 +71,7 @@ group), one scale multiply for the draft, and the group adds:
   on at least 46% of a probe's outputs at every call shape of the
   benchmark's workloads, and one that returns its groups last first on at
   least 81% wherever a call has more than one group; a probe has at
-  least 128 outputs there. Probing all 157 call shapes of the three
-  workloads took 0.27-0.29 s in process on the shared 2-vCPU host; each
-  call shape is probed once per process.
+  least 128 outputs there. Each call shape is probed once per process.
 * A group sum of -0.0, which a kernel that starts from the first product
   would give where every product is -0.0, and a negative group sum times
   a +0.0 draft scale, become +0.0 in the final ``+= 0.0``, so the kernels
@@ -147,9 +145,6 @@ def _sgemm(a, w):
     column block of the activations, strided by their row length). Every
     call has at least two rows: numpy sends a one-row slice to sgemv, which
     reassociates the sum, so ``gemm_weights`` doubles a one-row call first.
-    Against ``np.dot`` per group on 2-D blocks (2-vCPU host, minimum of 60
-    interleaved blocks): 2.2 against 1.9 us for one group at (2, 64) x
-    (64, 192), 4.3 against 6.3 us for four at (2, 512) x (512, 128).
     """
     return np.matmul(a, w)
 
@@ -306,12 +301,7 @@ def rowsum_f32(x):
 
     One ``np.add.accumulate`` along j, which is sequential; adding its last
     column to +0.0 turns an all-(-0.0) row's -0.0 into the +0.0 a loop
-    started at +0.0 gives. Against a per-j loop (2-vCPU host, best of 7) it
-    takes 6 us instead of 233 us at decode shape (4, 1, 136), 107 us
-    instead of 768 us at a verify window's (4, 17, 420), and 66 / 360 us
-    instead of 132 / 801 us at a prefill's first and last 64-row tiles,
-    (4, 64, 64) / (4, 64, 384). Only at one (4, 384, 384) block, which
-    tiling no longer builds, did the loop win: 1.5 against 2.1 ms.
+    started at +0.0 gives.
     """
     return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
 

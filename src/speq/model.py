@@ -153,8 +153,8 @@ class KvCache:
         """Store rows ``start:`` of ``layer``, each value rounded to FP16."""
         end = start + k.shape[0]
         d_head, n_heads = self.keys.shape[1:3]
-        self.keys[layer, ..., start:end] = _f16(k).reshape(-1, n_heads, d_head).T
-        self.vals[layer, start:end] = _f16(v)
+        self.keys[layer, ..., start:end] = k.astype(np.float16).reshape(-1, n_heads, d_head).T
+        self.vals[layer, start:end] = v.astype(np.float16)
 
 
 _LAYER_PARTS = ("qkv", "wo", "w1", "w2")
@@ -195,13 +195,17 @@ def draw_weights(cfg: ModelConfig) -> dict[str, np.ndarray]:
 
 @functools.lru_cache(maxsize=8)
 def _sinusoidal_positions(context: int, d_model: int) -> np.ndarray:
-    """Position table, computed once per shape and shared (read-only)."""
+    """Position table, computed once per shape and shared (read-only).
+
+    Even columns hold sines and odd columns cosines, so an odd width has
+    one more sine than cosines.
+    """
     pos = np.arange(context, dtype=np.float64)[:, None]
-    dim = np.arange(d_model // 2, dtype=np.float64)[None, :]
+    dim = np.arange((d_model + 1) // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * dim / d_model)
     enc = np.zeros((context, d_model), dtype=np.float64)
     enc[:, 0::2] = np.sin(angle)
-    enc[:, 1::2] = np.cos(angle)
+    enc[:, 1::2] = np.cos(angle[:, : d_model // 2])
     out = enc.astype(np.float32)
     out.flags.writeable = False
     return out
@@ -223,15 +227,6 @@ class ToyModel:
 
     def new_cache(self, positions: int | None = None) -> KvCache:
         return KvCache(self.cfg, positions)
-
-    # gemm_full / gemm_draft are looked up in this module at call time, so a
-    # tracer that replaces them here sees every linear. Internal activations
-    # are finite by construction; skip the check.
-    def _lin_full(self, name: str, a16: np.ndarray) -> np.ndarray:
-        return gemm_full(a16, self.weights[name], validate=False)
-
-    def _lin_draft(self, name: str, a16: np.ndarray) -> np.ndarray:
-        return gemm_draft(a16, self.weights[name], validate=False)
 
     def _forward_traffic(self, mode: GemmMode, n: int, last_only: bool) -> tuple[int, int, int]:
         """(weight bits, scale bytes, activation bytes) one forward over ``n``
@@ -283,10 +278,6 @@ def _layernorm(x: np.ndarray) -> np.ndarray:
     return xc / np.sqrt(var + _LN_EPS)
 
 
-def _f16(x: np.ndarray) -> np.ndarray:
-    return x.astype(np.float16)
-
-
 _BOOL_TYPES = frozenset((bool, np.bool_))
 
 
@@ -322,8 +313,8 @@ def check_token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
 
 # Query rows per attention tile: a wider window runs attention tile by
 # tile (``_attend``). At 64 rows a 384-row prefill took less than half its
-# untiled time; 16 and 32 rows tied with 64, and 128 was slower (2-vCPU
-# host; see the ``_accel`` docstring).
+# untiled time; 16 and 32 rows tied with 64, and 128 was slower (on a
+# 2-vCPU host).
 TILE = 64
 
 
@@ -379,8 +370,11 @@ def _attend(q, keys, vals, n_heads, scale):
 
 
 def _forward(
-    model: ToyModel, tokens: np.ndarray, cache: KvCache, lin, last_only: bool = False
+    model: ToyModel, tokens: np.ndarray, cache: KvCache, gemm, weights, last_only: bool = False
 ) -> np.ndarray:
+    """Logits of ``tokens``, each linear ``name`` run as ``gemm(a16,
+    weights[name], validate=False)``: internal activations are finite by
+    construction, so the GEMM skips that check."""
     cfg = model.cfg
     n = tokens.shape[0]
     start = cache.len
@@ -393,8 +387,8 @@ def _forward(
 
     x = model.embed[tokens].astype(np.float32) + model.pos[start:t]
     for i in range(cfg.n_layers):
-        h16 = _f16(_layernorm(x))
-        qkv = lin(f"l{i}.qkv", h16)
+        h16 = _layernorm(x).astype(np.float16)
+        qkv = gemm(h16, weights[f"l{i}.qkv"], validate=False)
         q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
         cache.write(i, start, k, v)
         if last_only and i == cfg.n_layers - 1:
@@ -404,15 +398,15 @@ def _forward(
 
         # Causal: the query at position start + r sees keys [0, start + r].
         ctx = _attend(q, cache.keys[i, ..., :t], cache.vals[i, :t], cfg.n_heads, att_scale)
-        x = x + lin(f"l{i}.wo", _f16(ctx))
+        x = x + gemm(ctx.astype(np.float16), weights[f"l{i}.wo"], validate=False)
 
-        h16 = _f16(_layernorm(x))
-        f = lin(f"l{i}.w1", h16)
+        h16 = _layernorm(x).astype(np.float16)
+        f = gemm(h16, weights[f"l{i}.w1"], validate=False)
         np.maximum(f, np.float32(0.0), out=f)
-        x = x + lin(f"l{i}.w2", _f16(f))
+        x = x + gemm(f.astype(np.float16), weights[f"l{i}.w2"], validate=False)
 
     cache.len = t
-    logits = lin("head", _f16(_layernorm(x)))
+    logits = gemm(_layernorm(x).astype(np.float16), weights["head"], validate=False)
     logits *= np.float32(cfg.logit_scale)
     return logits
 
@@ -427,7 +421,9 @@ def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = F
     ``wo``, the MLP, the final layernorm and ``head`` for the last row only.
     """
     tokens = check_token_ids(tokens, model.cfg.vocab)
-    logits = _forward(model, tokens, cache, model._lin_full, last_only)
+    # gemm_full / gemm_draft are looked up in this module at call time, so a
+    # tracer that replaces them here sees every linear.
+    logits = _forward(model, tokens, cache, gemm_full, model.weights, last_only)
     model.full_traffic.add(*model._forward_traffic(GemmMode.FULL, tokens.shape[0], last_only))
     return logits
 
@@ -435,7 +431,7 @@ def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = F
 def forward_draft(model: ToyModel, token: int, cache: KvCache) -> np.ndarray:
     """4-bit-weights pass over a single token; returns (vocab,) logits."""
     tokens = check_token_ids([token], model.cfg.vocab)
-    logits = _forward(model, tokens, cache, model._lin_draft)
+    logits = _forward(model, tokens, cache, gemm_draft, model.weights)
     model.draft_traffic.add(*model._forward_traffic(GemmMode.DRAFT, 1, False))
     return logits[0]
 
@@ -446,9 +442,11 @@ def forward_reference(
     """Forward pass over plain FP16 weight arrays (no packed storage)."""
     tokens = check_token_ids(tokens, model.cfg.vocab)
     gs = model.cfg.group_size
-    return _forward(
-        model, tokens, cache, lambda name, a16: reference_gemm(a16, raw_weights[name], gs)
-    )
+
+    def gemm(a16, w, validate):
+        return reference_gemm(a16, w, gs)
+
+    return _forward(model, tokens, cache, gemm, raw_weights)
 
 
 # ---------------------------------------------------------------------------

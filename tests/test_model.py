@@ -401,6 +401,22 @@ def test_save_load_round_trip(tmp_path, model):
     assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
+@pytest.mark.parametrize("d_model, n_heads", [(15, 3), (9, 1)])
+def test_odd_width_model_runs_and_round_trips(tmp_path, d_model, n_heads):
+    # the position table of an odd width has one more sine than cosines,
+    # so its last column is a sine
+    m = init_model(ModelConfig(d_model=d_model, n_heads=n_heads, seed=3))
+    angle = np.arange(m.cfg.context) / 10000.0 ** ((d_model - 1) / d_model)
+    assert np.array_equal(m.pos[:, -1], np.sin(angle).astype(np.float32))
+    t = [1, 2, 3]
+    a = forward_full(m, t, m.new_cache())
+    assert a.shape == (3, 256) and np.all(np.isfinite(a))
+    save_model(m, tmp_path / "m")
+    loaded = load_model(tmp_path / "m")
+    b = forward_full(loaded, t, loaded.new_cache())
+    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
 def test_numpy_scalar_config_round_trip(tmp_path):
     # numpy scalars are stored as plain Python values, so the manifest
     # serialises and the model saves whole
