@@ -24,7 +24,8 @@ against ``_loop_f32``, shows that they keep it. Each has one consumer:
 
 * ``_sgemm``, OpenBLAS sgemm through one ``np.matmul`` over a stack of
   groups, for the weight GEMMs (``gemm_weights``).
-* ``np.einsum``, for attention's scores and context only (``gemm_f32``).
+* ``np.einsum``, for attention's scores and context only (``gemm_f32``),
+  in a row-major and a key-major layout (below).
 
 Where neither is admitted, ``_loop_f32`` runs: slower, with the same bits.
 It is also the weight GEMMs' fallback, the sgemm probe's reference and
@@ -100,11 +101,12 @@ included. A rule and a probe decide where it runs:
 * The probe (``_einsum_in_order``), once per process. Nothing in numpy's
   interface fixes the order: a build may fuse a multiply-add or sum
   another way. The probe compares ``_einsum`` with ``_loop_f32`` on
-  seeded full-mantissa float32 operands in attention's layouts: batched
-  heads against a strided key-cache view and against a value view, each
-  with at least 64 outputs. FP16 operands such as ``_probe_operand``'s
-  have exact products and could not show an FMA. If either case differs,
-  every call takes ``_loop_f32``.
+  seeded full-mantissa float32 operands in attention's three layouts:
+  batched heads against a strided key-cache view, against a value view,
+  and the key-major context below (at 17 and 64 rows), each with at least
+  64 outputs. FP16 operands such as ``_probe_operand``'s have exact
+  products and could not show an FMA. If any case differs, every call
+  takes ``_loop_f32``.
 
 A sum whose every product is -0.0 gives +0.0 on both paths, since both
 add into a zeroed output.
@@ -112,7 +114,30 @@ add into a zeroed output.
 Attention calls these kernels once per query tile of at most
 ``model.TILE`` = 64 rows, each over only the keys its last row sees
 (``model._attend``). ``KvCache`` stores keys as (d_head, n_heads,
-positions), so ``attn_scores_f32`` reads them in place.
+positions), so ``attn_scores_f32`` reads them in place. The scores, the
+mask, the max and the ``exp`` run row-major, (n_heads, rows, t). The two
+sums over the keys that follow run in one of two layouts, chosen by the
+tile's shape (``model._attend_tile``):
+
+* Row-major, for tiles of at most d_head rows: ``rowsum_f32`` accumulates
+  along each row, and ``attn_ctx_f32`` runs (n_heads, rows, t) x
+  (n_heads, t, d_head), einsum's inner loop over d_head.
+* Key-major, for tiles of more rows than d_head: one C-contiguous
+  (n_heads, t, rows) copy of the exponentials feeds both sums.
+  ``rowsum_f32(key_major=True)`` adds whole key rows in ascending order
+  (``_key_sum``, ``np.add.reduce`` over axis -2), and
+  ``attn_ctx_f32(key_major=True)`` runs a contiguous (n_heads, d_head, t)
+  copy of the values times the (n_heads, t, rows) probabilities, so the
+  rows are einsum's inner loop. These are the same products added in the
+  same ascending-key order as the row-major sums, so the bits are the
+  same; the layout rule admits the probabilities, whose stride along k is
+  the row count, wherever a tile has more than one row. A short inner
+  loop is the slower one, hence the rows-versus-d_head rule.
+* The key-major row sum has its own probe (``key_sum_in_order``), once per
+  process: it compares ``rowsum_f32`` in both layouts on seeded softmax
+  numerators with causal zero tails, an all-(-0.0) row and 150 keys, so
+  that a pairwise or reordered reduction differs. Where it fails, every
+  tile runs row-major.
 """
 
 from __future__ import annotations
@@ -124,16 +149,22 @@ import numpy as np
 
 def active_backend() -> str:
     """numpy's version, the BLAS that runs the weight GEMMs, as numpy's build
-    names it, and where attention's sums run."""
+    names it, where attention's sums run, and whether tiles of more rows than
+    d_head sum over the keys on a key-major copy."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.25 takes no mode; a build may omit a key
         name = "an unnamed BLAS"
     sums = "numpy einsum, order-checked" if _einsum_in_order() else "the per-k loop"
+    if key_sum_in_order():
+        wide = "a key-major copy (add.reduce row sum, order-checked)"
+    else:
+        wide = "the row-major layout (the key-major row sum failed its probe)"
     return (
         f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked,"
-        f" else the per-k loop; attention on {sums}"
+        f" else the per-k loop; attention on {sums}; tiles of more rows than d_head"
+        f" sum over keys on {wide}"
     )
 
 
@@ -251,8 +282,8 @@ def _einsum_admits(w) -> bool:
 
 @functools.cache
 def _einsum_in_order() -> bool:
-    """Whether ``_einsum`` gave ``_loop_f32``'s bits in both of attention's
-    layouts on seeded full-mantissa float32 operands."""
+    """Whether ``_einsum`` gave ``_loop_f32``'s bits in each of attention's
+    three layouts on seeded full-mantissa float32 operands."""
     rng = np.random.default_rng(0)
     heads, dh, n, t, capacity = 4, 16, 5, 37, 41
     qkv = rng.standard_normal((n, 3 * heads * dh), dtype=np.float32)
@@ -264,6 +295,10 @@ def _einsum_in_order() -> bool:
         (q, keys.swapaxes(0, 1)),  # as ``attn_scores_f32`` reads the key cache
         (probs, vals.reshape(t, heads, dh).swapaxes(0, 1)),  # as ``attn_ctx_f32``
     ]
+    # the key-major context, rows inner: a 17-row window and a full tile
+    for rows in (17, 64):
+        probs_km = rng.standard_normal((heads, t, rows), dtype=np.float32)
+        cases.append((_values_by_head(vals, heads), probs_km))
     return all(
         np.array_equal(_einsum(a, w).view(np.uint32), _loop_f32(a, w).view(np.uint32))
         for a, w in cases
@@ -296,18 +331,60 @@ def attn_scores_f32(q, k, n_heads):
     return gemm_f32(qh, k.swapaxes(0, 1))
 
 
-def rowsum_f32(x):
-    """Sum over the last axis of (h, n, t), j ascending from +0.0, in float32.
+def _key_sum(x):
+    """Sum over axis -2 of a C-contiguous (h, t, n): whole key rows added
+    into the output in ascending order."""
+    return np.add.reduce(x, axis=-2)
+
+
+def rowsum_f32(x, key_major=False):
+    """Sum over the keys of (h, n, t), j ascending from +0.0, in float32: (h, n).
 
     One ``np.add.accumulate`` along j, which is sequential; adding its last
     column to +0.0 turns an all-(-0.0) row's -0.0 into the +0.0 a loop
-    started at +0.0 gives.
+    started at +0.0 gives. With ``key_major``, ``x`` is the (h, t, n)
+    C-contiguous copy instead, summed by ``_key_sum``, for the same bits
+    where ``key_sum_in_order`` held. numpy 2.4.6 starts that reduction from
+    +0.0; the ``+= 0.0`` gives the same bits where a build starts it from
+    the first key row instead.
     """
+    if key_major:
+        out = _key_sum(x)
+        out += _PLUS_ZERO
+        return out
     return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
 
 
-def attn_ctx_f32(probs, v, n_heads):
-    """Per-head probs·v, (n_heads, n, t) x (t, d) -> (n, d), heads as the batch axis."""
+@functools.cache
+def key_sum_in_order() -> bool:
+    """Whether the key-major row sum gave the row-major one's bits on seeded
+    softmax numerators: masked tails of +0.0, an all-(-0.0) row, and 150
+    keys, so that a pairwise or reordered sum differs."""
+    rng = np.random.default_rng(1)
+    heads, n, t = 4, 24, 150
+    x = rng.random((heads, n, t), dtype=np.float32)
+    x[:, np.arange(t) > (t - n + np.arange(n))[:, None]] = 0.0
+    x[0, 0] = -0.0
+    got = rowsum_f32(np.ascontiguousarray(x.swapaxes(1, 2)), key_major=True)
+    return np.array_equal(got.view(np.uint32), rowsum_f32(x).view(np.uint32))
+
+
+def _values_by_head(v, n_heads):
+    """(t, d) values as a C-contiguous (n_heads, d_head, t) copy."""
     t, d = v.shape
+    return np.ascontiguousarray(v.reshape(t, n_heads, d // n_heads).transpose(1, 2, 0))
+
+
+def attn_ctx_f32(probs, v, n_heads, key_major=False):
+    """Per-head probs·v, (n_heads, n, t) x (t, d) -> (n, d), heads as the batch axis.
+
+    With ``key_major``, ``probs`` is the (n_heads, t, n) C-contiguous copy,
+    and the same products run in the same ascending-key order as
+    (n_heads, d_head, t) x (n_heads, t, n): the rows are einsum's inner loop.
+    """
+    t, d = v.shape
+    if key_major:
+        ctx = gemm_f32(_values_by_head(v, n_heads), probs)  # (H, dh, n)
+        return ctx.transpose(2, 0, 1).reshape(probs.shape[-1], d)
     ctx = gemm_f32(probs, v.reshape(t, n_heads, d // n_heads).swapaxes(0, 1))
     return ctx.swapaxes(0, 1).reshape(probs.shape[1], d)

@@ -312,9 +312,10 @@ def check_token_ids(tokens, vocab: int, what: str = "token ids") -> np.ndarray:
 
 
 # Query rows per attention tile: a wider window runs attention tile by
-# tile (``_attend``). At 64 rows a 384-row prefill took less than half its
-# untiled time; 16 and 32 rows tied with 64, and 128 was slower (on a
-# 2-vCPU host).
+# tile (``_attend``). At 64 rows a 384-row prefill of the default model took
+# about two thirds of its untiled time; 32 and 128 rows tied with 64, and 16
+# rows, no more than its d_head, run the slower row-major tail (on a 2-vCPU
+# host).
 TILE = 64
 
 
@@ -344,8 +345,25 @@ def _attend_tile(q, keys, vals, n_heads, scale):
     # runs alone or inside a wider window.
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
+    if n > keys.shape[0] and _accel.key_sum_in_order():  # keys: (d_head, n_heads, t)
+        return _key_major_tail(scores, vals, n_heads)
     scores /= _accel.rowsum_f32(scores)[:, :, None]
     return _accel.attn_ctx_f32(scores, vals, n_heads)
+
+
+def _key_major_tail(e, vals, n_heads):
+    """The rest of a tile of more rows than d_head, from its (n_heads, n, t)
+    exponentials ``e``: the (n, d) context.
+
+    Both sums over the keys run on one C-contiguous (n_heads, t, n) copy of
+    ``e``: the row sum adds whole key rows, and the context runs the rows as
+    einsum's inner loop. They give the row-major sums' bits
+    (``_accel.rowsum_f32``, ``attn_ctx_f32``). Narrower tiles keep the
+    row-major layout, where a short inner loop of rows is the slower one.
+    """
+    e = np.ascontiguousarray(e.swapaxes(1, 2))
+    e /= _accel.rowsum_f32(e, key_major=True)[:, None, :]
+    return _accel.attn_ctx_f32(e, vals, n_heads, key_major=True)
 
 
 def _attend(q, keys, vals, n_heads, scale):

@@ -172,12 +172,13 @@ def speculative_generate(
 
         # Draft phase: propose while confidence stays at/above gamma. The
         # candidate whose top probability falls below gamma is discarded.
+        # No probability is below a gamma of 0, so that softmax is skipped.
         drafts: list[int] = []
         x = pending
         limit = min(cfg.max_draft_len, gen_len - len(generated) - 1)
         while len(drafts) < limit:
             logits = forward_draft(model, x, cache)
-            if _max_softmax_prob(logits) < cfg.gamma:
+            if cfg.gamma and _max_softmax_prob(logits) < cfg.gamma:
                 break
             x = _argmax(logits)
             drafts.append(x)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from speq import _accel
 from speq.model import (
     TILE,
     ModelConfig,
@@ -46,7 +47,16 @@ def _draw_case(rng):
     return cfg, spec, prompt, gen_len
 
 
-def test_contracts_hold_across_configs(tmp_path):
+def test_contracts_hold_across_configs(tmp_path, monkeypatch):
+    # counts the multi-row tiles of each layout: the sweep must run both
+    ctx, layouts = _accel.attn_ctx_f32, {True: 0, False: 0}
+
+    def counting_ctx(probs, v, n_heads, key_major=False):
+        if (probs.shape[-1] if key_major else probs.shape[1]) > 1:
+            layouts[key_major] += 1
+        return ctx(probs, v, n_heads, key_major=key_major)
+
+    monkeypatch.setattr(_accel, "attn_ctx_f32", counting_ctx)
     rng = np.random.default_rng(2031)
     cases = [_draw_case(rng) for _ in range(N_CONFIGS)]
     # the draw covers what the contracts are most likely to break on
@@ -70,3 +80,4 @@ def test_contracts_hold_across_configs(tmp_path):
         save_model(m, tmp_path / str(i))
         loaded = load_model(tmp_path / str(i))
         assert np.array_equal(_bits(forward_full(loaded, prompt, loaded.new_cache())), _bits(full))
+    assert layouts[True] and layouts[False], layouts

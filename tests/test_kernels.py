@@ -315,21 +315,26 @@ def test_weight_gemms_match_scalar_oracle(m, k):
         assert got[0, 0].view(np.uint32) == 0  # +0.0
 
 
-def test_active_backend_names_the_blas(monkeypatch):
+def test_active_backend_names_the_blas(monkeypatch, fresh_probes):
     name = _accel.active_backend()
     assert name.startswith(f"numpy {np.__version__}; weight GEMMs on ")
     assert name.endswith(
-        " sgemm where order-checked, else the per-k loop; attention on numpy einsum, order-checked"
+        " sgemm where order-checked, else the per-k loop; attention on numpy einsum, order-checked;"
+        " tiles of more rows than d_head sum over keys on a key-major copy"
+        " (add.reduce row sum, order-checked)"
     )
     assert "unnamed" not in name
     monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
     assert "an unnamed BLAS" in _accel.active_backend()
     _accel._einsum_in_order.cache_clear()
     monkeypatch.setattr(_accel, "_einsum", np.matmul)  # BLAS sums in another order
-    try:
-        assert _accel.active_backend().endswith("; attention on the per-k loop")
-    finally:
-        _accel._einsum_in_order.cache_clear()
+    assert "; attention on the per-k loop; " in _accel.active_backend()
+    _accel.key_sum_in_order.cache_clear()
+    monkeypatch.setattr(_accel, "_key_sum", lambda x: np.add.reduce(x[:, ::-1], axis=-2))
+    assert _accel.active_backend().endswith(
+        "; tiles of more rows than d_head sum over keys on the row-major layout"
+        " (the key-major row sum failed its probe)"
+    )
 
 
 # (m, k, n, group): K not a multiple of the group, group larger than K,

@@ -176,6 +176,53 @@ def test_tiled_window_equals_stepwise(model, prefix, n, last_only):
         assert np.array_equal(got.view(np.uint32), ref.view(np.uint32)), name
 
 
+# (n_heads, d_head, n, t): a tile one row wider than d_head, over a cached
+# prefix and with none (t = n); a full tile over a long context; a full
+# tile at a wide head; and tiles that attend to exactly their own rows.
+_KEY_MAJOR_TILES = [
+    (4, 16, 17, 137),
+    (4, 16, 17, 17),
+    (2, 8, 9, 40),
+    (1, 32, 33, 33),
+    (8, 4, 5, 70),
+    (4, 16, _TILE, 384),
+    (4, 16, _TILE, _TILE),
+    (4, 32, _TILE, 100),
+]
+
+
+@pytest.mark.parametrize("spare", [0, 1, 40])
+@pytest.mark.parametrize("n_heads,d_head,n,t", _KEY_MAJOR_TILES)
+def test_key_major_tail_matches_row_major_and_loop(n_heads, d_head, n, t, spare):
+    # The tile's tail on the key-major copy has the bits of the row-major
+    # tail and of the per-k loop: row sums from +0.0 in ascending key order,
+    # then each context sum in ascending key order. The values are a view
+    # into a cache of t + spare positions, as _forward passes them.
+    rng = np.random.default_rng([n_heads, d_head, n, t, spare])
+    d = n_heads * d_head
+    scores = rng.normal(0, 3, (n_heads, n, t)).astype(np.float32)
+    scores[:, np.arange(t) > (t - n + np.arange(n))[:, None]] = -np.inf  # causal tails
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    cache = rng.normal(0, 1, (t + spare, d)).astype(np.float16).astype(np.float32)
+    cache[rng.random(cache.shape) < 0.05] = -0.0
+    vals = cache[:t]
+
+    sums = smodel._accel._loop_f32(e, np.ones((t, 1), dtype=np.float32))[..., 0]
+    probs = e / sums[:, :, None]
+    want = np.empty((n, d), dtype=np.float32)
+    for h in range(n_heads):
+        cols = slice(h * d_head, (h + 1) * d_head)
+        want[:, cols] = smodel._accel._loop_f32(probs[h], vals[:, cols])
+    probs_rm = e / smodel._accel.rowsum_f32(e)[:, :, None]
+    row_major = smodel._accel.attn_ctx_f32(probs_rm, vals, n_heads)
+    key_major = smodel._key_major_tail(e, vals, n_heads)
+    km_sums = smodel._accel.rowsum_f32(np.ascontiguousarray(e.swapaxes(1, 2)), key_major=True)
+    assert np.array_equal(km_sums.view(np.uint32), sums.view(np.uint32))
+    assert np.array_equal(row_major.view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(key_major.view(np.uint32), want.view(np.uint32))
+
+
 @functools.lru_cache(maxsize=None)
 def _layered_model(n_layers):
     return init_model(ModelConfig(n_layers=n_layers, seed=12))

@@ -114,6 +114,26 @@ def test_gamma_one_never_drafts():
     assert out == greedy_generate(m, prompt, 33)
 
 
+_GAMMA0_TOKENS = [233, 37, 172, 172, 72, 168, 62, 62, 62, 62, 62, 62, 240, 242, 249, 249, 249, 249]
+_GAMMA0_TOKENS += [249, 106, 212, 212, 242, 177, 17, 233, 233, 172, 236, 236, 108, 108, 152, 152]
+_GAMMA0_TOKENS += [152, 152, 72, 72, 17, 17]
+
+
+@pytest.mark.parametrize("max_draft_len,stats", [(4, (14, 49, 25)), (16, (10, 134, 29))])
+def test_gamma_zero_skips_the_draft_softmax(model, monkeypatch, max_draft_len, stats):
+    # No top probability is below 0, so gamma = 0 drafts to the length cap
+    # without a softmax; the tokens and counts are those of the run that
+    # computed it every time.
+    def no_softmax(logits):
+        raise AssertionError("the draft's softmax ran at gamma = 0")
+
+    monkeypatch.setattr(specdec, "_max_softmax_prob", no_softmax)
+    cfg = SpecDecConfig(max_draft_len=max_draft_len, gamma=0.0)
+    out, got = speculative_generate(model, [7, 1, 250, 33], cfg, 40)
+    assert out == _GAMMA0_TOKENS
+    assert (got.rounds, got.proposed, got.accepted) == stats
+
+
 def test_lossless_on_seeded_prompts(model):
     rng = np.random.default_rng(77)
     cfg = SpecDecConfig()

@@ -239,3 +239,126 @@ def test_probe_rejects_reordered_einsum(monkeypatch, fresh_probes, kernel):
         assert same_bits(scores[h], _per_k(q[:, sl], k[:, sl].T))
         assert same_bits(ctx[:, sl], _per_k(probs[h], v[:, sl]))
     assert same_bits(_accel.gemm_f32(a, w), _per_k(a, w))
+
+
+def _tile_paths(monkeypatch):
+    """Record (rows, d_head, key-major) of every attention tile's context call,
+    and check that its row sum took the same layout."""
+    ctx, rowsum, tiles, sums = _accel.attn_ctx_f32, _accel.rowsum_f32, [], []
+
+    def recording_ctx(probs, v, n_heads, key_major=False):
+        rows = probs.shape[-1] if key_major else probs.shape[1]
+        tiles.append((rows, v.shape[1] // n_heads, key_major))
+        return ctx(probs, v, n_heads, key_major=key_major)
+
+    def recording_rowsum(x, key_major=False):
+        sums.append(key_major)
+        return rowsum(x, key_major=key_major)
+
+    monkeypatch.setattr(_accel, "attn_ctx_f32", recording_ctx)
+    monkeypatch.setattr(_accel, "rowsum_f32", recording_rowsum)
+    return tiles, sums
+
+
+def test_wide_tiles_take_the_key_major_path(monkeypatch, fresh_probes):
+    # Tiles of more rows than d_head sum over the keys on the key-major copy:
+    # long-context's prefill tiles do, one-row tiles and draft-heavy's
+    # windows (d_head 32, at most 17 rows) do not, and no sum runs the loop.
+    # The probes compare with the loop: run them before it is recorded.
+    assert _accel.key_sum_in_order() and _accel._einsum_in_order()
+    workloads = {wl.name: wl for wl in _workloads(monkeypatch)}
+    for wl in workloads.values():
+        assert all(_accel._blas_admits(*s) for s in _weight_gemm_shapes(wl))
+    loop, looped = _accel._loop_f32, []
+
+    def recording_loop(a, w):
+        looped.append((a.shape, w.shape))
+        return loop(a, w)
+
+    monkeypatch.setattr(_accel, "_loop_f32", recording_loop)
+    tiles, sums = _tile_paths(monkeypatch)
+    seen = {}
+    for name, wl in workloads.items():
+        model = init_model(ModelConfig(**wl.model))
+        window = SpecDecConfig(**wl.spec).max_draft_len + 1
+        cache = model.new_cache(wl.prompt_len + wl.gen_len)
+        tokens = np.random.default_rng(wl.prompt_len).integers(0, model.cfg.vocab, cache.positions)
+        tiles.clear()
+        forward_full(model, tokens[: wl.prompt_len], cache, last_only=True)
+        prefill = list(tiles)
+        while cache.len < cache.positions - window:
+            forward_draft(model, int(tokens[cache.len]), cache)
+        forward_full(model, tokens[cache.len :], cache)
+        seen[name] = (prefill, list(tiles))
+
+    prefill, _ = seen["long-context"]
+    # layer 0 runs six 64-row tiles; the last layer runs the last row alone
+    assert [km for rows, _, km in prefill if rows > 1] == [True] * 6
+    for name, (_, every) in seen.items():
+        assert all(km == (rows > d_head) for rows, d_head, km in every), name
+        assert not any(km for rows, _, km in every if rows == 1), name
+    assert not any(km for _, _, km in seen["draft-heavy"][1])
+    assert [km for _, _, km in seen["chat-short"][1]].count(True) == 2  # the 17-row window
+    every = [km for name in seen for _, _, km in seen[name][1]]
+    assert sums == every
+    # at the rule's edge, on the default model: d_head rows, then one more
+    model = init_model(ModelConfig())
+    for rows in (16, 17):
+        tiles.clear()
+        forward_full(model, list(range(rows)), model.new_cache())
+        assert tiles == [(rows, 16, rows > 16)] * model.cfg.n_layers
+    assert looped == []
+
+
+def _key_sum_pairwise(x):
+    # reduce over a contiguous axis sums pairwise
+    return np.add.reduce(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-1)
+
+
+def _key_sum_reversed(x):
+    return np.add.reduce(x[:, ::-1], axis=-2)
+
+
+def _einsum_reversed_when_key_major(a, w):
+    # attention's key-major context alone has both operands C-contiguous
+    if a.flags.c_contiguous and w.flags.c_contiguous:
+        return _einsum_reversed_k(a, w)
+    return _EINSUM(a, w)
+
+
+@pytest.mark.parametrize(
+    "name,kernel",
+    [
+        ("_key_sum", _key_sum_pairwise),
+        ("_key_sum", _key_sum_reversed),
+        ("_einsum", _einsum_reversed_when_key_major),
+    ],
+)
+def test_probes_reject_reordered_key_major_sums(monkeypatch, fresh_probes, name, kernel):
+    # A key-major row sum or context that sums in another order is caught by
+    # its probe, and every tile then gives the bits it gives today.
+    model = init_model(ModelConfig())
+    tokens = np.random.default_rng(71).integers(0, 256, 100)  # tiles of 64 and 36 rows
+    want = forward_full(model, tokens, model.new_cache())
+
+    # the kernel does sum in another order on a tile's key-major layout
+    rng = np.random.default_rng(72)
+    km = rng.random((4, 150, 20), dtype=np.float32)
+    a = rng.standard_normal((4, 16, 150), dtype=np.float32)
+    ops = {"_key_sum": (km,), "_einsum": (a, km)}[name]
+    assert not np.array_equal(kernel(*ops), getattr(_accel, name)(*ops))
+    monkeypatch.setattr(_accel, name, kernel)
+    _accel.key_sum_in_order.cache_clear()
+    _accel._einsum_in_order.cache_clear()
+    if name == "_key_sum":
+        assert not _accel.key_sum_in_order()
+        assert _accel._einsum_in_order()
+    else:
+        assert _accel.key_sum_in_order()
+        assert not _accel._einsum_in_order()
+    tiles, _ = _tile_paths(monkeypatch)
+    got = forward_full(model, tokens, model.new_cache())
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+    # a rejected row sum sends the wide tiles to the row-major layout; a
+    # rejected einsum sends every sum, in either layout, to the per-k loop
+    assert {km for rows, _, km in tiles if rows > 16} == {name == "_einsum"}
