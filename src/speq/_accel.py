@@ -35,8 +35,8 @@ on einsum.
 ``gemm_weights``, which ``kernels.gemm_full`` / ``gemm_draft`` and through
 them the PE-array model call, runs ``gemm_groups`` on ``_sgemm`` where
 that gives the fixed order's bits, and on ``_loop_f32`` otherwise: one
-cast of the activations, one stacked sgemm call (two with a shorter last
-group), one scale multiply for the draft, and the group adds:
+float32 copy of the activations, one stacked sgemm call (two with a
+shorter last group), one scale multiply for the draft, and the group adds:
 
 * Precondition: every product is exact in float32. An FP16 x FP16 product
   has at most 22 significant bits, an FP16 x draft value (±2^e) at most
@@ -52,9 +52,9 @@ group), one scale multiply for the draft, and the group adds:
   product to sgemv, whose dot products reassociate: OpenBLAS 0.3.31
   differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256), FP16
   activations drawn from N(0, 1) and weights from N(0, 0.02).
-  ``gemm_weights`` casts the FP16 activations to float32 once per call and
-  doubles a one-row call in that same cast, so each stacked slice has two
-  rows; it returns the first.
+  ``gemm_weights`` copies the FP16 activations to float32 once per call
+  and doubles a one-row call in that same copy, so each stacked slice has
+  two rows; it returns the first.
 * The probe, not an assumption, admits each call shape, and it runs the
   call it admits. Nothing in the BLAS interface fixes the order: a
   library may split k into blocks or across threads, or switch kernels
@@ -77,6 +77,20 @@ group), one scale multiply for the draft, and the group adds:
   would give where every product is -0.0, and a negative group sum times
   a +0.0 draft scale, become +0.0 in the final ``+= 0.0``, so the kernels
   agree there too.
+
+The activations reach ``gemm_weights`` as float16, or as float32 arrays
+that hold FP16 values; its copy into the float32 buffer takes either.
+``fp16_values`` gives them from float32: an array of fewer than
+``FP16_WIDE`` elements by one ``astype(np.float16)``, a wider one by
+rounding its float32 bits in uint32 arithmetic: add 0x0FFF plus bit 13, the
+lowest bit kept, then clear the low 13 bits. That rounds to nearest, ties
+to even, at FP16's 10 fraction bits, which IEEE fixes, and integer
+operations have no SIMD variant that could round another way. It is
+``astype``'s result wherever FP16 shares float32's exponent. The lanes
+where it does not are patched from ``astype``: a nonzero magnitude below
+2^-14 (an FP16 subnormal, with fewer fraction bits), one at or above 65520
+(which FP16 rounds to Inf) and a non-finite value. A zero rounds exactly
+and is not patched.
 
 ``gemm_f32``, which only attention calls (``attn_scores_f32``,
 ``attn_ctx_f32``), runs ``np.einsum("...mk,...kn->...mn", a, w,
@@ -168,6 +182,61 @@ def active_backend() -> str:
     )
 
 
+# Arrays of at least this many elements are rounded to FP16 on their float32
+# bits (``fp16_values``); smaller ones take one float16 cast, whose fixed cost
+# is lower.
+FP16_WIDE = 2048
+
+
+def _constant(value, dtype=np.uint32):
+    """A read-only 0-d array, not a scalar: numpy converts a scalar operand
+    on every call."""
+    out = np.array(value, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
+_ONE, _THIRTEEN = _constant(1), _constant(13)
+_ROUND_UP = _constant(0x0FFF)  # plus the lowest bit kept: rounds half to even
+_KEEP = _constant(0xFFFFE000)  # sign, exponent and FP16's 10 fraction bits
+# FP16's limits as float32 bits shifted left by one, which drops the sign:
+# below 2^-14 a value is an FP16 subnormal, and from 65520 on it rounds past
+# 65504 to Inf. Less one, a zero wraps to the top, above every limit.
+_NORMAL2_LESS1 = _constant((0x38800000 << 1) - 1)
+_OVERFLOW2 = _constant(0x477FF000 << 1)
+
+
+def fp16_values(x):
+    """The FP16 values of float32 ``x``, with ``x.astype(np.float16)``'s bits:
+    that float16 array below ``FP16_WIDE`` elements, else a float32 array
+    holding them.
+
+    The wide route rounds the bits (see the module docstring) with two
+    uint32 temporaries of ``x``'s size, and patches from ``astype`` only the
+    lanes it would get wrong: FP16 subnormals, overflows and non-finite
+    values. A zero is exact and no such lane.
+    """
+    if x.size < FP16_WIDE:
+        return x.astype(np.float16)
+    bits = x.view(np.uint32)
+    out = np.right_shift(bits, _THIRTEEN)
+    np.bitwise_and(out, _ONE, out=out)
+    np.add(out, bits, out=out)
+    np.add(out, _ROUND_UP, out=out)
+    np.bitwise_and(out, _KEEP, out=out)
+    out = out.view(np.float32)
+    mag = np.left_shift(bits, _ONE)
+    over = np.maximum.reduce(mag, None) >= _OVERFLOW2
+    np.subtract(mag, _ONE, out=mag)
+    if over or np.minimum.reduce(mag, None) < _NORMAL2_LESS1:
+        patch = np.less(mag, _NORMAL2_LESS1)
+        if over:
+            np.add(mag, _ONE, out=mag)
+            patch |= mag >= _OVERFLOW2
+        out[patch] = x[patch].astype(np.float16)
+    return out
+
+
 def _sgemm(a, w):
     """``a @ w`` for a float32 stack of groups, (G, rows, gs) x (G, gs, n) ->
     (G, rows, n), through sgemm, in one ``np.matmul`` call.
@@ -207,25 +276,25 @@ def _blas_admits(m: int, k: int, n: int, group_size: int) -> bool:
     return np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
-def gemm_weights(a16, w, group_size, scales=None):
-    """``gemm_groups`` over FP16 activations ``a16`` and a C-contiguous
-    float32 weight operand whose every product with them is exact in float32.
+def gemm_weights(a_in, w, group_size, scales=None):
+    """``gemm_groups`` over FP16 activations ``a_in`` (float16, or float32
+    holding FP16 values) and a C-contiguous float32 weight operand whose
+    every product with them is exact in float32.
 
-    The activations are cast to float32 once; a one-row call is doubled in
-    that same cast and its first row returned, so ``_sgemm`` never meets
-    sgemv. The groups run on ``_sgemm`` when ``_blas_admits`` the call's
-    shape (one lookup per call), otherwise on ``_loop_f32``.
+    The activations are copied into one float32 buffer, a cast for float16;
+    a one-row call is doubled in that same copy and its first row returned,
+    so ``_sgemm`` never meets sgemv. The groups run on ``_sgemm`` when
+    ``_blas_admits`` the call's shape (one lookup per call), otherwise on
+    ``_loop_f32``.
     """
-    m, k = a16.shape
+    m, k = a_in.shape
     a = np.empty((max(m, 2), k), dtype=np.float32)
-    a[...] = a16  # one row fills both
+    a[...] = a_in  # one row fills both
     kernel = _sgemm if _blas_admits(m, k, w.shape[1], group_size) else _loop_f32
     return gemm_groups(kernel, a, w, group_size, scales)[:m]
 
 
-# A 0-d array, not a scalar: numpy converts a scalar operand on every call.
-_PLUS_ZERO = np.zeros((), dtype=np.float32)
-_PLUS_ZERO.flags.writeable = False
+_PLUS_ZERO = _constant(0.0, np.float32)
 
 
 def gemm_groups(kernel, a, w, group_size, scales=None):

@@ -5,8 +5,9 @@
 Both operands were decoded once, when the ``PackedTensor`` was built; the
 draft reads its scales as contiguous rows, ``group_scales.T``. Each hands
 its operand (and the draft its scales) to ``_gemm``, the one body: it
-checks the activations (FP16, 2-D, at least one row, as wide as the
-operand is tall, and finite unless the caller skips that), runs
+checks the activations (FP16 values, held as float16 or as float32; 2-D,
+at least one row, as wide as the operand is tall; finite and, if float32,
+exactly FP16 unless the caller skips those two checks), runs
 ``_accel.gemm_weights`` and multiplies by 1/tensor_scale once per output
 element unless it is exactly 1. Every product there is exact in float32:
 an FP16 x FP16 product has at most 22 significant bits, an FP16 x draft
@@ -100,16 +101,27 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = DEFAULT_GROUP
 def _gemm(a, p: PackedTensor, w: np.ndarray, scales, validate: bool):
     """The one GEMM body over operand ``w`` (and the draft's ``scales``).
     The width check reads ``w``, not ``p``, so the draft reads nothing
-    decoded from the remainder stream."""
+    decoded from the remainder stream.
+
+    ``a`` holds FP16 values, as float16 or as float32. With ``validate``,
+    it must be finite, and a float32 ``a`` must equal its own
+    ``_accel.fp16_values`` bit for bit; without, the caller vouches for both.
+    """
     a = np.asarray(a)
-    if a.dtype != np.float16:
-        raise ValueError(f"activations must be float16, got {a.dtype}")
+    if a.dtype not in (np.float16, np.float32):
+        raise ValueError(f"activations must be float16, or float32 holding FP16 values, got {a.dtype}")
     if a.ndim != 2 or a.shape[0] == 0:
         raise ValueError(f"activations must be 2-D with at least one row, got shape {a.shape}")
     if a.shape[1] != w.shape[0]:
         raise ValueError(f"dimension mismatch: A is {a.shape}, W is {p.rows}x{p.cols}")
-    if validate and not np.all(np.isfinite(a)):
-        raise ValueError("activations contain NaN or Inf")
+    if validate:
+        if not np.all(np.isfinite(a)):
+            raise ValueError("activations contain NaN or Inf")
+        if a.dtype == np.float32:
+            with np.errstate(over="ignore"):  # a value past 65504 fails the compare
+                fp16 = np.asarray(_accel.fp16_values(a), dtype=np.float32)
+            if not np.array_equal(fp16.view(np.uint32), a.view(np.uint32)):
+                raise ValueError("float32 activations must hold FP16 values")
     out = _accel.gemm_weights(a, w, p.group_size, scales)
     if p.inv_tensor_scale != 1:  # x * 1 is x, bit for bit
         out *= p.inv_tensor_scale
@@ -117,7 +129,7 @@ def _gemm(a, p: PackedTensor, w: np.ndarray, scales, validate: bool):
 
 
 def gemm_full(a: np.ndarray, p: PackedTensor, *, validate: bool = True) -> np.ndarray:
-    """Full-precision GEMM: A (M,K) fp16 x exact FP16 weights (K,N) -> f32."""
+    """Full-precision GEMM: A (M,K) FP16 values x exact FP16 weights (K,N) -> f32."""
     return _gemm(a, p, p.full_values_f32(), None, validate)
 
 

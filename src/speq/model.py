@@ -40,10 +40,13 @@ saved and held once.
 
 Determinism contract: weights are drawn from a seeded generator, norms and
 softmax run in float32 with fixed reduction order, activations are rounded
-to FP16 at every GEMM boundary, and the FFN nonlinearity is ReLU. The one
-transcendental on the hot path is the softmax's float32 ``np.exp``, called
-in ``_attend_tile`` and in ``specdec._max_softmax_prob``, so logits are
-bit-reproducible across runs.
+to FP16 at every GEMM boundary and every key and value cached
+(``_accel.fp16_values``, ``astype(np.float16)``'s bits), and the FFN
+nonlinearity is ReLU. An FP16 activation is held as float16 or as float32,
+by the array's size; a GEMM and the cache take either with the same bits.
+The one transcendental on the hot path is the softmax's float32
+``np.exp``, called in ``_attend_tile`` and in ``specdec._max_softmax_prob``,
+so logits are bit-reproducible across runs.
 """
 
 from __future__ import annotations
@@ -121,8 +124,9 @@ class KvCache:
 
     Both the draft and verification passes write into the same buffers;
     there is no second cache for the draft model. Storage is float32, but
-    every value written is first rounded to FP16: FP16 -> float32 is exact,
-    so the cache holds FP16 values that attention reads without a cast.
+    every value written is first rounded to FP16, held as float16 or as
+    float32; either stores exactly, so the cache holds FP16 values that
+    attention reads without a cast.
     ``rewind`` truncates the logical length without touching storage.
 
     Keys are stored in score order, ``(n_layers, d_head, n_heads,
@@ -150,11 +154,12 @@ class KvCache:
         self.len = check_int("n", n, lo=0, hi=self.len)
 
     def write(self, layer: int, start: int, k: np.ndarray, v: np.ndarray) -> None:
-        """Store rows ``start:`` of ``layer``, each value rounded to FP16."""
+        """Store rows ``start:`` of ``layer``, each value rounded to FP16 by
+        ``_accel.fp16_values``; its float16 or float32 result stores exactly."""
         end = start + k.shape[0]
         d_head, n_heads = self.keys.shape[1:3]
-        self.keys[layer, ..., start:end] = k.astype(np.float16).reshape(-1, n_heads, d_head).T
-        self.vals[layer, start:end] = v.astype(np.float16)
+        self.keys[layer, ..., start:end] = _accel.fp16_values(k).reshape(-1, n_heads, d_head).T
+        self.vals[layer, start:end] = _accel.fp16_values(v)
 
 
 _LAYER_PARTS = ("qkv", "wo", "w1", "w2")
@@ -391,8 +396,10 @@ def _forward(
     model: ToyModel, tokens: np.ndarray, cache: KvCache, gemm, weights, last_only: bool = False
 ) -> np.ndarray:
     """Logits of ``tokens``, each linear ``name`` run as ``gemm(a16,
-    weights[name], validate=False)``: internal activations are finite by
-    construction, so the GEMM skips that check."""
+    weights[name], validate=False)``. ``a16`` holds FP16 values, from
+    ``_accel.fp16_values``: float16 for a narrow array, float32 for a wide
+    one. With ``validate=False`` the forward vouches for them: they are
+    exactly FP16, and finite by construction, so the GEMM skips both checks."""
     cfg = model.cfg
     n = tokens.shape[0]
     start = cache.len
@@ -405,7 +412,7 @@ def _forward(
 
     x = model.embed[tokens].astype(np.float32) + model.pos[start:t]
     for i in range(cfg.n_layers):
-        h16 = _layernorm(x).astype(np.float16)
+        h16 = _accel.fp16_values(_layernorm(x))
         qkv = gemm(h16, weights[f"l{i}.qkv"], validate=False)
         q, k, v = qkv[:, :d], qkv[:, d : 2 * d], qkv[:, 2 * d :]
         cache.write(i, start, k, v)
@@ -416,15 +423,15 @@ def _forward(
 
         # Causal: the query at position start + r sees keys [0, start + r].
         ctx = _attend(q, cache.keys[i, ..., :t], cache.vals[i, :t], cfg.n_heads, att_scale)
-        x = x + gemm(ctx.astype(np.float16), weights[f"l{i}.wo"], validate=False)
+        x = x + gemm(_accel.fp16_values(ctx), weights[f"l{i}.wo"], validate=False)
 
-        h16 = _layernorm(x).astype(np.float16)
+        h16 = _accel.fp16_values(_layernorm(x))
         f = gemm(h16, weights[f"l{i}.w1"], validate=False)
         np.maximum(f, np.float32(0.0), out=f)
-        x = x + gemm(f.astype(np.float16), weights[f"l{i}.w2"], validate=False)
+        x = x + gemm(_accel.fp16_values(f), weights[f"l{i}.w2"], validate=False)
 
     cache.len = t
-    logits = gemm(_layernorm(x).astype(np.float16), weights["head"], validate=False)
+    logits = gemm(_accel.fp16_values(_layernorm(x)), weights["head"], validate=False)
     logits *= np.float32(cfg.logit_scale)
     return logits
 

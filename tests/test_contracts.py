@@ -57,6 +57,15 @@ def test_contracts_hold_across_configs(tmp_path, monkeypatch):
         return ctx(probs, v, n_heads, key_major=key_major)
 
     monkeypatch.setattr(_accel, "attn_ctx_f32", counting_ctx)
+    # counts the FP16 rounding's calls by route (its result's dtype): both must run
+    fp16, routes = _accel.fp16_values, {np.dtype(np.float16): 0, np.dtype(np.float32): 0}
+
+    def counting_fp16(x):
+        out = fp16(x)
+        routes[out.dtype] += 1
+        return out
+
+    monkeypatch.setattr(_accel, "fp16_values", counting_fp16)
     rng = np.random.default_rng(2031)
     cases = [_draw_case(rng) for _ in range(N_CONFIGS)]
     # the draw covers what the contracts are most likely to break on
@@ -81,3 +90,4 @@ def test_contracts_hold_across_configs(tmp_path, monkeypatch):
         loaded = load_model(tmp_path / str(i))
         assert np.array_equal(_bits(forward_full(loaded, prompt, loaded.new_cache())), _bits(full))
     assert layouts[True] and layouts[False], layouts
+    assert all(routes.values()), routes

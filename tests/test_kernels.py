@@ -172,7 +172,7 @@ def test_gemm_rejects_bad_inputs():
     with pytest.raises(ValueError):
         gemm_full(np.ones((1, 4), dtype=np.float16), p)  # K mismatch
     with pytest.raises(ValueError):
-        gemm_full(np.ones((1, 8), dtype=np.float32), p)  # wrong dtype
+        gemm_full(np.ones((1, 8), dtype=np.float64), p)  # wrong dtype
     bad = np.ones((1, 8), dtype=np.float16)
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
