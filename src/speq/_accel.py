@@ -5,153 +5,68 @@ across runs and thread counts, so no sum may be split along k or
 reassociated. Each output is one float32 sum of float32 products, added
 in ascending k into a +0.0 output, each multiply and each add rounded on
 its own. ``_loop_f32`` is its definition: a Python loop over k,
-vectorized over the outputs, that adds each step's products into the
-output. It takes leading batch axes, each slice summed on its own.
+vectorized over the outputs, each leading batch slice summed on its own.
 ``gemm_groups`` extends it to the weight GEMMs: sum each group of
-consecutive k in that order, multiply the group's sums by its scales (the
-draft GEMM's; the full GEMM has none), and add the groups in ascending
-order into a +0.0 output. Its kernel sums a stack of groups in one call,
-(G, rows, gs) x (G, gs, n) -> (G, rows, n), over views of the operands;
-a shorter last group, where k leaves one, takes a second call. The
-scales multiply the whole stack at once. It allocates no zeroed output:
-the groups are added into the first group's sums, and one final
-``+= 0.0`` gives the bits of starting from +0.0, since the two can differ
-only in the sign of a zero and that add turns -0.0 into +0.0. The draft's
-scales are read as rows: ``PackedTensor`` holds them so that
-``group_scales.T``, each group's scale for every column, is C-contiguous.
-Two faster kernels run the same order where a probe, checking them
-against ``_loop_f32``, shows that they keep it. Each has one consumer:
+consecutive k in that order, multiply the group sums by the draft's
+scales, and add the groups in ascending order; one final ``+= 0.0`` gives
+the bits of starting from +0.0, since the two differ only in the sign of
+a zero. Two faster kernels run the same order where a memoised probe,
+checking them against ``_loop_f32``, shows that they keep it. Elsewhere
+``_loop_f32`` runs: slower, with the same bits. It is also
+``kernels.reference_gemm``'s kernel, so no weight GEMM depends on einsum.
 
 * ``_sgemm``, OpenBLAS sgemm through one ``np.matmul`` over a stack of
-  groups, for the weight GEMMs (``gemm_weights``).
-* ``np.einsum``, for attention's scores and context only (``gemm_f32``),
-  in a row-major and a key-major layout (below).
+  groups, for the weight GEMMs (``gemm_weights``). Every product there is
+  exact in float32: FP16 x FP16 has at most 22 significant bits, FP16 x a
+  draft value (±2^e) at most 11. An FMA's one rounding of s + x*y is then
+  the fixed order's multiply-then-add, and a GEMM micro-kernel adds each
+  output's products into a register in ascending k (Goto and van de Geijn,
+  *ACM TOMS* 34(3), 2008). A one-row call runs as two copies of the row:
+  numpy sends one row to sgemv, which reassociates. Nothing in the BLAS
+  interface fixes the order, so ``_blas_admits`` runs the hot path's own
+  stacked calls once per (rows, k, n, group size) and process, on seeded
+  FP16 operands spanning the normal range, with random power-of-two group
+  scales so that groups returned out of order show. A shape it rejects
+  runs on ``_loop_f32``.
+* ``np.einsum("...mk,...kn->...mn", optimize=False)`` (``_einsum``), for
+  attention only (``gemm_f32``): its products are float32 and inexact, so
+  an FMA would round them differently, and they stay off sgemm. numpy's
+  sum-of-products loop adds each output's products in ascending k into a
+  zeroed output. The layout rule (``_einsum_admits``) refuses a ``w`` with
+  one column, or unit or zero stride along k, where einsum takes a
+  dot-product loop that reassociates. The probe (``_einsum_in_order``)
+  runs once per process on seeded full-mantissa float32 operands in every
+  layout attention uses: the scores against a strided key-cache view, the
+  row-major context against a value view, and the key-major context and
+  row sum (below) at 17 and 64 rows. If any case differs, every call takes
+  ``_loop_f32``.
 
-Where neither is admitted, ``_loop_f32`` runs: slower, with the same bits.
-It is also the weight GEMMs' fallback, the sgemm probe's reference and
-``kernels.reference_gemm``'s kernel, so nothing on the weight side depends
-on einsum.
+``fp16_values`` gives the FP16 values of float32 activations with
+``astype(np.float16)``'s bits: below ``FP16_WIDE`` elements by that cast,
+at or above it as float32, by rounding the float32 bits in uint32
+arithmetic: add 0x0FFF plus bit 13, the lowest bit kept, then clear the
+low 13 bits. That rounds to nearest, ties to even, at FP16's 10 fraction
+bits wherever FP16 shares float32's exponent. The other lanes (a nonzero
+magnitude below 2^-14, one from 65520 on, a non-finite value) are patched
+from ``astype``. ``gemm_weights`` takes either dtype.
 
-``gemm_weights``, which ``kernels.gemm_full`` / ``gemm_draft`` and through
-them the PE-array model call, runs ``gemm_groups`` on ``_sgemm`` where
-that gives the fixed order's bits, and on ``_loop_f32`` otherwise: one
-float32 copy of the activations, one stacked sgemm call (two with a
-shorter last group), one scale multiply for the draft, and the group adds:
+Attention runs once per query tile of at most ``model.TILE`` rows, over
+the keys its last row sees (``model._attend``), reading the cached
+(d_head, n_heads, t) keys in place. The scores, the mask, the max and the
+``exp`` run (n_heads, rows, t). The two sums over the keys run in one of
+two layouts, chosen by the tile's shape (``model._attend_tile``):
 
-* Precondition: every product is exact in float32. An FP16 x FP16 product
-  has at most 22 significant bits, an FP16 x draft value (±2^e) at most
-  11, and their exponents fit. Attention does not meet it: ``q`` and the
-  softmax probabilities are float32, their products inexact, and an FMA
-  rounds those differently, so attention stays on ``gemm_f32``.
-* Why an FMA keeps the bits: a GEMM micro-kernel keeps each output's
-  accumulator in a register and adds the products into it in ascending k
-  (Goto and van de Geijn, *ACM TOMS* 34(3), 2008). An FMA rounds
-  s + x*y once; when x*y is exact, that is the rounding of
-  s + round(x*y), the fixed order's multiply-then-add.
-* A one-row call runs as two copies of the row. numpy sends a one-row
-  product to sgemv, whose dot products reassociate: OpenBLAS 0.3.31
-  differed on 197 of 256 outputs at (m, k, n) = (1, 64, 256), FP16
-  activations drawn from N(0, 1) and weights from N(0, 0.02).
-  ``gemm_weights`` copies the FP16 activations to float32 once per call
-  and doubles a one-row call in that same copy, so each stacked slice has
-  two rows; it returns the first.
-* The probe, not an assumption, admits each call shape, and it runs the
-  call it admits. Nothing in the BLAS interface fixes the order: a
-  library may split k into blocks or across threads, or switch kernels
-  for a narrow shape (OpenBLAS 0.3.31 differed at N = 1, and at N <= 8
-  with K >= 64). So ``_blas_admits`` runs ``gemm_groups`` on ``_sgemm``
-  once per (rows, k, n, group size) and process, on seeded FP16 operands
-  whose exponents span the whole normal range, a one-row call at two rows
-  as the hot path runs it: the same stacked calls on the same operand
-  shapes. It compares the bits with ``gemm_groups`` on ``_loop_f32``, and
-  a call it rejects runs there. The probe's group scales are random powers
-  of two, exact in every product, so a kernel that hands back its groups
-  out of order fails even at two groups, where their sum alone would
-  commute. A stacked kernel that sums each slice in reverse k, pairwise
-  or split in two, or runs sgemv row by row, differs from the fixed order
-  on at least 46% of a probe's outputs at every call shape of the
-  benchmark's workloads, and one that returns its groups last first on at
-  least 81% wherever a call has more than one group; a probe has at
-  least 128 outputs there. Each call shape is probed once per process.
-* A group sum of -0.0, which a kernel that starts from the first product
-  would give where every product is -0.0, and a negative group sum times
-  a +0.0 draft scale, become +0.0 in the final ``+= 0.0``, so the kernels
-  agree there too.
-
-The activations reach ``gemm_weights`` as float16, or as float32 arrays
-that hold FP16 values; its copy into the float32 buffer takes either.
-``fp16_values`` gives them from float32: an array of fewer than
-``FP16_WIDE`` elements by one ``astype(np.float16)``, a wider one by
-rounding its float32 bits in uint32 arithmetic: add 0x0FFF plus bit 13, the
-lowest bit kept, then clear the low 13 bits. That rounds to nearest, ties
-to even, at FP16's 10 fraction bits, which IEEE fixes, and integer
-operations have no SIMD variant that could round another way. It is
-``astype``'s result wherever FP16 shares float32's exponent. The lanes
-where it does not are patched from ``astype``: a nonzero magnitude below
-2^-14 (an FP16 subnormal, with fewer fraction bits), one at or above 65520
-(which FP16 rounds to Inf) and a non-finite value. A zero rounds exactly
-and is not patched.
-
-``gemm_f32``, which only attention calls (``attn_scores_f32``,
-``attn_ctx_f32``), runs ``np.einsum("...mk,...kn->...mn", a, w,
-optimize=False)`` (``_einsum``). On numpy 2.4.6 its sum-of-products loop
-adds each output's products in ascending k into a zeroed output, each
-multiply and each add rounded on its own: the fixed order, batch axes
-included. A rule and a probe decide where it runs:
-
-* The layout rule (``_einsum_admits``). For a ``w`` that is unit-stride or
-  stride-0 along k, or that has one column, einsum takes a dot-product
-  loop, which reassociates; those calls take ``_loop_f32``. Evidence from
-  sweeps of full-mantissa float32 operands against the loop: of 3,000
-  random layouts (m and n 1-19, k 1-299, up to 4 batch slices; C and F
-  order, padded, transposed, negative-stride and stride-0 views of either
-  operand), none of the 1,637 the rule admits differed, and 586 of the
-  1,363 it refuses did. In 1,000 attention layouts (2-8 heads, d_head
-  8-32, 1-64 rows, up to 480 keys, cache capacity t, t + 1 or t + 40)
-  neither the scores nor the context differed, nor at 20,000 and 50,000
-  keys. Every attention call of the benchmark's workloads is admitted:
-  the key-cache view strides by n_heads * capacity along k and the value
-  view by d_model.
-* The probe (``_einsum_in_order``), once per process. Nothing in numpy's
-  interface fixes the order: a build may fuse a multiply-add or sum
-  another way. The probe compares ``_einsum`` with ``_loop_f32`` on
-  seeded full-mantissa float32 operands in attention's three layouts:
-  batched heads against a strided key-cache view, against a value view,
-  and the key-major context below (at 17 and 64 rows), each with at least
-  64 outputs. FP16 operands such as ``_probe_operand``'s have exact
-  products and could not show an FMA. If any case differs, every call
-  takes ``_loop_f32``.
-
-A sum whose every product is -0.0 gives +0.0 on both paths, since both
-add into a zeroed output.
-
-Attention calls these kernels once per query tile of at most
-``model.TILE`` = 64 rows, each over only the keys its last row sees
-(``model._attend``). ``KvCache`` stores keys as (d_head, n_heads,
-positions), so ``attn_scores_f32`` reads them in place. The scores, the
-mask, the max and the ``exp`` run row-major, (n_heads, rows, t). The two
-sums over the keys that follow run in one of two layouts, chosen by the
-tile's shape (``model._attend_tile``):
-
-* Row-major, for tiles of at most d_head rows: ``rowsum_f32`` accumulates
-  along each row, and ``attn_ctx_f32`` runs (n_heads, rows, t) x
-  (n_heads, t, d_head), einsum's inner loop over d_head.
+* Row-major, for tiles of at most d_head rows: ``rowsum_f32`` runs one
+  sequential ``np.add.accumulate`` along each row, and ``attn_ctx_f32``
+  runs (n_heads, rows, t) x (n_heads, t, d_head).
 * Key-major, for tiles of more rows than d_head: one C-contiguous
-  (n_heads, t, rows) copy of the exponentials feeds both sums.
-  ``rowsum_f32(key_major=True)`` adds whole key rows in ascending order
-  (``_key_sum``, ``np.add.reduce`` over axis -2), and
-  ``attn_ctx_f32(key_major=True)`` runs a contiguous (n_heads, d_head, t)
-  copy of the values times the (n_heads, t, rows) probabilities, so the
-  rows are einsum's inner loop. These are the same products added in the
-  same ascending-key order as the row-major sums, so the bits are the
-  same; the layout rule admits the probabilities, whose stride along k is
-  the row count, wherever a tile has more than one row. A short inner
-  loop is the slower one, hence the rows-versus-d_head rule.
-* The key-major row sum has its own probe (``key_sum_in_order``), once per
-  process: it compares ``rowsum_f32`` in both layouts on seeded softmax
-  numerators with causal zero tails, an all-(-0.0) row and 150 keys, so
-  that a pairwise or reordered reduction differs. Where it fails, every
-  tile runs row-major.
+  (n_heads, t, rows) copy of the exponentials feeds both sums, each a
+  ``gemm_f32`` call with the rows as einsum's inner loop. The row sum is a
+  ones row times the copy, whose products 1.0 * e are exact; the context
+  is a (n_heads, d_head, t) copy of the values times it. Both are the
+  row-major sums in the same ascending-key order, with the same bits.
+
+A sum whose every product is -0.0 gives +0.0 on every path.
 """
 
 from __future__ import annotations
@@ -163,22 +78,16 @@ import numpy as np
 
 def active_backend() -> str:
     """numpy's version, the BLAS that runs the weight GEMMs, as numpy's build
-    names it, where attention's sums run, and whether tiles of more rows than
-    d_head sum over the keys on a key-major copy."""
+    names it, and where attention's sums run."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
         name = f"{blas['name']} {blas['version']}"
     except (TypeError, KeyError):  # numpy < 1.25 takes no mode; a build may omit a key
         name = "an unnamed BLAS"
     sums = "numpy einsum, order-checked" if _einsum_in_order() else "the per-k loop"
-    if key_sum_in_order():
-        wide = "a key-major copy (add.reduce row sum, order-checked)"
-    else:
-        wide = "the row-major layout (the key-major row sum failed its probe)"
     return (
         f"numpy {np.__version__}; weight GEMMs on {name} sgemm where order-checked,"
-        f" else the per-k loop; attention on {sums}; tiles of more rows than d_head"
-        f" sum over keys on {wide}"
+        f" else the per-k loop; attention on {sums}"
     )
 
 
@@ -352,7 +261,7 @@ def _einsum_admits(w) -> bool:
 @functools.cache
 def _einsum_in_order() -> bool:
     """Whether ``_einsum`` gave ``_loop_f32``'s bits in each of attention's
-    three layouts on seeded full-mantissa float32 operands."""
+    layouts on seeded full-mantissa float32 operands."""
     rng = np.random.default_rng(0)
     heads, dh, n, t, capacity = 4, 16, 5, 37, 41
     qkv = rng.standard_normal((n, 3 * heads * dh), dtype=np.float32)
@@ -364,10 +273,11 @@ def _einsum_in_order() -> bool:
         (q, keys.swapaxes(0, 1)),  # as ``attn_scores_f32`` reads the key cache
         (probs, vals.reshape(t, heads, dh).swapaxes(0, 1)),  # as ``attn_ctx_f32``
     ]
-    # the key-major context, rows inner: a 17-row window and a full tile
+    # the key-major context and row sum, rows inner: a 17-row window and a full tile
     for rows in (17, 64):
         probs_km = rng.standard_normal((heads, t, rows), dtype=np.float32)
         cases.append((_values_by_head(vals, heads), probs_km))
+        cases.append((np.ones((heads, 1, t), dtype=np.float32), probs_km))
     return all(
         np.array_equal(_einsum(a, w).view(np.uint32), _loop_f32(a, w).view(np.uint32))
         for a, w in cases
@@ -400,42 +310,19 @@ def attn_scores_f32(q, k, n_heads):
     return gemm_f32(qh, k.swapaxes(0, 1))
 
 
-def _key_sum(x):
-    """Sum over axis -2 of a C-contiguous (h, t, n): whole key rows added
-    into the output in ascending order."""
-    return np.add.reduce(x, axis=-2)
-
-
 def rowsum_f32(x, key_major=False):
     """Sum over the keys of (h, n, t), j ascending from +0.0, in float32: (h, n).
 
     One ``np.add.accumulate`` along j, which is sequential; adding its last
     column to +0.0 turns an all-(-0.0) row's -0.0 into the +0.0 a loop
     started at +0.0 gives. With ``key_major``, ``x`` is the (h, t, n)
-    C-contiguous copy instead, summed by ``_key_sum``, for the same bits
-    where ``key_sum_in_order`` held. numpy 2.4.6 starts that reduction from
-    +0.0; the ``+= 0.0`` gives the same bits where a build starts it from
-    the first key row instead.
+    C-contiguous copy instead, summed as a ones row times it on
+    ``gemm_f32``: each product is exact, so the bits are the same.
     """
     if key_major:
-        out = _key_sum(x)
-        out += _PLUS_ZERO
-        return out
+        h, t, _ = x.shape
+        return gemm_f32(np.ones((h, 1, t), dtype=np.float32), x)[:, 0]
     return np.add.accumulate(x, axis=-1)[..., -1] + np.float32(0.0)
-
-
-@functools.cache
-def key_sum_in_order() -> bool:
-    """Whether the key-major row sum gave the row-major one's bits on seeded
-    softmax numerators: masked tails of +0.0, an all-(-0.0) row, and 150
-    keys, so that a pairwise or reordered sum differs."""
-    rng = np.random.default_rng(1)
-    heads, n, t = 4, 24, 150
-    x = rng.random((heads, n, t), dtype=np.float32)
-    x[:, np.arange(t) > (t - n + np.arange(n))[:, None]] = 0.0
-    x[0, 0] = -0.0
-    got = rowsum_f32(np.ascontiguousarray(x.swapaxes(1, 2)), key_major=True)
-    return np.array_equal(got.view(np.uint32), rowsum_f32(x).view(np.uint32))
 
 
 def _values_by_head(v, n_heads):

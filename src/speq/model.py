@@ -350,7 +350,7 @@ def _attend_tile(q, keys, vals, n_heads, scale):
     # runs alone or inside a wider window.
     scores -= scores.max(axis=-1, keepdims=True)
     np.exp(scores, out=scores)
-    if n > keys.shape[0] and _accel.key_sum_in_order():  # keys: (d_head, n_heads, t)
+    if n > keys.shape[0]:  # keys: (d_head, n_heads, t)
         return _key_major_tail(scores, vals, n_heads)
     scores /= _accel.rowsum_f32(scores)[:, :, None]
     return _accel.attn_ctx_f32(scores, vals, n_heads)
@@ -361,10 +361,10 @@ def _key_major_tail(e, vals, n_heads):
     exponentials ``e``: the (n, d) context.
 
     Both sums over the keys run on one C-contiguous (n_heads, t, n) copy of
-    ``e``: the row sum adds whole key rows, and the context runs the rows as
-    einsum's inner loop. They give the row-major sums' bits
-    (``_accel.rowsum_f32``, ``attn_ctx_f32``). Narrower tiles keep the
-    row-major layout, where a short inner loop of rows is the slower one.
+    ``e``, with the rows as einsum's inner loop: the row sum as a ones row
+    times it, the context as the values times it. They give the row-major
+    sums' bits (``_accel.rowsum_f32``, ``attn_ctx_f32``). Narrower tiles keep
+    the row-major layout, where a short inner loop of rows is the slower one.
     """
     e = np.ascontiguousarray(e.swapaxes(1, 2))
     e /= _accel.rowsum_f32(e, key_major=True)[:, None, :]

@@ -319,22 +319,14 @@ def test_active_backend_names_the_blas(monkeypatch, fresh_probes):
     name = _accel.active_backend()
     assert name.startswith(f"numpy {np.__version__}; weight GEMMs on ")
     assert name.endswith(
-        " sgemm where order-checked, else the per-k loop; attention on numpy einsum, order-checked;"
-        " tiles of more rows than d_head sum over keys on a key-major copy"
-        " (add.reduce row sum, order-checked)"
+        " sgemm where order-checked, else the per-k loop; attention on numpy einsum, order-checked"
     )
     assert "unnamed" not in name
     monkeypatch.setattr(np, "show_config", lambda mode="stdout": {})
     assert "an unnamed BLAS" in _accel.active_backend()
     _accel._einsum_in_order.cache_clear()
     monkeypatch.setattr(_accel, "_einsum", np.matmul)  # BLAS sums in another order
-    assert "; attention on the per-k loop; " in _accel.active_backend()
-    _accel.key_sum_in_order.cache_clear()
-    monkeypatch.setattr(_accel, "_key_sum", lambda x: np.add.reduce(x[:, ::-1], axis=-2))
-    assert _accel.active_backend().endswith(
-        "; tiles of more rows than d_head sum over keys on the row-major layout"
-        " (the key-major row sum failed its probe)"
-    )
+    assert _accel.active_backend().endswith("; attention on the per-k loop")
 
 
 # (m, k, n, group): K not a multiple of the group, group larger than K,
@@ -406,6 +398,9 @@ def test_attention_kernels_match_scalar_oracle(n_heads, n, t):
                 ctx[r, c] = _oracle_dot(probs[h, r], v[:, c])
     _assert_same_bits(_accel.attn_scores_f32(q, _cached_keys(k, n_heads), n_heads), scores)
     _assert_same_bits(_accel.attn_ctx_f32(probs, v, n_heads), ctx)
+    if n > 1:
+        probs_km = np.ascontiguousarray(probs.swapaxes(1, 2))
+        _assert_same_bits(_accel.attn_ctx_f32(probs_km, v, n_heads, key_major=True), ctx)
 
 
 def test_rowsum_f32_matches_scalar_oracle():
@@ -422,6 +417,8 @@ def test_rowsum_f32_matches_scalar_oracle():
                 acc = np.float32(acc + v)
             expect[hi, r] = acc
         _assert_same_bits(_accel.rowsum_f32(x), expect)
+        key_major = np.ascontiguousarray(x.swapaxes(1, 2))
+        _assert_same_bits(_accel.rowsum_f32(key_major, key_major=True), expect)
 
 
 # ── both gemm_f32 paths against the per-k loop ───────────────────────────

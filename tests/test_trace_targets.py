@@ -260,15 +260,8 @@ def _tile_paths(monkeypatch):
     return tiles, sums
 
 
-def test_wide_tiles_take_the_key_major_path(monkeypatch, fresh_probes):
-    # Tiles of more rows than d_head sum over the keys on the key-major copy:
-    # long-context's prefill tiles do, one-row tiles and draft-heavy's
-    # windows (d_head 32, at most 17 rows) do not, and no sum runs the loop.
-    # The probes compare with the loop: run them before it is recorded.
-    assert _accel.key_sum_in_order() and _accel._einsum_in_order()
-    workloads = {wl.name: wl for wl in _workloads(monkeypatch)}
-    for wl in workloads.values():
-        assert all(_accel._blas_admits(*s) for s in _weight_gemm_shapes(wl))
+def _loop_calls(monkeypatch):
+    """Record the operand shapes of every ``_loop_f32`` call."""
     loop, looped = _accel._loop_f32, []
 
     def recording_loop(a, w):
@@ -276,6 +269,20 @@ def test_wide_tiles_take_the_key_major_path(monkeypatch, fresh_probes):
         return loop(a, w)
 
     monkeypatch.setattr(_accel, "_loop_f32", recording_loop)
+    return looped
+
+
+def test_wide_tiles_take_the_key_major_path(monkeypatch, fresh_probes):
+    # Tiles of more rows than d_head sum over the keys on the key-major copy:
+    # long-context's prefill tiles do, one-row tiles and draft-heavy's
+    # windows (d_head 32, at most 17 rows) do not, and no sum, row sums
+    # included, runs the loop. The probes compare with the loop: run them
+    # before it is recorded.
+    assert _accel._einsum_in_order()
+    workloads = {wl.name: wl for wl in _workloads(monkeypatch)}
+    for wl in workloads.values():
+        assert all(_accel._blas_admits(*s) for s in _weight_gemm_shapes(wl))
+    looped = _loop_calls(monkeypatch)
     tiles, sums = _tile_paths(monkeypatch)
     seen = {}
     for name, wl in workloads.items():
@@ -310,33 +317,27 @@ def test_wide_tiles_take_the_key_major_path(monkeypatch, fresh_probes):
     assert looped == []
 
 
-def _key_sum_pairwise(x):
-    # reduce over a contiguous axis sums pairwise
-    return np.add.reduce(np.ascontiguousarray(x.swapaxes(-1, -2)), axis=-1)
-
-
-def _key_sum_reversed(x):
-    return np.add.reduce(x[:, ::-1], axis=-2)
-
-
 def _einsum_reversed_when_key_major(a, w):
-    # attention's key-major context alone has both operands C-contiguous
+    # attention's key-major sums alone have both operands C-contiguous
     if a.flags.c_contiguous and w.flags.c_contiguous:
         return _einsum_reversed_k(a, w)
     return _EINSUM(a, w)
 
 
+def _einsum_reversed_when_row_sum(a, w):
+    # the key-major row sum alone has one row of ``a`` per head as well
+    if a.shape[-2] == 1 and a.flags.c_contiguous and w.flags.c_contiguous:
+        return _einsum_reversed_k(a, w)
+    return _EINSUM(a, w)
+
+
 @pytest.mark.parametrize(
-    "name,kernel",
-    [
-        ("_key_sum", _key_sum_pairwise),
-        ("_key_sum", _key_sum_reversed),
-        ("_einsum", _einsum_reversed_when_key_major),
-    ],
+    "kernel,a_rows",
+    [(_einsum_reversed_when_key_major, 16), (_einsum_reversed_when_row_sum, 1)],
 )
-def test_probes_reject_reordered_key_major_sums(monkeypatch, fresh_probes, name, kernel):
-    # A key-major row sum or context that sums in another order is caught by
-    # its probe, and every tile then gives the bits it gives today.
+def test_probes_reject_reordered_key_major_sums(monkeypatch, fresh_probes, kernel, a_rows):
+    # An einsum that sums a key-major context or row sum in another order is
+    # caught by the probe, and every tile then gives the bits it gives today.
     model = init_model(ModelConfig())
     tokens = np.random.default_rng(71).integers(0, 256, 100)  # tiles of 64 and 36 rows
     want = forward_full(model, tokens, model.new_cache())
@@ -344,21 +345,19 @@ def test_probes_reject_reordered_key_major_sums(monkeypatch, fresh_probes, name,
     # the kernel does sum in another order on a tile's key-major layout
     rng = np.random.default_rng(72)
     km = rng.random((4, 150, 20), dtype=np.float32)
-    a = rng.standard_normal((4, 16, 150), dtype=np.float32)
-    ops = {"_key_sum": (km,), "_einsum": (a, km)}[name]
-    assert not np.array_equal(kernel(*ops), getattr(_accel, name)(*ops))
-    monkeypatch.setattr(_accel, name, kernel)
-    _accel.key_sum_in_order.cache_clear()
+    a = rng.standard_normal((4, a_rows, 150), dtype=np.float32)
+    assert not np.array_equal(kernel(a, km), _EINSUM(a, km))
+    monkeypatch.setattr(_accel, "_einsum", kernel)
     _accel._einsum_in_order.cache_clear()
-    if name == "_key_sum":
-        assert not _accel.key_sum_in_order()
-        assert _accel._einsum_in_order()
-    else:
-        assert _accel.key_sum_in_order()
-        assert not _accel._einsum_in_order()
+    assert not _accel._einsum_in_order()
+    looped = _loop_calls(monkeypatch)
     tiles, _ = _tile_paths(monkeypatch)
     got = forward_full(model, tokens, model.new_cache())
     assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
-    # a rejected row sum sends the wide tiles to the row-major layout; a
-    # rejected einsum sends every sum, in either layout, to the per-k loop
-    assert {km for rows, _, km in tiles if rows > 16} == {name == "_einsum"}
+    # the wide tiles keep the key-major layout, and both of their sums run
+    # the per-k loop: in each layer, 64 rows over 64 keys, then 36 over 100
+    assert [(rows, km) for rows, _, km in tiles] == [(64, True), (36, True)] * model.cfg.n_layers
+    heads, dh = model.cfg.n_heads, model.cfg.d_model // model.cfg.n_heads
+    for rows, t in ((64, 64), (36, 100)):
+        assert ((heads, 1, t), (heads, t, rows)) in looped  # the row sum
+        assert ((heads, dh, t), (heads, t, rows)) in looped  # the context
