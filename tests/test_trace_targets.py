@@ -324,16 +324,26 @@ def _einsum_reversed_when_key_major(a, w):
     return _EINSUM(a, w)
 
 
-def _einsum_reversed_when_row_sum(a, w):
+def _is_row_sum(a, w):
     # the key-major row sum alone has one row of ``a`` per head as well
-    if a.shape[-2] == 1 and a.flags.c_contiguous and w.flags.c_contiguous:
-        return _einsum_reversed_k(a, w)
-    return _EINSUM(a, w)
+    return a.shape[-2] == 1 and a.flags.c_contiguous and w.flags.c_contiguous
+
+
+def _einsum_reversed_when_row_sum(a, w):
+    return _einsum_reversed_k(a, w) if _is_row_sum(a, w) else _EINSUM(a, w)
+
+
+def _einsum_pairwise_when_row_sum(a, w):
+    return _einsum_pairwise(a, w) if _is_row_sum(a, w) else _EINSUM(a, w)
 
 
 @pytest.mark.parametrize(
     "kernel,a_rows",
-    [(_einsum_reversed_when_key_major, 16), (_einsum_reversed_when_row_sum, 1)],
+    [
+        (_einsum_reversed_when_key_major, 16),
+        (_einsum_reversed_when_row_sum, 1),
+        (_einsum_pairwise_when_row_sum, 1),
+    ],
 )
 def test_probes_reject_reordered_key_major_sums(monkeypatch, fresh_probes, kernel, a_rows):
     # An einsum that sums a key-major context or row sum in another order is
