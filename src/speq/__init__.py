@@ -4,6 +4,10 @@ A packed weight store whose low 4 bits per weight form a standalone draft
 model and whose full 16 bits reconstruct the original FP16 tensor exactly,
 plus the kernels, decoding controller, PE-array model, and file format
 built around it.
+
+Outputs do not depend on OpenBLAS's thread count, but speed does: a
+second CPU-bound process can slow a multi-threaded GEMM manyfold, so on a
+shared host set ``OPENBLAS_NUM_THREADS=1`` before numpy is imported.
 """
 
 from ._accel import active_backend

@@ -2,6 +2,9 @@
 
 Exit codes: 0 ok, 1 verification failure (bit-exactness or losslessness
 check did not hold), 2 usage or I/O error.
+
+Outputs do not depend on OpenBLAS's thread count, but speed does: on a
+shared host, set OPENBLAS_NUM_THREADS=1, as bench/run.py does.
 """
 
 from __future__ import annotations

@@ -16,8 +16,10 @@ why sgemm keeps it and how a probe admits each call shape, so outputs are
 bit-reproducible across runs and thread counts. ``reference_gemm`` runs
 the same group code on ``_accel._loop_f32``, the order's definition.
 
-``gemm_traffic`` gives a call's traffic from its shape; the model, which
-keeps the counters, adds one total per forward.
+``gemm_traffic`` gives a call's traffic from its shape. Its weight bits and
+scale bytes do not depend on the rows, so a forward reads each weight once:
+the model sums them over its linears once per mode, at construction, and
+adds that to its ``TrafficCounter`` per forward.
 """
 
 from __future__ import annotations
@@ -66,18 +68,17 @@ class GemmSpec:
 
 @dataclass
 class TrafficCounter:
-    """Traffic summed over GEMM calls, as ``gemm_traffic`` counts it: weights in
-    logical stream bits, so draft:full is exactly 1:4; container padding is not dataflow.
+    """Weight-store reads summed over forwards, as ``gemm_traffic`` counts
+    them: weights in logical stream bits, so draft:full weight bits are
+    exactly 1:4; container padding is not dataflow.
     """
 
     weight_bits: int = 0
     scale_bytes: int = 0
-    activation_bytes: int = 0
 
-    def add(self, weight_bits: int, scale_bytes: int, activation_bytes: int) -> None:
+    def add(self, weight_bits: int, scale_bytes: int) -> None:
         self.weight_bits += weight_bits
         self.scale_bytes += scale_bytes
-        self.activation_bytes += activation_bytes
 
 
 def gemm_traffic(m: int, n: int, k: int, mode: GemmMode, group_size: int) -> tuple[int, int, int]:

@@ -224,32 +224,19 @@ class ToyModel:
         # always empty: every linear is packed; bench/speqbench.py::resident_bytes reads it
         self.raw_weights: dict[str, np.ndarray] = {}
         self.pos = _sinusoidal_positions(cfg.context, cfg.d_model)
-        # forward_full / forward_draft add each forward's GEMM traffic once,
-        # as _forward_traffic sums it
+        # A forward reads each linear's weights and scales once, however many
+        # rows it runs, so forward_full / forward_draft add to their counter
+        # the same (weight bits, scale bytes) every time.
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
-        self._traffic: dict[tuple[GemmMode, int, bool], tuple[int, int, int]] = {}
+        held = [weights[name] for name in _weight_names(cfg)]
+        self._forward_reads: dict[GemmMode, tuple[int, int]] = {}
+        for mode in GemmMode:
+            reads = [gemm_traffic(1, p.cols, p.rows, mode, p.group_size)[:2] for p in held]
+            self._forward_reads[mode] = tuple(map(sum, zip(*reads)))
 
     def new_cache(self, positions: int | None = None) -> KvCache:
         return KvCache(self.cfg, positions)
-
-    def _forward_traffic(self, mode: GemmMode, n: int, last_only: bool) -> tuple[int, int, int]:
-        """(weight bits, scale bytes, activation bytes) one forward over ``n``
-        rows reads: ``gemm_traffic`` of every linear at the rows it runs,
-        summed once per (mode, n, last_only)."""
-        key = (mode, n, last_only)
-        total = self._traffic.get(key)
-        if total is None:
-            cfg = self.cfg
-            # with last_only, these run the last row alone
-            tail = {f"l{cfg.n_layers - 1}.{part}" for part in ("wo", "w1", "w2")} | {"head"}
-            calls = []
-            for name in _weight_names(cfg):
-                k, cols = _weight_shape(cfg, name)
-                rows = 1 if last_only and name in tail else n
-                calls.append(gemm_traffic(rows, cols, k, mode, cfg.group_size))
-            total = self._traffic[key] = tuple(map(sum, zip(*calls)))
-        return total
 
 
 def init_model(cfg: ModelConfig) -> ToyModel:
@@ -449,7 +436,7 @@ def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = F
     # gemm_full / gemm_draft are looked up in this module at call time, so a
     # tracer that replaces them here sees every linear.
     logits = _forward(model, tokens, cache, gemm_full, model.weights, last_only)
-    model.full_traffic.add(*model._forward_traffic(GemmMode.FULL, tokens.shape[0], last_only))
+    model.full_traffic.add(*model._forward_reads[GemmMode.FULL])
     return logits
 
 
@@ -457,7 +444,7 @@ def forward_draft(model: ToyModel, token: int, cache: KvCache) -> np.ndarray:
     """4-bit-weights pass over a single token; returns (vocab,) logits."""
     tokens = check_token_ids([token], model.cfg.vocab)
     logits = _forward(model, tokens, cache, gemm_draft, model.weights)
-    model.draft_traffic.add(*model._forward_traffic(GemmMode.DRAFT, 1, False))
+    model.draft_traffic.add(*model._forward_reads[GemmMode.DRAFT])
     return logits[0]
 
 

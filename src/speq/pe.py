@@ -86,13 +86,13 @@ class CycleReport:
     cfg: PeConfig
 
     @property
-    def _traffic(self) -> tuple[int, int, int]:
+    def _reads(self) -> tuple[int, int, int]:
         s = self.spec
         return gemm_traffic(s.m, s.n, s.k, s.mode, s.group_size)
 
     @property
     def weight_bits(self) -> int:
-        return self._traffic[0]
+        return self._reads[0]
 
     @property
     def weight_bytes(self) -> float:
@@ -100,11 +100,11 @@ class CycleReport:
 
     @property
     def scale_bytes(self) -> int:
-        return self._traffic[1]
+        return self._reads[1]
 
     @property
     def activation_bytes(self) -> int:
-        return self._traffic[2]
+        return self._reads[2]
 
     @property
     def macs_per_pe_per_cycle(self) -> int:

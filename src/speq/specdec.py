@@ -128,9 +128,9 @@ def _argmax(logits: np.ndarray) -> int:
 
 
 def _max_softmax_prob(logits: np.ndarray) -> float:
-    m = logits.max()
-    e = np.exp(logits - m)
-    return float(e.max() / e.sum(dtype=np.float32))
+    # the max logit less itself is +0.0, and exp(+0.0) is exactly 1.0
+    e = np.exp(logits - logits.max())
+    return float(1 / e.sum(dtype=np.float32))
 
 
 def _check_request(model: ToyModel, prompt, gen_len: int) -> np.ndarray:

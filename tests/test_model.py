@@ -710,8 +710,8 @@ def test_joint_qkv_accounting(monkeypatch, mode):
     # One decode or draft forward: q, k and v run as one (1, d, 3d) GEMM per
     # layer through the traced kernel names, every weight is read once, the
     # PE model replays each GEMM with the kernel's output bits, and the
-    # traffic the model counted over the forward is the sum of the PE
-    # reports' traffic.
+    # weight bits and scale bytes the model counted over the forward are
+    # the sums of the PE reports'.
     m = init_model(ModelConfig(seed=7))
     d, n_layers = m.cfg.d_model, m.cfg.n_layers
     cache = m.new_cache()
@@ -721,7 +721,7 @@ def test_joint_qkv_accounting(monkeypatch, mode):
     calls = []
 
     def counts():
-        return counter.weight_bits, counter.scale_bytes, counter.activation_bytes
+        return counter.weight_bits, counter.scale_bytes
 
     def spy(a, p, **kwargs):
         out = kernel(a, p, **kwargs)
@@ -739,20 +739,22 @@ def test_joint_qkv_accounting(monkeypatch, mode):
     assert [(a.shape[0], p.rows, p.cols) for a, p, _ in calls].count((1, d, 3 * d)) == n_layers
     assert sorted(id(p) for _, p, _ in calls) == sorted(map(id, m.weights.values()))
 
-    reported = [0, 0, 0]
+    reported = [0, 0]
     for a, p, out in calls:
         sim, rep = simulate_gemm(a, p, GemmMode(mode))
         assert np.array_equal(sim.view(np.uint32), out.view(np.uint32))
-        for i, x in enumerate((rep.weight_bits, rep.scale_bytes, rep.activation_bytes)):
-            reported[i] += x
+        reported[0] += rep.weight_bits
+        reported[1] += rep.scale_bytes
     assert delta == tuple(reported)
 
 
 @pytest.mark.parametrize("n, last_only", [(1, False), (5, False), (5, True), (70, True)])
 def test_forward_traffic_is_the_sum_of_its_gemms(monkeypatch, n, last_only):
-    # The counters take one total per forward; it is what gemm_traffic
-    # gives for the GEMMs the forward ran, at the rows each ran (a
-    # last_only prefill runs the last layer's wo, w1, w2 and head on one).
+    # The counters take one (weight bits, scale bytes) per forward: what
+    # gemm_traffic gives for the GEMMs the forward ran, at the rows each ran
+    # (a last_only prefill runs the last layer's wo, w1, w2 and head on one).
+    # Each weight is read once, so all four cases read the same, and the
+    # draft reads a quarter of the full pass's weight bits.
     m = init_model(ModelConfig(n_layers=3, seed=9))
     shapes = []
 
@@ -767,16 +769,19 @@ def test_forward_traffic_is_the_sum_of_its_gemms(monkeypatch, n, last_only):
     monkeypatch.setattr(smodel, "gemm_draft", spy(smodel.gemm_draft))
     cache = m.new_cache()
     forward_full(m, list(range(n)), cache, last_only=last_only)
-    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.FULL, s[3]) for s in shapes))]
+    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.FULL, s[3])[:2] for s in shapes))]
     full = m.full_traffic
-    assert [full.weight_bits, full.scale_bytes, full.activation_bytes] == want
+    assert [full.weight_bits, full.scale_bytes] == want
     assert sorted({s[0] for s in shapes}) == sorted({1, n} if last_only else {n})
+    params = sum(p.rows * p.cols for p in m.weights.values())
+    assert (full.weight_bits, full.scale_bytes) == (16 * params, 4 * len(m.weights))
 
     shapes.clear()
     forward_draft(m, 3, cache)
-    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.DRAFT, s[3]) for s in shapes))]
+    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.DRAFT, s[3])[:2] for s in shapes))]
     draft = m.draft_traffic
-    assert [draft.weight_bits, draft.scale_bytes, draft.activation_bytes] == want
+    assert [draft.weight_bits, draft.scale_bytes] == want
+    assert 4 * draft.weight_bits == full.weight_bits
 
 
 @pytest.mark.parametrize("d", [64, 128])

@@ -134,6 +134,22 @@ def test_gamma_zero_skips_the_draft_softmax(model, monkeypatch, max_draft_len, s
     assert (got.rounds, got.proposed, got.accepted) == stats
 
 
+def test_max_softmax_prob_is_one_over_the_sum():
+    # exp(max - max) is exactly 1.0, so 1 / sum gives the bits of max / sum,
+    # ties at the max included.
+    rng = np.random.default_rng(35)
+    for i in range(3000):
+        width = (37, 256, 512)[i % 3]
+        scale = 10.0 ** rng.uniform(-1.0, 2.0)
+        logits = rng.normal(0.0, scale, width).astype(np.float32)
+        if i % 4 == 0:
+            logits[rng.integers(0, width, 3)] = logits.max()
+        e = np.exp(logits - logits.max())
+        old = e.max() / e.sum(dtype=np.float32)
+        got = specdec._max_softmax_prob(logits)
+        assert np.float32(got).view(np.uint32) == old.view(np.uint32), i
+
+
 def test_lossless_on_seeded_prompts(model):
     rng = np.random.default_rng(77)
     cfg = SpecDecConfig()
