@@ -24,11 +24,14 @@ and marks the six exponents whose code differs from their middle bits;
 
 The codecs are vectorized over numpy arrays. ``encode_array`` is the one
 definition of the remap: run over every in-range FP16 pattern at import,
-it fills a read-only table from each word ``wq << 12 | wr`` back to its
-FP16 bits, so ``decode_full_array`` is its exact inverse (a lookup, as in
-LUT-GEMM, Park et al. 2022). The table is also the one validity rule: the
-32,768 words the encoder never writes, whose draft nibble would not
-quantize the value they restore, raise :class:`MalformedWordError`.
+it fills a read-only float32 table from each word ``wq << 12 | wr`` to the
+value of its FP16 pattern (a lookup, as in LUT-GEMM, Park et al. 2022).
+``decode_full_f32`` gathers the exact float32 operand from that table in
+one pass, and ``decode_full_array``, the encoder's exact inverse, derives
+the uint16 FP16 bits from it. The table is also the one validity rule:
+the 32,768 words the encoder never writes, whose draft nibble would not
+quantize the value they restore, hold NaN (no in-range value is NaN) and
+raise :class:`MalformedWordError`.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ __all__ = [
     "DECODE_QEXP",
     "in_range_bits",
     "encode_array",
+    "decode_full_f32",
     "decode_full_array",
     "q_exponent_array",
     "q_value_array",
@@ -94,36 +98,43 @@ def in_range_bits() -> np.ndarray:
     return bits[((bits >> 10) & 0x1F) <= 15]
 
 
-# Entry of a word the encoder never writes: no in-range FP16 value has exponent 31.
-_UNREACHABLE = np.uint16(0xFFFF)
-
-
 def _build_word_table() -> np.ndarray:
-    """FP16 bit pattern of each 16-bit BSFP word, from ``encode_array`` alone."""
+    """float32 value of each 16-bit BSFP word, from ``encode_array`` alone;
+    NaN at each word it never writes."""
     bits = in_range_bits()
     wq, wr = encode_array(bits)
-    table = np.full(1 << 16, _UNREACHABLE, dtype=np.uint16)
-    table[(wq.astype(np.uint16) << 12) | wr] = bits
-    assert np.count_nonzero(table != _UNREACHABLE) == bits.size, "two patterns share a word"
+    table = np.full(1 << 16, np.nan, dtype=np.float32)
+    table[(wq.astype(np.uint16) << 12) | wr] = bits.view(np.float16)
+    assert np.count_nonzero(~np.isnan(table)) == bits.size, "two patterns share a word"
     table.setflags(write=False)
     return table
 
 
-_FP16_OF_WORD = _build_word_table()
+_F32_OF_WORD = _build_word_table()
 
 
-def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_array` (uint16 FP16 bits); rejects words it never writes."""
+def decode_full_f32(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """Exact value (float32, C order) of each (wq, wr) word, by one table
+    gather; rejects words :func:`encode_array` never writes."""
     wq, wr = np.asarray(wq), np.asarray(wr)
     # checked before the uint16 cast, which would wrap 0x10000 to 0
     low = min(wq.min(initial=0), wr.min(initial=0))
     if low < 0 or wq.max(initial=0) > 0xF or wr.max(initial=0) > 0xFFF:
         raise MalformedWordError("field out of range: wq has 4 bits and wr 12")
-    words = (wq.astype(np.uint16, copy=False) << 12) | wr.astype(np.uint16, copy=False)
-    bits = np.take(_FP16_OF_WORD, words)
-    if np.any(bits == _UNREACHABLE):
+    words = wq.astype(np.uint16)
+    words <<= 12
+    words |= wr.astype(np.uint16, copy=False)
+    # every uint16 indexes the table, so "wrap" changes no index; it gathers
+    # faster than the default "raise"
+    vals = np.take(_F32_OF_WORD, words, mode="wrap")
+    if np.isnan(vals).any():
         raise MalformedWordError("unreachable word: encode_array writes no such (wq, wr)")
-    return bits
+    return vals
+
+
+def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`encode_array` (uint16 FP16 bits), from :func:`decode_full_f32`."""
+    return decode_full_f32(wq, wr).astype(np.float16).view(np.uint16)
 
 
 def q_exponent_array(wq: np.ndarray) -> np.ndarray:

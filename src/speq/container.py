@@ -21,6 +21,10 @@ bytes. ``to_bytes`` packs ``PackedTensor.words``.
 ndims, sizes, truncation, CRC and padding) and leaves every rule on the
 values (tensor scale, group scales, words) to the ``PackedTensor``
 constructor. Any failure of either fails at load as a ContainerError.
+It reads the payload through memoryviews, without copying it, and reads
+each record pair through two strided views of its bytes. With an even
+row count no pair spans two columns, so the records are unpacked straight
+into the C-ordered (rows, cols) matrices the operand gathers read fastest.
 """
 
 from __future__ import annotations
@@ -74,12 +78,38 @@ def pack_nibbles(vals: np.ndarray) -> bytes:
     return (v[0::2] | (v[1::2] << 4)).tobytes()
 
 
+# record bits -> (bytes per record pair, element read, byte offset of the high record)
+_PAIR_LAYOUT = {4: (1, "u1", 0), 12: (3, "<u2", 1)}
+
+
+def _unpack_pairs(data, bits: int, out: np.ndarray) -> None:
+    """Fill ``out`` (h, 2, cols) with the first h * cols record pairs of a
+    column-major stream: records 2i and 2i + 1 of column c go to out[i, :, c].
+
+    Each pair is read through two strided views of its bytes, the low
+    record masked to ``bits`` and the high record shifted down 4; a 12-bit
+    pair is two unaligned little-endian u16 reads that stay inside its 3 bytes.
+    """
+    h, _, cols = out.shape
+    if not h:  # numpy refuses even an empty view that starts past the buffer
+        return
+    step, elem, hi_at = _PAIR_LAYOUT[bits]
+    strides = (step, step * h)
+    lo = np.ndarray((h, cols), elem, data, 0, strides)
+    np.bitwise_and(lo, (1 << bits) - 1, out=out[:, 0])
+    np.right_shift(np.ndarray((h, cols), elem, data, hi_at, strides), 4, out=out[:, 1])
+
+
+def _unpack_matrix(data, bits: int, rows: int, cols: int) -> np.ndarray:
+    """The (rows, cols) matrix, in C order, of a column-major stream; ``rows``
+    even, so no record pair spans two columns."""
+    out = np.empty((rows // 2, 2, cols), np.uint8 if bits == 4 else np.uint16)
+    _unpack_pairs(data, bits, out)
+    return out.reshape(rows, cols)
+
+
 def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
-    b = np.frombuffer(data, dtype=np.uint8)
-    out = np.empty(2 * b.size, dtype=np.uint8)
-    out[0::2] = b & 0x0F
-    out[1::2] = b >> 4
-    return out[:count]
+    return _unpack_matrix(data, 4, 2 * len(data), 1).reshape(-1)[:count]
 
 
 def pack_12bit(vals: np.ndarray) -> bytes:
@@ -99,13 +129,14 @@ def pack_12bit(vals: np.ndarray) -> bytes:
 
 
 def unpack_12bit(data: bytes, count: int) -> np.ndarray:
-    b = np.frombuffer(data, dtype=np.uint8).astype(np.uint16)
+    """The ``count`` 12-bit records of ``pack_12bit``'s stream, read pair by
+    pair as two strided ``<u2`` views (see ``_unpack_pairs``); the odd last
+    record is one u16 read of its two bytes."""
     pairs = count // 2
     out = np.empty(count, dtype=np.uint16)
-    out[0 : 2 * pairs : 2] = b[0 : 3 * pairs : 3] | ((b[1 : 3 * pairs : 3] & 0x0F) << 8)
-    out[1 : 2 * pairs : 2] = (b[1 : 3 * pairs : 3] >> 4) | (b[2 : 3 * pairs : 3] << 4)
+    _unpack_pairs(data, 12, out[: 2 * pairs].reshape(pairs, 2, 1))
     if count % 2:
-        out[-1] = b[3 * pairs] | ((b[3 * pairs + 1] & 0x0F) << 8)
+        out[-1] = np.ndarray((), "<u2", data, 3 * pairs) & 0xFFF
     return out
 
 
@@ -130,7 +161,7 @@ def from_bytes(data: bytes) -> PackedTensor:
         raise BadMagicError("not a SPEQ1 container")
     if len(data) < len(MAGIC) + 4:
         raise TruncatedError("missing checksum")
-    payload = data[len(MAGIC) : -4]
+    payload = memoryview(data)[len(MAGIC) : -4]
     (crc_stored,) = struct.unpack("<I", data[-4:])
 
     cur = 0
@@ -165,8 +196,12 @@ def from_bytes(data: bytes) -> PackedTensor:
         raise ChecksumError("payload CRC mismatch")
     if count % 2 and (wq_data[-1] >> 4 or wr_data[-1] >> 4):
         raise ContainerError("nonzero padding bits after the last record")
-    wq = unpack_nibbles(wq_data, count).reshape((rows, cols), order="F")
-    wr = unpack_12bit(wr_data, count).reshape((rows, cols), order="F")
+    if rows % 2:  # a record pair can span two columns
+        wq = unpack_nibbles(wq_data, count).reshape((rows, cols), order="F")
+        wr = unpack_12bit(wr_data, count).reshape((rows, cols), order="F")
+    else:  # C order, which the operand gathers read fastest
+        wq = _unpack_matrix(wq_data, 4, rows, cols)
+        wr = _unpack_matrix(wr_data, 12, rows, cols)
     try:
         return PackedTensor(group_size, tensor_scale, scales, wq, wr)
     except ValueError as e:

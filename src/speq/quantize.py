@@ -6,9 +6,11 @@ contiguous group of ``group_size`` elements along the reduction dimension
 of each output column.
 
 A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor. It
-holds only its two kernel operands, decoded once from the 4-bit and 12-bit
-streams: the draft values through one 16-entry table, and the exact FP16
-weights through ``bsfp.decode_full_array``, the encoder's inverse. Its
+holds only its two float32 kernel operands, each decoded once, by one
+gather per weight, from the 4-bit and 12-bit streams: the draft values
+from a 16-entry table indexed by ``wq``, and the exact FP16 weights by
+``bsfp.decode_full_f32`` from the float32 table of all 65,536 words
+``wq << 12 | wr``, which ``bsfp.encode_array`` fills. Its
 constructor alone decides what a valid tensor is (word shapes and codes,
 group size, tensor scale, group scales), so ``quantize_tensor``,
 ``container.from_bytes`` and direct callers all get the same checks; the
@@ -108,14 +110,18 @@ class PackedTensor:
 
     Built from ``wq`` (4-bit sign, qcode) and ``wr`` (12-bit flag, elsb,
     man10) records of one 2-D shape, which gives ``rows`` and ``cols``;
-    keeps neither stream: :meth:`words` re-derives them. Construction
+    keeps neither stream: :meth:`words` re-derives them. The exact operand
+    is gathered straight to float32 from ``bsfp``'s word table, and both
+    operands are C-ordered whatever the order of the records. Construction
     raises ``ValueError`` for any input no GEMM could use: mismatched or
     empty words, a ``group_size`` that is not an integer >= 1, a
     ``tensor_scale`` that is not a real (a bool or a string is not one)
     whose float32 value is finite and > 0 with a finite reciprocal, group
-    scales of the wrong shape, non-finite or with the sign bit set, and (as ``bsfp.MalformedWordError``) a word the encoder
-    never writes. It keeps ``tensor_scale``'s float32 value and a copy of
-    ``group_scales``, so it equals its container round trip.
+    scales of the wrong shape, non-finite or with the sign bit set, and
+    (as ``bsfp.MalformedWordError``) a field wider than its bits or a word
+    the encoder never writes, which the table holds as NaN. It keeps
+    ``tensor_scale``'s float32 value and a copy of ``group_scales``, so it
+    equals its container round trip.
     """
 
     group_size: int
@@ -160,11 +166,11 @@ class PackedTensor:
             raise ValueError("group scales must be finite and >= +0.0")
         scales.flags.writeable = False
         self.group_scales = scales
-        bits = bsfp.decode_full_array(wq, wr)  # range-checks wq before it indexes the table
-        self._qval = np.take(_DRAFT_TABLE, wq)
-        self._qval.flags.writeable = False
-        self._full32 = bits.view(np.float16).astype(np.float32)
+        # range-checks wq, so "wrap" changes no index of the draft table
+        self._full32 = bsfp.decode_full_f32(wq, wr)
         self._full32.flags.writeable = False
+        self._qval = np.take(_DRAFT_TABLE, wq, mode="wrap")
+        self._qval.flags.writeable = False
 
     # Read from the draft operand, never from _full32, so the draft path
     # provably touches nothing decoded from the remainder stream.

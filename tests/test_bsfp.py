@@ -173,7 +173,16 @@ def test_decoder_accepts_exactly_the_encoded_words():
     written = (wq.astype(np.int64) << 12) | wr
     assert np.unique(written).size == bits.size == 1 << 15
     assert np.array_equal(bsfp.decode_full_array(wq, wr), bits)
-    for word in np.setdiff1d(np.arange(1 << 16), written).tolist():
+    # the float32 word table over all 65,536 words: the value of the pattern
+    # encode_array maps to each written word, NaN at exactly the others
+    table = bsfp._F32_OF_WORD
+    assert (table.dtype, table.shape, table.flags.writeable) == (np.float32, (1 << 16,), False)
+    want = bits.view(np.float16).astype(np.float32)
+    assert np.array_equal(table[written].view(np.uint32), want.view(np.uint32))
+    unwritten = np.setdiff1d(np.arange(1 << 16), written)
+    assert np.array_equal(np.flatnonzero(np.isnan(table)), unwritten)
+    assert np.array_equal(bsfp.decode_full_f32(wq, wr).view(np.uint32), want.view(np.uint32))
+    for word in unwritten.tolist():
         with pytest.raises(bsfp.MalformedWordError):
             bsfp.decode_full_array(np.array([word >> 12]), np.array([word & 0xFFF]))
 

@@ -42,13 +42,20 @@ def _with_crc(data: bytearray) -> bytes:
         (128, 128),
         (200, 3),  # tail group
         (7, 5),  # odd element count
+        (7, 6),  # odd rows: record pairs span two columns
+        (2, 1),
     ],
 )
 def test_round_trip(shape):
     p = _tensor(1, shape)
     data = to_bytes(p)
     assert data[len(MAGIC)] == 0  # flags byte
-    assert from_bytes(data) == p
+    q = from_bytes(data)
+    assert q == p
+    # both operands bit for bit, in the C order the kernels are probed on
+    for got, want in ((q._full32, p._full32), (q._qval, p._qval)):
+        assert got.flags.c_contiguous and not got.flags.writeable
+        assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 def test_canonical_rewrite():

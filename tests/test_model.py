@@ -435,17 +435,41 @@ def test_cache_shared_between_paths(model):
 
 
 def test_save_load_round_trip(tmp_path, model):
+    # the default model, then the draft-heavy bench model, whose w2 has k = 512
+    # and so four groups down each column
+    heavy = init_model(ModelConfig(d_model=128, d_ff=512, n_layers=4))
+    assert heavy.weights["l0.w2"].group_scales.shape == (128, 4)
+    for i, m in enumerate((model, heavy)):
+        save_model(m, tmp_path / f"m{i}")
+        loaded = load_model(tmp_path / f"m{i}")
+        assert loaded.cfg == m.cfg
+        assert loaded.weights.keys() == m.weights.keys()
+        for name, p in m.weights.items():
+            q = loaded.weights[name]
+            assert q == p
+            for attr in ("_full32", "_qval", "group_scales"):
+                got, want = getattr(q, attr), getattr(p, attr)
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
+        assert np.array_equal(loaded.embed, m.embed)
+        t = [1, 2, 3]
+        a = forward_full(m, t, m.new_cache())
+        b = forward_full(loaded, t, loaded.new_cache())
+        assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+
+
+def test_load_reads_each_linear_through_read_container_once(tmp_path, model, monkeypatch):
+    # bench/spans.py times container.read_container as the load's read span
     save_model(model, tmp_path / "m")
-    loaded = load_model(tmp_path / "m")
-    assert loaded.cfg == model.cfg
-    assert loaded.weights.keys() == model.weights.keys()
-    for name in model.weights:
-        assert loaded.weights[name] == model.weights[name]
-    assert np.array_equal(loaded.embed, model.embed)
-    t = [1, 2, 3]
-    a = forward_full(model, t, model.new_cache())
-    b = forward_full(loaded, t, loaded.new_cache())
-    assert np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    seen = []
+    read = smodel.container.read_container
+
+    def counted(path):
+        seen.append(Path(path).name)
+        return read(path)
+
+    monkeypatch.setattr(smodel.container, "read_container", counted)
+    load_model(tmp_path / "m")
+    assert sorted(seen) == sorted(f"{n}.speq" for n in model.weights)
 
 
 @pytest.mark.parametrize("d_model, n_heads", [(15, 3), (9, 1)])

@@ -411,13 +411,27 @@ def test_pack_nibbles_roundtrip(count):
     assert np.array_equal(unpack_nibbles(packed, count), v)
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 128, 255])
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 128, 255, 65535, 65536])
 def test_pack_12bit_roundtrip(count):
     rng = np.random.default_rng(count)
     v = rng.integers(0, 4096, count).astype(np.uint16)
     packed = pack_12bit(v)
     assert len(packed) == (12 * count + 7) // 8
     assert np.array_equal(unpack_12bit(packed, count), v)
+
+
+@pytest.mark.parametrize("count", [1, 2, 7, 128])
+def test_unpack_12bit_reads_inside_its_slice(count):
+    # Each record is read as an unaligned u16; set bytes on both sides of the
+    # stream would show in a record read across its edge, and a view reaching
+    # past the slice's end is refused.
+    v = np.random.default_rng(count).integers(0, 4096, count).astype(np.uint16)
+    packed = pack_12bit(v)
+    buf = bytearray(b"\xff" * 5) + packed + bytearray(b"\xff" * 5)
+    stream = memoryview(buf)[5 : 5 + len(packed)]
+    assert np.array_equal(unpack_12bit(stream, count), v)
+    with pytest.raises((TypeError, ValueError), match="buffer"):
+        unpack_12bit(stream[:-1], count)
 
 
 def test_pack_nibbles_low_first():
