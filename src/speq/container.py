@@ -82,7 +82,7 @@ def pack_nibbles(vals: np.ndarray) -> bytes:
 _PAIR_LAYOUT = {4: (1, "u1", 0), 12: (3, "<u2", 1)}
 
 
-def _unpack_pairs(data, bits: int, out: np.ndarray) -> None:
+def _unpack_pairs(data: bytes | memoryview, bits: int, out: np.ndarray) -> None:
     """Fill ``out`` (h, 2, cols) with the first h * cols record pairs of a
     column-major stream: records 2i and 2i + 1 of column c go to out[i, :, c].
 
@@ -100,7 +100,7 @@ def _unpack_pairs(data, bits: int, out: np.ndarray) -> None:
     np.right_shift(np.ndarray((h, cols), elem, data, hi_at, strides), 4, out=out[:, 1])
 
 
-def _unpack_matrix(data, bits: int, rows: int, cols: int) -> np.ndarray:
+def _unpack_matrix(data: bytes | memoryview, bits: int, rows: int, cols: int) -> np.ndarray:
     """The (rows, cols) matrix, in C order, of a column-major stream; ``rows``
     even, so no record pair spans two columns."""
     out = np.empty((rows // 2, 2, cols), np.uint8 if bits == 4 else np.uint16)
@@ -108,7 +108,7 @@ def _unpack_matrix(data, bits: int, rows: int, cols: int) -> np.ndarray:
     return out.reshape(rows, cols)
 
 
-def unpack_nibbles(data: bytes, count: int) -> np.ndarray:
+def unpack_nibbles(data: bytes | memoryview, count: int) -> np.ndarray:
     return _unpack_matrix(data, 4, 2 * len(data), 1).reshape(-1)[:count]
 
 
@@ -128,7 +128,7 @@ def pack_12bit(vals: np.ndarray) -> bytes:
     return out.tobytes()
 
 
-def unpack_12bit(data: bytes, count: int) -> np.ndarray:
+def unpack_12bit(data: bytes | memoryview, count: int) -> np.ndarray:
     """The ``count`` 12-bit records of ``pack_12bit``'s stream, read pair by
     pair as two strided ``<u2`` views (see ``_unpack_pairs``); the odd last
     record is one u16 read of its two bytes."""
@@ -166,7 +166,7 @@ def from_bytes(data: bytes) -> PackedTensor:
 
     cur = 0
 
-    def take(n: int) -> bytes:
+    def take(n: int) -> memoryview:
         nonlocal cur
         if cur + n > len(payload):
             raise TruncatedError(f"payload ends at {len(payload)}, needed {cur + n}")
@@ -199,7 +199,7 @@ def from_bytes(data: bytes) -> PackedTensor:
     if rows % 2:  # a record pair can span two columns
         wq = unpack_nibbles(wq_data, count).reshape((rows, cols), order="F")
         wr = unpack_12bit(wr_data, count).reshape((rows, cols), order="F")
-    else:  # C order, which the operand gathers read fastest
+    else:  # C order, which the operand gathers read fastest (BENCH_36 "parity_branch")
         wq = _unpack_matrix(wq_data, 4, rows, cols)
         wr = _unpack_matrix(wr_data, 12, rows, cols)
     try:

@@ -166,10 +166,9 @@ class PackedTensor:
             raise ValueError("group scales must be finite and >= +0.0")
         scales.flags.writeable = False
         self.group_scales = scales
-        # range-checks wq, so "wrap" changes no index of the draft table
         self._full32 = bsfp.decode_full_f32(wq, wr)
         self._full32.flags.writeable = False
-        self._qval = np.take(_DRAFT_TABLE, wq, mode="wrap")
+        self._qval = np.take(_DRAFT_TABLE, wq)
         self._qval.flags.writeable = False
 
     # Read from the draft operand, never from _full32, so the draft path

@@ -345,6 +345,13 @@ def _direct_args():
     return dict(group_size=4, tensor_scale=1.0, group_scales=np.ones((3, 2), np.float32), wq=wq, wr=wr)
 
 
+def _wq_with(code):
+    """The valid 6x3 ``wq`` of ``_direct_args`` with one record set to ``code``."""
+    wq = _direct_args()["wq"].astype(np.int16)
+    wq[0, 0] = code
+    return wq
+
+
 def test_shape_comes_from_the_words():
     assert not {"rows", "cols"} & set(inspect.signature(PackedTensor).parameters)
     p = PackedTensor(**_direct_args())
@@ -370,6 +377,9 @@ def test_shape_comes_from_the_words():
         # 2.5 would give 3.0 groups and True 6, so the scale-shape rule alone misnames them
         pytest.param("group_size", 2.5, "group_size", id="fractional-group-size"),
         pytest.param("group_size", True, "group_size", id="bool-group-size"),
+        # the draft table has 16 entries: no code outside 0..15 may index it
+        pytest.param("wq", _wq_with(16), "out of range", id="wide-wq"),
+        pytest.param("wq", _wq_with(-1), "out of range", id="negative-wq"),
     ],
 )
 def test_packed_tensor_rejects_inconsistent_input(name, value, match):
