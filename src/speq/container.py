@@ -9,22 +9,23 @@ Layout (little-endian throughout):
     gsize   u32      group size
     tscale  f32      per-tensor outlier scale
     scales  f32 * cols*ceil(rows/gsize)   (per column, then per group)
-    wq      4-bit records, two per byte (low nibble first), column-major
-    wr      12-bit records, two per three bytes, column-major
+    wq      u8 * cols*ceil(rows/2)     4-bit records, two per byte (low nibble first)
+    wr      u8 * 3*cols*ceil(rows/2)   12-bit records, two per three bytes (low first)
     crc     u32      CRC-32 of everything between magic and crc
 
-The padding bits of an odd record count must be zero, so serialization
-is canonical: a container loads only if writing it back gives the same
-bytes. ``to_bytes`` packs ``PackedTensor.words``.
+Records run column-major, and each column holds whole record pairs: with
+an odd row count every column ends with one zero pad record. Padding must
+be zero, so serialization is canonical: a container loads only if writing
+it back gives the same bytes. ``to_bytes`` packs ``PackedTensor.words``.
 
 ``from_bytes`` is a byte parser: it checks the framing (magic, flags,
 ndims, sizes, truncation, CRC and padding) and leaves every rule on the
 values (tensor scale, group scales, words) to the ``PackedTensor``
 constructor. Any failure of either fails at load as a ContainerError.
-It reads the payload through memoryviews, without copying it, and reads
-each record pair through two strided views of its bytes. With an even
-row count no pair spans two columns, so the records are unpacked straight
-into the C-ordered (rows, cols) matrices the operand gathers read fastest.
+It reads the payload through memoryviews, without copying it, and unpacks
+each stream, whatever the shape, through two strided views of its record
+pairs straight into the C-ordered (rows, cols) matrix the operand gathers
+read fastest.
 """
 
 from __future__ import annotations
@@ -70,74 +71,49 @@ class TruncatedError(ContainerError):
     pass
 
 
-def pack_nibbles(vals: np.ndarray) -> bytes:
-    """Pack 4-bit records two per byte, low nibble first."""
-    v = np.asarray(vals, dtype=np.uint8).ravel()
-    if v.size % 2:
-        v = np.concatenate([v, np.zeros(1, np.uint8)])
-    return (v[0::2] | (v[1::2] << 4)).tobytes()
-
-
-# record bits -> (bytes per record pair, element read, byte offset of the high record)
+# record bits -> (bytes per record pair, element of each pair view, byte offset of the high view)
 _PAIR_LAYOUT = {4: (1, "u1", 0), 12: (3, "<u2", 1)}
 
 
-def _unpack_pairs(data: bytes | memoryview, bits: int, out: np.ndarray) -> None:
-    """Fill ``out`` (h, 2, cols) with the first h * cols record pairs of a
-    column-major stream: records 2i and 2i + 1 of column c go to out[i, :, c].
-
-    Each pair is read through two strided views of its bytes, the low
-    record masked to ``bits`` and the high record shifted down 4; a 12-bit
-    pair is two unaligned little-endian u16 reads that stay inside its 3 bytes.
-    """
-    h, _, cols = out.shape
-    if not h:  # numpy refuses even an empty view that starts past the buffer
-        return
+def _pair_views(
+    buf: bytes | bytearray | memoryview, bits: int, rows: int, cols: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """The (ceil(rows / 2), cols) views of a column-major stream in ``buf``
+    that hold record pair i of column c at [i, c]: the low view has record 2i
+    in its low ``bits`` bits, the high view record 2i + 1 from bit 4 up. A
+    12-bit pair's views are two unaligned little-endian u16s inside its 3 bytes."""
+    h = (rows + 1) // 2
     step, elem, hi_at = _PAIR_LAYOUT[bits]
     strides = (step, step * h)
-    lo = np.ndarray((h, cols), elem, data, 0, strides)
-    np.bitwise_and(lo, (1 << bits) - 1, out=out[:, 0])
-    np.right_shift(np.ndarray((h, cols), elem, data, hi_at, strides), 4, out=out[:, 1])
+    return (
+        np.ndarray((h, cols), elem, buf, 0, strides),
+        np.ndarray((h, cols), elem, buf, hi_at, strides),
+    )
+
+
+def _pack_matrix(m: np.ndarray, bits: int) -> bytes:
+    """The column-major stream of the (rows, cols) ``bits``-bit records ``m``
+    (uint8 for 4 bits, uint16 for 12): two records per pair, the low record
+    first, and with an odd row count a zero pad record ends every column."""
+    rows, cols = m.shape
+    buf = bytearray(_PAIR_LAYOUT[bits][0] * cols * ((rows + 1) // 2))  # the pad records stay 0
+    lo, hi = _pair_views(buf, bits, rows, cols)
+    lo[...] = m[0::2]
+    hi[: rows // 2] |= m[1::2] << 4
+    return bytes(buf)
 
 
 def _unpack_matrix(data: bytes | memoryview, bits: int, rows: int, cols: int) -> np.ndarray:
-    """The (rows, cols) matrix, in C order, of a column-major stream; ``rows``
-    even, so no record pair spans two columns."""
-    out = np.empty((rows // 2, 2, cols), np.uint8 if bits == 4 else np.uint16)
-    _unpack_pairs(data, bits, out)
-    return out.reshape(rows, cols)
-
-
-def unpack_nibbles(data: bytes | memoryview, count: int) -> np.ndarray:
-    return _unpack_matrix(data, 4, 2 * len(data), 1).reshape(-1)[:count]
-
-
-def pack_12bit(vals: np.ndarray) -> bytes:
-    """Pack 12-bit records two per three bytes, little-endian bit order."""
-    v = np.asarray(vals, dtype=np.uint16).ravel()
-    pairs = v.size // 2
-    out = np.empty(3 * pairs + 2 * (v.size % 2), dtype=np.uint8)
-    r0 = v[0 : 2 * pairs : 2].astype(np.uint32)
-    r1 = v[1 : 2 * pairs : 2].astype(np.uint32)
-    out[0 : 3 * pairs : 3] = r0 & 0xFF
-    out[1 : 3 * pairs : 3] = (r0 >> 8) | ((r1 & 0x0F) << 4)
-    out[2 : 3 * pairs : 3] = r1 >> 4
-    if v.size % 2:
-        out[-2] = v[-1] & 0xFF
-        out[-1] = v[-1] >> 8
-    return out.tobytes()
-
-
-def unpack_12bit(data: bytes | memoryview, count: int) -> np.ndarray:
-    """The ``count`` 12-bit records of ``pack_12bit``'s stream, read pair by
-    pair as two strided ``<u2`` views (see ``_unpack_pairs``); the odd last
-    record is one u16 read of its two bytes."""
-    pairs = count // 2
-    out = np.empty(count, dtype=np.uint16)
-    _unpack_pairs(data, 12, out[: 2 * pairs].reshape(pairs, 2, 1))
-    if count % 2:
-        out[-1] = np.ndarray((), "<u2", data, 3 * pairs) & 0xFFF
-    return out
+    """The (rows, cols) records, in C order, of ``_pack_matrix``'s stream;
+    a pad record that is not zero raises ``ContainerError``."""
+    lo, hi = _pair_views(data, bits, rows, cols)
+    out = np.empty((len(lo), 2, cols), np.uint8 if bits == 4 else np.uint16)
+    np.bitwise_and(lo, (1 << bits) - 1, out=out[:, 0])
+    np.right_shift(hi, 4, out=out[:, 1])
+    out = out.reshape(-1, cols)
+    if np.count_nonzero(out[rows:]):
+        raise ContainerError("nonzero padding record at the end of a column")
+    return out[:rows]
 
 
 def to_bytes(p: PackedTensor) -> bytes:
@@ -150,8 +126,7 @@ def to_bytes(p: PackedTensor) -> bytes:
     payload += struct.pack("<IIII", 2, p.rows, p.cols, p.group_size)
     payload += struct.pack("<f", p.tensor_scale)
     payload += p.group_scales.astype("<f4").tobytes()
-    payload += pack_nibbles(wq.flatten(order="F"))
-    payload += pack_12bit(wr.flatten(order="F"))
+    payload += _pack_matrix(wq, 4) + _pack_matrix(wr, 12)
     crc = zlib.crc32(payload) & 0xFFFFFFFF
     return MAGIC + bytes(payload) + struct.pack("<I", crc)
 
@@ -187,21 +162,16 @@ def from_bytes(data: bytes) -> PackedTensor:
     n_groups = -(-rows // group_size)
     scales = np.frombuffer(take(4 * cols * n_groups), dtype="<f4").reshape(cols, n_groups)
 
-    count = rows * cols
-    wq_data = take((count + 1) // 2)
-    wr_data = take((12 * count + 7) // 8)
+    pairs = cols * ((rows + 1) // 2)
+    wq_data = take(pairs)
+    wr_data = take(3 * pairs)
     if cur != len(payload):
         raise TruncatedError(f"{len(payload) - cur} trailing payload bytes")
     if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
         raise ChecksumError("payload CRC mismatch")
-    if count % 2 and (wq_data[-1] >> 4 or wr_data[-1] >> 4):
-        raise ContainerError("nonzero padding bits after the last record")
-    if rows % 2:  # a record pair can span two columns
-        wq = unpack_nibbles(wq_data, count).reshape((rows, cols), order="F")
-        wr = unpack_12bit(wr_data, count).reshape((rows, cols), order="F")
-    else:  # C order, which the operand gathers read fastest (BENCH_36 "parity_branch")
-        wq = _unpack_matrix(wq_data, 4, rows, cols)
-        wr = _unpack_matrix(wr_data, 12, rows, cols)
+    # no record pair spans two columns, so one unpack per stream fits every shape
+    wq = _unpack_matrix(wq_data, 4, rows, cols)
+    wr = _unpack_matrix(wr_data, 12, rows, cols)
     try:
         return PackedTensor(group_size, tensor_scale, scales, wq, wr)
     except ValueError as e:

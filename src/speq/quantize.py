@@ -112,14 +112,16 @@ class PackedTensor:
     man10) records of one 2-D shape, which gives ``rows`` and ``cols``;
     keeps neither stream: :meth:`words` re-derives them. The exact operand
     is gathered straight to float32 from ``bsfp``'s word table, and both
-    operands are C-ordered whatever the order of the records. Construction
-    raises ``ValueError`` for any input no GEMM could use: mismatched or
-    empty words, a ``group_size`` that is not an integer >= 1, a
-    ``tensor_scale`` that is not a real (a bool or a string is not one)
-    whose float32 value is finite and > 0 with a finite reciprocal, group
-    scales of the wrong shape, non-finite or with the sign bit set, and
-    (as ``bsfp.MalformedWordError``) a field wider than its bits or a word
-    the encoder never writes, which the table holds as NaN. It keeps
+    operands are C-ordered whatever the order of the records; C-ordered
+    records, as ``quantize_tensor`` and ``container.from_bytes`` give them,
+    gather fastest. Construction raises ``ValueError`` for any input no
+    GEMM could use: mismatched or empty words, a ``group_size`` that is
+    not an integer >= 1, a ``tensor_scale`` that is not a real (a bool or
+    a string is not one) whose float32 value is finite and > 0 with a
+    finite reciprocal, group scales of the wrong shape, non-finite or with
+    the sign bit set, and (as ``bsfp.MalformedWordError``) a field wider
+    than its bits or a word the encoder never writes, which the table
+    holds as NaN. It keeps
     ``tensor_scale``'s float32 value and a copy of ``group_scales``, so it
     equals its container round trip.
     """

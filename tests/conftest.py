@@ -10,7 +10,7 @@ import pytest
 
 from speq import _accel
 from speq.cli import main
-from speq.container import MAGIC, pack_12bit, pack_nibbles, unpack_12bit, unpack_nibbles
+from speq.container import MAGIC, _pack_matrix, _unpack_matrix
 
 REMAINDER_READ = "poisoned remainder stream read"
 
@@ -37,21 +37,33 @@ def poison_remainder():
 
 
 @pytest.fixture
-def patch_word():
-    """Rewrite one record of a serialised container, keeping its sign and
-    mantissa, and recompute the CRC, so only the word decides whether it loads."""
+def stream_spans():
+    """Read a serialised container's header; return (rows, cols, wq span,
+    wr span), each span the slice of the container's bytes that holds one
+    record stream."""
 
-    def patch(data: bytes, index: int, qcode: int, flag: int, elsb: int) -> bytes:
-        out = bytearray(data)
-        rows, cols, group_size = struct.unpack_from("<III", out, len(MAGIC) + 5)
-        count = rows * cols
+    def spans(data: bytes) -> tuple[int, int, slice, slice]:
+        rows, cols, group_size = struct.unpack_from("<III", data, len(MAGIC) + 5)
         at = len(MAGIC) + 1 + 16 + 4 + 4 * cols * -(-rows // group_size)
-        mid = at + (count + 1) // 2
-        end = mid + (12 * count + 7) // 8
-        wq, wr = unpack_nibbles(out[at:mid], count), unpack_12bit(out[mid:end], count)
-        wq[index] = (wq[index] & 8) | qcode  # records run column-major
-        wr[index] = (flag << 11) | (elsb << 10) | (wr[index] & 0x3FF)
-        out[at:end] = pack_nibbles(wq) + pack_12bit(wr)
+        pairs = cols * ((rows + 1) // 2)
+        return rows, cols, slice(at, at + pairs), slice(at + pairs, at + 4 * pairs)
+
+    return spans
+
+
+@pytest.fixture
+def patch_word(stream_spans):
+    """Rewrite the record at (row, col) of a serialised container, keeping its
+    sign and mantissa, and recompute the CRC, so only the word decides whether it loads."""
+
+    def patch(data: bytes, at: tuple[int, int], qcode: int, flag: int, elsb: int) -> bytes:
+        out = bytearray(data)
+        rows, cols, wq_span, wr_span = stream_spans(data)
+        wq = _unpack_matrix(out[wq_span], 4, rows, cols)
+        wr = _unpack_matrix(out[wr_span], 12, rows, cols)
+        wq[at] = (wq[at] & 8) | qcode
+        wr[at] = (flag << 11) | (elsb << 10) | (wr[at] & 0x3FF)
+        out[wq_span.start : wr_span.stop] = _pack_matrix(wq, 4) + _pack_matrix(wr, 12)
         struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
         return bytes(out)
 

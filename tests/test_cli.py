@@ -243,7 +243,7 @@ def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path, patch_word):
     good = wout.read_bytes()
     for qcode, flag, elsb in words:
         bad = tmp_path / "bad.speq"
-        bad.write_bytes(patch_word(good, 0, qcode, flag, elsb))
+        bad.write_bytes(patch_word(good, (0, 0), qcode, flag, elsb))
         code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(bad))
         assert code == 2, (qcode, flag, elsb)
         code, _, _ = run(capsys, "roundtrip", str(bad))
@@ -257,7 +257,7 @@ def test_nonzero_padding_is_io_error(capsys, tmp_path):
     a = str(tmp_path / "a.npy")
     np.save(a, np.ones((1, 7), dtype=np.float16))
     data = bytearray(wout.read_bytes())
-    data[-5] |= 0x10  # above the last 12-bit record of 35
+    data[-5] |= 0x10  # in the zero record that pads the last column's 7 records
     struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
     wout.write_bytes(bytes(data))
     code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))

@@ -15,6 +15,7 @@ from speq.container import (
     ChecksumError,
     ContainerError,
     TruncatedError,
+    _pack_matrix,
     from_bytes,
     read_container,
     read_npy,
@@ -140,14 +141,15 @@ ALIASES = [(0b000, 0, 0), (0b000, 0, 1), (0b000, 1, 0), (0b010, 0, 0), (0b010, 0
            (0b010, 1, 0), (0b100, 0, 1), (0b101, 0, 1)]
 
 
+@pytest.mark.parametrize("shape", [(64, 3), (7, 5)])  # (7, 5): every column padded
 @pytest.mark.parametrize(
     "qcode,flag,elsb",
     [pytest.param(q, 1, 0, id=str(q)) for q in (0b100, 0b101, 0b110, 0b111)]
     + [pytest.param(q, f, e, id=f"{q:03b}-{f}-{e}") for q, f, e in ALIASES],
 )
-def test_rejects_unreachable_word(qcode, flag, elsb, patch_word):
-    data = to_bytes(_tensor(7, (64, 3)))
-    at = 1 * 64 + 5  # element (5, 1)
+def test_rejects_unreachable_word(qcode, flag, elsb, shape, patch_word):
+    data = to_bytes(_tensor(7, shape))
+    at = (5, 1)
     if qcode & 4:
         valid = patch_word(data, at, qcode, 0, 0)  # unflagged with elsb 0, the code is valid
         assert to_bytes(from_bytes(valid)) == valid
@@ -156,16 +158,41 @@ def test_rejects_unreachable_word(qcode, flag, elsb, patch_word):
 
 
 @pytest.mark.parametrize("stream", ["wq", "wr"])
-def test_rejects_nonzero_padding(stream):
-    # 35 records: the top four bits of the last byte of each stream are padding.
+def test_rejects_nonzero_padding(stream, stream_spans):
+    # 7 rows: each column's last record pair holds its last record (low)
+    # and a zero pad record (high), in bits [bits, 2 * bits) of the pair.
     data = to_bytes(_tensor(1, (7, 5)))
-    at = len(data) - 5 - (0 if stream == "wr" else (12 * 35 + 7) // 8)
-    assert data[at] >> 4 == 0
-    for bit in range(4, 8):
-        bad = bytearray(data)
-        bad[at] |= 1 << bit
-        with pytest.raises(ContainerError, match="padding"):
-            from_bytes(_with_crc(bad))
+    rows, cols, wq_span, wr_span = stream_spans(data)
+    span, bits = (wq_span, 4) if stream == "wq" else (wr_span, 12)
+    step, h = bits // 4, (rows + 1) // 2
+    for col in (0, cols // 2, cols - 1):
+        pad_pair = span.start + step * (col * h + h - 1)
+        for bit in range(bits, 2 * bits):
+            at, mask = pad_pair + bit // 8, 1 << bit % 8
+            assert not data[at] & mask
+            bad = bytearray(data)
+            bad[at] |= mask
+            with pytest.raises(ContainerError, match="padding"):
+                from_bytes(_with_crc(bad))
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (7, 6), (1, 1), (3, 1)])
+def test_rejects_the_unpadded_odd_row_layout(shape, stream_spans):
+    # The layout without column padding: both streams run over all n records
+    # as one column, in ceil(n / 2) and ceil(12 n / 8) bytes, shorter than
+    # the padded streams, so the container is refused before any record is read.
+    p = _tensor(11, shape)
+    data = to_bytes(p)
+    wq_span = stream_spans(data)[2]
+    n = p.rows * p.cols
+    wq, wr = (w.reshape(n, 1, order="F") for w in p.words())
+    old_wq = _pack_matrix(wq, 4)
+    old_wr = _pack_matrix(wr, 12)[: (12 * n + 7) // 8]  # the last record's pad byte is dropped
+    assert (len(old_wq), len(old_wr)) == (-(-n // 2), -(-12 * n // 8))
+    old = data[: wq_span.start] + old_wq + old_wr + data[-4:]
+    assert len(old) < len(data)
+    with pytest.raises(TruncatedError):
+        from_bytes(_with_crc(bytearray(old)))
 
 
 def test_truncation():

@@ -8,15 +8,7 @@ import numpy as np
 import pytest
 
 from speq import bsfp
-from speq.container import (
-    MAGIC,
-    from_bytes,
-    pack_12bit,
-    pack_nibbles,
-    to_bytes,
-    unpack_12bit,
-    unpack_nibbles,
-)
+from speq.container import MAGIC, _pack_matrix, _unpack_matrix, from_bytes, to_bytes
 from speq.quantize import (
     PackedTensor,
     QuantFormat,
@@ -289,8 +281,8 @@ def test_bit_volume():
     p = quantize_tensor(w)
     n = w.size
     wq, wr = p.words()
-    assert len(pack_nibbles(wq)) == n // 2
-    assert len(pack_12bit(wr)) == 12 * n // 8
+    assert len(_pack_matrix(wq, 4)) == n // 2
+    assert len(_pack_matrix(wr, 12)) == 12 * n // 8
     # 16 bits/weight; the container adds only its header, the scales and the CRC
     header = len(MAGIC) + 1 + 16 + 4
     assert len(to_bytes(p)) == header + 4 * p.group_scales.size + 2 * n + 4
@@ -412,40 +404,41 @@ def test_signed_zero_is_not_equal():
 # ── packing primitives ───────────────────────────────────────────────────
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 5, 128, 255])
-def test_pack_nibbles_roundtrip(count):
-    rng = np.random.default_rng(count)
-    v = rng.integers(0, 16, count).astype(np.uint8)
-    packed = pack_nibbles(v)
-    assert len(packed) == (count + 1) // 2
-    assert np.array_equal(unpack_nibbles(packed, count), v)
+# (rows, cols) of 1 to 65,536 records; with odd rows every column gets a pad record
+CODEC_SHAPES = [(2, 1), (1, 1), (3, 1), (7, 5), (7, 6), (128, 1), (255, 1), (65535, 1), (256, 256)]
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 128, 255, 65535, 65536])
-def test_pack_12bit_roundtrip(count):
-    rng = np.random.default_rng(count)
-    v = rng.integers(0, 4096, count).astype(np.uint16)
-    packed = pack_12bit(v)
-    assert len(packed) == (12 * count + 7) // 8
-    assert np.array_equal(unpack_12bit(packed, count), v)
+@pytest.mark.parametrize("bits", [4, 12])
+@pytest.mark.parametrize("shape", CODEC_SHAPES, ids=str)
+def test_pack_matrix_roundtrip(shape, bits):
+    rows, cols = shape
+    rng = np.random.default_rng(rows * cols)
+    m = rng.integers(0, 1 << bits, shape).astype(np.uint8 if bits == 4 else np.uint16)
+    packed = _pack_matrix(m, bits)
+    assert len(packed) == bits // 4 * cols * -(-rows // 2)
+    got = _unpack_matrix(packed, bits, rows, cols)
+    assert got.shape == shape and got.flags.c_contiguous
+    assert np.array_equal(got, m)
 
 
-@pytest.mark.parametrize("count", [1, 2, 7, 128])
-def test_unpack_12bit_reads_inside_its_slice(count):
+@pytest.mark.parametrize("shape", [(1, 1), (2, 1), (7, 5), (128, 3)], ids=str)
+def test_unpack_matrix_reads_12bit_pairs_inside_its_slice(shape):
     # Each record is read as an unaligned u16; set bytes on both sides of the
     # stream would show in a record read across its edge, and a view reaching
     # past the slice's end is refused.
-    v = np.random.default_rng(count).integers(0, 4096, count).astype(np.uint16)
-    packed = pack_12bit(v)
+    rows, cols = shape
+    m = np.random.default_rng(rows).integers(0, 4096, shape).astype(np.uint16)
+    packed = _pack_matrix(m, 12)
     buf = bytearray(b"\xff" * 5) + packed + bytearray(b"\xff" * 5)
     stream = memoryview(buf)[5 : 5 + len(packed)]
-    assert np.array_equal(unpack_12bit(stream, count), v)
+    assert np.array_equal(_unpack_matrix(stream, 12, rows, cols), m)
     with pytest.raises((TypeError, ValueError), match="buffer"):
-        unpack_12bit(stream[:-1], count)
+        _unpack_matrix(stream[:-1], 12, rows, cols)
 
 
-def test_pack_nibbles_low_first():
-    assert pack_nibbles(np.array([0xA, 0x3], np.uint8)) == bytes([0x3A])
+def test_pack_matrix_low_record_first():
+    assert _pack_matrix(np.array([[0xA], [0x3]], np.uint8), 4) == bytes([0x3A])
+    assert _pack_matrix(np.array([[0xABC], [0x123]], np.uint16), 12) == bytes([0xBC, 0x3A, 0x12])
 
 
 # ── BF16 ingestion ───────────────────────────────────────────────────────
