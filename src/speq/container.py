@@ -53,6 +53,7 @@ __all__ = [
 ]
 
 MAGIC = b"SPEQ1"
+_HEADER = struct.Struct("<BIIIIf")  # flags, ndims, rows, cols, group size, tensor scale
 
 
 class ContainerError(ValueError):
@@ -121,57 +122,41 @@ def to_bytes(p: PackedTensor) -> bytes:
         if not 0 <= getattr(p, field) <= 0xFFFFFFFF:
             raise ValueError(f"{field} {getattr(p, field)} does not fit the u32 header field")
     wq, wr = p.words()
-    payload = bytearray()
-    payload.append(0)  # flags
-    payload += struct.pack("<IIII", 2, p.rows, p.cols, p.group_size)
-    payload += struct.pack("<f", p.tensor_scale)
-    payload += p.group_scales.astype("<f4").tobytes()
-    payload += _pack_matrix(wq, 4) + _pack_matrix(wr, 12)
-    crc = zlib.crc32(payload) & 0xFFFFFFFF
-    return MAGIC + bytes(payload) + struct.pack("<I", crc)
+    payload = b"".join((
+        _HEADER.pack(0, 2, p.rows, p.cols, p.group_size, p.tensor_scale),
+        p.group_scales.astype("<f4").tobytes(),
+        _pack_matrix(wq, 4),
+        _pack_matrix(wr, 12),
+    ))
+    return MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
 
 
 def from_bytes(data: bytes) -> PackedTensor:
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
+    if data[: len(MAGIC)] != MAGIC:
         raise BadMagicError("not a SPEQ1 container")
-    if len(data) < len(MAGIC) + 4:
-        raise TruncatedError("missing checksum")
-    payload = memoryview(data)[len(MAGIC) : -4]
-    (crc_stored,) = struct.unpack("<I", data[-4:])
-
-    cur = 0
-
-    def take(n: int) -> memoryview:
-        nonlocal cur
-        if cur + n > len(payload):
-            raise TruncatedError(f"payload ends at {len(payload)}, needed {cur + n}")
-        out = payload[cur : cur + n]
-        cur += n
-        return out
-
-    flags = take(1)[0]
+    if len(data) < len(MAGIC) + _HEADER.size + 4:
+        raise TruncatedError(f"{len(data)} bytes: too short for the header and checksum")
+    flags, ndims, rows, cols, group_size, tensor_scale = _HEADER.unpack_from(data, len(MAGIC))
     if flags != 0:
         raise ContainerError(f"flags byte is {flags}; only 0 (e3m0-remap) is defined")
-    (ndims,) = struct.unpack("<I", take(4))
     if ndims != 2:
         raise ContainerError(f"expected 2 dims, got {ndims}")
-    rows, cols, group_size = struct.unpack("<III", take(12))
     if rows < 1 or cols < 1 or group_size < 1:
         raise ContainerError("dims and group size must be positive")
-    (tensor_scale,) = struct.unpack("<f", take(4))
     n_groups = -(-rows // group_size)
-    scales = np.frombuffer(take(4 * cols * n_groups), dtype="<f4").reshape(cols, n_groups)
-
     pairs = cols * ((rows + 1) // 2)
-    wq_data = take(pairs)
-    wr_data = take(3 * pairs)
-    if cur != len(payload):
-        raise TruncatedError(f"{len(payload) - cur} trailing payload bytes")
-    if zlib.crc32(payload) & 0xFFFFFFFF != crc_stored:
+    scales_end = _HEADER.size + 4 * cols * n_groups
+    wq_end = scales_end + pairs
+    wr_end = wq_end + 3 * pairs
+    payload = memoryview(data)[len(MAGIC) : -4]
+    if len(payload) != wr_end:  # before the CRC and before any array: a hostile header allocates nothing
+        raise TruncatedError(f"payload is {len(payload)} bytes; the header needs {wr_end}")
+    if zlib.crc32(payload) != int.from_bytes(data[-4:], "little"):
         raise ChecksumError("payload CRC mismatch")
+    scales = np.frombuffer(payload[_HEADER.size : scales_end], "<f4").reshape(cols, n_groups)
     # no record pair spans two columns, so one unpack per stream fits every shape
-    wq = _unpack_matrix(wq_data, 4, rows, cols)
-    wr = _unpack_matrix(wr_data, 12, rows, cols)
+    wq = _unpack_matrix(payload[scales_end:wq_end], 4, rows, cols)
+    wr = _unpack_matrix(payload[wq_end:wr_end], 12, rows, cols)
     try:
         return PackedTensor(group_size, tensor_scale, scales, wq, wr)
     except ValueError as e:
