@@ -18,14 +18,16 @@ an odd row count every column ends with one zero pad record. Padding must
 be zero, so serialization is canonical: a container loads only if writing
 it back gives the same bytes. ``to_bytes`` packs ``PackedTensor.words``.
 
-``from_bytes`` is a byte parser: it checks the framing (magic, flags,
-ndims, sizes, truncation, CRC and padding) and leaves every rule on the
-values (tensor scale, group scales, words) to the ``PackedTensor``
-constructor. Any failure of either fails at load as a ContainerError.
-It reads the payload through memoryviews, without copying it, and unpacks
-each stream, whatever the shape, through two strided views of its record
-pairs straight into the C-ordered (rows, cols) matrix the operand gathers
-read fastest.
+Writer and reader share one header struct, ``_HEADER`` (flags to tscale),
+and the header alone fixes where each section ends. ``from_bytes`` is a byte
+parser: it checks the magic and the header's fields, then the payload length,
+once, before the CRC and before any array is built, so a header that claims
+more than the file holds allocates nothing; then the CRC and the padding.
+Every rule on the values (tensor scale, group scales, words) is left to the
+``PackedTensor`` constructor; any failure of either is a ContainerError. The
+payload is sliced through memoryviews, not copied, and each stream unpacks
+through two strided views of its record pairs straight into the C-ordered
+(rows, cols) matrix the operand gathers read fastest.
 """
 
 from __future__ import annotations
@@ -122,12 +124,9 @@ def to_bytes(p: PackedTensor) -> bytes:
         if not 0 <= getattr(p, field) <= 0xFFFFFFFF:
             raise ValueError(f"{field} {getattr(p, field)} does not fit the u32 header field")
     wq, wr = p.words()
-    payload = b"".join((
-        _HEADER.pack(0, 2, p.rows, p.cols, p.group_size, p.tensor_scale),
-        p.group_scales.astype("<f4").tobytes(),
-        _pack_matrix(wq, 4),
-        _pack_matrix(wr, 12),
-    ))
+    header = _HEADER.pack(0, 2, p.rows, p.cols, p.group_size, p.tensor_scale)
+    scales = p.group_scales.astype("<f4").tobytes()
+    payload = b"".join((header, scales, _pack_matrix(wq, 4), _pack_matrix(wr, 12)))
     return MAGIC + payload + struct.pack("<I", zlib.crc32(payload))
 
 
@@ -149,7 +148,7 @@ def from_bytes(data: bytes) -> PackedTensor:
     wq_end = scales_end + pairs
     wr_end = wq_end + 3 * pairs
     payload = memoryview(data)[len(MAGIC) : -4]
-    if len(payload) != wr_end:  # before the CRC and before any array: a hostile header allocates nothing
+    if len(payload) != wr_end:  # before the CRC and any array: a hostile header allocates nothing
         raise TruncatedError(f"payload is {len(payload)} bytes; the header needs {wr_end}")
     if zlib.crc32(payload) != int.from_bytes(data[-4:], "little"):
         raise ChecksumError("payload CRC mismatch")

@@ -224,16 +224,16 @@ class ToyModel:
         # always empty: every linear is packed; bench/speqbench.py::resident_bytes reads it
         self.raw_weights: dict[str, np.ndarray] = {}
         self.pos = _sinusoidal_positions(cfg.context, cfg.d_model)
-        # A forward reads each linear's weights and scales once, however many
-        # rows it runs, so forward_full / forward_draft add to their counter
-        # the same (weight bits, scale bytes) every time.
+        # A forward reads each linear's weights once, however many rows it
+        # runs, so forward_full / forward_draft add to their counter the same
+        # weight bits every time.
         self.full_traffic = TrafficCounter()
         self.draft_traffic = TrafficCounter()
         held = [weights[name] for name in _weight_names(cfg)]
-        self._forward_reads: dict[GemmMode, tuple[int, int]] = {}
-        for mode in GemmMode:
-            reads = [gemm_traffic(1, p.cols, p.rows, mode, p.group_size)[:2] for p in held]
-            self._forward_reads[mode] = tuple(map(sum, zip(*reads)))
+        self._forward_reads: dict[GemmMode, int] = {
+            mode: sum(gemm_traffic(1, p.cols, p.rows, mode, p.group_size)[0] for p in held)
+            for mode in GemmMode
+        }
 
     def new_cache(self, positions: int | None = None) -> KvCache:
         return KvCache(self.cfg, positions)
@@ -436,7 +436,7 @@ def forward_full(model: ToyModel, tokens, cache: KvCache, *, last_only: bool = F
     # gemm_full / gemm_draft are looked up in this module at call time, so a
     # tracer that replaces them here sees every linear.
     logits = _forward(model, tokens, cache, gemm_full, model.weights, last_only)
-    model.full_traffic.add(*model._forward_reads[GemmMode.FULL])
+    model.full_traffic.add(model._forward_reads[GemmMode.FULL])
     return logits
 
 
@@ -444,7 +444,7 @@ def forward_draft(model: ToyModel, token: int, cache: KvCache) -> np.ndarray:
     """4-bit-weights pass over a single token; returns (vocab,) logits."""
     tokens = check_token_ids([token], model.cfg.vocab)
     logits = _forward(model, tokens, cache, gemm_draft, model.weights)
-    model.draft_traffic.add(*model._forward_reads[GemmMode.DRAFT])
+    model.draft_traffic.add(model._forward_reads[GemmMode.DRAFT])
     return logits[0]
 
 

@@ -52,7 +52,18 @@ def stream_spans():
 
 
 @pytest.fixture
-def patch_word(stream_spans):
+def reseal():
+    """Return a serialised container's bytes with the trailing CRC-32
+    recomputed over its payload, so the checks behind the CRC see an edit."""
+
+    def seal(data: bytes | bytearray) -> bytes:
+        return bytes(data[:-4]) + struct.pack("<I", zlib.crc32(data[len(MAGIC) : -4]))
+
+    return seal
+
+
+@pytest.fixture
+def patch_word(stream_spans, reseal):
     """Rewrite the record at (row, col) of a serialised container, keeping its
     sign and mantissa, and recompute the CRC, so only the word decides whether it loads."""
 
@@ -64,8 +75,7 @@ def patch_word(stream_spans):
         wq[at] = (wq[at] & 8) | qcode
         wr[at] = (flag << 11) | (elsb << 10) | (wr[at] & 0x3FF)
         out[wq_span.start : wr_span.stop] = _pack_matrix(wq, 4) + _pack_matrix(wr, 12)
-        struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
-        return bytes(out)
+        return reseal(out)
 
     return patch
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import struct
-import zlib
 
 import numpy as np
 import pytest
@@ -119,7 +118,7 @@ def test_quantize_group_size_too_wide_for_header(capsys, tensor_npy, tmp_path):
     assert out.read_bytes() == b"keep me"
 
 
-def test_nonzero_flags_byte_is_io_error(capsys, tensor_npy, tmp_path):
+def test_nonzero_flags_byte_is_io_error(capsys, tensor_npy, tmp_path, reseal):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
     data = bytearray(wout.read_bytes())
@@ -127,8 +126,7 @@ def test_nonzero_flags_byte_is_io_error(capsys, tensor_npy, tmp_path):
     data[5] = 2
     n_wr = 12 * 256 * 8 // 8
     data[-4 - n_wr : -4] = bytes(n_wr)
-    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
-    wout.write_bytes(bytes(data))
+    wout.write_bytes(reseal(data))
     a = str(tmp_path / "a.npy")
     np.save(a, np.ones((1, 256), dtype=np.float16))
     for argv in (
@@ -202,7 +200,7 @@ def test_gemm_output_file(capsys, tensor_npy, tmp_path):
     assert np.load(res).shape == (1, 8)
 
 
-def test_gemm_bad_tensor_scale_is_io_error(capsys, tensor_npy, tmp_path):
+def test_gemm_bad_tensor_scale_is_io_error(capsys, tensor_npy, tmp_path, reseal):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
     good = wout.read_bytes()
@@ -211,19 +209,17 @@ def test_gemm_bad_tensor_scale_is_io_error(capsys, tensor_npy, tmp_path):
     for scale in (0.0, 1e-45):  # 1e-45 is a subnormal whose reciprocal overflows
         data = bytearray(good)
         struct.pack_into("<f", data, 22, scale)  # tensor scale, after magic, flags and 4 u32
-        struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
-        wout.write_bytes(bytes(data))
+        wout.write_bytes(reseal(data))
         code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))
         assert code == 2, scale
 
 
-def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path):
+def test_gemm_bad_group_scale_is_io_error(capsys, tensor_npy, tmp_path, reseal):
     wout = tmp_path / "w.speq"
     run(capsys, "quantize", "--in", tensor_npy, "--out", str(wout))
     data = bytearray(wout.read_bytes())
     struct.pack_into("<f", data, 26, float("nan"))  # first group scale, after the tensor scale
-    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
-    wout.write_bytes(bytes(data))
+    wout.write_bytes(reseal(data))
     a = str(tmp_path / "a.npy")
     np.save(a, np.ones((1, 256), dtype=np.float16))
     code, _, _ = run(capsys, "gemm", "--mode", "draft", "--a", a, "--w", str(wout))
@@ -250,7 +246,7 @@ def test_unreachable_word_is_io_error(capsys, tensor_npy, tmp_path, patch_word):
         assert code == 2, (qcode, flag, elsb)
 
 
-def test_nonzero_padding_is_io_error(capsys, tmp_path):
+def test_nonzero_padding_is_io_error(capsys, tmp_path, reseal):
     w, wout = str(tmp_path / "w.npy"), tmp_path / "w.speq"
     np.save(w, np.random.default_rng(5).normal(0, 0.02, (7, 5)).astype(np.float16))
     run(capsys, "quantize", "--in", w, "--out", str(wout))
@@ -258,8 +254,7 @@ def test_nonzero_padding_is_io_error(capsys, tmp_path):
     np.save(a, np.ones((1, 7), dtype=np.float16))
     data = bytearray(wout.read_bytes())
     data[-5] |= 0x10  # in the zero record that pads the last column's 7 records
-    struct.pack_into("<I", data, len(data) - 4, zlib.crc32(data[5:-4]) & 0xFFFFFFFF)
-    wout.write_bytes(bytes(data))
+    wout.write_bytes(reseal(data))
     code, _, _ = run(capsys, "gemm", "--mode", "full", "--a", a, "--w", str(wout))
     assert code == 2
     code, _, _ = run(capsys, "roundtrip", str(wout))

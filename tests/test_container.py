@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import struct
-import zlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,19 +31,13 @@ def _tensor(seed, shape, group_size=128):
     return quantize_tensor(w, group_size)
 
 
-def _with_crc(data: bytearray) -> bytes:
-    """``data`` with its trailing CRC-32 recomputed over the payload."""
-    data[-4:] = struct.pack("<I", zlib.crc32(data[len(MAGIC) : -4]) & 0xFFFFFFFF)
-    return bytes(data)
-
-
 @pytest.mark.parametrize(
     "shape",
     [
         (128, 128),
         (200, 3),  # tail group
         (7, 5),  # odd element count
-        (7, 6),  # odd rows: record pairs span two columns
+        (7, 6),  # odd rows: each column ends with a zero pad record
         (2, 1),
     ],
 )
@@ -93,37 +87,35 @@ def test_checksum_detects_flip():
         from_bytes(bytes(data))
 
 
-def _with_tensor_scale(data: bytes, scale: float) -> bytes:
+def _with_tensor_scale(data: bytes, scale: float, reseal) -> bytes:
     """Rewrite the header's tensor scale and recompute the CRC."""
     out = bytearray(data)
     struct.pack_into("<f", out, len(MAGIC) + 1 + 16, scale)
-    struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
-    return bytes(out)
+    return reseal(out)
 
 
 # 1e-45 and 2^-128 are positive float32 subnormals whose reciprocal overflows.
 @pytest.mark.parametrize("scale", [0.0, float("nan"), float("inf"), -1.0, 1e-45, 2.0**-128])
-def test_rejects_bad_tensor_scale(scale):
+def test_rejects_bad_tensor_scale(scale, reseal):
     data = to_bytes(_tensor(7, (64, 3)))
-    assert from_bytes(_with_tensor_scale(data, 4.0)).tensor_scale == 4.0
+    assert from_bytes(_with_tensor_scale(data, 4.0, reseal)).tensor_scale == 4.0
     with pytest.raises(ContainerError, match="tensor_scale"):
-        from_bytes(_with_tensor_scale(data, scale))
+        from_bytes(_with_tensor_scale(data, scale, reseal))
 
 
-def _with_first_group_scale(data: bytes, scale: float) -> bytes:
+def _with_first_group_scale(data: bytes, scale: float, reseal) -> bytes:
     """Rewrite the first per-group scale and recompute the CRC."""
     out = bytearray(data)
     struct.pack_into("<f", out, len(MAGIC) + 1 + 16 + 4, scale)
-    struct.pack_into("<I", out, len(out) - 4, zlib.crc32(out[len(MAGIC) : -4]) & 0xFFFFFFFF)
-    return bytes(out)
+    return reseal(out)
 
 
 @pytest.mark.parametrize("scale", [float("nan"), float("inf"), -1.0, -0.0])
-def test_rejects_bad_group_scale(scale):
+def test_rejects_bad_group_scale(scale, reseal):
     data = to_bytes(_tensor(7, (64, 3)))
-    assert from_bytes(_with_first_group_scale(data, 0.5)).group_scales[0, 0] == 0.5
+    assert from_bytes(_with_first_group_scale(data, 0.5, reseal)).group_scales[0, 0] == 0.5
     with pytest.raises(ContainerError, match="group scales"):
-        from_bytes(_with_first_group_scale(data, scale))
+        from_bytes(_with_first_group_scale(data, scale, reseal))
 
 
 def test_zero_group_scale_round_trips():
@@ -158,7 +150,7 @@ def test_rejects_unreachable_word(qcode, flag, elsb, shape, patch_word):
 
 
 @pytest.mark.parametrize("stream", ["wq", "wr"])
-def test_rejects_nonzero_padding(stream, stream_spans):
+def test_rejects_nonzero_padding(stream, stream_spans, reseal):
     # 7 rows: each column's last record pair holds its last record (low)
     # and a zero pad record (high), in bits [bits, 2 * bits) of the pair.
     data = to_bytes(_tensor(1, (7, 5)))
@@ -173,11 +165,11 @@ def test_rejects_nonzero_padding(stream, stream_spans):
             bad = bytearray(data)
             bad[at] |= mask
             with pytest.raises(ContainerError, match="padding"):
-                from_bytes(_with_crc(bad))
+                from_bytes(reseal(bad))
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (7, 6), (1, 1), (3, 1)])
-def test_rejects_the_unpadded_odd_row_layout(shape, stream_spans):
+def test_rejects_the_unpadded_odd_row_layout(shape, stream_spans, reseal):
     # The layout without column padding: both streams run over all n records
     # as one column, in ceil(n / 2) and ceil(12 n / 8) bytes, shorter than
     # the padded streams, so the container is refused before any record is read.
@@ -192,7 +184,7 @@ def test_rejects_the_unpadded_odd_row_layout(shape, stream_spans):
     old = data[: wq_span.start] + old_wq + old_wr + data[-4:]
     assert len(old) < len(data)
     with pytest.raises(TruncatedError):
-        from_bytes(_with_crc(bytearray(old)))
+        from_bytes(reseal(old))
 
 
 def test_truncation():
@@ -201,19 +193,43 @@ def test_truncation():
         from_bytes(data[: len(data) - 9])
 
 
+def test_every_cut_of_the_header_is_refused():
+    # cut after each byte of the magic, the 21-byte header and the CRC
+    data = to_bytes(_tensor(6, (64, 3)))
+    for n in range(len(MAGIC) + 21 + 4):
+        with pytest.raises((BadMagicError, TruncatedError)):
+            from_bytes(data[:n])
+
+
+def test_hostile_header_is_refused_before_allocation(reseal):
+    # 2^64 records claimed, with a valid CRC: the length check refuses the
+    # container before any array is built or any buffer is copied
+    data = bytearray(to_bytes(_tensor(6, (64, 3))))
+    struct.pack_into("<III", data, len(MAGIC) + 5, 0xFFFFFFFF, 0xFFFFFFFF, 1)
+    data = reseal(data)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TruncatedError):
+            from_bytes(data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+
+
 def test_trailing_garbage():
     data = to_bytes(_tensor(7, (64, 3)))
     with pytest.raises(ContainerError):
         from_bytes(data + b"\x00\x00\x00\x00")
 
 
-def test_unknown_format_index():
+def test_unknown_format_index(reseal):
     # Every flags value but 0 fails, the former baseline indices 1-3 too.
     data = bytearray(to_bytes(_tensor(8, (8, 2), group_size=8)))
     for flags in range(1, 256):
         data[len(MAGIC)] = flags
         with pytest.raises(ContainerError, match="flags byte"):
-            from_bytes(_with_crc(data))
+            from_bytes(reseal(data))
 
 
 def test_scale_and_stream_preservation():
@@ -226,7 +242,7 @@ def test_scale_and_stream_preservation():
         assert np.array_equal(got, want)
 
 
-def test_from_bytes_mutation_fuzz():
+def test_from_bytes_mutation_fuzz(reseal):
     """Seeded byte flips, truncations and extensions, each with a fresh CRC.
 
     Only ``ContainerError`` may escape, and every container that loads is
@@ -247,7 +263,7 @@ def test_from_bytes_mutation_fuzz():
         else:
             data += rng.integers(0, 256, rng.integers(1, 9), dtype=np.uint8).tobytes()
         if len(data) >= len(MAGIC) + 4:
-            data = _with_crc(data)
+            data = reseal(data)
         try:
             p = from_bytes(bytes(data))
         except ContainerError:
@@ -258,14 +274,16 @@ def test_from_bytes_mutation_fuzz():
 
 
 def test_scales_held_as_rows_keep_the_container_bytes():
-    # The CRC-32 of this container was pinned while the scales were held
-    # (cols, n_groups) in C order; holding them as rows changes no byte.
+    # The payload CRC-32 of this container was pinned while the scales were
+    # held (cols, n_groups) in C order; holding them as rows changes no byte.
+    # (The CRC-32 of the whole container, its own CRC included, is the same
+    # for every container of one length, so it would pin only the length.)
     p = _tensor(26, (300, 7))
     c_order = np.ascontiguousarray(p.group_scales)
     direct = PackedTensor(p.group_size, p.tensor_scale, c_order, *p.words())
     for q in (p, from_bytes(to_bytes(p)), direct):
         data = to_bytes(q)
-        assert len(data) == 4314 and zlib.crc32(data) == 0x43123BEC
+        assert len(data) == 4314 and int.from_bytes(data[-4:], "little") == 0x74D96C0D
         assert q == p and q.group_scales.shape == (7, 3)
         # group g's scale for every column is one contiguous row
         assert all(q.group_scales.T[g].flags.c_contiguous for g in range(q.n_groups))

@@ -14,6 +14,8 @@ from pathlib import Path
 import pytest
 
 import speq
+from speq import container
+from speq.container import _HEADER
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(speq.__path__))
 
@@ -47,6 +49,18 @@ def _resolves(mod: str, name: str) -> bool:
     except AttributeError:
         return False
     return True
+
+
+def test_container_header_table_is_the_header_struct():
+    # bytes per row of the container docstring's layout table: "5 bytes",
+    # "u32", "u32 * 2" and so on
+    row = r"^    (\w+) +(?:(\d+) bytes?|[uf](\d+)(?: \* (\d+)(?= ))?)"
+    sizes = {
+        name: int(n or 0) or int(bits) // 8 * int(count or 1)
+        for name, n, bits, count in re.findall(row, container.__doc__, re.M)
+    }
+    header = ("flags", "ndims", "dims", "gsize", "tscale")
+    assert sum(sizes[name] for name in header) == _HEADER.size
 
 
 def test_doc_references_resolve():

@@ -592,7 +592,6 @@ def _edit_bytes(name, edit):
 
 def _set_flags_byte_2(data):
     data[5] = 2  # the flags byte; once the e2m1 baseline's index
-    data[-4:] = zlib.crc32(data[5:-4]).to_bytes(4, "little")
 
 
 def _truncate(data):
@@ -678,12 +677,14 @@ _LOAD_MISMATCHES = {
 
 
 @pytest.mark.parametrize("case", sorted(_LOAD_MISMATCHES))
-def test_load_model_rejects_mismatch(tmp_path, case):
+def test_load_model_rejects_mismatch(tmp_path, case, reseal):
     fname, damage = _LOAD_MISMATCHES[case]
     d = tmp_path / "m"
     save_model(init_model(ModelConfig(seed=5)), d)
     load_model(d)
     damage(d)
+    if case == "baseline-format":  # a fresh CRC, so the flags byte is what refuses it
+        (d / fname).write_bytes(reseal((d / fname).read_bytes()))
     with pytest.raises(ValueError, match=re.escape(fname)):
         load_model(d)
 
@@ -734,8 +735,8 @@ def test_joint_qkv_accounting(monkeypatch, mode):
     # One decode or draft forward: q, k and v run as one (1, d, 3d) GEMM per
     # layer through the traced kernel names, every weight is read once, the
     # PE model replays each GEMM with the kernel's output bits, and the
-    # weight bits and scale bytes the model counted over the forward are
-    # the sums of the PE reports'.
+    # weight bits the model counted over the forward are the sum of the PE
+    # reports'.
     m = init_model(ModelConfig(seed=7))
     d, n_layers = m.cfg.d_model, m.cfg.n_layers
     cache = m.new_cache()
@@ -744,38 +745,34 @@ def test_joint_qkv_accounting(monkeypatch, mode):
     counter = getattr(m, f"{mode}_traffic")
     calls = []
 
-    def counts():
-        return counter.weight_bits, counter.scale_bytes
-
     def spy(a, p, **kwargs):
         out = kernel(a, p, **kwargs)
         calls.append((a, p, out.copy()))  # the forward edits out in place
         return out
 
     monkeypatch.setattr(smodel, f"gemm_{mode}", spy)
-    before = counts()
+    before = counter.weight_bits
     if mode == "full":
         forward_full(m, [3], cache)
     else:
         forward_draft(m, 3, cache)
-    delta = tuple(x - y for x, y in zip(counts(), before))
+    delta = counter.weight_bits - before
 
     assert [(a.shape[0], p.rows, p.cols) for a, p, _ in calls].count((1, d, 3 * d)) == n_layers
     assert sorted(id(p) for _, p, _ in calls) == sorted(map(id, m.weights.values()))
 
-    reported = [0, 0]
+    reported = 0
     for a, p, out in calls:
         sim, rep = simulate_gemm(a, p, GemmMode(mode))
         assert np.array_equal(sim.view(np.uint32), out.view(np.uint32))
-        reported[0] += rep.weight_bits
-        reported[1] += rep.scale_bytes
-    assert delta == tuple(reported)
+        reported += rep.weight_bits
+    assert delta == reported
 
 
 @pytest.mark.parametrize("n, last_only", [(1, False), (5, False), (5, True), (70, True)])
 def test_forward_traffic_is_the_sum_of_its_gemms(monkeypatch, n, last_only):
-    # The counters take one (weight bits, scale bytes) per forward: what
-    # gemm_traffic gives for the GEMMs the forward ran, at the rows each ran
+    # The counters take one weight-bit count per forward: what gemm_traffic
+    # gives for the GEMMs the forward ran, at the rows each ran
     # (a last_only prefill runs the last layer's wo, w1, w2 and head on one).
     # Each weight is read once, so all four cases read the same, and the
     # draft reads a quarter of the full pass's weight bits.
@@ -793,18 +790,16 @@ def test_forward_traffic_is_the_sum_of_its_gemms(monkeypatch, n, last_only):
     monkeypatch.setattr(smodel, "gemm_draft", spy(smodel.gemm_draft))
     cache = m.new_cache()
     forward_full(m, list(range(n)), cache, last_only=last_only)
-    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.FULL, s[3])[:2] for s in shapes))]
     full = m.full_traffic
-    assert [full.weight_bits, full.scale_bytes] == want
+    assert full.weight_bits == sum(gemm_traffic(*s[:3], GemmMode.FULL, s[3])[0] for s in shapes)
     assert sorted({s[0] for s in shapes}) == sorted({1, n} if last_only else {n})
     params = sum(p.rows * p.cols for p in m.weights.values())
-    assert (full.weight_bits, full.scale_bytes) == (16 * params, 4 * len(m.weights))
+    assert full.weight_bits == 16 * params
 
     shapes.clear()
     forward_draft(m, 3, cache)
-    want = [sum(x) for x in zip(*(gemm_traffic(*s[:3], GemmMode.DRAFT, s[3])[:2] for s in shapes))]
     draft = m.draft_traffic
-    assert [draft.weight_bits, draft.scale_bytes] == want
+    assert draft.weight_bits == sum(gemm_traffic(*s[:3], GemmMode.DRAFT, s[3])[0] for s in shapes)
     assert 4 * draft.weight_bits == full.weight_bits
 
 
