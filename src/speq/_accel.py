@@ -34,12 +34,14 @@ checking them against ``_loop_f32``, shows that they keep it. Elsewhere
   sum-of-products loop adds each output's products in ascending k into a
   zeroed output. The layout rule (``_einsum_admits``) refuses a ``w`` with
   one column, or unit or zero stride along k, where einsum takes a
-  dot-product loop that reassociates. The probe (``_einsum_in_order``)
-  runs once per process on seeded full-mantissa float32 operands in every
-  layout attention uses: the scores against a strided key-cache view, the
-  row-major context against a value view, and the key-major context and
-  row sum (below) at 17 and 64 rows. If any case differs, every call takes
-  ``_loop_f32``.
+  dot-product loop that reassociates. A one-column ``w`` (the scores of a
+  one-key attention) runs as one multiply and one sequential
+  ``np.add.accumulate`` along k (``_column_f32``), as ``rowsum_f32`` sums.
+  The probe (``_einsum_in_order``) runs once per process on seeded
+  full-mantissa float32 operands in every layout attention uses: the scores
+  against a strided key-cache view, the row-major context against a value
+  view, and the key-major context and row sum (below) at 17 and 64 rows. If
+  any case differs, every call with more than one column takes ``_loop_f32``.
 
 ``fp16_values`` gives the FP16 values of float32 activations with
 ``astype(np.float16)``'s bits: below ``FP16_WIDE`` elements by that cast,
@@ -93,8 +95,10 @@ def active_backend() -> str:
 
 # Arrays of at least this many elements are rounded to FP16 on their float32
 # bits (``fp16_values``); smaller ones take one float16 cast, whose fixed cost
-# is lower.
-FP16_WIDE = 2048
+# is lower. Measured on a 2-vCPU host: the cast wins at 17 x 128 (draft-heavy's
+# verify windows, and their key / value column views) and at 33 x 64, the wide
+# route from 64 x 64 up.
+FP16_WIDE = 4096
 
 
 def _constant(value, dtype=np.uint32):
@@ -289,12 +293,23 @@ def gemm_f32(a, w):
     in ascending k from +0.0: attention's scores and context.
 
     Leading batch axes are optional; each slice has the bits of its own
-    call. Runs ``_einsum`` where ``_einsum_admits`` ``w``'s layout and
-    ``_einsum_in_order`` held, otherwise ``_loop_f32``.
+    call. A ``w`` of one column runs on ``_column_f32``; otherwise runs
+    ``_einsum`` where ``_einsum_admits`` ``w``'s layout and
+    ``_einsum_in_order`` held, else ``_loop_f32``.
     """
+    if w.shape[-1] == 1 and w.shape[-2]:
+        return _column_f32(a, w)
     if _einsum_admits(w) and _einsum_in_order():
         return _einsum(a, w)
     return _loop_f32(a, w)
+
+
+def _column_f32(a, w):
+    """The fixed order for a ``w`` of one column and k >= 1: every product in
+    one multiply, then one sequential ``np.add.accumulate`` along k, whose
+    last column plus +0.0 is the sum from +0.0, as in ``rowsum_f32``."""
+    prods = np.multiply(a, w.swapaxes(-1, -2))
+    return np.add.accumulate(prods, axis=-1)[..., -1:] + _PLUS_ZERO
 
 
 def attn_scores_f32(q, k, n_heads):

@@ -26,12 +26,18 @@ The codecs are vectorized over numpy arrays. ``encode_array`` is the one
 definition of the remap: run over every in-range FP16 pattern at import,
 it fills a read-only float32 table from each word ``wq << 12 | wr`` to the
 value of its FP16 pattern (a lookup, as in LUT-GEMM, Park et al. 2022).
-``decode_full_f32`` gathers the exact float32 operand from that table in
-one pass, and ``decode_full_array``, the encoder's exact inverse, derives
-the uint16 FP16 bits from it. The table is also the one validity rule:
-the 32,768 words the encoder never writes, whose draft nibble would not
-quantize the value they restore, hold NaN (no in-range value is NaN) and
-raise :class:`MalformedWordError`.
+
+The 16-bit word is the one decoded record. ``decode_words_f32`` gathers
+the exact float32 value of each word from that table in one pass. The
+table is also the one validity rule: the 32,768 words the encoder never
+writes, whose draft nibble would not quantize the value they restore, hold
+NaN (no in-range value is NaN) and raise :class:`MalformedWordError`.
+Field widths are checked only where separate fields come in:
+``join_words`` refuses a ``wq`` wider than 4 bits or a ``wr`` wider than 12
+before it joins them, while a uint16 word cannot hold an out-of-range
+field. ``decode_full_f32`` is ``join_words`` then ``decode_words_f32``, and
+``decode_full_array``, the encoder's exact inverse, derives the uint16 FP16
+bits from it.
 """
 
 from __future__ import annotations
@@ -46,6 +52,8 @@ __all__ = [
     "DECODE_QEXP",
     "in_range_bits",
     "encode_array",
+    "join_words",
+    "decode_words_f32",
     "decode_full_f32",
     "decode_full_array",
     "q_exponent_array",
@@ -113,23 +121,41 @@ def _build_word_table() -> np.ndarray:
 _F32_OF_WORD = _build_word_table()
 
 
-def decode_full_f32(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """Exact value (float32, C order) of each (wq, wr) word, by one table
-    gather; rejects words :func:`encode_array` never writes."""
+def join_words(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """The 16-bit words ``wq << 12 | wr`` (uint16, C order) of separate
+    fields; a field wider than its 4 or 12 bits raises :class:`MalformedWordError`."""
     wq, wr = np.asarray(wq), np.asarray(wr)
     # checked before the uint16 cast, which would wrap 0x10000 to 0
     low = min(wq.min(initial=0), wr.min(initial=0))
     if low < 0 or wq.max(initial=0) > 0xF or wr.max(initial=0) > 0xFFF:
         raise MalformedWordError("field out of range: wq has 4 bits and wr 12")
-    words = wq.astype(np.uint16)
+    words = wq.astype(np.uint16, order="C")
     words <<= 12
     words |= wr.astype(np.uint16, copy=False)
+    return words
+
+
+def decode_words_f32(words: np.ndarray) -> np.ndarray:
+    """Exact value (float32, C order) of each 16-bit word, by one table
+    gather; rejects words :func:`encode_array` never writes.
+
+    ``words`` holds uint16 values: a uint16 array, or an integer array
+    converted from one, such as the ``intp`` index ``PackedTensor`` gathers
+    both operands with. A wider value wraps modulo 2^16.
+    """
     # every uint16 indexes the table, so "wrap" changes no index; it gathers
     # faster than the default "raise"
-    vals = np.take(_F32_OF_WORD, words, mode="wrap")
-    if np.isnan(vals).any():
+    vals = _F32_OF_WORD.take(words, mode="wrap")
+    # no in-range value is NaN, and one NaN makes the maximum NaN
+    if np.isnan(np.maximum.reduce(vals, axis=None)):
         raise MalformedWordError("unreachable word: encode_array writes no such (wq, wr)")
     return vals
+
+
+def decode_full_f32(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
+    """Exact value (float32, C order) of each (wq, wr) word: :func:`join_words`,
+    then :func:`decode_words_f32`."""
+    return decode_words_f32(join_words(wq, wr))
 
 
 def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:

@@ -23,11 +23,15 @@ and the header alone fixes where each section ends. ``from_bytes`` is a byte
 parser: it checks the magic and the header's fields, then the payload length,
 once, before the CRC and before any array is built, so a header that claims
 more than the file holds allocates nothing; then the CRC and the padding.
-Every rule on the values (tensor scale, group scales, words) is left to the
-``PackedTensor`` constructor; any failure of either is a ContainerError. The
+Every rule on the values (tensor scale, group scales, words) is left to
+``PackedTensor``'s builder; any failure of either is a ContainerError. The
 payload is sliced through memoryviews, not copied, and each stream unpacks
-through two strided views of its record pairs straight into the C-ordered
-(rows, cols) matrix the operand gathers read fastest.
+through two strided views of its record pairs straight into a C-ordered
+(rows, cols) matrix. The 16-bit word ``wq << 12 | wr`` is the one decoded
+record: the 12-bit records are unpacked into the words' matrix and the
+nibbles OR-ed in above them, so no field exists on its own to be checked
+for width, and ``PackedTensor._from_words`` decodes both operands from the
+words.
 """
 
 from __future__ import annotations
@@ -56,6 +60,7 @@ __all__ = [
 
 MAGIC = b"SPEQ1"
 _HEADER = struct.Struct("<BIIIIf")  # flags, ndims, rows, cols, group size, tensor scale
+_TWELVE = np.array(12, np.uint16)  # shifts a uint8 nibble in uint16, into a word's top bits
 
 
 class ContainerError(ValueError):
@@ -153,11 +158,12 @@ def from_bytes(data: bytes) -> PackedTensor:
     if zlib.crc32(payload) != int.from_bytes(data[-4:], "little"):
         raise ChecksumError("payload CRC mismatch")
     scales = np.frombuffer(payload[_HEADER.size : scales_end], "<f4").reshape(cols, n_groups)
-    # no record pair spans two columns, so one unpack per stream fits every shape
-    wq = _unpack_matrix(payload[scales_end:wq_end], 4, rows, cols)
-    wr = _unpack_matrix(payload[wq_end:wr_end], 12, rows, cols)
+    # no record pair spans two columns, so one unpack per stream fits every shape;
+    # the 12-bit records are the words' low bits, the nibbles their top four
+    words = _unpack_matrix(payload[wq_end:wr_end], 12, rows, cols)
+    words |= np.left_shift(_unpack_matrix(payload[scales_end:wq_end], 4, rows, cols), _TWELVE)
     try:
-        return PackedTensor(group_size, tensor_scale, scales, wq, wr)
+        return PackedTensor._from_words(group_size, tensor_scale, scales, words)
     except ValueError as e:
         raise ContainerError(str(e)) from e
 
@@ -168,15 +174,22 @@ def write_container(path, p: PackedTensor) -> None:
         f.write(data)
 
 
-def read_container(path) -> PackedTensor:
+def read_container(path, *, crc: int | None = None) -> PackedTensor:
+    """The tensor in the container file at ``path``. With ``crc``, the file
+    must also store that payload CRC-32, or ``ChecksumError`` is raised."""
     with open(path, "rb") as f:
-        return from_bytes(f.read())
+        data = f.read()
+    p = from_bytes(data)
+    if crc is not None and int.from_bytes(data[-4:], "little") != crc:
+        raise ChecksumError(f"payload CRC-32 differs from the expected {crc:#010x}")
+    return p
 
 
 def read_crc(path) -> int:
     """The payload CRC-32 stored at the end of a container file.
 
-    Unverified here: ``read_container`` checks it against the payload.
+    Unverified here: ``read_container`` checks it against the payload, and
+    against a given CRC in the same read.
     """
     with open(path, "rb") as f:
         f.seek(-4, os.SEEK_END)

@@ -490,18 +490,16 @@ def _load_fp16(path: Path, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _load_packed(path: Path, cfg: ModelConfig, name: str, crc: int) -> PackedTensor:
+    # the manifest's CRC catches a valid container of another layer saved
+    # under this one's name, and read_container checks it in the same read
     try:
-        p = container.read_container(path)
+        p = container.read_container(path, crc=crc)
     except container.ContainerError as e:
         raise container.ContainerError(f"{path}: {e}") from e
     got = ((p.rows, p.cols), p.group_size)
     want = (_weight_shape(cfg, name), cfg.group_size)
     if got != want:
         raise ValueError(f"{path}: (shape, group size) is {got}, the manifest needs {want}")
-    # read_container checked the stored CRC against the payload; this catches
-    # a valid container of the same shape saved under another layer's name.
-    if container.read_crc(path) != crc:
-        raise ValueError(f"{path}: payload CRC-32 differs from the manifest's {crc:#010x}")
     return p
 
 

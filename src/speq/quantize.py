@@ -6,15 +6,18 @@ contiguous group of ``group_size`` elements along the reduction dimension
 of each output column.
 
 A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor. It
-holds only its two float32 kernel operands, each decoded once, by one
-gather per weight, from the 4-bit and 12-bit streams: the draft values
-from a 16-entry table indexed by ``wq``, and the exact FP16 weights by
-``bsfp.decode_full_f32`` from the float32 table of all 65,536 words
-``wq << 12 | wr``, which ``bsfp.encode_array`` fills. Its
-constructor alone decides what a valid tensor is (word shapes and codes,
-group size, tensor scale, group scales), so ``quantize_tensor``,
-``container.from_bytes`` and direct callers all get the same checks; the
-container checks only the byte framing around them.
+holds only its two float32 kernel operands, each decoded once from the
+16-bit words ``wq << 12 | wr``, the one decoded record: one ``intp`` index
+of the words serves two gathers, the exact FP16 weights by
+``bsfp.decode_words_f32`` from the float32 table of all 65,536 words, which
+``bsfp.encode_array`` fills, and the draft values from a 16-entry table
+indexed by ``word >> 12``. It has two doors: the constructor takes separate
+``wq`` and ``wr`` fields (``quantize_tensor`` and direct callers), whose
+widths ``bsfp.join_words`` checks as it joins them, and
+``container.from_bytes`` hands over the words it unpacks, which no width
+check can fail. Both go through one builder, the one place that decides
+what a valid tensor is (word shape and codes, group size, tensor scale,
+group scales); the container checks only the byte framing around it.
 
 ``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and the rounded
 ``E2M1`` / ``E1M2`` grids are accuracy baselines only: ``draft_mse``
@@ -102,6 +105,7 @@ def check_real(name: str, v, lo: float = 0, hi: float | None = None) -> float:
 
 # 4-bit record (sign bit 3, qcode) -> draft value (float32).
 _DRAFT_TABLE = bsfp.q_value_array(np.arange(16))
+_INF_BITS = np.float32(np.inf).view(np.uint32)
 
 
 @dataclass(eq=False)
@@ -110,18 +114,18 @@ class PackedTensor:
 
     Built from ``wq`` (4-bit sign, qcode) and ``wr`` (12-bit flag, elsb,
     man10) records of one 2-D shape, which gives ``rows`` and ``cols``;
-    keeps neither stream: :meth:`words` re-derives them. The exact operand
-    is gathered straight to float32 from ``bsfp``'s word table, and both
-    operands are C-ordered whatever the order of the records; C-ordered
-    records, as ``quantize_tensor`` and ``container.from_bytes`` give them,
-    gather fastest. Construction raises ``ValueError`` for any input no
-    GEMM could use: mismatched or empty words, a ``group_size`` that is
+    keeps neither stream nor their words: :meth:`words` re-derives them.
+    The exact operand is gathered straight to float32 from ``bsfp``'s word
+    table, and both operands are C-ordered whatever the order of the
+    records. Construction raises ``ValueError`` for any input no GEMM
+    could use: mismatched or empty records, a ``group_size`` that is
     not an integer >= 1, a ``tensor_scale`` that is not a real (a bool or
     a string is not one) whose float32 value is finite and > 0 with a
     finite reciprocal, group scales of the wrong shape, non-finite or with
     the sign bit set, and (as ``bsfp.MalformedWordError``) a field wider
     than its bits or a word the encoder never writes, which the table
-    holds as NaN. It keeps
+    holds as NaN. ``container.from_bytes`` builds through
+    :meth:`_from_words`, the same checks less the field widths. It keeps
     ``tensor_scale``'s float32 value and a copy of ``group_scales``, so it
     equals its container round trip.
     """
@@ -141,9 +145,26 @@ class PackedTensor:
 
     def __post_init__(self, wq: np.ndarray, wr: np.ndarray) -> None:
         wq, wr = np.asarray(wq), np.asarray(wr)
-        if wq.ndim != 2 or wq.shape != wr.shape or wq.size == 0:
-            raise ValueError(f"wq {wq.shape} and wr {wr.shape} must share one non-empty 2-D shape")
-        rows, cols = wq.shape
+        if wq.shape != wr.shape:
+            raise ValueError(f"wq {wq.shape} and wr {wr.shape} must share one shape")
+        self._build(bsfp.join_words(wq, wr))
+
+    @classmethod
+    def _from_words(cls, group_size, tensor_scale, group_scales, words: np.ndarray) -> PackedTensor:
+        """The tensor of the uint16 words ``wq << 12 | wr``, as ``container.from_bytes``
+        unpacks them: the constructor without its field checks, which no
+        16-bit word can fail."""
+        p = cls.__new__(cls)
+        p.group_size, p.tensor_scale, p.group_scales = group_size, tensor_scale, group_scales
+        p._build(words)
+        return p
+
+    def _build(self, words: np.ndarray) -> None:
+        """Check every input against ``words`` (uint16) and decode both
+        operands from them: the one place that decides what a valid tensor is."""
+        if words.ndim != 2 or words.size == 0:
+            raise ValueError(f"the words, shape {words.shape}, must be one non-empty 2-D array")
+        rows, cols = words.shape
         self.group_size = check_int("group_size", self.group_size)
         # casts that overflow to inf are rejected below, not warned about
         with np.errstate(over="ignore", divide="ignore"):
@@ -164,13 +185,18 @@ class PackedTensor:
         # +0.0 is valid: quantize_tensor fits an all-zero group to scale 0.0. It
         # never writes -0.0 (each scale is a w*q product, q taking w's sign), and
         # a -0.0 would compare equal to a tensor whose container has other bytes.
-        if not np.all(np.isfinite(scales) & ~np.signbit(scales)):
+        # one reduction: the float32 bits of every finite value >= +0.0 lie
+        # below +inf's, and -0.0, like every negative, has the sign bit set
+        if np.maximum.reduce(scales.view(np.uint32), axis=None) >= _INF_BITS:
             raise ValueError("group scales must be finite and >= +0.0")
         scales.flags.writeable = False
         self.group_scales = scales
-        self._full32 = bsfp.decode_full_f32(wq, wr)
+        # one intp index serves both gathers: a uint16 word indexes the word
+        # table, and word >> 12, at most 4 bits, the draft table
+        index = words.astype(np.intp, order="C")
+        self._full32 = bsfp.decode_words_f32(index)
         self._full32.flags.writeable = False
-        self._qval = np.take(_DRAFT_TABLE, wq)
+        self._qval = _DRAFT_TABLE.take(np.right_shift(index, 12, out=index), mode="wrap")
         self._qval.flags.writeable = False
 
     # Read from the draft operand, never from _full32, so the draft path

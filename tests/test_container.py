@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from speq import bsfp
 from speq.container import (
     MAGIC,
     BadMagicError,
@@ -17,11 +18,13 @@ from speq.container import (
     TruncatedError,
     _pack_matrix,
     from_bytes,
+    read_crc,
     read_container,
     read_npy,
     to_bytes,
     write_container,
 )
+from speq.model import ModelConfig, init_model
 from speq.quantize import PackedTensor, quantize_tensor
 
 
@@ -304,3 +307,66 @@ def test_read_npy_closes_a_refused_archive(tmp_path, monkeypatch):
     with pytest.raises(ValueError, match=re.escape(f"{path}: expected one .npy array, got an .npz")):
         read_npy(path)
     assert opened[0].fid is None
+
+
+# ── two doors, one decode ────────────────────────────────────────────────
+
+# bench/speqbench.py's workload models: chat-short and long-context run the default
+_WORKLOAD_MODELS = {"default": {}, "draft-heavy": {"d_model": 128, "d_ff": 512, "n_layers": 4}}
+_DOOR_SHAPES = [(1, 1), (7, 5), (300, 7)]
+
+
+def _door_tensors():
+    for name, fields in _WORKLOAD_MODELS.items():
+        for layer, p in init_model(ModelConfig(**fields)).weights.items():
+            yield f"{name} {layer}", p
+    for shape in _DOOR_SHAPES:
+        yield str(shape), _tensor(20, shape, group_size=4)
+
+
+def _doors(p):
+    """The tensor of ``p``'s records through each door: the container's
+    words, and the constructor's separate fields."""
+    return {
+        "words": from_bytes(to_bytes(p)),
+        "fields": PackedTensor(p.group_size, p.tensor_scale, p.group_scales, *p.words()),
+    }
+
+
+def test_both_doors_decode_the_same_operands():
+    for name, p in _door_tensors():
+        wq, wr = p.words()
+        exact = bsfp.decode_full_array(wq, wr).view(np.float16).astype(np.float32)
+        draft = bsfp.q_value_array(wq)
+        for door, q in _doors(p).items():
+            for got, want in ((q._full32, exact), (q._qval, draft)):
+                assert got.flags.c_contiguous and not got.flags.writeable, (name, door)
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (name, door)
+
+
+@pytest.mark.parametrize("shape", _DOOR_SHAPES, ids=str)
+def test_each_door_refuses_an_unwritten_word(shape, stream_spans, reseal):
+    p = _tensor(21, shape, group_size=4)
+    data = to_bytes(p)
+    wq_span = stream_spans(data)[2]
+    unwritten = np.flatnonzero(np.isnan(bsfp._F32_OF_WORD))
+    for word in unwritten[:: len(unwritten) // 7]:
+        wq, wr = p.words()
+        wq[-1, -1], wr[-1, -1] = word >> 12, word & 0xFFF
+        with pytest.raises(bsfp.MalformedWordError, match="unreachable"):
+            PackedTensor(p.group_size, p.tensor_scale, p.group_scales, wq, wr)
+        streams = _pack_matrix(wq, 4) + _pack_matrix(wr, 12)
+        bad = reseal(data[: wq_span.start] + streams + data[-4:])
+        with pytest.raises(ContainerError, match="unreachable") as refused:
+            from_bytes(bad)
+        assert not isinstance(refused.value, bsfp.MalformedWordError)
+
+
+def test_read_container_checks_a_given_crc(tmp_path):
+    path = tmp_path / "w.speq"
+    p = _tensor(22, (7, 5))
+    write_container(path, p)
+    crc = read_crc(path)
+    assert read_container(path, crc=crc) == p
+    with pytest.raises(ChecksumError, match=f"{crc ^ 1:#010x}"):
+        read_container(path, crc=crc ^ 1)

@@ -439,7 +439,7 @@ def _loop_gemm(a, w, group_size, scales=None):
 
 
 # (m, k, n, group): a decode row against a wide output; N = 1 with M > 1
-# and with M = 1 (a single output), which take the loop; the verify shapes
+# and with M = 1 (a single output), which take ``_column_f32``; the verify shapes
 # (17, 256, 64) and (17, 64, 256); a long sum; M = 1 with K > group; a
 # group larger than K.
 _LOOP_EDGE_SHAPES = [
@@ -489,8 +489,8 @@ def test_gemm_f32_matches_loop_oracle():
 
 # ── the batch axis against the per-k loop, slice by slice ────────────────
 
-# (b, m, k, n, group): many slices of one output each (M = N = 1, the
-# loop); N = 1 with M > 1 (the loop); M = N = 1 with K >= 9; B*M*N = 1;
+# (b, m, k, n, group): many slices of one output each (M = N = 1, on
+# ``_column_f32``); N = 1 with M > 1 (the same); M = N = 1 with K >= 9; B*M*N = 1;
 # B = 1 with a wide output; two slices of a wide output; a verify
 # window's and a decode row's attention; a prefill tile's scores and
 # context. Each slice is one sum over K; ``group`` sets the run of -0.0
@@ -546,7 +546,7 @@ def test_batched_gemm_f32_matches_loop_oracle():
         _assert_batch_matches_loop(a, w)
     assert paths == {True, False}  # einsum and the loop both ran
     for b, m, k, n, _ in _BATCH_EDGE_SHAPES:
-        # every product is -0.0, on einsum and on the loop (N = 1): the sum is +0.0
+        # every product is -0.0, on einsum and on ``_column_f32`` (N = 1): the sum is +0.0
         got = _accel.gemm_f32(-np.zeros((b, m, k), np.float32), np.ones((b, k, n), np.float32))
         _assert_same_bits(got, np.zeros((b, m, n), dtype=np.float32))
 
@@ -616,6 +616,31 @@ def test_gemm_f32_layout_sweep():
         _assert_same_bits(ctx[:, sl], _loop_gemm(probs[h], v[:, sl], t))
 
 
+def test_one_column_gemm_f32_is_the_loop(monkeypatch):
+    # one multiply and one sequential accumulate along k, never the loop; -0.0
+    # activations and +-0.0 weights, alone and in runs, keep the loop's bits
+    rng = np.random.default_rng(57)
+    cases = []
+    for i in range(400):
+        batch = () if i % 3 == 0 else (int(rng.integers(1, 6)),)
+        m, k = int(rng.integers(1, 9)), int(rng.integers(1, 130))
+        a = _with_neg_zeros(rng, rng.normal(0, 1, (*batch, m, k)).astype(np.float32))
+        w = _with_neg_zeros(rng, rng.normal(0, 1, (*batch, k, 1)).astype(np.float32))
+        if i % 4 == 1:
+            a = -np.zeros_like(a)
+        elif i % 4 == 2:
+            w = np.where(rng.random(w.shape) < 0.5, -0.0, 0.0).astype(np.float32)
+        elif i % 4 == 3:
+            a[..., : k // 2] = -0.0
+        cases.append((a, w))
+    want = [_accel._loop_f32(a, w) for a, w in cases]
+    loop_calls = []
+    monkeypatch.setattr(_accel, "_loop_f32", lambda a, w: loop_calls.append(w.shape))
+    for (a, w), expect in zip(cases, want):
+        _assert_same_bits(_accel.gemm_f32(a, w), expect)
+    assert loop_calls == []
+
+
 @pytest.mark.parametrize("k", [1, 20])
 def test_negative_zero_products_sum_to_positive_zero(k):
     # Both paths add into a zeroed output, so a sum of -0.0 products is +0.0.
@@ -624,7 +649,7 @@ def test_negative_zero_products_sum_to_positive_zero(k):
     zero = np.zeros((3, 4), dtype=np.float32)
     _assert_same_bits(_accel._einsum(a, w), zero)
     _assert_same_bits(_accel._loop_f32(a, w), zero)
-    col = w[:, :1]  # one column: the loop
+    col = w[:, :1]  # one column: not einsum
     assert _accel._einsum_admits(w) and not _accel._einsum_admits(col)
     _assert_same_bits(_accel.gemm_f32(a, w), zero)
     _assert_same_bits(_accel.gemm_f32(a, col), zero[:, :1])

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import builtins
 import functools
+import io
 import json
 import os
 import re
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 
 import speq.model as smodel
+from speq import _accel
 from speq.container import read_crc, write_container
 from speq.kernels import GemmMode, gemm_full, gemm_traffic
 from speq.model import (
@@ -463,13 +466,44 @@ def test_load_reads_each_linear_through_read_container_once(tmp_path, model, mon
     seen = []
     read = smodel.container.read_container
 
-    def counted(path):
+    def counted(path, **kwargs):
         seen.append(Path(path).name)
-        return read(path)
+        return read(path, **kwargs)
 
     monkeypatch.setattr(smodel.container, "read_container", counted)
     load_model(tmp_path / "m")
     assert sorted(seen) == sorted(f"{n}.speq" for n in model.weights)
+
+
+def test_load_model_opens_each_container_once(tmp_path, model, monkeypatch):
+    # the manifest's CRC is checked against the bytes read_container read
+    save_model(model, tmp_path / "m")
+    opened, real_open = [], io.open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(os.path.basename(os.fsdecode(file)))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", recording_open)
+    monkeypatch.setattr(io, "open", recording_open)
+    load_model(tmp_path / "m")
+    containers = sorted(n for n in opened if n.endswith(".speq"))
+    assert containers == sorted(f"{n}.speq" for n in model.weights)
+
+
+def test_one_token_forward_runs_no_per_k_loop(model, monkeypatch):
+    # one cached key: the scores have one column, which runs on _column_f32
+    want = forward_full(model, [7], model.new_cache())  # every probe has run
+    loop, calls = _accel._loop_f32, []
+
+    def recording_loop(a, w):
+        calls.append(w.shape)
+        return loop(a, w)
+
+    monkeypatch.setattr(_accel, "_loop_f32", recording_loop)
+    got = forward_full(model, [7], model.new_cache())
+    assert calls == []
+    assert np.array_equal(got.view(np.uint32), want.view(np.uint32))
 
 
 @pytest.mark.parametrize("d_model, n_heads", [(15, 3), (9, 1)])
