@@ -22,22 +22,20 @@ so that exponents 9 and 11 keep unique draft representations:
 and marks the six exponents whose code differs from their middle bits;
 ``elsb`` is the original exponent's least-significant bit.
 
-The codecs are vectorized over numpy arrays. ``encode_array`` is the one
-definition of the remap: run over every in-range FP16 pattern at import,
-it fills a read-only float32 table from each word ``wq << 12 | wr`` to the
-value of its FP16 pattern (a lookup, as in LUT-GEMM, Park et al. 2022).
+The codecs are vectorized over numpy arrays. ``encode_words`` is the one
+definition of the remap: it keeps an FP16 pattern's sign and mantissa and
+replaces its exponent field, bits 10-14, by (qcode, flag, elsb) from a
+16-entry table. Run over every in-range FP16 pattern at import, it fills a
+read-only float32 table from each word to the value of its FP16 pattern (a
+lookup, as in LUT-GEMM, Park et al. 2022).
 
-The 16-bit word is the one decoded record. ``decode_words_f32`` gathers
-the exact float32 value of each word from that table in one pass. The
-table is also the one validity rule: the 32,768 words the encoder never
+The 16-bit word is the one record, encoded and decoded. ``decode_words_f32``
+gathers the exact float32 value of each word from that table in one pass.
+The table is also the one validity rule: the 32,768 words the encoder never
 writes, whose draft nibble would not quantize the value they restore, hold
-NaN (no in-range value is NaN) and raise :class:`MalformedWordError`.
-Field widths are checked only where separate fields come in:
-``join_words`` refuses a ``wq`` wider than 4 bits or a ``wr`` wider than 12
-before it joins them, while a uint16 word cannot hold an out-of-range
-field. ``decode_full_f32`` is ``join_words`` then ``decode_words_f32``, and
-``decode_full_array``, the encoder's exact inverse, derives the uint16 FP16
-bits from it.
+NaN (no in-range value is NaN) and raise :class:`MalformedWordError`. Only
+the container stores the nibble ``wq = word >> 12`` and the remainder
+``wr = word & 0xFFF`` apart.
 """
 
 from __future__ import annotations
@@ -51,11 +49,8 @@ __all__ = [
     "REMAP_FLAG",
     "DECODE_QEXP",
     "in_range_bits",
-    "encode_array",
-    "join_words",
+    "encode_words",
     "decode_words_f32",
-    "decode_full_f32",
-    "decode_full_array",
     "q_exponent_array",
     "q_value_array",
 ]
@@ -66,7 +61,7 @@ class ExponentRangeError(ValueError):
 
 
 class MalformedWordError(ValueError):
-    """A (wq, wr) word that ``encode_array`` writes for no in-range FP16 value."""
+    """A 16-bit word that ``encode_words`` writes for no in-range FP16 value."""
 
 
 # Truth tables, indexed by biased exponent or by 3-bit code. These are the
@@ -79,25 +74,22 @@ REMAP_FLAG = (1, 1, 0, 0, 1, 1, 0, 0, 0, 1, 0, 1, 0, 0, 0, 0)
 DECODE_QEXP = (9, 2, 11, 6, 8, 10, 12, 14)
 
 
-_REMAP_QCODE_ARR = np.array(REMAP_QCODE, dtype=np.uint8)
-_REMAP_FLAG_ARR = np.array(REMAP_FLAG, dtype=np.uint16)
+# exponent field -> the (qcode, flag, elsb) bits that replace it in the word
+_EXP_FIELD_BITS = np.array(
+    [q << 12 | f << 11 | (e & 1) << 10 for e, q, f in zip(range(16), REMAP_QCODE, REMAP_FLAG)],
+    dtype=np.uint16,
+)
 _DECODE_QEXP_ARR = np.array(DECODE_QEXP, dtype=np.int32)
 
 
-def encode_array(fp16_bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Encode FP16 bit patterns to (wq uint8, wr uint16) element arrays."""
+def encode_words(fp16_bits: np.ndarray) -> np.ndarray:
+    """The BSFP words (uint16) of FP16 bit patterns: sign and mantissa kept,
+    the exponent field remapped."""
     bits = np.asarray(fp16_bits, dtype=np.uint16)
     exp5 = (bits >> 10) & np.uint16(0x1F)
     if np.any(exp5 > 15):
         raise ExponentRangeError("exponent >= 16 present; apply outlier rescaling first")
-    sign = (bits >> 15).astype(np.uint8)
-    qcode = _REMAP_QCODE_ARR[exp5]
-    flag = _REMAP_FLAG_ARR[exp5]
-    elsb = exp5 & np.uint16(1)
-    man10 = bits & np.uint16(0x3FF)
-    wq = (sign << 3) | qcode
-    wr = (flag << 11) | (elsb << 10) | man10
-    return wq, wr.astype(np.uint16)
+    return (bits & np.uint16(0x83FF)) | _EXP_FIELD_BITS[exp5]
 
 
 def in_range_bits() -> np.ndarray:
@@ -107,12 +99,11 @@ def in_range_bits() -> np.ndarray:
 
 
 def _build_word_table() -> np.ndarray:
-    """float32 value of each 16-bit BSFP word, from ``encode_array`` alone;
+    """float32 value of each 16-bit BSFP word, from ``encode_words`` alone;
     NaN at each word it never writes."""
     bits = in_range_bits()
-    wq, wr = encode_array(bits)
     table = np.full(1 << 16, np.nan, dtype=np.float32)
-    table[(wq.astype(np.uint16) << 12) | wr] = bits.view(np.float16)
+    table[encode_words(bits)] = bits.view(np.float16)
     assert np.count_nonzero(~np.isnan(table)) == bits.size, "two patterns share a word"
     table.setflags(write=False)
     return table
@@ -121,46 +112,21 @@ def _build_word_table() -> np.ndarray:
 _F32_OF_WORD = _build_word_table()
 
 
-def join_words(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """The 16-bit words ``wq << 12 | wr`` (uint16, C order) of separate
-    fields; a field wider than its 4 or 12 bits raises :class:`MalformedWordError`."""
-    wq, wr = np.asarray(wq), np.asarray(wr)
-    # checked before the uint16 cast, which would wrap 0x10000 to 0
-    low = min(wq.min(initial=0), wr.min(initial=0))
-    if low < 0 or wq.max(initial=0) > 0xF or wr.max(initial=0) > 0xFFF:
-        raise MalformedWordError("field out of range: wq has 4 bits and wr 12")
-    words = wq.astype(np.uint16, order="C")
-    words <<= 12
-    words |= wr.astype(np.uint16, copy=False)
-    return words
-
-
 def decode_words_f32(words: np.ndarray) -> np.ndarray:
     """Exact value (float32, C order) of each 16-bit word, by one table
-    gather; rejects words :func:`encode_array` never writes.
+    gather; rejects words :func:`encode_words` never writes.
 
     ``words`` holds uint16 values: a uint16 array, or an integer array
-    converted from one, such as the ``intp`` index ``PackedTensor`` gathers
-    both operands with. A wider value wraps modulo 2^16.
+    converted from one. A wider value wraps modulo 2^16, so ``PackedTensor``
+    passes it only the ``intp`` index it converts from its uint16 words.
     """
     # every uint16 indexes the table, so "wrap" changes no index; it gathers
     # faster than the default "raise"
     vals = _F32_OF_WORD.take(words, mode="wrap")
     # no in-range value is NaN, and one NaN makes the maximum NaN
     if np.isnan(np.maximum.reduce(vals, axis=None)):
-        raise MalformedWordError("unreachable word: encode_array writes no such (wq, wr)")
+        raise MalformedWordError("unreachable word: encode_words writes no such word")
     return vals
-
-
-def decode_full_f32(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """Exact value (float32, C order) of each (wq, wr) word: :func:`join_words`,
-    then :func:`decode_words_f32`."""
-    return decode_words_f32(join_words(wq, wr))
-
-
-def decode_full_array(wq: np.ndarray, wr: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_array` (uint16 FP16 bits), from :func:`decode_full_f32`."""
-    return decode_full_f32(wq, wr).astype(np.float16).view(np.uint16)
 
 
 def q_exponent_array(wq: np.ndarray) -> np.ndarray:

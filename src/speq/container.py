@@ -16,7 +16,7 @@ Layout (little-endian throughout):
 Records run column-major, and each column holds whole record pairs: with
 an odd row count every column ends with one zero pad record. Padding must
 be zero, so serialization is canonical: a container loads only if writing
-it back gives the same bytes. ``to_bytes`` packs ``PackedTensor.words``.
+it back gives the same bytes.
 
 Writer and reader share one header struct, ``_HEADER`` (flags to tscale),
 and the header alone fixes where each section ends. ``from_bytes`` is a byte
@@ -24,19 +24,18 @@ parser: it checks the magic and the header's fields, then the payload length,
 once, before the CRC and before any array is built, so a header that claims
 more than the file holds allocates nothing; then the CRC and the padding.
 Every rule on the values (tensor scale, group scales, words) is left to
-``PackedTensor``'s builder; any failure of either is a ContainerError. The
-payload is sliced through memoryviews, not copied, and each stream unpacks
+the ``PackedTensor`` constructor; any failure of either is a
+ContainerError. The payload is sliced through memoryviews, not copied, and each stream unpacks
 through two strided views of its record pairs straight into a C-ordered
-(rows, cols) matrix. The 16-bit word ``wq << 12 | wr`` is the one decoded
-record: the 12-bit records are unpacked into the words' matrix and the
-nibbles OR-ed in above them, so no field exists on its own to be checked
-for width, and ``PackedTensor._from_words`` decodes both operands from the
-words.
+(rows, cols) matrix. The 16-bit word is the one record on either side of
+the file: ``to_bytes`` splits ``PackedTensor.words`` into its top 4 bits
+(the ``wq`` stream) and its low 12 (``wr``), and ``from_bytes`` unpacks
+the 12-bit records into the words' matrix, ORs the nibbles in above them
+and hands the words to the ``PackedTensor`` constructor.
 """
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 
@@ -54,7 +53,6 @@ __all__ = [
     "from_bytes",
     "write_container",
     "read_container",
-    "read_crc",
     "read_npy",
 ]
 
@@ -128,7 +126,8 @@ def to_bytes(p: PackedTensor) -> bytes:
     for field in ("rows", "cols", "group_size"):
         if not 0 <= getattr(p, field) <= 0xFFFFFFFF:
             raise ValueError(f"{field} {getattr(p, field)} does not fit the u32 header field")
-    wq, wr = p.words()
+    words = p.words()
+    wq, wr = (words >> 12).astype(np.uint8), words & 0xFFF
     header = _HEADER.pack(0, 2, p.rows, p.cols, p.group_size, p.tensor_scale)
     scales = p.group_scales.astype("<f4").tobytes()
     payload = b"".join((header, scales, _pack_matrix(wq, 4), _pack_matrix(wr, 12)))
@@ -163,7 +162,7 @@ def from_bytes(data: bytes) -> PackedTensor:
     words = _unpack_matrix(payload[wq_end:wr_end], 12, rows, cols)
     words |= np.left_shift(_unpack_matrix(payload[scales_end:wq_end], 4, rows, cols), _TWELVE)
     try:
-        return PackedTensor._from_words(group_size, tensor_scale, scales, words)
+        return PackedTensor(group_size, tensor_scale, scales, words)
     except ValueError as e:
         raise ContainerError(str(e)) from e
 
@@ -183,18 +182,6 @@ def read_container(path, *, crc: int | None = None) -> PackedTensor:
     if crc is not None and int.from_bytes(data[-4:], "little") != crc:
         raise ChecksumError(f"payload CRC-32 differs from the expected {crc:#010x}")
     return p
-
-
-def read_crc(path) -> int:
-    """The payload CRC-32 stored at the end of a container file.
-
-    Unverified here: ``read_container`` checks it against the payload, and
-    against a given CRC in the same read.
-    """
-    with open(path, "rb") as f:
-        f.seek(-4, os.SEEK_END)
-        (crc,) = struct.unpack("<I", f.read(4))
-    return crc
 
 
 def read_npy(path) -> np.ndarray:

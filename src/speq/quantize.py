@@ -7,17 +7,15 @@ of each output column.
 
 A ``PackedTensor`` is always the bit-sharing ``E3M0_REMAP`` tensor. It
 holds only its two float32 kernel operands, each decoded once from the
-16-bit words ``wq << 12 | wr``, the one decoded record: one ``intp`` index
-of the words serves two gathers, the exact FP16 weights by
-``bsfp.decode_words_f32`` from the float32 table of all 65,536 words, which
-``bsfp.encode_array`` fills, and the draft values from a 16-entry table
-indexed by ``word >> 12``. It has two doors: the constructor takes separate
-``wq`` and ``wr`` fields (``quantize_tensor`` and direct callers), whose
-widths ``bsfp.join_words`` checks as it joins them, and
-``container.from_bytes`` hands over the words it unpacks, which no width
-check can fail. Both go through one builder, the one place that decides
-what a valid tensor is (word shape and codes, group size, tensor scale,
-group scales); the container checks only the byte framing around it.
+16-bit words ``bsfp.encode_words`` writes, the one record from encoder to
+container: one ``intp`` index of the words serves two gathers, the exact
+FP16 weights by ``bsfp.decode_words_f32`` from the float32 table of all
+65,536 words, and the draft values from a 16-entry table indexed by
+``word >> 12``. It has one door, the constructor, which takes the uint16
+words: ``quantize_tensor`` hands it the words it encodes and
+``container.from_bytes`` those it unpacks. The constructor is the one
+place that decides what a valid tensor is (words, group size, tensor
+scale, group scales); the container checks only the byte framing around it.
 
 ``E3M0_NAIVE`` (plain middle-exponent-bit extraction) and the rounded
 ``E2M1`` / ``E1M2`` grids are accuracy baselines only: ``draft_mse``
@@ -29,7 +27,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -108,26 +106,24 @@ _DRAFT_TABLE = bsfp.q_value_array(np.arange(16))
 _INF_BITS = np.float32(np.inf).view(np.uint32)
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, init=False)
 class PackedTensor:
     """A bit-shared weight matrix (rows = reduction dim, cols = outputs).
 
-    Built from ``wq`` (4-bit sign, qcode) and ``wr`` (12-bit flag, elsb,
-    man10) records of one 2-D shape, which gives ``rows`` and ``cols``;
-    keeps neither stream nor their words: :meth:`words` re-derives them.
-    The exact operand is gathered straight to float32 from ``bsfp``'s word
-    table, and both operands are C-ordered whatever the order of the
-    records. Construction raises ``ValueError`` for any input no GEMM
-    could use: mismatched or empty records, a ``group_size`` that is
-    not an integer >= 1, a ``tensor_scale`` that is not a real (a bool or
-    a string is not one) whose float32 value is finite and > 0 with a
-    finite reciprocal, group scales of the wrong shape, non-finite or with
-    the sign bit set, and (as ``bsfp.MalformedWordError``) a field wider
-    than its bits or a word the encoder never writes, which the table
-    holds as NaN. ``container.from_bytes`` builds through
-    :meth:`_from_words`, the same checks less the field widths. It keeps
-    ``tensor_scale``'s float32 value and a copy of ``group_scales``, so it
-    equals its container round trip.
+    Built from the uint16 BSFP words of one 2-D shape, which gives ``rows``
+    and ``cols``; keeps neither a stream nor the words: :meth:`words`
+    re-derives them. The exact operand is gathered straight to float32 from ``bsfp``'s
+    word table, and both operands are C-ordered whatever the order of the
+    words. Construction raises ``ValueError`` for any input no GEMM could
+    use: words that are not one non-empty 2-D uint16 array (so no wider
+    value can wrap onto a valid word), a ``group_size`` that is not an
+    integer >= 1, a ``tensor_scale`` that is not a real (a bool or a string
+    is not one) whose float32 value is finite and > 0 with a finite
+    reciprocal, group scales of the wrong shape, non-finite or with the
+    sign bit set, and (as ``bsfp.MalformedWordError``) a word the encoder
+    never writes, which the table holds as NaN. It keeps ``tensor_scale``'s
+    float32 value and a copy of ``group_scales``, so it equals its
+    container round trip.
     """
 
     group_size: int
@@ -136,46 +132,33 @@ class PackedTensor:
     # ``group_scales.T`` is the (n_groups, cols) C-order array the kernels
     # read one group's row at a time
     group_scales: np.ndarray
-    wq: InitVar[np.ndarray]  # uint8, values 0..15
-    wr: InitVar[np.ndarray]  # uint16, values 0..4095
 
-    inv_tensor_scale: np.float32 = field(init=False, repr=False)
-    _qval: np.ndarray = field(init=False, repr=False)
-    _full32: np.ndarray = field(init=False, repr=False)
+    inv_tensor_scale: np.float32 = field(repr=False)
+    _qval: np.ndarray = field(repr=False)
+    _full32: np.ndarray = field(repr=False)
 
-    def __post_init__(self, wq: np.ndarray, wr: np.ndarray) -> None:
-        wq, wr = np.asarray(wq), np.asarray(wr)
-        if wq.shape != wr.shape:
-            raise ValueError(f"wq {wq.shape} and wr {wr.shape} must share one shape")
-        self._build(bsfp.join_words(wq, wr))
-
-    @classmethod
-    def _from_words(cls, group_size, tensor_scale, group_scales, words: np.ndarray) -> PackedTensor:
-        """The tensor of the uint16 words ``wq << 12 | wr``, as ``container.from_bytes``
-        unpacks them: the constructor without its field checks, which no
-        16-bit word can fail."""
-        p = cls.__new__(cls)
-        p.group_size, p.tensor_scale, p.group_scales = group_size, tensor_scale, group_scales
-        p._build(words)
-        return p
-
-    def _build(self, words: np.ndarray) -> None:
-        """Check every input against ``words`` (uint16) and decode both
-        operands from them: the one place that decides what a valid tensor is."""
-        if words.ndim != 2 or words.size == 0:
-            raise ValueError(f"the words, shape {words.shape}, must be one non-empty 2-D array")
+    # written out, not generated: a generated ``words`` parameter would take
+    # the ``words`` method below as its default
+    def __init__(
+        self, group_size: int, tensor_scale: float, group_scales: np.ndarray, words: np.ndarray
+    ) -> None:
+        words = np.asarray(words)
+        if words.dtype != np.uint16 or words.ndim != 2 or words.size == 0:
+            raise ValueError(
+                f"the words must be one non-empty 2-D uint16 array, got {words.dtype} {words.shape}"
+            )
         rows, cols = words.shape
-        self.group_size = check_int("group_size", self.group_size)
+        self.group_size = check_int("group_size", group_size)
         # casts that overflow to inf are rejected below, not warned about
         with np.errstate(over="ignore", divide="ignore"):
-            scale32 = np.float32(check_real("tensor_scale", self.tensor_scale))
+            scale32 = np.float32(check_real("tensor_scale", tensor_scale))
             self.inv_tensor_scale = np.float32(1.0) / scale32
-            scales = np.array(self.group_scales, dtype=np.float32, order="F")
+            scales = np.array(group_scales, dtype=np.float32, order="F")
         # a finite real > 0 can still round to float32 0 or inf, and a subnormal
         # scale would make every output of gemm_full / gemm_draft infinite
         if not (0.0 < scale32 < np.inf and np.isfinite(self.inv_tensor_scale)):
             raise ValueError(
-                f"tensor_scale {self.tensor_scale} is not a finite float32 > 0 "
+                f"tensor_scale {tensor_scale} is not a finite float32 > 0 "
                 "with a finite reciprocal"
             )
         self.tensor_scale = float(scale32)
@@ -214,7 +197,7 @@ class PackedTensor:
         return -(-self.rows // self.group_size)
 
     def draft_values(self) -> np.ndarray:
-        """Per-element 4-bit decoded values (float32, read-only), from ``wq`` alone."""
+        """Per-element 4-bit decoded values (float32, read-only), from the words' top 4 bits alone."""
         return self._qval
 
     def full_values(self) -> np.ndarray:
@@ -225,9 +208,9 @@ class PackedTensor:
         """Exact stored tensor in float32 (read-only)."""
         return self._full32
 
-    def words(self) -> tuple[np.ndarray, np.ndarray]:
-        """The (wq, wr) records the tensor was built from, re-encoded from the exact values."""
-        return bsfp.encode_array(self.full_values().view(np.uint16))
+    def words(self) -> np.ndarray:
+        """The uint16 words the tensor was built from, re-encoded from the exact values."""
+        return bsfp.encode_words(self.full_values().view(np.uint16))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedTensor):
@@ -317,9 +300,9 @@ def quantize_tensor(w: np.ndarray, group_size: int = DEFAULT_GROUP_SIZE) -> Pack
     (column, group), and the decoded weights.
     """
     w16, tensor_scale = _rescaled(w, group_size)
-    wq, wr = bsfp.encode_array(w16.view(np.uint16))
-    scales = _fit_group_scales(w16, np.take(_DRAFT_TABLE, wq), group_size)
-    return PackedTensor(group_size, tensor_scale, scales, wq, wr)
+    words = bsfp.encode_words(w16.view(np.uint16))
+    scales = _fit_group_scales(w16, _DRAFT_TABLE.take(words >> 12), group_size)
+    return PackedTensor(group_size, tensor_scale, scales, words)
 
 
 def _draft_values(w16: np.ndarray, group_size: int, fmt: QuantFormat) -> np.ndarray:
@@ -330,7 +313,7 @@ def _draft_values(w16: np.ndarray, group_size: int, fmt: QuantFormat) -> np.ndar
     """
     bits = w16.view(np.uint16)
     if fmt is QuantFormat.E3M0_REMAP:
-        return np.take(_DRAFT_TABLE, bsfp.encode_array(bits)[0])
+        return _DRAFT_TABLE.take(bsfp.encode_words(bits) >> 12)
     if fmt is QuantFormat.E3M0_NAIVE:
         exp5 = (bits >> 10) & np.uint16(0x1F)
         mag = np.ldexp(1.0, 2 * (exp5 >> 1).astype(np.int64) - 15)

@@ -34,18 +34,28 @@ ALL_EXPS = np.arange(16)
 
 
 def _fields(exps):
-    """(qcode, flag, elsb) per exponent field, read from ``encode_array``'s streams."""
-    wq, wr = bsfp.encode_array(np.asarray(exps, dtype=np.uint16) << 10)
-    return wq & 7, wr >> 11, (wr >> 10) & 1
+    """(qcode, flag, elsb) per exponent field: bits 12-14, 11 and 10 of ``encode_words``' words."""
+    words = bsfp.encode_words(np.asarray(exps, dtype=np.uint16) << 10)
+    return (words >> 12) & 7, (words >> 11) & 1, (words >> 10) & 1
+
+
+def _nibbles(bits):
+    """The 4-bit draft records (sign, qcode) of FP16 patterns: their words' top 4 bits."""
+    return bsfp.encode_words(np.asarray(bits, dtype=np.uint16)) >> 12
 
 
 def _word(wq, flag, elsb=0):
-    """One (wq, wr) word with a zero mantissa."""
-    return np.array([wq], np.uint8), np.array([(flag << 11) | (elsb << 10)], np.uint16)
+    """One word, as a uint16 array of one, with a zero mantissa."""
+    return np.array([(wq << 12) | (flag << 11) | (elsb << 10)], np.uint16)
 
 
-def _restored_exp(wq, wr):
-    return (bsfp.decode_full_array(wq, wr) >> 10) & 0x1F
+def _fp16_bits(words):
+    """The FP16 bit patterns the words decode to."""
+    return bsfp.decode_words_f32(words).astype(np.float16).view(np.uint16)
+
+
+def _restored_exp(words):
+    return (_fp16_bits(words) >> 10) & 0x1F
 
 
 def test_remap_encode_table():
@@ -92,33 +102,32 @@ def test_decode_q_exp_structure():
 def test_decoder_image_and_buckets():
     image = set(bsfp.q_exponent_array(np.arange(8, dtype=np.uint8)).tolist())
     assert image == {2, 6, 8, 9, 10, 11, 12, 14}
-    wq, _ = bsfp.encode_array(ALL_EXPS.astype(np.uint16) << 10)
-    decoded = bsfp.q_exponent_array(wq)
+    decoded = bsfp.q_exponent_array(_nibbles(ALL_EXPS << 10))
     for bucket in ({0, 1, 2, 3}, {4, 5, 6, 7}, {12, 13}, {14, 15}):
         assert len({decoded[e] for e in bucket}) == 1
     assert len({decoded[e] for e in (8, 9, 10, 11)}) == 4  # injective on 8..11
 
 
 def test_decode_full_exp_examples():
-    assert _restored_exp(*_word(0b000, 1, 1)) == 9
-    assert _restored_exp(*_word(0b001, 0, 1)) == 3
+    assert _restored_exp(_word(0b000, 1, 1)) == 9
+    assert _restored_exp(_word(0b001, 0, 1)) == 3
     # Brute-force inversion oracle for the flagged MUX path.
     inverse = {(q, f, e & 1): e for e, (q, f) in REMAP_TABLE.items()}
     assert inverse[(0b011, 1, 0)] == 4
-    assert _restored_exp(*_word(0b011, 1, 0)) == 4
+    assert _restored_exp(_word(0b011, 1, 0)) == 4
 
 
 def test_decode_full_exp_roundtrip_all():
-    wq, wr = bsfp.encode_array(ALL_EXPS.astype(np.uint16) << 10)
-    assert _restored_exp(wq, wr).tolist() == ALL_EXPS.tolist()
+    words = bsfp.encode_words(ALL_EXPS.astype(np.uint16) << 10)
+    assert _restored_exp(words).tolist() == ALL_EXPS.tolist()
 
 
 @pytest.mark.parametrize("qcode", [0b100, 0b101, 0b110, 0b111])
 def test_decode_full_exp_malformed(qcode):
     for wq in (qcode, qcode | 8):  # either sign
         with pytest.raises(bsfp.MalformedWordError):
-            bsfp.decode_full_array(*_word(wq, 1))
-    assert _restored_exp(*_word(qcode, 0)) == qcode << 1  # unflagged: plain concatenation
+            _fp16_bits(_word(wq, 1))
+    assert _restored_exp(_word(qcode, 0)) == qcode << 1  # unflagged: plain concatenation
 
 
 def test_flag_population():
@@ -127,25 +136,25 @@ def test_flag_population():
 
 
 def test_q_magnitude():
-    wq, _ = bsfp.encode_array(np.array([0x3C00, 0xBC00, 0x0000], np.uint16))  # 1.0, -1.0, 0.0
+    wq = _nibbles([0x3C00, 0xBC00, 0x0000])  # 1.0, -1.0, 0.0
     # 0.0 decodes to 2^-13: the zero-weight artifact.
     assert bsfp.q_value_array(wq).tolist() == [0.5, -0.5, 2.0**-13]
 
 
 def test_full_value_examples():
     bits = np.array([0x3C00, 0x0000, 0x8000, 0x0001, 0x03FF, 0x7BFF & 0x3FFF], np.uint16)
-    assert np.array_equal(bsfp.decode_full_array(*bsfp.encode_array(bits)), bits)
+    assert np.array_equal(_fp16_bits(bsfp.encode_words(bits)), bits)
 
 
 def test_word_bits_roundtrip():
-    # (wq << 12) | wr is the [sign | qcode:3 | flag | elsb | man10] word of
-    # the module docstring.
+    # each word is the [sign | qcode:3 | flag | elsb | man10] word of the
+    # module docstring.
     rng = np.random.default_rng(1)
     exp5 = np.tile(ALL_EXPS, 8).astype(np.uint16)
     sign = rng.integers(0, 2, exp5.size).astype(np.uint16)
     man10 = rng.integers(0, 1 << 10, exp5.size).astype(np.uint16)
-    wq, wr = bsfp.encode_array((sign << 15) | (exp5 << 10) | man10)
-    word = (wq.astype(np.uint16) << 12) | wr
+    word = bsfp.encode_words((sign << 15) | (exp5 << 10) | man10)
+    assert word.dtype == np.uint16
     assert np.array_equal(word >> 15, sign)
     assert [int(q) for q in (word >> 12) & 7] == [REMAP_TABLE[e][0] for e in exp5]
     assert [int(f) for f in (word >> 11) & 1] == [REMAP_TABLE[e][1] for e in exp5]
@@ -162,54 +171,53 @@ def test_in_range_bits_enumerates_exponents_up_to_15():
 def test_exhaustive_roundtrip_vectorized():
     bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
     bits = bits[((bits >> 10) & 0x1F) <= 15]
-    wq, wr = bsfp.encode_array(bits)
-    assert np.array_equal(bsfp.decode_full_array(wq, wr), bits)
+    assert np.array_equal(_fp16_bits(bsfp.encode_words(bits)), bits)
+
+
+def test_each_word_differs_from_its_pattern_only_in_the_exponent_field():
+    bits = bsfp.in_range_bits()
+    words = bsfp.encode_words(bits)
+    assert words.dtype == np.uint16 and bits.size == 1 << 15
+    # sign and mantissa kept: the remap writes bits 10-14 alone
+    assert np.count_nonzero((words ^ bits) & ~np.uint16(0x7C00)) == 0
+    want = bits.view(np.float16).astype(np.float32)
+    assert np.array_equal(bsfp.decode_words_f32(words).view(np.uint32), want.view(np.uint32))
 
 
 def test_decoder_accepts_exactly_the_encoded_words():
     bits = np.arange(1 << 16, dtype=np.uint32).astype(np.uint16)
     bits = bits[((bits >> 10) & 0x1F) <= 15]
-    wq, wr = bsfp.encode_array(bits)
-    written = (wq.astype(np.int64) << 12) | wr
+    written = bsfp.encode_words(bits)
     assert np.unique(written).size == bits.size == 1 << 15
-    assert np.array_equal(bsfp.decode_full_array(wq, wr), bits)
+    assert np.array_equal(_fp16_bits(written), bits)
     # the float32 word table over all 65,536 words: the value of the pattern
-    # encode_array maps to each written word, NaN at exactly the others
+    # encode_words maps to each written word, NaN at exactly the others
     table = bsfp._F32_OF_WORD
     assert (table.dtype, table.shape, table.flags.writeable) == (np.float32, (1 << 16,), False)
     want = bits.view(np.float16).astype(np.float32)
     assert np.array_equal(table[written].view(np.uint32), want.view(np.uint32))
     unwritten = np.setdiff1d(np.arange(1 << 16), written)
     assert np.array_equal(np.flatnonzero(np.isnan(table)), unwritten)
-    assert np.array_equal(bsfp.decode_full_f32(wq, wr).view(np.uint32), want.view(np.uint32))
+    assert np.array_equal(bsfp.decode_words_f32(written).view(np.uint32), want.view(np.uint32))
     for word in unwritten.tolist():
         with pytest.raises(bsfp.MalformedWordError):
-            bsfp.decode_full_array(np.array([word >> 12]), np.array([word & 0xFFF]))
+            bsfp.decode_words_f32(np.array([word], np.uint16))
 
 
-def test_encode_array_rejects_outliers():
+def test_encode_words_rejects_outliers():
     with pytest.raises(bsfp.ExponentRangeError):
-        bsfp.encode_array(np.array([np.float16(2.5).view(np.uint16)]))
+        bsfp.encode_words(np.array([np.float16(2.5).view(np.uint16)]))
 
 
-def test_decode_full_array_malformed():
+def test_decode_words_malformed():
     with pytest.raises(bsfp.MalformedWordError):
-        bsfp.decode_full_array(np.array([0b0100], np.uint16), np.array([1 << 11], np.uint16))
-
-
-@pytest.mark.parametrize(
-    "wq,wr", [(0, 0x1C00), (0, 0x1000), (0, 0x13C00), (0, -1), (-1, 0), (0x10, 0), (0x13, 0x3FF)]
-)
-def test_decode_full_array_rejects_wide_fields(wq, wr):
-    # (0, 0x1C00) would otherwise OR into the qcode bits and decode to 1024.0
-    with pytest.raises(bsfp.MalformedWordError, match="out of range"):
-        bsfp.decode_full_array(np.array([wq]), np.array([wr]))
+        bsfp.decode_words_f32(_word(0b0100, 1))
 
 
 def test_monotone_fidelity_critical_range():
     # Remapped decode is exact on exponents 8..11, so its relative error
     # never exceeds naive truncate-to-even extraction there.
-    wq, _ = bsfp.encode_array(np.arange(8, 12, dtype=np.uint16) << 10)
+    wq = _nibbles(np.arange(8, 12) << 10)
     for e, exp4 in zip(range(8, 12), bsfp.q_exponent_array(wq)):
         remap_err = abs(2.0 ** (int(exp4) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
         naive_err = abs(2.0 ** ((e >> 1 << 1) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
@@ -219,5 +227,4 @@ def test_monotone_fidelity_critical_range():
 
 def test_q_value_array_signs():
     bits = np.array([0x3C00, 0xBC00], np.uint16)  # +1.0, -1.0
-    wq, _ = bsfp.encode_array(bits)
-    assert np.array_equal(bsfp.q_value_array(wq), np.array([0.5, -0.5], np.float32))
+    assert np.array_equal(bsfp.q_value_array(_nibbles(bits)), np.array([0.5, -0.5], np.float32))

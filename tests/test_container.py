@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 import struct
 import tracemalloc
@@ -18,13 +19,12 @@ from speq.container import (
     TruncatedError,
     _pack_matrix,
     from_bytes,
-    read_crc,
     read_container,
     read_npy,
     to_bytes,
     write_container,
 )
-from speq.model import ModelConfig, init_model
+from speq.model import ModelConfig, _weight_names, init_model
 from speq.quantize import PackedTensor, quantize_tensor
 
 
@@ -129,7 +129,7 @@ def test_zero_group_scale_round_trips():
     assert from_bytes(to_bytes(p)) == p
 
 
-# (qcode, flag, elsb) of the words encode_array never writes that decode
+# (qcode, flag, elsb) of the words encode_words never writes that decode
 # bit by bit to an in-range FP16 value: each would restore exact weights
 # while its draft nibble quantizes some other value.
 ALIASES = [(0b000, 0, 0), (0b000, 0, 1), (0b000, 1, 0), (0b010, 0, 0), (0b010, 0, 1),
@@ -180,9 +180,10 @@ def test_rejects_the_unpadded_odd_row_layout(shape, stream_spans, reseal):
     data = to_bytes(p)
     wq_span = stream_spans(data)[2]
     n = p.rows * p.cols
-    wq, wr = (w.reshape(n, 1, order="F") for w in p.words())
-    old_wq = _pack_matrix(wq, 4)
-    old_wr = _pack_matrix(wr, 12)[: (12 * n + 7) // 8]  # the last record's pad byte is dropped
+    words = p.words().reshape(n, 1, order="F")
+    old_wq = _pack_matrix((words >> 12).astype(np.uint8), 4)
+    # the last record's pad byte is dropped
+    old_wr = _pack_matrix(words & 0xFFF, 12)[: (12 * n + 7) // 8]
     assert (len(old_wq), len(old_wr)) == (-(-n // 2), -(-12 * n // 8))
     old = data[: wq_span.start] + old_wq + old_wr + data[-4:]
     assert len(old) < len(data)
@@ -241,8 +242,7 @@ def test_scale_and_stream_preservation():
     q = from_bytes(to_bytes(p))
     assert q.tensor_scale == p.tensor_scale != 1.0
     assert np.array_equal(q.group_scales, p.group_scales)
-    for got, want in zip(q.words(), p.words()):
-        assert np.array_equal(got, want)
+    assert np.array_equal(q.words(), p.words())
 
 
 def test_from_bytes_mutation_fuzz(reseal):
@@ -283,7 +283,7 @@ def test_scales_held_as_rows_keep_the_container_bytes():
     # for every container of one length, so it would pin only the length.)
     p = _tensor(26, (300, 7))
     c_order = np.ascontiguousarray(p.group_scales)
-    direct = PackedTensor(p.group_size, p.tensor_scale, c_order, *p.words())
+    direct = PackedTensor(p.group_size, p.tensor_scale, c_order, p.words())
     for q in (p, from_bytes(to_bytes(p)), direct):
         data = to_bytes(q)
         assert len(data) == 4314 and int.from_bytes(data[-4:], "little") == 0x74D96C0D
@@ -309,7 +309,7 @@ def test_read_npy_closes_a_refused_archive(tmp_path, monkeypatch):
     assert opened[0].fid is None
 
 
-# ── two doors, one decode ────────────────────────────────────────────────
+# ── one door: the constructor, from the encoder or from a container ──────
 
 # bench/speqbench.py's workload models: chat-short and long-context run the default
 _WORKLOAD_MODELS = {"default": {}, "draft-heavy": {"d_model": 128, "d_ff": 512, "n_layers": 4}}
@@ -324,49 +324,69 @@ def _door_tensors():
         yield str(shape), _tensor(20, shape, group_size=4)
 
 
-def _doors(p):
-    """The tensor of ``p``'s records through each door: the container's
-    words, and the constructor's separate fields."""
-    return {
-        "words": from_bytes(to_bytes(p)),
-        "fields": PackedTensor(p.group_size, p.tensor_scale, p.group_scales, *p.words()),
-    }
-
-
-def test_both_doors_decode_the_same_operands():
+def test_constructor_and_container_decode_the_same_operands():
     for name, p in _door_tensors():
-        wq, wr = p.words()
-        exact = bsfp.decode_full_array(wq, wr).view(np.float16).astype(np.float32)
-        draft = bsfp.q_value_array(wq)
-        for door, q in _doors(p).items():
+        words = p.words()
+        exact = bsfp.decode_words_f32(words)
+        draft = bsfp.q_value_array(words >> 12)
+        built = {
+            "constructor": PackedTensor(p.group_size, p.tensor_scale, p.group_scales, words),
+            "container": from_bytes(to_bytes(p)),
+        }
+        for how, q in built.items():
             for got, want in ((q._full32, exact), (q._qval, draft)):
-                assert got.flags.c_contiguous and not got.flags.writeable, (name, door)
-                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (name, door)
+                assert got.flags.c_contiguous and not got.flags.writeable, (name, how)
+                assert np.array_equal(got.view(np.uint32), want.view(np.uint32)), (name, how)
 
 
 @pytest.mark.parametrize("shape", _DOOR_SHAPES, ids=str)
-def test_each_door_refuses_an_unwritten_word(shape, stream_spans, reseal):
+def test_constructor_and_container_refuse_an_unwritten_word(shape, stream_spans, reseal):
     p = _tensor(21, shape, group_size=4)
     data = to_bytes(p)
     wq_span = stream_spans(data)[2]
     unwritten = np.flatnonzero(np.isnan(bsfp._F32_OF_WORD))
     for word in unwritten[:: len(unwritten) // 7]:
-        wq, wr = p.words()
-        wq[-1, -1], wr[-1, -1] = word >> 12, word & 0xFFF
+        words = p.words()
+        words[-1, -1] = word
         with pytest.raises(bsfp.MalformedWordError, match="unreachable"):
-            PackedTensor(p.group_size, p.tensor_scale, p.group_scales, wq, wr)
-        streams = _pack_matrix(wq, 4) + _pack_matrix(wr, 12)
+            PackedTensor(p.group_size, p.tensor_scale, p.group_scales, words)
+        streams = _pack_matrix((words >> 12).astype(np.uint8), 4) + _pack_matrix(words & 0xFFF, 12)
         bad = reseal(data[: wq_span.start] + streams + data[-4:])
         with pytest.raises(ContainerError, match="unreachable") as refused:
             from_bytes(bad)
         assert not isinstance(refused.value, bsfp.MalformedWordError)
 
 
+# sha256 of the concatenated containers of every linear, in load order: the
+# workload models, and an odd-row model, whose every column ends with a pad
+# record. They guard the writer's split of the words into the two streams.
+_MODEL_CONTAINER_SHA256 = {
+    "default": ({}, "56dc7da6d15d9f2f33287c091f372e64e31c4463e382d75181c9a52a2a827f5a"),
+    "draft-heavy": (
+        _WORKLOAD_MODELS["draft-heavy"],
+        "7b6c0f09739a0211a424743665eb61894dfb7e0e48b5cc2f0b95aab81e034398",
+    ),
+    "odd-row": (
+        {"d_model": 129, "n_heads": 3},
+        "c7a25bb0826aa13e0faae92edf5f69a9ad0d6262f67e02faee2836df574b6c2e",
+    ),
+}
+
+
+@pytest.mark.parametrize("model", list(_MODEL_CONTAINER_SHA256))
+def test_model_container_bytes_are_pinned(model):
+    fields, want = _MODEL_CONTAINER_SHA256[model]
+    cfg = ModelConfig(**fields)
+    weights = init_model(cfg).weights
+    data = b"".join(to_bytes(weights[name]) for name in _weight_names(cfg))
+    assert hashlib.sha256(data).hexdigest() == want
+
+
 def test_read_container_checks_a_given_crc(tmp_path):
     path = tmp_path / "w.speq"
     p = _tensor(22, (7, 5))
     write_container(path, p)
-    crc = read_crc(path)
+    crc = int.from_bytes(path.read_bytes()[-4:], "little")
     assert read_container(path, crc=crc) == p
     with pytest.raises(ChecksumError, match=f"{crc ^ 1:#010x}"):
         read_container(path, crc=crc ^ 1)

@@ -137,7 +137,7 @@ def test_quantize_all_ones_column():
     p = quantize_tensor(np.ones((128, 1), dtype=np.float16))
     assert p.n_groups == 1
     assert np.all(p.group_scales == 2.0)
-    assert np.all(p.words()[0] == 0b0111)  # sign 0, qcode 111
+    assert np.all(p.words() >> 12 == 0b0111)  # sign 0, qcode 111
     rec = draft_reconstruction(p)
     assert np.all(rec == 1.0)
 
@@ -254,11 +254,11 @@ def test_scale_equivariance_flat_bucket():
     w = ((sign << 15) | (e << 10) | man).view(np.float16)
     w2 = (w.astype(np.float32) * 2.0).astype(np.float16)
     p1, p2 = quantize_tensor(w), quantize_tensor(w2)
-    assert np.array_equal(p1.words()[0], p2.words()[0])
+    assert np.array_equal(p1.words() >> 12, p2.words() >> 12)
     assert np.allclose(p2.group_scales, 2.0 * p1.group_scales, rtol=1e-6)
 
     half = quantize_tensor((w2.astype(np.float32) * 0.5).astype(np.float16))
-    assert np.array_equal(half.words()[0], p1.words()[0])
+    assert np.array_equal(half.words() >> 12, p1.words() >> 12)
     assert np.array_equal(half.group_scales, p1.group_scales)
 
 
@@ -280,9 +280,9 @@ def test_bit_volume():
     w = _rand16(rng, (64, 32))
     p = quantize_tensor(w)
     n = w.size
-    wq, wr = p.words()
-    assert len(_pack_matrix(wq, 4)) == n // 2
-    assert len(_pack_matrix(wr, 12)) == 12 * n // 8
+    words = p.words()
+    assert len(_pack_matrix((words >> 12).astype(np.uint8), 4)) == n // 2
+    assert len(_pack_matrix(words & 0xFFF, 12)) == 12 * n // 8
     # 16 bits/weight; the container adds only its header, the scales and the CRC
     header = len(MAGIC) + 1 + 16 + 4
     assert len(to_bytes(p)) == header + 4 * p.group_scales.size + 2 * n + 4
@@ -320,32 +320,31 @@ def test_words_are_the_construction_words():
     w = _rand16(rng, (9, 5))
     w[0, 0] = 4.0  # outlier: the words are those of the rescaled tensor
     scaled, _ = handle_outliers(w)
-    want = bsfp.encode_array(scaled.view(np.uint16))
+    want = bsfp.encode_words(scaled.view(np.uint16))
     for p in _both_ways(w, group_size=4):
-        for got, exp in zip(p.words(), want):
-            assert got.dtype == exp.dtype and np.array_equal(got, exp)
+        got = p.words()
+        assert got.dtype == np.uint16 and np.array_equal(got, want)
     # any valid words, given directly, come back unchanged
-    wq, wr = bsfp.encode_array(rng.integers(0, 0x3C00, (6, 3)).astype(np.uint16))
-    p = PackedTensor(4, 1.0, np.ones((3, 2), np.float32), wq, wr)
-    assert np.array_equal(p.words()[0], wq) and np.array_equal(p.words()[1], wr)
+    words = bsfp.encode_words(rng.integers(0, 0x3C00, (6, 3)).astype(np.uint16))
+    p = PackedTensor(4, 1.0, np.ones((3, 2), np.float32), words)
+    assert np.array_equal(p.words(), words)
 
 
 def _direct_args():
     """Valid constructor inputs for a 6x3 tensor whose three columns hold the same words."""
     col = np.random.default_rng(43).integers(0, 0x3C00, (6, 1)).astype(np.uint16)
-    wq, wr = bsfp.encode_array(np.repeat(col, 3, axis=1))
-    return dict(group_size=4, tensor_scale=1.0, group_scales=np.ones((3, 2), np.float32), wq=wq, wr=wr)
+    words = bsfp.encode_words(np.repeat(col, 3, axis=1))
+    return dict(group_size=4, tensor_scale=1.0, group_scales=np.ones((3, 2), np.float32), words=words)
 
 
-def _wq_with(code):
-    """The valid 6x3 ``wq`` of ``_direct_args`` with one record set to ``code``."""
-    wq = _direct_args()["wq"].astype(np.int16)
-    wq[0, 0] = code
-    return wq
+_WORDS = _direct_args()["words"]
+_NOT_WORDS = "must be one non-empty 2-D uint16 array"
 
 
 def test_shape_comes_from_the_words():
-    assert not {"rows", "cols"} & set(inspect.signature(PackedTensor).parameters)
+    params = inspect.signature(PackedTensor).parameters
+    assert list(params) == ["group_size", "tensor_scale", "group_scales", "words"]
+    assert all(par.default is inspect.Parameter.empty for par in params.values())
     p = PackedTensor(**_direct_args())
     assert (p.rows, p.cols, p.n_groups) == (6, 3, 2)
     with pytest.raises(TypeError):
@@ -355,8 +354,6 @@ def test_shape_comes_from_the_words():
 @pytest.mark.parametrize(
     "name,value,match",
     [
-        # broadcasts to the same 6x3 words, so only the shape rule can catch it
-        pytest.param("wr", _direct_args()["wr"][:, :1], "wq", id="mismatched-words"),
         pytest.param("group_scales", np.ones((7, 9), np.float32), "group scales", id="scale-shape"),
         pytest.param("group_scales", np.full((3, 2), np.nan, np.float32), "group scales", id="nan-scale"),
         pytest.param("group_scales", np.full((3, 2), -0.0, np.float32), "group scales", id="neg-zero-scale"),
@@ -369,9 +366,14 @@ def test_shape_comes_from_the_words():
         # 2.5 would give 3.0 groups and True 6, so the scale-shape rule alone misnames them
         pytest.param("group_size", 2.5, "group_size", id="fractional-group-size"),
         pytest.param("group_size", True, "group_size", id="bool-group-size"),
-        # the draft table has 16 entries: no code outside 0..15 may index it
-        pytest.param("wq", _wq_with(16), "out of range", id="wide-wq"),
-        pytest.param("wq", _wq_with(-1), "out of range", id="negative-wq"),
+        # the word table gathers with mode="wrap", where a wider copy of the words
+        # decodes to the same operands, so the words' type is checked before any gather
+        pytest.param("words", _WORDS.astype(np.int64) + 0x10000, _NOT_WORDS, id="wide-words"),
+        pytest.param("words", np.full(_WORDS.shape, -1, np.int64), _NOT_WORDS, id="negative-words"),
+        pytest.param("words", _WORDS.astype(np.float64), _NOT_WORDS, id="float-words"),
+        pytest.param("words", _WORDS.ravel(), _NOT_WORDS, id="1-D-words"),
+        pytest.param("words", _WORDS[None], _NOT_WORDS, id="3-D-words"),
+        pytest.param("words", _WORDS[:0], _NOT_WORDS, id="empty-words"),
     ],
 )
 def test_packed_tensor_rejects_inconsistent_input(name, value, match):
