@@ -1,9 +1,9 @@
 """SPEQ: bit-sharing weight quantization with self-speculative decoding.
 
-A packed weight store whose low 4 bits per weight form a standalone draft
-model and whose full 16 bits reconstruct the original FP16 tensor exactly,
-plus the kernels, decoding controller, PE-array model, and file format
-built around it.
+A packed weight store whose 16-bit words each restore one FP16 weight
+exactly and whose top 4 bits (``word >> 12``: sign and remapped exponent
+code) form a standalone draft model, plus the kernels, decoding
+controller, PE-array model, and file format built around it.
 
 Outputs do not depend on OpenBLAS's thread count, but speed does: a
 second CPU-bound process can slow a multi-threaded GEMM manyfold, so on a

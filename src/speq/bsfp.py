@@ -33,9 +33,10 @@ The 16-bit word is the one record, encoded and decoded. ``decode_words_f32``
 gathers the exact float32 value of each word from that table in one pass.
 The table is also the one validity rule: the 32,768 words the encoder never
 writes, whose draft nibble would not quantize the value they restore, hold
-NaN (no in-range value is NaN) and raise :class:`MalformedWordError`. Only
-the container stores the nibble ``wq = word >> 12`` and the remainder
-``wr = word & 0xFFF`` apart.
+NaN (no in-range value is NaN) and raise :class:`MalformedWordError`. The
+draft is a second lookup: ``DRAFT_VALUE`` takes the nibble ``wq = word >> 12``
+to its value, +/-2^(exp4 - 15) with ``exp4 = DECODE_QEXP[qcode]``. Only the
+container stores ``wq`` and the remainder ``wr = word & 0xFFF`` apart.
 """
 
 from __future__ import annotations
@@ -51,8 +52,7 @@ __all__ = [
     "in_range_bits",
     "encode_words",
     "decode_words_f32",
-    "q_exponent_array",
-    "q_value_array",
+    "DRAFT_VALUE",
 ]
 
 
@@ -79,7 +79,11 @@ _EXP_FIELD_BITS = np.array(
     [q << 12 | f << 11 | (e & 1) << 10 for e, q, f in zip(range(16), REMAP_QCODE, REMAP_FLAG)],
     dtype=np.uint16,
 )
-_DECODE_QEXP_ARR = np.array(DECODE_QEXP, dtype=np.int32)
+# draft nibble (sign, qcode) -> draft value (float32, read-only)
+DRAFT_VALUE = np.array(
+    [(-1) ** (w >> 3) * 2.0 ** (DECODE_QEXP[w & 7] - 15) for w in range(16)], dtype=np.float32
+)
+DRAFT_VALUE.setflags(write=False)
 
 
 def encode_words(fp16_bits: np.ndarray) -> np.ndarray:
@@ -128,16 +132,3 @@ def decode_words_f32(words: np.ndarray) -> np.ndarray:
         raise MalformedWordError("unreachable word: encode_words writes no such word")
     return vals
 
-
-def q_exponent_array(wq: np.ndarray) -> np.ndarray:
-    """Decoded 4-bit quantized exponents (int32) for an array of wq nibbles."""
-    wq = np.asarray(wq, dtype=np.uint16)
-    return _DECODE_QEXP_ARR[wq & np.uint16(7)]
-
-
-def q_value_array(wq: np.ndarray) -> np.ndarray:
-    """Draft-view values (float32): +/- 2^(exp4 - 15) per element."""
-    wq = np.asarray(wq, dtype=np.uint16)
-    exp4 = q_exponent_array(wq)
-    mag = np.ldexp(np.float32(1.0), exp4 - 15).astype(np.float32)
-    return np.where((wq >> 3).astype(bool), -mag, mag)

@@ -90,8 +90,10 @@ def reference_gemm(a: np.ndarray, w: np.ndarray, group_size: int = DEFAULT_GROUP
     """GEMM over plain FP16 weights with the same accumulation contract.
 
     Matches ``gemm_full`` bit for bit when the packed tensor stores ``w``
-    exactly and its tensor scale is 1.
+    exactly and its tensor scale is 1. A ``group_size`` that is not an
+    integer >= 1 raises ``ValueError``.
     """
+    group_size = check_int("group_size", group_size)
     a = np.asarray(a, dtype=np.float16).astype(np.float32)
     w = np.asarray(w, dtype=np.float16).astype(np.float32)
     return _accel.gemm_groups(_accel._loop_f32, a, w, group_size)

@@ -10,8 +10,8 @@ holds only its two float32 kernel operands, each decoded once from the
 16-bit words ``bsfp.encode_words`` writes, the one record from encoder to
 container: one ``intp`` index of the words serves two gathers, the exact
 FP16 weights by ``bsfp.decode_words_f32`` from the float32 table of all
-65,536 words, and the draft values from a 16-entry table indexed by
-``word >> 12``. It has one door, the constructor, which takes the uint16
+65,536 words, and the draft values from the 16-entry ``bsfp.DRAFT_VALUE``
+indexed by ``word >> 12``. It has one door, the constructor, which takes the uint16
 words: ``quantize_tensor`` hands it the words it encodes and
 ``container.from_bytes`` those it unpacks. The constructor is the one
 place that decides what a valid tensor is (words, group size, tensor
@@ -40,7 +40,6 @@ __all__ = [
     "ExpHistogram",
     "handle_outliers",
     "quantize_tensor",
-    "draft_reconstruction",
     "draft_mse",
     "ingest_bf16",
     "exponent_histogram",
@@ -101,8 +100,6 @@ def check_real(name: str, v, lo: float = 0, hi: float | None = None) -> float:
 # ---------------------------------------------------------------------------
 
 
-# 4-bit record (sign bit 3, qcode) -> draft value (float32).
-_DRAFT_TABLE = bsfp.q_value_array(np.arange(16))
 _INF_BITS = np.float32(np.inf).view(np.uint32)
 
 
@@ -179,7 +176,7 @@ class PackedTensor:
         index = words.astype(np.intp, order="C")
         self._full32 = bsfp.decode_words_f32(index)
         self._full32.flags.writeable = False
-        self._qval = _DRAFT_TABLE.take(np.right_shift(index, 12, out=index), mode="wrap")
+        self._qval = bsfp.DRAFT_VALUE.take(np.right_shift(index, 12, out=index), mode="wrap")
         self._qval.flags.writeable = False
 
     # Read from the draft operand, never from _full32, so the draft path
@@ -301,7 +298,7 @@ def quantize_tensor(w: np.ndarray, group_size: int = DEFAULT_GROUP_SIZE) -> Pack
     """
     w16, tensor_scale = _rescaled(w, group_size)
     words = bsfp.encode_words(w16.view(np.uint16))
-    scales = _fit_group_scales(w16, _DRAFT_TABLE.take(words >> 12), group_size)
+    scales = _fit_group_scales(w16, bsfp.DRAFT_VALUE.take(words >> 12), group_size)
     return PackedTensor(group_size, tensor_scale, scales, words)
 
 
@@ -313,7 +310,7 @@ def _draft_values(w16: np.ndarray, group_size: int, fmt: QuantFormat) -> np.ndar
     """
     bits = w16.view(np.uint16)
     if fmt is QuantFormat.E3M0_REMAP:
-        return _DRAFT_TABLE.take(bsfp.encode_words(bits) >> 12)
+        return bsfp.DRAFT_VALUE.take(bsfp.encode_words(bits) >> 12)
     if fmt is QuantFormat.E3M0_NAIVE:
         exp5 = (bits >> 10) & np.uint16(0x1F)
         mag = np.ldexp(1.0, 2 * (exp5 >> 1).astype(np.int64) - 15)
@@ -346,11 +343,6 @@ def draft_mse(w: np.ndarray, group_size: int, fmt: QuantFormat) -> float:
     rec = _group_scaled(qv, _fit_group_scales(w16, qv, group_size), group_size)
     diff = rec - w16.astype(np.float64)
     return float(np.mean(diff * diff))
-
-
-def draft_reconstruction(p: PackedTensor) -> np.ndarray:
-    """Group-scaled draft tensor s_g * q (float64), in the scaled domain."""
-    return _group_scaled(p.draft_values(), p.group_scales, p.group_size)
 
 
 def ingest_bf16(bits: np.ndarray) -> np.ndarray:

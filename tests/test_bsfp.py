@@ -44,6 +44,11 @@ def _nibbles(bits):
     return bsfp.encode_words(np.asarray(bits, dtype=np.uint16)) >> 12
 
 
+def _exp4(wq):
+    """The decoded 4-bit exponent of each draft nibble: its draft value is +/-2^(exp4 - 15)."""
+    return np.frexp(bsfp.DRAFT_VALUE[wq])[1] + 14
+
+
 def _word(wq, flag, elsb=0):
     """One word, as a uint16 array of one, with a zero mantissa."""
     return np.array([(wq << 12) | (flag << 11) | (elsb << 10)], np.uint16)
@@ -84,14 +89,17 @@ def test_remap_encode_range(bad):
 
 
 def test_decode_q_exp_table():
+    table = bsfp.DRAFT_VALUE
+    assert (table.dtype, table.shape, table.flags.writeable) == (np.float32, (16,), False)
     # The sign bit (wq bit 3) does not change the decoded exponent.
-    got = bsfp.q_exponent_array(np.arange(16, dtype=np.uint8))
-    assert got.tolist() == [QEXP_TABLE[w & 7] for w in range(16)]
+    assert _exp4(np.arange(16)).tolist() == [QEXP_TABLE[w & 7] for w in range(16)]
+    want = [(-1) ** (w >> 3) * 2.0 ** (QEXP_TABLE[w & 7] - 15) for w in range(16)]
+    assert np.array_equal(table.view(np.uint32), np.array(want, np.float32).view(np.uint32))
 
 
 def test_decode_q_exp_structure():
     # Codes 000 and 010 are the looked-up values 9 and 11; the rest append a zero.
-    exp4 = bsfp.q_exponent_array(np.arange(8, dtype=np.uint8))
+    exp4 = _exp4(np.arange(8))
     for qcode in range(8):
         if qcode in (0b000, 0b010):
             assert exp4[qcode] in (9, 11)
@@ -100,9 +108,9 @@ def test_decode_q_exp_structure():
 
 
 def test_decoder_image_and_buckets():
-    image = set(bsfp.q_exponent_array(np.arange(8, dtype=np.uint8)).tolist())
+    image = set(_exp4(np.arange(8)).tolist())
     assert image == {2, 6, 8, 9, 10, 11, 12, 14}
-    decoded = bsfp.q_exponent_array(_nibbles(ALL_EXPS << 10))
+    decoded = _exp4(_nibbles(ALL_EXPS << 10))
     for bucket in ({0, 1, 2, 3}, {4, 5, 6, 7}, {12, 13}, {14, 15}):
         assert len({decoded[e] for e in bucket}) == 1
     assert len({decoded[e] for e in (8, 9, 10, 11)}) == 4  # injective on 8..11
@@ -138,7 +146,7 @@ def test_flag_population():
 def test_q_magnitude():
     wq = _nibbles([0x3C00, 0xBC00, 0x0000])  # 1.0, -1.0, 0.0
     # 0.0 decodes to 2^-13: the zero-weight artifact.
-    assert bsfp.q_value_array(wq).tolist() == [0.5, -0.5, 2.0**-13]
+    assert bsfp.DRAFT_VALUE[wq].tolist() == [0.5, -0.5, 2.0**-13]
 
 
 def test_full_value_examples():
@@ -218,13 +226,13 @@ def test_monotone_fidelity_critical_range():
     # Remapped decode is exact on exponents 8..11, so its relative error
     # never exceeds naive truncate-to-even extraction there.
     wq = _nibbles(np.arange(8, 12) << 10)
-    for e, exp4 in zip(range(8, 12), bsfp.q_exponent_array(wq)):
+    for e, exp4 in zip(range(8, 12), _exp4(wq)):
         remap_err = abs(2.0 ** (int(exp4) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
         naive_err = abs(2.0 ** ((e >> 1 << 1) - 15) - 2.0 ** (e - 15)) / 2.0 ** (e - 15)
         assert remap_err <= naive_err
         assert remap_err == 0.0
 
 
-def test_q_value_array_signs():
+def test_draft_value_signs():
     bits = np.array([0x3C00, 0xBC00], np.uint16)  # +1.0, -1.0
-    assert np.array_equal(bsfp.q_value_array(_nibbles(bits)), np.array([0.5, -0.5], np.float32))
+    assert np.array_equal(bsfp.DRAFT_VALUE[_nibbles(bits)], np.array([0.5, -0.5], np.float32))

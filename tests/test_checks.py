@@ -7,7 +7,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from speq.kernels import GemmMode, GemmSpec
+from speq.kernels import GemmMode, GemmSpec, reference_gemm
 from speq.model import ModelConfig
 from speq.pe import PeConfig
 from speq.quantize import check_int, check_real
@@ -66,3 +66,10 @@ def test_check_real():
     for bad in (-0.1, 1.1, float("nan"), True, "0.5"):
         with pytest.raises(ValueError, match=r"^x must be a real in \[0, 1\], got"):
             check_real("x", bad, 0, 1)
+
+
+@pytest.mark.parametrize("bad", [0, -3, 2.5, True])
+def test_reference_gemm_group_size_goes_through_the_check(bad):
+    a, w = np.ones((1, 4), np.float16), np.ones((4, 2), np.float16)
+    with pytest.raises(ValueError, match="^group_size must be an integer >= 1, got"):
+        reference_gemm(a, w, bad)

@@ -10,7 +10,13 @@ import pytest
 from speq.cli import build_parser, main
 from speq.model import ModelConfig
 from speq.pe import PeConfig
-from speq.quantize import DEFAULT_GROUP_SIZE, QuantFormat, draft_mse
+from speq.quantize import (
+    DEFAULT_GROUP_SIZE,
+    QuantFormat,
+    draft_mse,
+    exponent_histogram,
+    handle_outliers,
+)
 from speq.report import parse
 from speq.specdec import SpecDecConfig
 
@@ -292,6 +298,25 @@ def test_inspect(capsys, tensor_npy):
     assert rep["hist.total"] == "2048"
     assert rep["hist.frac_unused"] == "0.0"
     assert sum(int(rep[f"hist.exp{i:02d}"]) for i in range(32)) == 2048
+
+
+def test_inspect_container(capsys, tmp_path):
+    # a container holds the outlier-rescaled weights, so it shows their
+    # histogram, not the raw tensor's
+    w = np.random.default_rng(3).normal(0, 0.5, (256, 8)).astype(np.float16)
+    w[0, 0] = 6.0
+    src, wout = tmp_path / "w.npy", tmp_path / "w.speq"
+    np.save(src, w)
+    assert run(capsys, "quantize", "--in", str(src), "--out", str(wout))[0] == 0
+    code, rep, _ = run(capsys, "inspect", str(wout))
+    want = exponent_histogram(handle_outliers(w)[0])
+    assert want.counts.tolist() != exponent_histogram(w).counts.tolist()
+    assert code == 0
+    assert {k: v for k, v in rep.items() if k.startswith("hist.")} == {
+        "hist.total": str(want.total),
+        "hist.frac_unused": repr(want.frac_unused),
+        **{f"hist.exp{i:02d}": str(c) for i, c in enumerate(want.counts.tolist())},
+    }
 
 
 def test_specdec_gamma_one(capsys):

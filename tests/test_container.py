@@ -328,7 +328,7 @@ def test_constructor_and_container_decode_the_same_operands():
     for name, p in _door_tensors():
         words = p.words()
         exact = bsfp.decode_words_f32(words)
-        draft = bsfp.q_value_array(words >> 12)
+        draft = bsfp.DRAFT_VALUE[words >> 12]
         built = {
             "constructor": PackedTensor(p.group_size, p.tensor_scale, p.group_scales, words),
             "container": from_bytes(to_bytes(p)),

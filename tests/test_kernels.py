@@ -10,7 +10,7 @@ import pytest
 
 from speq import _accel, pe
 from speq.kernels import GemmMode, gemm_draft, gemm_full, gemm_traffic, reference_gemm
-from speq.quantize import draft_reconstruction, handle_outliers, quantize_tensor
+from speq.quantize import _group_scaled, handle_outliers, quantize_tensor
 
 
 def _rand16(rng, shape, scale=0.02):
@@ -151,7 +151,7 @@ def test_gemm_draft_group_error_statistic():
     ).astype(np.uint16)
     w = bits.view(np.float16)
     p = quantize_tensor(w)
-    rec = draft_reconstruction(p)
+    rec = _group_scaled(p.draft_values(), p.group_scales, p.group_size)
     w64 = w.astype(np.float64)
     for g in range(p.n_groups):
         sl = slice(g * 128, min((g + 1) * 128, 256))

@@ -13,8 +13,8 @@ from speq.quantize import (
     PackedTensor,
     QuantFormat,
     _fit_group_scales,
+    _group_scaled,
     draft_mse,
-    draft_reconstruction,
     exponent_histogram,
     handle_outliers,
     ingest_bf16,
@@ -24,6 +24,11 @@ from speq.quantize import (
 
 def _rand16(rng, shape, scale=0.02):
     return rng.normal(0.0, scale, shape).astype(np.float16)
+
+
+def _draft_reconstruction(p):
+    """Group-scaled draft tensor s_g * q (float64), in the scaled domain."""
+    return _group_scaled(p.draft_values(), p.group_scales, p.group_size)
 
 
 # ── outlier rescaling ────────────────────────────────────────────────────
@@ -138,7 +143,7 @@ def test_quantize_all_ones_column():
     assert p.n_groups == 1
     assert np.all(p.group_scales == 2.0)
     assert np.all(p.words() >> 12 == 0b0111)  # sign 0, qcode 111
-    rec = draft_reconstruction(p)
+    rec = _draft_reconstruction(p)
     assert np.all(rec == 1.0)
 
 
@@ -197,7 +202,7 @@ def test_draft_mse_remap_is_the_packed_draft():
     rng = np.random.default_rng(27)
     for shape, gs in [((200, 5), 128), ((9, 4), 4), ((64, 3), 1)]:
         w = _rand16(rng, shape)
-        diff = draft_reconstruction(quantize_tensor(w, gs)) - w.astype(np.float64)
+        diff = _draft_reconstruction(quantize_tensor(w, gs)) - w.astype(np.float64)
         assert draft_mse(w, gs, QuantFormat.E3M0_REMAP) == float(np.mean(diff * diff))
 
 
@@ -270,8 +275,8 @@ def test_scale_equivariance_reconstruction():
     man = rng.integers(0, 1024, (128, 4)).astype(np.uint16)
     w = (e << 10 | man).view(np.float16)
     w2 = (w.astype(np.float32) * 2.0).astype(np.float16)
-    r1 = draft_reconstruction(quantize_tensor(w))
-    r2 = draft_reconstruction(quantize_tensor(w2))
+    r1 = _draft_reconstruction(quantize_tensor(w))
+    r2 = _draft_reconstruction(quantize_tensor(w2))
     assert np.allclose(r2, 2.0 * r1, rtol=1e-6, atol=0)
 
 
